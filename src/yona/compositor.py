@@ -211,15 +211,7 @@ def yona_apply(image: ImageTensor, aug: AugmentationSpec, config: YonaConfig,
         if type(entry) is GeometryError:
             raise entry
         masked_bytes, mask_shape, aug_slice, concat_dim = entry[:4]
-        # inlined tape fast path (same bytes as fill_bytes)
-        tape = noise_rng._tape
-        pos = noise_rng._tape_pos
-        if tape is not None and masked_bytes <= tape.shape[0] - pos:
-            noise_rng._tape_pos = pos + masked_bytes
-            masked_part = tape[pos:pos + masked_bytes].reshape(mask_shape)
-        else:
-            masked_part = noise_rng.fill_bytes(masked_bytes).reshape(
-                mask_shape)
+        masked_part = noise_rng.fill_bytes(masked_bytes).reshape(mask_shape)
         augmented_part = _augment_arr(aug, arr[aug_slice], augment_rng,
                                       ref_hw)
         if masked_first:

@@ -9,11 +9,13 @@ augmented datasets feed any external trainer unchanged:
 PNG support is a minimal self-contained codec (8-bit grayscale/RGB,
 non-interlaced) so previews round-trip losslessly without extra
 dependencies.  Manifests are flat ``key=value`` text with a 64-bit FNV-1a
-content digest over all emitted record bytes.
+content digest over all emitted record bytes, computed exactly but
+vectorised over numpy (see `fnv1a_64`).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import zlib
@@ -39,13 +41,80 @@ _PIXELS = 3072  # 3 x 32 x 32
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_FNV_CHUNK = 1 << 16  # bytes hashed per vectorised step
+
+
+@functools.cache
+def _fnv_powers() -> np.ndarray:
+    """``FNV_PRIME ** (_FNV_CHUNK - i) mod 2**64`` at index ``i`` (512 KiB).
+
+    Built on the first digest, not at import.
+    """
+    powers = np.full(_FNV_CHUNK, FNV_PRIME, dtype=np.uint64)
+    np.multiply.accumulate(powers, out=powers)  # wraps mod 2**64
+    powers = powers[::-1].copy()
+    powers.flags.writeable = False
+    return powers
+
+
+def _fnv_low_bytes(chunk: np.ndarray, low0: int) -> np.ndarray:
+    """Low bytes ``L_0 .. L_m`` of the FNV-1a state around each chunk byte.
+
+    With an odd prime, ``L_{k+1} = ((L_k ^ b_k) * 0xB3) mod 256`` needs no
+    higher state bits, and bit ``j`` of ``L_{k+1}`` is bit ``j`` of ``L_k``
+    XOR bit ``j`` of ``((L_k mod 2**j) ^ b_k) * 0xB3``.  Once the bits below
+    ``j`` are known, plane ``j`` is a prefix-XOR scan, done here on 64-bit
+    words of packed bits.
+    """
+    m = chunk.shape[0]
+    low = np.zeros(m + 1, dtype=np.uint8)
+    step = np.empty(m, dtype=np.uint8)
+    pad = np.zeros(-m % 64 // 8, dtype=np.uint8)
+    for j in range(8):
+        bit = np.uint8(1 << j)
+        # low[:m] holds L_k mod 2**j: its bits >= j are not set yet
+        np.bitwise_xor(low[:m], chunk, out=step)
+        np.multiply(step, np.uint8(0xB3), out=step)
+        np.bitwise_and(step, bit, out=step)
+        words = np.concatenate((np.packbits(step, bitorder="little"),
+                                pad)).view("<u8")
+        for shift in (1, 2, 4, 8, 16, 32):
+            words ^= words << np.uint64(shift)
+        parity = words >> np.uint64(63)
+        carry = np.bitwise_xor.accumulate(parity) ^ parity
+        if low0 & bit:
+            carry ^= np.uint64(1)
+        words ^= np.uint64(0) - carry  # all ones where the carry is set
+        plane = np.unpackbits(words.view(np.uint8), count=m,
+                              bitorder="little")
+        plane <<= np.uint8(j)
+        low[1:] |= plane
+        low[0] |= low0 & bit
+    return low
 
 
 def fnv1a_64(data: bytes, value: int = FNV_OFFSET) -> int:
-    """64-bit FNV-1a over a byte string; pass ``value`` to chain chunks."""
-    for byte in data:
-        value = ((value ^ byte) * FNV_PRIME) & _MASK64
-    return value
+    """64-bit FNV-1a over a byte string; pass ``value`` to chain chunks.
+
+    Exact and vectorised: with the state's low bytes ``L_k`` known (see
+    `_fnv_low_bytes`), ``h ^ b_k == h + e_k`` with ``e_k = (L_k ^ b_k) -
+    L_k``, so ``h_n = P**n * h_0 + sum(e_k * P**(n - k))`` mod 2**64.
+    ``data`` is any contiguous buffer (bytes, bytearray, memoryview).
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if buf.shape[0] == 0:
+        return value
+    powers = _fnv_powers()
+    h = value & _MASK64
+    for start in range(0, buf.shape[0], _FNV_CHUNK):
+        chunk = buf[start:start + _FNV_CHUNK]
+        m = chunk.shape[0]
+        low = _fnv_low_bytes(chunk, h & 0xFF)[:m]
+        step = (low ^ chunk).astype(np.uint64)
+        step -= low  # e_k, wrapping mod 2**64
+        tail = powers[_FNV_CHUNK - m:]
+        h = (int(tail[0]) * h + int(np.dot(step, tail))) & _MASK64
+    return h
 
 
 @dataclass
@@ -230,15 +299,14 @@ def write_augmented_dataset(records, aug: AugmentationSpec,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(emit, range(len(records))))
 
-    payload = bytes(out)
     os.makedirs(out_dir, exist_ok=True)
     data_path = os.path.join(out_dir, "augmented.bin")
     with open(data_path, "wb") as fh:
-        fh.write(payload)
+        fh.write(out)
     manifest = DatasetManifest(
         dataset=variant, count=len(records), seed=seed,
         augmentation=describe_augmentation(aug),
-        yona=describe_yona(yona_config), digest=fnv1a_64(payload))
+        yona=describe_yona(yona_config), digest=fnv1a_64(out))
     with open(os.path.join(out_dir, "manifest.txt"), "w",
               encoding="utf-8") as fh:
         fh.write(manifest.to_text())

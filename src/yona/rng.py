@@ -14,7 +14,11 @@ Python versions, and process/thread scheduling:
   word ``w`` from the stream and expands it as the little-endian bytes of
   ``splitmix64_mix(w + i * GOLDEN)`` for ``i = 1 .. 8192``.  Byte output is
   therefore a pure function of the stream state and the number of bytes
-  consumed so far, independent of how reads are chunked.
+  consumed so far, independent of how reads are chunked.  Since tape word
+  ``i`` depends only on ``w`` and ``i`` (a counter-based generator), blocks
+  are materialised on demand: the first read of a block makes only the
+  prefix it needs (at least 256 words), the next makes the rest of the
+  block.  The word ``w`` is still consumed when the block's first byte is.
 
 Changing any of these conventions invalidates golden files and is a breaking
 change.
@@ -37,6 +41,7 @@ AUGMENT_ROLE = 1
 NOISE_ROLE = 2
 
 _TAPE_WORDS = 8192  # bulk tape refill quantum, 64 KiB of bytes per block
+_TAPE_PREFIX_WORDS = 256  # least words made on the first read of a block
 
 # Counter offsets for one tape block, precomputed once.
 _TAPE_COUNTERS = (np.arange(1, _TAPE_WORDS + 1, dtype=np.uint64)
@@ -93,7 +98,7 @@ class RngStream:
     """
 
     __slots__ = ("_s0", "_s1", "_s2", "_s3", "_words", "_word_pos",
-                 "_tape", "_tape_pos")
+                 "_tape", "_tape_pos", "_tape_seed", "_tape_end")
 
     def __init__(self, s0: int, s1: int, s2: int, s3: int):
         self._s0 = s0
@@ -102,8 +107,10 @@ class RngStream:
         self._s3 = s3
         self._words = None
         self._word_pos = 0
-        self._tape = None
-        self._tape_pos = 0
+        self._tape = None  # materialised window of the current tape block
+        self._tape_pos = 0  # read position within the window
+        self._tape_seed = 0  # seed word w of the current block
+        self._tape_end = _TAPE_WORDS  # block words made so far
 
     # -- state -------------------------------------------------------------
 
@@ -122,11 +129,10 @@ class RngStream:
         c = RngStream(self._s0, self._s1, self._s2, self._s3)
         c._words = self._words
         c._word_pos = self._word_pos
-        if self._tape is not None:
-            tape = self._tape.copy()
-            tape.flags.writeable = False
-            c._tape = tape
-            c._tape_pos = self._tape_pos
+        c._tape = self._tape  # read-only, so shared
+        c._tape_pos = self._tape_pos
+        c._tape_seed = self._tape_seed
+        c._tape_end = self._tape_end
         return c
 
     def split(self, label: int) -> "RngStream":
@@ -216,8 +222,20 @@ class RngStream:
 
     # -- bulk byte tape ------------------------------------------------------
 
-    def _refill_tape(self) -> None:
-        block = _TAPE_COUNTERS + _U64(self.next_u64())
+    def _refill_tape(self, need: int) -> None:
+        """Make the next tape window, ``need`` > 0 bytes being wanted.
+
+        The first window of a block holds ``max(ceil(need / 8), 256)``
+        words, the second the rest of the block.
+        """
+        if self._tape_end == _TAPE_WORDS:
+            self._tape_seed = self.next_u64()
+            start = 0
+            stop = min(max(-(-need // 8), _TAPE_PREFIX_WORDS), _TAPE_WORDS)
+        else:
+            start = self._tape_end
+            stop = _TAPE_WORDS
+        block = _TAPE_COUNTERS[start:stop] + _U64(self._tape_seed)
         _mix64_block(block)
         if not np.little_endian:
             block = block.astype("<u8")
@@ -225,6 +243,7 @@ class RngStream:
         tape.flags.writeable = False  # blocks are published immutable
         self._tape = tape
         self._tape_pos = 0
+        self._tape_end = stop
 
     def fill_bytes(self, n: int) -> np.ndarray:
         """The next ``n`` bytes of the stream's byte tape as a uint8 array.
@@ -232,18 +251,18 @@ class RngStream:
         The result may be a read-only view of an internal tape block; treat
         it as immutable (copy before writing).
         """
-        tape, pos = self._tape, self._tape_pos
-        if tape is not None and n <= tape.shape[0] - pos:
-            # fast path: a zero-copy view of the current block
-            self._tape_pos = pos + n
-            return tape[pos:pos + n]
         if n < 0:
             raise ValueError(f"fill_bytes needs n >= 0, got {n}")
+        tape, pos = self._tape, self._tape_pos
+        if tape is not None and n <= tape.shape[0] - pos:
+            # fast path: a zero-copy view of the current window
+            self._tape_pos = pos + n
+            return tape[pos:pos + n]
         out = np.empty(n, dtype=np.uint8)
         filled = 0
         while filled < n:
             if self._tape is None or self._tape_pos >= self._tape.shape[0]:
-                self._refill_tape()
+                self._refill_tape(n - filled)
             take = min(n - filled, self._tape.shape[0] - self._tape_pos)
             out[filled:filled + take] = \
                 self._tape[self._tape_pos:self._tape_pos + take]

@@ -8,9 +8,10 @@ import pytest
 
 from yona.augment import default_spec
 from yona.compositor import YonaConfig
-from yona.dataset import (CIFAR10, CIFAR100, CifarRecord, DatasetManifest,
-                          fnv1a_64, read_cifar, read_png,
-                          write_augmented_dataset, write_cifar, write_png)
+from yona.dataset import (_FNV_CHUNK, CIFAR10, CIFAR100, FNV_OFFSET,
+                          CifarRecord, DatasetManifest, fnv1a_64, read_cifar,
+                          read_png, write_augmented_dataset, write_cifar,
+                          write_png)
 from yona.errors import CorruptRecordError, FormatError
 from yona.image import ImageTensor
 
@@ -21,6 +22,35 @@ def test_fnv1a_reference_vectors():
     assert fnv1a_64(b"") == 0xCBF29CE484222325
     assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
     assert fnv1a_64(b"foobar") == 0x85944171F73967E8
+
+
+def _fnv1a_64_scalar(data, value=FNV_OFFSET):
+    """Reference FNV-1a: one byte at a time, Python integers."""
+    for byte in data:
+        value = ((value ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return value
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, _FNV_CHUNK - 1, _FNV_CHUNK,
+                               _FNV_CHUNK + 1, 3 * _FNV_CHUNK + 17])
+def test_fnv1a_matches_scalar_loop(n):
+    rng = np.random.default_rng(n)
+    for data in (rng.integers(0, 256, n, dtype=np.uint8).tobytes(),
+                 bytes(n), b"\xff" * n):
+        for value in (FNV_OFFSET, 0, 12345, 2**64 - 1):
+            expected = _fnv1a_64_scalar(data, value)
+            assert fnv1a_64(data, value) == expected
+            assert fnv1a_64(bytearray(data), value) == expected
+            assert fnv1a_64(memoryview(data), value) == expected
+
+
+def test_fnv1a_chains_across_splits():
+    rng = np.random.default_rng(3)
+    data = rng.integers(0, 256, 2 * _FNV_CHUNK + 100, dtype=np.uint8).tobytes()
+    whole = fnv1a_64(data)
+    for cut in (0, 1, 64, 1000, _FNV_CHUNK - 1, _FNV_CHUNK, _FNV_CHUNK + 3,
+                len(data) - 1, len(data)):
+        assert fnv1a_64(data[cut:], fnv1a_64(data[:cut])) == whole
 
 
 def test_read_small_batch(small_batch_file, small_records):

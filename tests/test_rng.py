@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from yona.rng import (RngStream, SeedSpec, derive_image_streams,
-                      derive_stream, image_stream_label)
+from yona.rng import (_TAPE_COUNTERS, RngStream, SeedSpec, _mix64_block,
+                      derive_image_streams, derive_stream, image_stream_label)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -112,6 +112,82 @@ def test_fill_bytes_replay_and_chunking_independence():
     one = np.asarray(a.fill_bytes(5000)).copy()
     parts = [np.asarray(b.fill_bytes(n)).copy() for n in (100, 1536, 3364)]
     assert np.array_equal(one, np.concatenate(parts))
+
+
+def test_fill_bytes_rejects_negative_count_without_moving():
+    s = derive_stream(SeedSpec(5, 6))
+    twin = derive_stream(SeedSpec(5, 6))
+    s.fill_bytes(100)
+    twin.fill_bytes(100)
+    with pytest.raises(ValueError):
+        s.fill_bytes(-5)
+    assert np.array_equal(s.fill_bytes(300), twin.fill_bytes(300))
+    assert s.state == twin.state
+
+
+class _EagerTapeStream(RngStream):
+    """Reference tape: each 64 KiB block is made whole on its first read."""
+
+    def __init__(self, *state):
+        super().__init__(*state)
+        self.block = np.empty(0, dtype=np.uint8)
+        self.block_pos = 0
+
+    def fill_bytes(self, n):
+        parts = [np.empty(0, dtype=np.uint8)]
+        while n > 0:
+            if self.block_pos == self.block.shape[0]:
+                words = _TAPE_COUNTERS + np.uint64(self.next_u64())
+                self.block = _mix64_block(words).astype("<u8").view(np.uint8)
+                self.block_pos = 0
+            take = min(n, self.block.shape[0] - self.block_pos)
+            parts.append(self.block[self.block_pos:self.block_pos + take])
+            self.block_pos += take
+            n -= take
+        return np.concatenate(parts)
+
+
+def _tape_op(rng):
+    """One random stream call, weighted towards tape window edges."""
+    kind = rng.integers(6)
+    if kind == 0:
+        return ("bytes", 0)
+    if kind == 1:
+        return ("bytes", int(rng.integers(1, 4000)))  # around the prefix
+    if kind == 2:
+        return ("bytes", int(rng.integers(20_000, 70_000)))  # block edges
+    if kind == 3:
+        return ("u64", 0)
+    if kind == 4:
+        return ("gauss", int(rng.integers(1, 1000)))
+    return ("clone", 0)
+
+
+def _run_tape_op(stream, op):
+    kind, n = op
+    if kind == "bytes":
+        return np.asarray(stream.fill_bytes(n)).copy()
+    if kind == "u64":
+        return stream.next_u64()
+    return stream.fill_gaussian(n, 3.0, 2.0)
+
+
+def test_lazy_tape_matches_eager_blocks():
+    rng = np.random.default_rng(2024)
+    for trial in range(150):
+        lazy = derive_stream(SeedSpec(trial, 9))
+        eager = _EagerTapeStream(*lazy.state)
+        streams = [lazy]
+        for _ in range(12):
+            op = _tape_op(rng)
+            if op[0] == "clone":
+                streams.append(streams[-1].clone())
+                continue
+            expected = _run_tape_op(eager, op)
+            for stream in streams:
+                got = _run_tape_op(stream, op)
+                assert np.array_equal(got, expected), (trial, op)
+                assert stream.state == eager.state
 
 
 def test_fill_bytes_mean():
