@@ -3,7 +3,8 @@
 The core pipeline cuts an image in two along a coin-chosen axis, replaces
 one piece with noise, augments the other, and reassembles them.  Everything
 is driven by pinned, splittable random streams, so augmented datasets are
-bit-reproducible across platforms, processes, and worker counts.
+bit-reproducible across platforms and processes, and each record depends
+only on (seed, record index).
 """
 
 from .augment import (AugmentationSpec, PolicyTable, PrimitiveOp,

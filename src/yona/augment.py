@@ -105,22 +105,14 @@ def _gray(x: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Flips
 
-def _hflip_arr(arr: np.ndarray) -> np.ndarray:
-    return arr[:, :, ::-1]
-
-
-def _vflip_arr(arr: np.ndarray) -> np.ndarray:
-    return arr[:, ::-1, :]
-
-
 def hflip(image: ImageTensor) -> ImageTensor:
     """Mirror left-right: pixel (c, y, x) moves to (c, y, W-1-x)."""
-    return ImageTensor(np.ascontiguousarray(_hflip_arr(image.array)))
+    return ImageTensor(np.ascontiguousarray(image.array[:, :, ::-1]))
 
 
 def vflip(image: ImageTensor) -> ImageTensor:
     """Mirror top-bottom: pixel (c, y, x) moves to (c, H-1-y, x)."""
-    return ImageTensor(np.ascontiguousarray(_vflip_arr(image.array)))
+    return ImageTensor(np.ascontiguousarray(image.array[:, ::-1, :]))
 
 
 # --------------------------------------------------------------------------
@@ -393,14 +385,9 @@ def color_jitter(image: ImageTensor, brightness: float, contrast: float,
     shift is sampled from [-hue, hue] turns.  Arithmetic runs in float and is
     re-quantized once at the end.
     """
-    for name, f in (("brightness", brightness), ("contrast", contrast),
-                    ("saturation", saturation)):
-        if f < 0:
-            raise ValueError(f"{name} factor must be >= 0, got {f}")
-    if not 0 <= hue <= 0.5:
-        raise ValueError(f"hue must be in [0, 0.5], got {hue}")
-    return ImageTensor(
-        _jitter_arr(image.array, brightness, contrast, saturation, hue, rng))
+    return apply_augmentation(AugmentationSpec(
+        kind="jitter", apply_probability=1.0, brightness=brightness,
+        contrast=contrast, saturation=saturation, hue=hue), image, rng)
 
 
 # --------------------------------------------------------------------------
@@ -435,12 +422,9 @@ def random_erasing(image: ImageTensor, scale: tuple[float, float],
     """Erase one rectangle whose area fraction lies in ``scale`` and whose
     aspect ratio is log-uniform over ``ratio``; up to 10 placement attempts,
     then a graceful no-op."""
-    if not (0 < scale[0] <= scale[1] < 1):
-        raise ValueError(f"erase scale must nest inside (0, 1), got {scale}")
-    if not (0 < ratio[0] <= ratio[1]):
-        raise ValueError(f"erase ratio must be positive, got {ratio}")
-    out = _erasing_arr(image.array, scale, ratio, fill, rng)
-    return ImageTensor(np.ascontiguousarray(out))
+    return apply_augmentation(AugmentationSpec(
+        kind="erasing", apply_probability=1.0, erase_scale=tuple(scale),
+        erase_ratio=tuple(ratio), erase_fill=fill), image, rng)
 
 
 def _cutout_arr(arr, fraction, rng, fill=0, ref_hw=None):
@@ -465,11 +449,10 @@ def cutout(image: ImageTensor, mask_area_fraction: float,
     The square's side is ``round(sqrt(fraction) * min(H, W))``; its center is
     uniform over all pixels and the square is clipped at the borders.
     """
-    if not 0 < mask_area_fraction <= 1:
-        raise ValueError(
-            f"mask_area_fraction must be in (0, 1], got {mask_area_fraction}")
-    return ImageTensor(_cutout_arr(image.array, mask_area_fraction, rng,
-                                   fill=fill))
+    return apply_augmentation(AugmentationSpec(
+        kind="cutout", apply_probability=1.0,
+        cutout_area_fraction=mask_area_fraction, cutout_fill=fill),
+        image, rng)
 
 
 def _grid_arr(arr, grid_rows, grid_cols, rng, transform_probability=0.5):
@@ -509,10 +492,12 @@ def grid_transform(image: ImageTensor, grid_rows: int, grid_cols: int,
     """Partition into grid cells; each cell independently receives one
     small geometric transform (rotate within +/-15 degrees, or translate
     up to 10% of the cell, reflected border), gated per cell by a coin.
-    Remainder pixels belong to the last row/column of cells."""
-    out = _grid_arr(image.array, grid_rows, grid_cols, rng,
-                    transform_probability)
-    return ImageTensor(np.ascontiguousarray(out))
+    Remainder pixels belong to the last row/column of cells.
+    ``transform_probability`` must lie in [0, 1]."""
+    return apply_augmentation(AugmentationSpec(
+        kind="grid", apply_probability=1.0, grid_rows=grid_rows,
+        grid_cols=grid_cols,
+        grid_transform_probability=transform_probability), image, rng)
 
 
 # --------------------------------------------------------------------------
@@ -596,32 +581,18 @@ def rand_augment(image: ImageTensor, num_ops: int, magnitude: float,
                  rng: RngStream) -> ImageTensor:
     """Apply ``num_ops`` primitives drawn uniformly (with replacement) from
     the 14-op bank, each at the shared ``magnitude`` on a 0-30 scale."""
-    if num_ops < 0:
-        raise ValueError(f"num_ops must be >= 0, got {num_ops}")
-    if not 0 <= magnitude <= 30:
-        raise ValueError(f"magnitude must be in [0, 30], got {magnitude}")
-    arr = image.array
-    t = magnitude / 30.0
-    for _ in range(num_ops):
-        name = PRIMITIVE_OPS[rng.next_index(len(PRIMITIVE_OPS))]
-        arr = _sampled_primitive_arr(arr, name, t, rng)
-    return ImageTensor(np.ascontiguousarray(arr))
+    return apply_augmentation(AugmentationSpec(
+        kind="randaug", apply_probability=1.0, randaug_num_ops=num_ops,
+        randaug_magnitude=magnitude), image, rng)
 
 
 def auto_augment(image: ImageTensor, policy: PolicyTable,
                  rng: RngStream) -> ImageTensor:
     """Pick one sub-policy uniformly and run its two gated ops in order."""
-    if policy is None or len(policy) == 0:
-        raise ValueError("auto_augment needs a non-empty policy")
-    arr = image.array
-    sub = policy.sub_policies[rng.next_index(len(policy))]
-    for name, prob, mag_index in sub:
-        if prob <= 0.0:
-            continue
-        if prob < 1.0 and rng.next_unit_uniform() >= prob:
-            continue
-        arr = _sampled_primitive_arr(arr, name, mag_index / 9.0, rng)
-    return ImageTensor(np.ascontiguousarray(arr))
+    if policy is None:  # a spec without a policy uses the bundled table
+        raise ValueError("auto_augment needs a policy")
+    return apply_augmentation(AugmentationSpec(
+        kind="autoaug", apply_probability=1.0, policy=policy), image, rng)
 
 
 # --------------------------------------------------------------------------
@@ -674,7 +645,8 @@ class AugmentationSpec:
                 f"apply_probability {self.apply_probability} outside [0, 1]")
         for name in ("brightness", "contrast", "saturation"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} factor must be >= 0")
+                raise ValueError(f"{name} factor must be >= 0, got "
+                                 f"{getattr(self, name)}")
         if not 0.0 <= self.hue <= 0.5:
             raise ValueError(f"hue must be in [0, 0.5], got {self.hue}")
         if not 0 < self.erase_scale[0] <= self.erase_scale[1] < 1:
@@ -692,9 +664,12 @@ class AugmentationSpec:
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ValueError("grid dimensions must be >= 1")
         if not 0.0 <= self.grid_transform_probability <= 1.0:
-            raise ValueError("grid_transform_probability outside [0, 1]")
+            raise ValueError(
+                f"grid_transform_probability "
+                f"{self.grid_transform_probability} outside [0, 1]")
         if self.randaug_num_ops < 0:
-            raise ValueError("randaug_num_ops must be >= 0")
+            raise ValueError(
+                f"randaug_num_ops must be >= 0, got {self.randaug_num_ops}")
         if not 0 <= self.randaug_magnitude <= 30:
             raise ValueError(
                 f"randaug_magnitude must be in [0, 30], got "

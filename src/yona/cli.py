@@ -112,7 +112,6 @@ def build_parser():
     p.add_argument("--variant", choices=[ds.CIFAR10, ds.CIFAR100],
                    default=ds.CIFAR10)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=1)
     _add_aug_flags(p)
     _add_yona_flags(p, default_on=True)
     _add_common(p)
@@ -242,11 +241,13 @@ def cmd_augment(args) -> None:
     records = ds.read_cifar(args.dataset, args.variant)
     manifest = ds.write_augmented_dataset(
         records, _build_spec(args), _build_yona(args), args.seed, args.out,
-        variant=args.variant, workers=args.workers)
+        variant=args.variant)
     sys.stdout.write(manifest.to_text())
 
 
 def cmd_preview(args) -> None:
+    if args.count < 1:
+        raise UsageError("--count must be at least 1")
     images = [ds.read_png(path) for path in args.image]
     if args.dataset:
         records = ds.read_cifar(args.dataset, args.variant)
@@ -326,6 +327,10 @@ def cmd_bench(args) -> None:
 def cmd_probe(args) -> None:
     if args.train_count < 1:
         raise UsageError("--train-count must be at least 1")
+    if args.eval_count < 0:
+        raise UsageError("--eval-count must be at least 0")
+    if args.epochs < 0:
+        raise UsageError("--epochs must be at least 0")
     records = ds.read_cifar(args.dataset, args.variant)
     if len(records) < args.train_count + args.eval_count:
         raise UsageError(

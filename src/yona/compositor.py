@@ -24,8 +24,8 @@ import numpy as np
 
 from .augment import AugmentationSpec, _augment_arr
 from .errors import GeometryError
-from .image import (Axis, ImageTensor, NoiseKind, UniformNoise, noise_bytes,
-                    round_half_up)
+from .image import (Axis, ImageTensor, NoiseKind, UniformNoise, cut,
+                    noise_bytes, round_half_up)
 from .rng import RngStream
 
 AXIS_RANDOM = "random"
@@ -66,13 +66,7 @@ class YonaConfig:
         if self.region_reference not in (REGION_PIECE, REGION_IMAGE):
             raise ValueError(
                 f"unknown region reference {self.region_reference!r}")
-        # hot-path support: precomputed dispatch flag plus a per-shape
-        # geometry memo (both invisible to equality/repr)
-        object.__setattr__(
-            self, "_coin_uniform_path",
-            self.axis_policy == AXIS_RANDOM
-            and self.masked_piece_policy == MASKED_RANDOM
-            and type(self.noise) is UniformNoise)
+        # per-shape geometry memo (invisible to equality/repr)
         object.__setattr__(self, "_geometry_memo", {})
 
     def _geometry(self, shape: tuple[int, int, int]):
@@ -89,7 +83,7 @@ class YonaConfig:
         entries = []
         for height_cut in (False, True):
             extent = height if height_cut else width
-            k = int(self.mask_fraction * extent + 0.5)  # round half up
+            k = round_half_up(self.mask_fraction * extent)
             if not 1 <= k <= extent - 1:
                 # raised only if this axis is actually selected
                 entries.extend([GeometryError(
@@ -162,12 +156,8 @@ def _compose(image: ImageTensor, aug: AugmentationSpec, config: YonaConfig,
     masked_bytes, mask_shape, aug_slice, concat_dim, boundary, \
         masked_extent = entry
 
-    kind = config.noise
-    if type(kind) is UniformNoise:
-        masked_part = noise_rng.fill_bytes(masked_bytes).reshape(mask_shape)
-    else:
-        masked_part = noise_bytes(kind, masked_bytes,
-                                  noise_rng).reshape(mask_shape)
+    masked_part = noise_bytes(config.noise, masked_bytes,
+                              noise_rng).reshape(mask_shape)
     augmented_part = _augment_arr(aug, arr[aug_slice], augment_rng, ref_hw)
     if masked_first:
         out = np.concatenate((masked_part, augmented_part), axis=concat_dim)
@@ -194,33 +184,7 @@ def yona_apply_traced(image: ImageTensor, aug: AugmentationSpec,
 def yona_apply(image: ImageTensor, aug: AugmentationSpec, config: YonaConfig,
                structure_rng: RngStream, augment_rng: RngStream,
                noise_rng: RngStream) -> ImageTensor:
-    """Cut, mask one piece with noise, augment the other, reassemble.
-
-    For the default configuration (random axis, random side, uniform noise)
-    this runs a fused fast path that is byte-identical to the traced
-    composition; the equivalence is pinned by tests.
-    """
-    if config._coin_uniform_path:
-        arr = image.array
-        height_cut, masked_first = structure_rng.next_coin_pair()
-        geometry = config._geometry_memo.get(arr.shape)
-        if geometry is None:
-            geometry = config._geometry(arr.shape)
-        entries, ref_hw = geometry
-        entry = entries[(height_cut << 1) | masked_first]
-        if type(entry) is GeometryError:
-            raise entry
-        masked_bytes, mask_shape, aug_slice, concat_dim = entry[:4]
-        masked_part = noise_rng.fill_bytes(masked_bytes).reshape(mask_shape)
-        augmented_part = _augment_arr(aug, arr[aug_slice], augment_rng,
-                                      ref_hw)
-        if masked_first:
-            out = np.concatenate((masked_part, augmented_part),
-                                 axis=concat_dim)
-        else:
-            out = np.concatenate((augmented_part, masked_part),
-                                 axis=concat_dim)
-        return ImageTensor(out)
+    """Cut, mask one piece with noise, augment the other, reassemble."""
     return _compose(image, aug, config, structure_rng, augment_rng,
                     noise_rng, False)
 
@@ -241,22 +205,15 @@ def yoco_apply(image: ImageTensor, aug: AugmentationSpec,
                ) -> ImageTensor:
     """Comparison compositor: bisect, augment each half independently on a
     forked sub-stream, reassemble.  No masking."""
-    arr = image.array
-    channels, height, width = arr.shape
-    if height < 2 or width < 2:
+    if image.height < 2 or image.width < 2:
         raise GeometryError(
-            f"image {arr.shape} is too small to cut along both axes")
+            f"image {image.shape} is too small to cut along both axes")
     axis = Axis.HEIGHT if structure_rng.next_unit_uniform() <= 0.5 \
         else Axis.WIDTH
-    extent = height if axis is Axis.HEIGHT else width
-    boundary = round_half_up(0.5 * extent)
+    first, second = cut(image, axis, 0.5)
     first_rng = augment_rng.split(0)
     second_rng = augment_rng.split(1)
-    if axis is Axis.HEIGHT:
-        first, second = np.s_[:, :boundary, :], np.s_[:, boundary:, :]
-    else:
-        first, second = np.s_[:, :, :boundary], np.s_[:, :, boundary:]
-    out = np.empty(arr.shape, dtype=np.uint8)
-    out[first] = _augment_arr(aug, arr[first], first_rng)
-    out[second] = _augment_arr(aug, arr[second], second_rng)
-    return ImageTensor(out)
+    return ImageTensor(np.concatenate(
+        (_augment_arr(aug, first.image.array, first_rng),
+         _augment_arr(aug, second.image.array, second_rng)),
+        axis=1 if axis is Axis.HEIGHT else 2))

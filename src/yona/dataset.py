@@ -19,12 +19,12 @@ import functools
 import os
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .augment import AugmentationSpec, apply_augmentation
+from .augment import (AugmentationSpec, apply_augmentation,
+                      default_cifar10_policy)
 from .compositor import YonaConfig, yona_apply
 from .errors import CorruptRecordError, FormatError
 from .image import ImageTensor
@@ -235,46 +235,46 @@ def describe_augmentation(spec: AugmentationSpec) -> str:
     elif spec.kind == "erasing":
         parts.append(f"scale:{spec.erase_scale[0]:g}-{spec.erase_scale[1]:g}")
         parts.append(f"ratio:{spec.erase_ratio[0]:g}-{spec.erase_ratio[1]:g}")
+        parts.append(f"fill:{spec.erase_fill}")
     elif spec.kind == "cutout":
         parts.append(f"area:{spec.cutout_area_fraction:g}")
+        parts.append(f"fill:{spec.cutout_fill}")
     elif spec.kind == "grid":
         parts.append(f"grid:{spec.grid_rows}x{spec.grid_cols}")
+        parts.append(f"cell_p:{spec.grid_transform_probability:g}")
     elif spec.kind == "randaug":
         parts.append(f"n:{spec.randaug_num_ops}")
         parts.append(f"m:{spec.randaug_magnitude:g}")
+    elif spec.kind == "autoaug" and spec.policy is not None \
+            and spec.policy != default_cifar10_policy():
+        # exact: float reprs round-trip, unlike the :g policy file format
+        table = repr(spec.policy.sub_policies).encode()
+        parts.append(f"policy:{fnv1a_64(table):016x}")
     return ",".join(parts)
 
 
 def describe_yona(config: YonaConfig | None) -> str:
     if config is None:
         return "off"
-    noise = type(config.noise).__name__
+    noise = ":".join([type(config.noise).__name__] + [
+        f"{getattr(config.noise, f.name):g}" for f in fields(config.noise)])
     return (f"fraction:{config.mask_fraction:g},axis:{config.axis_policy},"
-            f"side:{config.masked_piece_policy},noise:{noise}")
+            f"side:{config.masked_piece_policy},noise:{noise},"
+            f"region:{config.region_reference}")
 
 
 # --------------------------------------------------------------------------
 # Augmented dataset emission
 
-def _augment_record(record: CifarRecord, aug: AugmentationSpec,
-                    yona_config: YonaConfig | None, seed: int,
-                    index: int) -> ImageTensor:
-    structure, augment, noise = derive_image_streams(seed, index)
-    if yona_config is None:
-        return apply_augmentation(aug, record.image, augment)
-    return yona_apply(record.image, aug, yona_config, structure, augment,
-                      noise)
-
-
 def write_augmented_dataset(records, aug: AugmentationSpec,
                             yona_config: YonaConfig | None, seed: int,
-                            out_dir, variant: str | None = None,
-                            workers: int = 1) -> DatasetManifest:
+                            out_dir, variant: str | None = None
+                            ) -> DatasetManifest:
     """Augment every record and emit a CIFAR-layout file plus a manifest.
 
     Labels pass through untouched; pixel bytes are produced from per-record
-    streams derived from (seed, record index), so output bytes do not depend
-    on ``workers`` or scheduling.  Returns the manifest (also written to
+    streams derived from (seed, record index), so no record's bytes depend
+    on any other record.  Returns the manifest (also written to
     ``out_dir/manifest.txt`` next to ``out_dir/augmented.bin``).
     """
     records = list(records)
@@ -284,20 +284,17 @@ def write_augmented_dataset(records, aug: AugmentationSpec,
     record_size = _RECORD_BYTES[variant]
     out = bytearray(len(records) * record_size)
 
-    def emit(index: int) -> None:
-        record = records[index]
-        image = _augment_record(record, aug, yona_config, seed, index)
+    for index, record in enumerate(records):
+        structure, augment, noise = derive_image_streams(seed, index)
+        if yona_config is None:
+            image = apply_augmentation(aug, record.image, augment)
+        else:
+            image = yona_apply(record.image, aug, yona_config, structure,
+                               augment, noise)
         augmented = CifarRecord(fine_label=record.fine_label, image=image,
                                 coarse_label=record.coarse_label)
         start = index * record_size
         out[start:start + record_size] = _record_bytes(augmented, variant)
-
-    if workers <= 1:
-        for i in range(len(records)):
-            emit(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(emit, range(len(records))))
 
     os.makedirs(out_dir, exist_ok=True)
     data_path = os.path.join(out_dir, "augmented.bin")

@@ -17,7 +17,7 @@ import numpy as np
 from .augment import AugmentationSpec, apply_augmentation
 from .compositor import YonaConfig, yona_apply, yona_apply_traced
 from .errors import DivergenceError
-from .image import Axis, ImageTensor, noise_bytes
+from .image import Axis, ImageTensor, cut_at, noise_bytes
 from .rng import SeedSpec, derive_image_streams, derive_stream
 
 
@@ -60,24 +60,23 @@ def collect_stats(records, aug: AugmentationSpec,
         structure, augment, noise = derive_image_streams(seed, i)
         if yona_config is None:
             out = apply_augmentation(aug, image, augment)
-            delta_total += float(np.mean(np.abs(
-                out.array.astype(np.int16) - image.array.astype(np.int16))))
-            continue
-        out, trace = yona_apply_traced(image, aug, yona_config, structure,
-                                       augment, noise)
-        # independent check: replay the noise stream and confirm the masked
-        # region carries exactly those bytes
-        _, _, replay = derive_image_streams(seed, i)
-        expected = noise_bytes(yona_config.noise, trace.masked_byte_count,
-                               replay)
-        region = _masked_region(out.array, trace)
-        if not np.array_equal(region.reshape(-1), expected):
-            raise AssertionError(
-                f"sample {i}: masked region does not replay from the noise "
-                f"stream")
-        masked_total += trace.masked_byte_count / image.array.size
-        height_hits += trace.axis is Axis.HEIGHT
-        first_hits += trace.masked_first
+        else:
+            out, trace = yona_apply_traced(image, aug, yona_config,
+                                           structure, augment, noise)
+            # independent check: replay the noise stream and confirm the
+            # masked region carries exactly those bytes
+            _, _, replay = derive_image_streams(seed, i)
+            expected = noise_bytes(yona_config.noise,
+                                   trace.masked_byte_count, replay)
+            first, second = cut_at(out, trace.axis, trace.boundary)
+            region = (first if trace.masked_first else second).image.array
+            if not np.array_equal(region.reshape(-1), expected):
+                raise AssertionError(
+                    f"sample {i}: masked region does not replay from the "
+                    f"noise stream")
+            masked_total += trace.masked_byte_count / image.array.size
+            height_hits += trace.axis is Axis.HEIGHT
+            first_hits += trace.masked_first
         delta_total += float(np.mean(np.abs(
             out.array.astype(np.int16) - image.array.astype(np.int16))))
     if yona_config is None:
@@ -88,16 +87,6 @@ def collect_stats(records, aug: AugmentationSpec,
         piece1_masked_frequency=first_hits / n_samples,
         mean_abs_pixel_delta=delta_total / n_samples,
         sample_count=n_samples)
-
-
-def _masked_region(arr: np.ndarray, trace) -> np.ndarray:
-    if trace.axis is Axis.HEIGHT:
-        if trace.masked_first:
-            return arr[:, :trace.boundary, :]
-        return arr[:, trace.boundary:, :]
-    if trace.masked_first:
-        return arr[:, :, :trace.boundary]
-    return arr[:, :, trace.boundary:]
 
 
 # --------------------------------------------------------------------------

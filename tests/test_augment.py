@@ -531,6 +531,39 @@ def test_dispatch_matches_public_policy_ops():
     via_spec = apply_augmentation(default_spec("autoaug"), img, stream(61))
     via_op = auto_augment(img, default_cifar10_policy(), stream(61))
     assert via_spec == via_op
+    # an always-applied spec draws no gate coin, so it replays the public op
+    policy = parse_policy("Rotate 0.7 4 ; Invert 0.5 0\n"
+                          "Posterize 1.0 6 ; Color 0.3 8\n")
+    for shape in ((3, 32, 32), (3, 9, 13), (1, 8, 5)):
+        img = make_image(rng, *shape)
+        for seed in range(8):
+            cases = (
+                (dict(kind="jitter", brightness=0.3, contrast=0.6,
+                      saturation=0.2, hue=0.25),
+                 lambda s: color_jitter(img, 0.3, 0.6, 0.2, 0.25, s)),
+                (dict(kind="erasing", erase_scale=(0.05, 0.3),
+                      erase_ratio=(0.5, 2.0), erase_fill=7),
+                 lambda s: random_erasing(img, (0.05, 0.3), (0.5, 2.0), 7,
+                                          s)),
+                (dict(kind="cutout", cutout_area_fraction=0.2,
+                      cutout_fill=200),
+                 lambda s: cutout(img, 0.2, s, fill=200)),
+                (dict(kind="grid", grid_rows=2, grid_cols=3,
+                      grid_transform_probability=0.7),
+                 lambda s: grid_transform(img, 2, 3, s,
+                                          transform_probability=0.7)),
+                (dict(kind="randaug", randaug_num_ops=3,
+                      randaug_magnitude=17),
+                 lambda s: rand_augment(img, 3, 17, s)),
+                (dict(kind="autoaug", policy=policy),
+                 lambda s: auto_augment(img, policy, s)),
+            )
+            for fields, public_op in cases:
+                spec = AugmentationSpec(apply_probability=1.0, **fields)
+                a, b = stream(seed, 62), stream(seed, 62)
+                case = (fields["kind"], shape, seed)
+                assert apply_augmentation(spec, img, a) == public_op(b), case
+                assert a.next_u64() == b.next_u64(), case
 
 
 def test_gate_coin_contract():

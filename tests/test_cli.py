@@ -52,13 +52,16 @@ def test_augment_mask_fraction_recorded(tmp_path, small_batch_file, capsys):
     assert "fraction:0.25" in manifest_of(tmp_path / "quarter").yona
 
 
-def test_augment_worker_count_invariance(tmp_path, small_batch_file, capsys):
+def test_augment_rejects_workers(tmp_path, small_batch_file, capsys):
     base = ["augment", "--dataset", str(small_batch_file), "--aug", "cutout",
-            "--seed", "3"]
-    run(capsys, *base, "--out", str(tmp_path / "w1"), "--workers", "1")
-    run(capsys, *base, "--out", str(tmp_path / "w4"), "--workers", "4")
-    assert manifest_of(tmp_path / "w1").digest == \
-        manifest_of(tmp_path / "w4").digest
+            "--seed", "3", "--out", str(tmp_path / "w")]
+    code, _, err = run(capsys, *base, "--workers", "4")
+    assert code == 1 and "usage error" in err
+    config = tmp_path / "workers.json"
+    config.write_text(json.dumps({"workers": 4}))
+    code, _, err = run(capsys, *base, "--config", str(config))
+    assert code == 1 and "workers" in err
+    assert not (tmp_path / "w").exists()
 
 
 def test_preview_counts_and_identity_column(tmp_path, capsys):
@@ -103,6 +106,15 @@ def test_preview_requires_input(tmp_path, capsys):
     assert "usage error" in err
 
 
+def test_preview_negative_count_is_usage_error(tmp_path, small_batch_file,
+                                               capsys):
+    code, _, err = run(capsys, "preview", "--dataset", str(small_batch_file),
+                       "--count", "-1", "--out", str(tmp_path / "neg"))
+    assert code == 1
+    assert "usage error" in err
+    assert not (tmp_path / "neg").exists()
+
+
 def test_stats_reports_and_gates(small_batch_file, capsys):
     code, out, _ = run(capsys, "stats", "--dataset", str(small_batch_file),
                        "--n", "400", "--seed", "1")
@@ -141,6 +153,22 @@ def test_probe_zero_train_count_is_usage_error(small_batch_file, capsys):
                        "--train-count", "0")
     assert code == 1
     assert "usage error" in err
+
+
+def test_probe_negative_epochs_is_usage_error(small_batch_file, capsys):
+    code, out, err = run(capsys, "probe", "--dataset", str(small_batch_file),
+                         "--train-count", "10", "--epochs", "-3")
+    assert code == 1
+    assert "usage error" in err
+    assert out == ""
+
+
+def test_probe_negative_eval_count_is_usage_error(small_batch_file, capsys):
+    code, out, err = run(capsys, "probe", "--dataset", str(small_batch_file),
+                         "--train-count", "10", "--eval-count", "-2")
+    assert code == 1
+    assert "usage error" in err
+    assert out == ""
 
 
 def test_probe_end_to_end(small_batch_file, capsys):

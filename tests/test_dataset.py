@@ -6,14 +6,15 @@ import zlib
 import numpy as np
 import pytest
 
-from yona.augment import default_spec
-from yona.compositor import YonaConfig
+from yona.augment import default_cifar10_policy, default_spec, parse_policy
+from yona.compositor import YonaConfig, yona_apply
 from yona.dataset import (_FNV_CHUNK, CIFAR10, CIFAR100, FNV_OFFSET,
-                          CifarRecord, DatasetManifest, fnv1a_64, read_cifar,
-                          read_png, write_augmented_dataset, write_cifar,
-                          write_png)
+                          CifarRecord, DatasetManifest, describe_augmentation,
+                          describe_yona, fnv1a_64, read_cifar, read_png,
+                          write_augmented_dataset, write_cifar, write_png)
 from yona.errors import CorruptRecordError, FormatError
-from yona.image import ImageTensor
+from yona.image import ConstantNoise, GaussianNoise, ImageTensor
+from yona.rng import derive_image_streams
 
 from conftest import make_image, make_records
 
@@ -160,14 +161,19 @@ def test_emission_replay_and_seed_sensitivity(tmp_path, small_records):
         (tmp_path / "b" / "augmented.bin").read_bytes()
 
 
-def test_emission_independent_of_worker_count(tmp_path, small_records):
+def test_emission_replays_each_record(tmp_path, small_records):
+    # record i depends only on (seed, i): composing it alone, in any order,
+    # reproduces its emitted bytes
     spec = default_spec("randaug")
     config = YonaConfig()
-    serial = write_augmented_dataset(small_records, spec, config, 3,
-                                     tmp_path / "w1", workers=1)
-    threaded = write_augmented_dataset(small_records, spec, config, 3,
-                                       tmp_path / "w4", workers=4)
-    assert serial.digest == threaded.digest
+    write_augmented_dataset(small_records, spec, config, 3, tmp_path / "r")
+    back = read_cifar(tmp_path / "r" / "augmented.bin", CIFAR10)
+    assert len(back) == len(small_records)
+    for i in reversed(range(len(small_records))):
+        expected = yona_apply(small_records[i].image, spec, config,
+                              *derive_image_streams(3, i))
+        assert back[i].image == expected, i
+        assert back[i].fine_label == small_records[i].fine_label
 
 
 def test_emission_never_touches_labels(tmp_path, small_records):
@@ -186,6 +192,40 @@ def test_manifest_text_round_trip(tmp_path, small_records):
     parsed = DatasetManifest.from_text(text)
     assert parsed == manifest
     assert "fraction:0.25" in parsed.yona
+
+
+def test_manifest_lines_tell_one_setting_apart():
+    # each pair differs in one setting that changes the emitted bytes
+    yona_pairs = [
+        (YonaConfig(noise=GaussianNoise(10, 5)),
+         YonaConfig(noise=GaussianNoise(200, 50))),
+        (YonaConfig(noise=ConstantNoise(0)),
+         YonaConfig(noise=ConstantNoise(255))),
+        (YonaConfig(region_reference="image"),
+         YonaConfig(region_reference="piece")),
+        (YonaConfig(mask_fraction=0.25), YonaConfig()),
+        (YonaConfig(axis_policy="height"), YonaConfig()),
+        (YonaConfig(masked_piece_policy="first"), YonaConfig()),
+    ]
+    for a, b in yona_pairs:
+        assert describe_yona(a) != describe_yona(b), (a, b)
+    policy = parse_policy("Invert 0.5 0 ; Rotate 0.1 3\n")
+    aug_pairs = [
+        (default_spec("erasing"), default_spec("erasing", erase_fill=9)),
+        (default_spec("cutout"), default_spec("cutout", cutout_fill=255)),
+        (default_spec("grid"),
+         default_spec("grid", grid_transform_probability=1.0)),
+        (default_spec("autoaug"), default_spec("autoaug", policy=policy)),
+        (default_spec("autoaug", policy=policy),
+         default_spec("autoaug", policy=parse_policy(
+             "Invert 0.5 0 ; Rotate 0.1000001 3\n"))),
+    ]
+    for a, b in aug_pairs:
+        assert describe_augmentation(a) != describe_augmentation(b), (a, b)
+    # the bundled table named explicitly is the same run as the default
+    assert describe_augmentation(default_spec("autoaug")) == \
+        describe_augmentation(default_spec(
+            "autoaug", policy=default_cifar10_policy()))
 
 
 # --------------------------------------------------------------------------
