@@ -16,6 +16,7 @@ vectorised over numpy (see `fnv1a_64`).
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import struct
 import zlib
@@ -25,10 +26,12 @@ import numpy as np
 
 from .augment import (AugmentationSpec, apply_augmentation,
                       default_cifar10_policy)
-from .compositor import YonaConfig, yona_apply
-from .errors import CorruptRecordError, FormatError
-from .image import ImageTensor
-from .rng import derive_image_streams
+from .compositor import (AXIS_FIXED_HEIGHT, AXIS_RANDOM, MASKED_FIRST,
+                         MASKED_RANDOM, YonaConfig, yona_apply)
+from .errors import CorruptRecordError, FormatError, GeometryError
+from .image import ConstantNoise, ImageTensor, UniformNoise
+from .rng import (AUGMENT_ROLE, NOISE_ROLE, STRUCTURE_ROLE,
+                  derive_image_streams, lane_tape, lane_words)
 
 CIFAR10 = "cifar10"
 CIFAR100 = "cifar100"
@@ -37,6 +40,7 @@ _RECORD_BYTES = {CIFAR10: 3073, CIFAR100: 3074}
 _LABEL_LIMIT = {CIFAR10: 10, CIFAR100: 100}
 _COARSE_LIMIT = 20
 _PIXELS = 3072  # 3 x 32 x 32
+_SHAPE = (3, 32, 32)
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -174,15 +178,19 @@ def read_cifar(path, variant: str) -> list[CifarRecord]:
     return records
 
 
+def _labels(record: CifarRecord, variant: str) -> tuple[int, ...]:
+    if variant == CIFAR100:
+        coarse = record.coarse_label if record.coarse_label is not None else 0
+        return (coarse, record.fine_label)
+    return (record.fine_label,)
+
+
 def _record_bytes(record: CifarRecord, variant: str) -> bytes:
     pixel = record.image.to_bytes()
     if len(pixel) != _PIXELS:
         raise FormatError(
             f"record image shape {record.image.shape} is not 3x32x32")
-    if variant == CIFAR100:
-        coarse = record.coarse_label if record.coarse_label is not None else 0
-        return bytes((coarse, record.fine_label)) + pixel
-    return bytes((record.fine_label,)) + pixel
+    return bytes(_labels(record, variant)) + pixel
 
 
 def write_cifar(records, path, variant: str) -> None:
@@ -227,24 +235,33 @@ class DatasetManifest:
                    digest=int(fields["digest"], 16))
 
 
+def _num(x) -> str:
+    """``x`` printed with ``:g`` when that reads back as ``x``, else its
+    exact float repr, so two settings never share one manifest header."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 def describe_augmentation(spec: AugmentationSpec) -> str:
-    parts = [spec.kind, f"p:{spec.apply_probability:g}"]
+    parts = [spec.kind, f"p:{_num(spec.apply_probability)}"]
     if spec.kind == "jitter":
-        parts.append(f"bcsh:{spec.brightness:g}/{spec.contrast:g}/"
-                     f"{spec.saturation:g}/{spec.hue:g}")
+        parts.append("bcsh:" + "/".join(_num(x) for x in (
+            spec.brightness, spec.contrast, spec.saturation, spec.hue)))
     elif spec.kind == "erasing":
-        parts.append(f"scale:{spec.erase_scale[0]:g}-{spec.erase_scale[1]:g}")
-        parts.append(f"ratio:{spec.erase_ratio[0]:g}-{spec.erase_ratio[1]:g}")
+        parts.append(f"scale:{_num(spec.erase_scale[0])}-"
+                     f"{_num(spec.erase_scale[1])}")
+        parts.append(f"ratio:{_num(spec.erase_ratio[0])}-"
+                     f"{_num(spec.erase_ratio[1])}")
         parts.append(f"fill:{spec.erase_fill}")
     elif spec.kind == "cutout":
-        parts.append(f"area:{spec.cutout_area_fraction:g}")
+        parts.append(f"area:{_num(spec.cutout_area_fraction)}")
         parts.append(f"fill:{spec.cutout_fill}")
     elif spec.kind == "grid":
         parts.append(f"grid:{spec.grid_rows}x{spec.grid_cols}")
-        parts.append(f"cell_p:{spec.grid_transform_probability:g}")
+        parts.append(f"cell_p:{_num(spec.grid_transform_probability)}")
     elif spec.kind == "randaug":
         parts.append(f"n:{spec.randaug_num_ops}")
-        parts.append(f"m:{spec.randaug_magnitude:g}")
+        parts.append(f"m:{_num(spec.randaug_magnitude)}")
     elif spec.kind == "autoaug" and spec.policy is not None \
             and spec.policy != default_cifar10_policy():
         # exact: float reprs round-trip, unlike the :g policy file format
@@ -257,14 +274,102 @@ def describe_yona(config: YonaConfig | None) -> str:
     if config is None:
         return "off"
     noise = ":".join([type(config.noise).__name__] + [
-        f"{getattr(config.noise, f.name):g}" for f in fields(config.noise)])
-    return (f"fraction:{config.mask_fraction:g},axis:{config.axis_policy},"
+        _num(getattr(config.noise, f.name)) for f in fields(config.noise)])
+    return (f"fraction:{_num(config.mask_fraction)},"
+            f"axis:{config.axis_policy},"
             f"side:{config.masked_piece_policy},noise:{noise},"
             f"region:{config.region_reference}")
 
 
 # --------------------------------------------------------------------------
 # Augmented dataset emission
+
+_LANES = 256  # records per batch-path chunk
+_LANE_KINDS = frozenset({"identity", "hflip", "vflip"})
+_INDEX_BITS = (1 << 62) - 1  # stream labels keep only these index bits
+_COIN_LIMIT = np.uint64(1 << 52)  # a coin is True when (word >> 11) <= this
+_FLIPS = {"hflip": np.s_[..., ::-1], "vflip": np.s_[..., ::-1, :]}
+
+
+def _takes_lanes(aug: AugmentationSpec, config: YonaConfig | None) -> bool:
+    """Whether `_augment_lanes` composes the 3x32x32 records of this spec:
+    a kind that draws a fixed number of stream words, uniform or constant
+    noise, and a mask fraction that a 32-pixel axis can host."""
+    if aug.kind not in _LANE_KINDS:
+        return False
+    if config is None:
+        return True
+    if type(config.noise) not in (UniformNoise, ConstantNoise):
+        return False
+    entries, _ = config._geometry(_SHAPE)
+    return not any(type(e) is GeometryError for e in entries)
+
+
+def _augment_lanes(images, first_index: int, aug: AugmentationSpec,
+                   config: YonaConfig | None, seed: int,
+                   out: np.ndarray) -> None:
+    """Batch path: ``out[j]`` gets the augmented 3x32x32 ``images[j]``, the
+    record at index ``first_index + j``, for a spec `_takes_lanes` accepts.
+
+    Byte-identical to `yona_apply` (`apply_augmentation` when ``config`` is
+    None) on ``derive_image_streams(seed, first_index + j)``.  Stream words
+    and the noise tape prefix are computed as uint64 lanes, ``_LANES``
+    records at a time; each (axis, side) group is written into ``out`` with
+    one scatter for the noise and one for the flipped kept piece.
+    """
+    flip = _FLIPS.get(aug.kind)
+    if config is not None:
+        entries, _ = config._geometry(_SHAPE)
+        axis_random = config.axis_policy == AXIS_RANDOM
+        side_random = config.masked_piece_policy == MASKED_RANDOM
+    for start in range(0, len(images), _LANES):
+        chunk = images[start:start + _LANES]
+        n = len(chunk)
+        o = out[start:start + n]
+        for j, image in enumerate(chunk):
+            o[j] = image.array
+        index = np.arange(n, dtype=np.uint64) \
+            + np.uint64((first_index + start) & _INDEX_BITS)
+        if flip is not None:
+            # the scalar gate skips the flip when its uniform draws >= p
+            # (it draws none at p 0 or 1, where this holds for all or none)
+            word = lane_words(seed, index, AUGMENT_ROLE, 1)[0]
+            gated = (word >> np.uint64(11)) * 2.0 ** -53 \
+                < aug.apply_probability
+        if config is None:
+            if flip is not None:
+                sel = np.flatnonzero(gated)
+                o[sel] = o[sel][flip]
+            continue
+        # structure coins: axis first, then side; fixed policies skip theirs
+        words = lane_words(seed, index, STRUCTURE_ROLE,
+                           axis_random + side_random)
+        coins = (words >> np.uint64(11)) <= _COIN_LIMIT
+        height_cut = coins[0] if axis_random else np.full(
+            n, config.axis_policy == AXIS_FIXED_HEIGHT)
+        masked_first = coins[-1] if side_random else np.full(
+            n, config.masked_piece_policy == MASKED_FIRST)
+        group = 2 * height_cut + masked_first
+        if type(config.noise) is UniformNoise:
+            # a square image masks the same byte count in every group
+            tape = lane_tape(lane_words(seed, index, NOISE_ROLE, 1)[0],
+                             entries[0][0])
+        for g, (_, mask_shape, aug_slice, _, boundary, _) in \
+                enumerate(entries):
+            sel = np.flatnonzero(group == g)
+            if not sel.size:
+                continue
+            cut = slice(None, boundary) if g & 1 else slice(boundary, None)
+            mask = (sel, slice(None), cut) if g & 2 \
+                else (sel, slice(None), slice(None), cut)
+            if type(config.noise) is UniformNoise:
+                o[mask] = tape[sel].reshape((-1,) + mask_shape)
+            else:
+                o[mask] = config.noise.value
+            if flip is not None:
+                kept = (sel[gated[sel]],) + aug_slice
+                o[kept] = o[kept][flip]
+
 
 def write_augmented_dataset(records, aug: AugmentationSpec,
                             yona_config: YonaConfig | None, seed: int,
@@ -274,8 +379,15 @@ def write_augmented_dataset(records, aug: AugmentationSpec,
 
     Labels pass through untouched; pixel bytes are produced from per-record
     streams derived from (seed, record index), so no record's bytes depend
-    on any other record.  Returns the manifest (also written to
-    ``out_dir/manifest.txt`` next to ``out_dir/augmented.bin``).
+    on any other record.  Runs of 3x32x32 records whose spec `_takes_lanes`
+    go through the batch path, every other record through `yona_apply` or
+    `apply_augmentation` alone; the bytes are the same either way.
+
+    Returns the manifest.  Both files are written under temp names in
+    ``out_dir`` and renamed into place, ``augmented.bin`` first and
+    ``manifest.txt`` last, after any old manifest is removed: a failed run
+    leaves no temp file, and a new ``augmented.bin`` never sits next to an
+    old manifest.
     """
     records = list(records)
     if variant is None:
@@ -283,30 +395,61 @@ def write_augmented_dataset(records, aug: AugmentationSpec,
             else CIFAR10
     record_size = _RECORD_BYTES[variant]
     out = bytearray(len(records) * record_size)
+    table = np.frombuffer(out, dtype=np.uint8).reshape(-1, record_size)
+    label_bytes = record_size - _PIXELS
+    lanes = _takes_lanes(aug, yona_config)
 
-    for index, record in enumerate(records):
-        structure, augment, noise = derive_image_streams(seed, index)
-        if yona_config is None:
-            image = apply_augmentation(aug, record.image, augment)
-        else:
-            image = yona_apply(record.image, aug, yona_config, structure,
-                               augment, noise)
-        augmented = CifarRecord(fine_label=record.fine_label, image=image,
-                                coarse_label=record.coarse_label)
-        start = index * record_size
-        out[start:start + record_size] = _record_bytes(augmented, variant)
+    for batch, run in itertools.groupby(
+            range(len(records)),
+            key=lambda i: lanes and records[i].image.array.shape == _SHAPE):
+        run = list(run)
+        if batch:
+            first, stop = run[0], run[-1] + 1
+            chunk = records[first:stop]
+            table[first:stop, :label_bytes] = np.frombuffer(bytes(
+                itertools.chain.from_iterable(
+                    _labels(r, variant) for r in chunk)),
+                dtype=np.uint8).reshape(-1, label_bytes)
+            _augment_lanes([r.image for r in chunk], first, aug, yona_config,
+                           seed, table[first:stop, label_bytes:].reshape(
+                               -1, *_SHAPE))
+            continue
+        for index in run:
+            record = records[index]
+            structure, augment, noise = derive_image_streams(seed, index)
+            if yona_config is None:
+                image = apply_augmentation(aug, record.image, augment)
+            else:
+                image = yona_apply(record.image, aug, yona_config, structure,
+                                   augment, noise)
+            augmented = CifarRecord(fine_label=record.fine_label, image=image,
+                                    coarse_label=record.coarse_label)
+            start = index * record_size
+            out[start:start + record_size] = _record_bytes(augmented, variant)
 
     os.makedirs(out_dir, exist_ok=True)
     data_path = os.path.join(out_dir, "augmented.bin")
-    with open(data_path, "wb") as fh:
-        fh.write(out)
-    manifest = DatasetManifest(
-        dataset=variant, count=len(records), seed=seed,
-        augmentation=describe_augmentation(aug),
-        yona=describe_yona(yona_config), digest=fnv1a_64(out))
-    with open(os.path.join(out_dir, "manifest.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(manifest.to_text())
+    manifest_path = os.path.join(out_dir, "manifest.txt")
+    token = f"{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    data_temp = os.path.join(out_dir, f".augmented.bin.{token}")
+    manifest_temp = os.path.join(out_dir, f".manifest.txt.{token}")
+    try:
+        with open(data_temp, "wb") as fh:
+            fh.write(out)
+        manifest = DatasetManifest(
+            dataset=variant, count=len(records), seed=seed,
+            augmentation=describe_augmentation(aug),
+            yona=describe_yona(yona_config), digest=fnv1a_64(out))
+        with open(manifest_temp, "w", encoding="utf-8") as fh:
+            fh.write(manifest.to_text())
+        if os.path.lexists(manifest_path):
+            os.remove(manifest_path)
+        os.replace(data_temp, data_path)
+        os.replace(manifest_temp, manifest_path)
+    finally:
+        for temp in (data_temp, manifest_temp):
+            if os.path.lexists(temp):
+                os.remove(temp)
     return manifest
 
 

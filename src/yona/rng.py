@@ -20,6 +20,12 @@ Python versions, and process/thread scheduling:
   prefix it needs (at least 256 words), the next makes the rest of the
   block.  The word ``w`` is still consumed when the block's first byte is.
 
+`lane_words` and `lane_tape` are a second, vectorised implementation of the
+same conventions: the first output words of many image streams and the
+prefix of their first tape block, as numpy uint64 lanes.  The golden word
+fixture pins the scalar stream, and the lane differential test pins the
+lanes to it.
+
 Changing any of these conventions invalidates golden files and is a breaking
 change.
 """
@@ -331,3 +337,43 @@ def derive_image_streams(global_seed: int, image_index: int
         derive_stream(SeedSpec(global_seed,
                                image_stream_label(image_index, NOISE_ROLE))),
     )
+
+
+def lane_words(global_seed: int, indices: np.ndarray, role: int,
+               count: int) -> np.ndarray:
+    """The first ``count`` words of one named sub-stream of many images.
+
+    ``indices`` is a uint64 array of image indices; row ``j`` of the
+    ``(count, len(indices))`` result holds word ``j`` of each stream, equal
+    to ``derive_stream(SeedSpec(global_seed, image_stream_label(i, role)))``
+    stepped ``j + 1`` times.
+    """
+    label = (indices << _U64(2)) | _U64(role)
+    base = ((label << _U64(32)) | (label >> _U64(32))) \
+        ^ _U64(global_seed & _MASK64)
+    # SplitMix64 seeding: state word k mixes base + (k + 1) * GOLDEN
+    s0, s1, s2, s3 = (_mix64_block(base + _TAPE_COUNTERS[k])
+                      for k in range(4))
+    out = np.empty((count, indices.shape[0]), dtype=np.uint64)
+    for j in range(count):
+        x = s1 * _U64(5)
+        out[j] = ((x << _U64(7)) | (x >> _U64(57))) * _U64(9)
+        t = s1 << _U64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = (s3 << _U64(45)) | (s3 >> _U64(19))
+    return out
+
+
+def lane_tape(seeds: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` bytes of the tape block of each seed word, as an
+    ``(len(seeds), n)`` uint8 array (``n`` at most one block)."""
+    words = -(-n // 8)
+    block = seeds[:, None] + _TAPE_COUNTERS[:words]
+    _mix64_block(block)
+    if not np.little_endian:
+        block = block.astype("<u8")
+    return block.view(np.uint8)[:, :n]

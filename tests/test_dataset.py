@@ -184,6 +184,44 @@ def test_emission_never_touches_labels(tmp_path, small_records):
         [r.fine_label for r in small_records]
 
 
+def test_failed_emission_leaves_no_partial_output(tmp_path, small_records,
+                                                  monkeypatch):
+    import yona.dataset as ds
+
+    def broken(data, value=FNV_OFFSET):
+        raise RuntimeError("digest failed")
+
+    fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+    earlier = write_augmented_dataset(small_records, default_spec("hflip"),
+                                      YonaConfig(), 1, rerun)
+    before = {p.name: p.read_bytes() for p in rerun.iterdir()}
+    monkeypatch.setattr(ds, "fnv1a_64", broken)
+    for out_dir in (fresh, rerun):
+        with pytest.raises(RuntimeError, match="digest failed"):
+            write_augmented_dataset(small_records, default_spec("vflip"),
+                                    YonaConfig(), 2, out_dir)
+    # nothing is left behind, and an earlier pair stays whole
+    assert list(fresh.iterdir()) == []
+    assert {p.name: p.read_bytes() for p in rerun.iterdir()} == before
+    assert DatasetManifest.from_text(before["manifest.txt"].decode()) == \
+        earlier
+
+
+def test_rerun_replaces_the_earlier_pair(tmp_path, small_records):
+    out_dir = tmp_path / "out"
+    write_augmented_dataset(small_records, default_spec("hflip"),
+                            YonaConfig(), 1, out_dir)
+    later = write_augmented_dataset(small_records[:7], default_spec("cutout"),
+                                    None, 2, out_dir)
+    assert sorted(p.name for p in out_dir.iterdir()) == \
+        ["augmented.bin", "manifest.txt"]
+    data = (out_dir / "augmented.bin").read_bytes()
+    assert len(data) == 7 * 3073
+    assert later.digest == fnv1a_64(data)
+    assert DatasetManifest.from_text(
+        (out_dir / "manifest.txt").read_text()) == later
+
+
 def test_manifest_text_round_trip(tmp_path, small_records):
     manifest = write_augmented_dataset(
         small_records, default_spec("jitter"),
@@ -204,6 +242,7 @@ def test_manifest_lines_tell_one_setting_apart():
         (YonaConfig(region_reference="image"),
          YonaConfig(region_reference="piece")),
         (YonaConfig(mask_fraction=0.25), YonaConfig()),
+        (YonaConfig(mask_fraction=0.3), YonaConfig(mask_fraction=0.3000001)),
         (YonaConfig(axis_policy="height"), YonaConfig()),
         (YonaConfig(masked_piece_policy="first"), YonaConfig()),
     ]
@@ -216,12 +255,24 @@ def test_manifest_lines_tell_one_setting_apart():
         (default_spec("grid"),
          default_spec("grid", grid_transform_probability=1.0)),
         (default_spec("autoaug"), default_spec("autoaug", policy=policy)),
+        (default_spec("jitter", brightness=0.4),
+         default_spec("jitter", brightness=0.4000001)),
         (default_spec("autoaug", policy=policy),
          default_spec("autoaug", policy=parse_policy(
              "Invert 0.5 0 ; Rotate 0.1000001 3\n"))),
     ]
     for a, b in aug_pairs:
         assert describe_augmentation(a) != describe_augmentation(b), (a, b)
+    # numbers that :g prints exactly keep their short form
+    assert describe_augmentation(default_spec("hflip")) == "hflip,p:0.5"
+    assert describe_augmentation(default_spec("jitter")) == \
+        "jitter,p:0.5,bcsh:0.4/0.4/0.4/0.1"
+    assert describe_yona(YonaConfig(mask_fraction=0.25,
+                                    noise=ConstantNoise(7))) == \
+        ("fraction:0.25,axis:random,side:random,noise:ConstantNoise:7,"
+         "region:piece")
+    assert "bcsh:0.4000001/0.4/0.4/0.1" in describe_augmentation(
+        default_spec("jitter", brightness=0.4000001))
     # the bundled table named explicitly is the same run as the default
     assert describe_augmentation(default_spec("autoaug")) == \
         describe_augmentation(default_spec(

@@ -1,0 +1,196 @@
+"""The batch lane path of `write_augmented_dataset` against the scalar
+reference: every record it emits equals `yona_apply` (or
+`apply_augmentation` without yona) alone on `derive_image_streams(seed, i)`.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import yona.dataset as ds
+from yona.augment import apply_augmentation, default_spec
+from yona.compositor import YonaConfig, yona_apply
+from yona.dataset import CifarRecord, read_cifar, write_augmented_dataset
+from yona.errors import FormatError, GeometryError
+from yona.image import ConstantNoise, GaussianNoise, ImageTensor, UniformNoise
+from yona.rng import (SeedSpec, derive_image_streams, derive_stream,
+                      image_stream_label, lane_tape, lane_words)
+
+seeds = st.one_of(st.integers(-2**70, -1), st.just(0),
+                  st.integers(2**64, 2**70), st.integers(1, 2**64 - 1))
+# labels wrap at 2**62: (index << 2) | role is taken mod 2**64
+first_indices = st.one_of(st.just(0), st.integers(0, 10**6),
+                          st.integers(2**62 - 600, 2**62 + 600))
+counts = st.one_of(st.just(1), st.integers(ds._LANES - 2, ds._LANES + 2),
+                   st.integers(1, 2 * ds._LANES + 3))
+probabilities = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                          st.floats(0.0, 1.0))
+noises = st.one_of(st.just(UniformNoise()),
+                   st.builds(ConstantNoise, st.integers(0, 255)))
+KINDS = ["identity", "hflip", "vflip"]
+FRACTIONS = [0.25, 0.3, 0.5, 0.75]  # 0.3 rounds: 9.6 of 32 rows -> 10
+AXES = ["random", "height", "width"]
+SIDES = ["random", "first", "second"]
+
+
+def _scalar(image, spec, config, seed, index):
+    structure, augment, noise = derive_image_streams(seed, index)
+    if config is None:
+        return apply_augmentation(spec, image, augment)
+    return yona_apply(image, spec, config, structure, augment, noise)
+
+
+def _images(count, seed):
+    pixels = np.random.default_rng(seed).integers(
+        0, 256, (count, 3, 32, 32), dtype=np.uint8)
+    return [ImageTensor(a) for a in pixels]
+
+
+def _check_lanes(images, first, spec, config, seed):
+    assert ds._takes_lanes(spec, config)
+    out = np.zeros((len(images), 3, 32, 32), dtype=np.uint8)
+    ds._augment_lanes(images, first, spec, config, seed, out)
+    for j, image in enumerate(images):
+        expected = _scalar(image, spec, config, seed, first + j)
+        assert np.array_equal(out[j], expected.array), j
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("fraction", [None] + FRACTIONS)  # None: yona off
+@settings(max_examples=12)
+@given(seed=seeds, first=first_indices, count=counts, p=probabilities,
+       axis=st.sampled_from(AXES), side=st.sampled_from(SIDES), noise=noises,
+       region=st.sampled_from(["piece", "image"]))
+def test_lanes_match_the_scalar_path(kind, fraction, seed, first, count, p,
+                                     axis, side, noise, region):
+    config = None if fraction is None else YonaConfig(
+        mask_fraction=fraction, axis_policy=axis, noise=noise,
+        masked_piece_policy=side, region_reference=region)
+    _check_lanes(_images(count, count), first, default_spec(
+        kind, apply_probability=p), config, seed)
+
+
+def test_lanes_match_the_scalar_path_on_every_policy():
+    images = _images(6, 0)
+    for kind, p, fraction, axis, side, noise in itertools.product(
+            KINDS, [0.0, 0.37, 0.5, 1.0], FRACTIONS, AXES, SIDES,
+            [UniformNoise(), ConstantNoise(200)]):
+        config = YonaConfig(mask_fraction=fraction, axis_policy=axis,
+                            noise=noise, masked_piece_policy=side)
+        _check_lanes(images, 2**62 - 3, default_spec(
+            kind, apply_probability=p), config, -1)
+
+
+@pytest.mark.parametrize("kind", ["hflip", "vflip"])
+def test_gate_at_exactly_the_apply_probability(kind):
+    # the scalar gate skips the flip when the uniform draws >= p
+    images = _images(4, 1)
+    for seed in range(5):
+        _, augment, _ = derive_image_streams(seed, 2)
+        p = augment.next_unit_uniform()
+        _check_lanes(images, 0, default_spec(kind, apply_probability=p), None,
+                     seed)
+
+
+@settings(max_examples=40)
+@given(seed=seeds, first=first_indices, role=st.integers(0, 3),
+       count=st.integers(1, 5),
+       nbytes=st.one_of(st.integers(0, 3100), st.just(8 * 8192)))
+def test_lane_words_and_tape_match_scalar_streams(seed, first, role, count,
+                                                  nbytes):
+    indices = [first + j for j in range(7)]
+    lanes = np.array([i & (2**62 - 1) for i in indices], dtype=np.uint64)
+    words = lane_words(seed, lanes, role, count)
+    tape = lane_tape(lane_words(seed, lanes, role, 1)[0], nbytes)
+    for j, index in enumerate(indices):
+        spec = SeedSpec(seed, image_stream_label(index, role))
+        assert words[:, j].tolist() == derive_stream(spec).next_words(count)
+        assert np.array_equal(tape[j], derive_stream(spec).fill_bytes(nbytes))
+
+
+def _records(count, variant, shapes=None):
+    rng = np.random.default_rng(count)
+    shapes = shapes or {}
+    return [CifarRecord(
+        fine_label=int(rng.integers(0, 10)),
+        image=ImageTensor(rng.integers(0, 256, shapes.get(i, (3, 32, 32)),
+                                       dtype=np.uint8)),
+        coarse_label=int(rng.integers(0, 20)) if variant == "cifar100"
+        else None) for i in range(count)]
+
+
+@pytest.mark.parametrize("variant", ["cifar10", "cifar100"])
+@pytest.mark.parametrize("config", [None, YonaConfig(
+    mask_fraction=0.3, noise=ConstantNoise(9))])
+def test_emission_mixes_lanes_and_scalar_records(tmp_path, monkeypatch,
+                                                 variant, config):
+    # a 1x32x96 record has 3072 pixel bytes too, so it is emitted, but by
+    # the scalar path; the lanes resume after it
+    records = _records(2 * ds._LANES + 9, variant,
+                       {ds._LANES + 3: (1, 32, 96)})
+    runs = []
+    lanes = ds._augment_lanes
+    monkeypatch.setattr(ds, "_augment_lanes", lambda images, first, *rest:
+                        runs.append((first, len(images)))
+                        or lanes(images, first, *rest))
+    spec = default_spec("hflip")
+    write_augmented_dataset(records, spec, config, -5, tmp_path, variant)
+    assert runs == [(0, ds._LANES + 3), (ds._LANES + 4, ds._LANES + 5)]
+    table = np.fromfile(tmp_path / "augmented.bin", dtype=np.uint8).reshape(
+        len(records), -1)
+    for i, record in enumerate(records):
+        labels = ds._labels(record, variant)
+        expected = _scalar(record.image, spec, config, -5, i)
+        assert table[i, :len(labels)].tolist() == list(labels)
+        assert table[i, len(labels):].tobytes() == expected.to_bytes(), i
+
+
+def test_lanes_replay_through_read_cifar(tmp_path):
+    records = _records(300, "cifar10")
+    spec, config = default_spec("vflip"), YonaConfig(axis_policy="height")
+    write_augmented_dataset(records, spec, config, 2**64 + 1, tmp_path)
+    back = read_cifar(tmp_path / "augmented.bin", "cifar10")
+    for i, record in enumerate(records):
+        assert back[i].image == _scalar(record.image, spec, config,
+                                        2**64 + 1, i)
+
+
+@pytest.mark.parametrize("config", [None, YonaConfig()])
+def test_non_cifar_shape_still_raises(tmp_path, config):
+    records = _records(40, "cifar10", {17: (3, 16, 16)})
+    with pytest.raises(FormatError):
+        write_augmented_dataset(records, default_spec("hflip"), config, 0,
+                                tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec, config", [
+    (default_spec("cutout"), YonaConfig()),
+    (default_spec("cutout"), None),
+    (default_spec("hflip"), YonaConfig(noise=GaussianNoise())),
+    (default_spec("randaug"), YonaConfig()),
+])
+def test_other_specs_take_the_scalar_path(tmp_path, monkeypatch, spec,
+                                          config):
+    assert not ds._takes_lanes(spec, config)
+
+    def refuse(*args):
+        raise AssertionError("batch path taken")
+
+    monkeypatch.setattr(ds, "_augment_lanes", refuse)
+    records = _records(20, "cifar10")
+    write_augmented_dataset(records, spec, config, 4, tmp_path)
+    back = read_cifar(tmp_path / "augmented.bin", "cifar10")
+    for i, record in enumerate(records):
+        assert back[i].image == _scalar(record.image, spec, config, 4, i)
+
+
+def test_unhostable_mask_fraction_takes_the_scalar_error(tmp_path):
+    config = YonaConfig(mask_fraction=0.01)  # rounds to 0 of 32 pixels
+    assert not ds._takes_lanes(default_spec("hflip"), config)
+    with pytest.raises(GeometryError):
+        write_augmented_dataset(_records(3, "cifar10"), default_spec("hflip"),
+                                config, 0, tmp_path / "out")
