@@ -7,6 +7,8 @@ bit-reproducible across platforms and processes, and each record depends
 only on (seed, record index).
 """
 
+__version__ = "0.1.0"  # before the imports: manifests name it (dataset.py)
+
 from .augment import (AugmentationSpec, PolicyTable, PrimitiveOp,
                       apply_augmentation, apply_primitive, auto_augment,
                       color_jitter, cutout, default_cifar10_policy,
@@ -27,5 +29,3 @@ from .image import (Axis, ConstantNoise, GaussianNoise, ImageTensor, Piece,
                     UniformNoise, concat, cut, cut_at, mask_noise)
 from .rng import (RngStream, SeedSpec, derive_image_streams, derive_stream,
                   image_stream_label)
-
-__version__ = "0.1.0"

@@ -274,9 +274,8 @@ def cmd_preview(args) -> None:
                 names.append(name)
             index_lines.append(
                 f"image {i} aug {kind} seed {args.seed}: " + " ".join(names))
-    with open(os.path.join(args.out, "index.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write("\n".join(index_lines) + "\n")
+    ds.write_atomic(os.path.join(args.out, "index.txt"),
+                    ("\n".join(index_lines) + "\n").encode())
     print(f"wrote {len(images) * len(args.augs) * 3} PNG files to {args.out}")
 
 

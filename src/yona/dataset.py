@@ -8,29 +8,34 @@ augmented datasets feed any external trainer unchanged:
 
 PNG support is a minimal self-contained codec (8-bit grayscale/RGB,
 non-interlaced) so previews round-trip losslessly without extra
-dependencies.  Manifests are flat ``key=value`` text with a 64-bit FNV-1a
-content digest over all emitted record bytes, computed exactly but
-vectorised over numpy (see `fnv1a_64`).
+dependencies.  Manifests (format 2) are flat ``key=value`` text with a
+SHA-256 content digest over all emitted record bytes, the value
+``sha256sum`` prints for ``augmented.bin``.  Every output file is written
+under a temp name in its directory and renamed into place (`_staged`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import hashlib
 import itertools
 import os
+import re
 import struct
 import zlib
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import __version__
 from .augment import (AugmentationSpec, apply_augmentation,
                       default_cifar10_policy)
 from .compositor import (AXIS_FIXED_HEIGHT, AXIS_RANDOM, MASKED_FIRST,
                          MASKED_RANDOM, YonaConfig, yona_apply)
 from .errors import CorruptRecordError, FormatError, GeometryError
 from .image import ConstantNoise, ImageTensor, UniformNoise
-from .rng import (AUGMENT_ROLE, NOISE_ROLE, STRUCTURE_ROLE,
+from .rng import (AUGMENT_ROLE, NOISE_ROLE, RNG_SCHEME, STRUCTURE_ROLE,
                   derive_image_streams, lane_tape, lane_words)
 
 CIFAR10 = "cifar10"
@@ -99,6 +104,10 @@ def _fnv_low_bytes(chunk: np.ndarray, low0: int) -> np.ndarray:
 
 def fnv1a_64(data: bytes, value: int = FNV_OFFSET) -> int:
     """64-bit FNV-1a over a byte string; pass ``value`` to chain chunks.
+
+    Kept as a library function and a test oracle (golden pins of
+    augmentation bytes); manifests no longer use it, since format 2
+    carries a SHA-256 digest (`content_digest`).
 
     Exact and vectorised: with the state's low bytes ``L_k`` known (see
     `_fnv_low_bytes`), ``h ^ b_k == h + e_k`` with ``e_k = (L_k ^ b_k) -
@@ -185,54 +194,103 @@ def _labels(record: CifarRecord, variant: str) -> tuple[int, ...]:
     return (record.fine_label,)
 
 
-def _record_bytes(record: CifarRecord, variant: str) -> bytes:
-    pixel = record.image.to_bytes()
-    if len(pixel) != _PIXELS:
-        raise FormatError(
-            f"record image shape {record.image.shape} is not 3x32x32")
-    return bytes(_labels(record, variant)) + pixel
+def _check_shapes(records) -> None:
+    """Raise FormatError naming the first record that is not 3x32x32."""
+    for i, record in enumerate(records):
+        if record.image.shape != _SHAPE:
+            raise FormatError(f"record {i} has image shape "
+                              f"{record.image.shape}, a CIFAR record is "
+                              f"{_SHAPE}")
 
 
 def write_cifar(records, path, variant: str) -> None:
-    """Serialize records back into the CIFAR binary batch layout."""
+    """Serialize records back into the CIFAR binary batch layout.
+
+    Every record is checked to be 3x32x32 before the file is opened.
+    """
+    records = list(records)
+    _check_shapes(records)
     with open(path, "wb") as fh:
         for record in records:
-            fh.write(_record_bytes(record, variant))
+            fh.write(bytes(_labels(record, variant))
+                     + record.image.to_bytes())
 
 
 # --------------------------------------------------------------------------
 # Manifests
 
+_DIGEST_RE = re.compile(r"sha256:[0-9a-f]{64}")
+
+
+def content_digest(data) -> str:
+    """``"sha256:<hex>"`` of a contiguous buffer, hashed without a copy."""
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
 @dataclass
 class DatasetManifest:
+    """Manifest format 2: what produced an emitted dataset, and its digest.
+
+    ``digest`` is `content_digest` of ``augmented.bin``; ``engine`` and
+    ``rng`` name the yona version and the pinned random-stream scheme.
+    """
+
+    FORMAT = 2
+
     dataset: str
     count: int
     seed: int
     augmentation: str
     yona: str
-    digest: int
+    digest: str
+    engine: str = f"yona-{__version__}"
+    rng: str = RNG_SCHEME
 
     def to_text(self) -> str:
-        return (f"dataset={self.dataset}\n"
+        return (f"format={self.FORMAT}\n"
+                f"engine={self.engine}\n"
+                f"rng={self.rng}\n"
+                f"dataset={self.dataset}\n"
                 f"count={self.count}\n"
                 f"seed={self.seed}\n"
                 f"augmentation={self.augmentation}\n"
                 f"yona={self.yona}\n"
-                f"digest={self.digest:016x}\n")
+                f"digest={self.digest}\n")
 
     @classmethod
     def from_text(cls, text: str) -> "DatasetManifest":
-        fields = {}
+        """Parse `to_text` output; raise FormatError on a format-1 manifest,
+        a missing key, or a count, seed or digest that does not parse."""
+        values = {}
         for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            fields[key] = value
-        return cls(dataset=fields["dataset"], count=int(fields["count"]),
-                   seed=int(fields["seed"]),
-                   augmentation=fields["augmentation"], yona=fields["yona"],
-                   digest=int(fields["digest"], 16))
+            key, _, value = line.strip().partition("=")
+            if key:
+                values[key] = value
+        version = values.get("format", "1")  # format 1 had no format line
+        if version == "1":
+            raise FormatError(
+                "manifest format 1 (FNV-1a digest) is no longer read; "
+                "re-emit the dataset with `yona augment` to upgrade it to "
+                f"format {cls.FORMAT}")
+        if version != str(cls.FORMAT):
+            raise FormatError(f"manifest key 'format': unknown format "
+                              f"{version!r}")
+        keys = [f.name for f in fields(cls)]
+        for key in keys:
+            if key not in values:
+                raise FormatError(f"manifest key {key!r} is missing")
+        if not _DIGEST_RE.fullmatch(values["digest"]):
+            raise FormatError(f"manifest key 'digest': {values['digest']!r} "
+                              "is not sha256:<64 lowercase hex digits>")
+        parsed = {key: values[key] for key in keys}
+        for key in ("count", "seed"):
+            try:
+                parsed[key] = int(values[key])
+            except ValueError:
+                raise FormatError(f"manifest key {key!r}: "
+                                  f"{values[key]!r} is not an integer"
+                                  ) from None
+        return cls(**parsed)
 
 
 def _num(x) -> str:
@@ -266,7 +324,7 @@ def describe_augmentation(spec: AugmentationSpec) -> str:
             and spec.policy != default_cifar10_policy():
         # exact: float reprs round-trip, unlike the :g policy file format
         table = repr(spec.policy.sub_policies).encode()
-        parts.append(f"policy:{fnv1a_64(table):016x}")
+        parts.append(f"policy:{content_digest(table)}")
     return ",".join(parts)
 
 
@@ -371,6 +429,30 @@ def _augment_lanes(images, first_index: int, aug: AugmentationSpec,
                 o[kept] = o[kept][flip]
 
 
+@contextlib.contextmanager
+def _staged(out_dir):
+    """Yield ``stage(name, data)``, which writes ``data`` to a fresh temp
+    name in ``out_dir`` and returns that path for the caller to
+    ``os.replace`` into place; on exit every temp not yet renamed is
+    removed, so a failure leaves none behind."""
+    token = f"{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    temps = []
+
+    def stage(name, data) -> str:
+        temp = os.path.join(out_dir, f".{name}.{token}")
+        temps.append(temp)
+        with open(temp, "wb") as fh:
+            fh.write(data)
+        return temp
+
+    try:
+        yield stage
+    finally:
+        for temp in temps:
+            if os.path.lexists(temp):
+                os.remove(temp)
+
+
 def write_augmented_dataset(records, aug: AugmentationSpec,
                             yona_config: YonaConfig | None, seed: int,
                             out_dir, variant: str | None = None
@@ -379,9 +461,10 @@ def write_augmented_dataset(records, aug: AugmentationSpec,
 
     Labels pass through untouched; pixel bytes are produced from per-record
     streams derived from (seed, record index), so no record's bytes depend
-    on any other record.  Runs of 3x32x32 records whose spec `_takes_lanes`
-    go through the batch path, every other record through `yona_apply` or
-    `apply_augmentation` alone; the bytes are the same either way.
+    on any other record.  Every record must be 3x32x32 (FormatError before
+    any work otherwise).  A spec that `_takes_lanes` goes through the batch
+    path, any other through `yona_apply` or `apply_augmentation` one record
+    at a time; the bytes are the same either way.
 
     Returns the manifest.  Both files are written under temp names in
     ``out_dir`` and renamed into place, ``augmented.bin`` first and
@@ -390,6 +473,7 @@ def write_augmented_dataset(records, aug: AugmentationSpec,
     old manifest.
     """
     records = list(records)
+    _check_shapes(records)
     if variant is None:
         variant = CIFAR100 if records and records[0].coarse_label is not None \
             else CIFAR10
@@ -397,59 +481,36 @@ def write_augmented_dataset(records, aug: AugmentationSpec,
     out = bytearray(len(records) * record_size)
     table = np.frombuffer(out, dtype=np.uint8).reshape(-1, record_size)
     label_bytes = record_size - _PIXELS
-    lanes = _takes_lanes(aug, yona_config)
-
-    for batch, run in itertools.groupby(
-            range(len(records)),
-            key=lambda i: lanes and records[i].image.array.shape == _SHAPE):
-        run = list(run)
-        if batch:
-            first, stop = run[0], run[-1] + 1
-            chunk = records[first:stop]
-            table[first:stop, :label_bytes] = np.frombuffer(bytes(
-                itertools.chain.from_iterable(
-                    _labels(r, variant) for r in chunk)),
-                dtype=np.uint8).reshape(-1, label_bytes)
-            _augment_lanes([r.image for r in chunk], first, aug, yona_config,
-                           seed, table[first:stop, label_bytes:].reshape(
-                               -1, *_SHAPE))
-            continue
-        for index in run:
-            record = records[index]
+    table[:, :label_bytes] = np.frombuffer(bytes(itertools.chain.from_iterable(
+        _labels(r, variant) for r in records)), dtype=np.uint8).reshape(
+            -1, label_bytes)
+    pixels = table[:, label_bytes:].reshape(-1, *_SHAPE)
+    if _takes_lanes(aug, yona_config):
+        _augment_lanes([r.image for r in records], 0, aug, yona_config, seed,
+                       pixels)
+    else:
+        for index, record in enumerate(records):
             structure, augment, noise = derive_image_streams(seed, index)
             if yona_config is None:
                 image = apply_augmentation(aug, record.image, augment)
             else:
                 image = yona_apply(record.image, aug, yona_config, structure,
                                    augment, noise)
-            augmented = CifarRecord(fine_label=record.fine_label, image=image,
-                                    coarse_label=record.coarse_label)
-            start = index * record_size
-            out[start:start + record_size] = _record_bytes(augmented, variant)
+            pixels[index] = image.array
 
     os.makedirs(out_dir, exist_ok=True)
-    data_path = os.path.join(out_dir, "augmented.bin")
     manifest_path = os.path.join(out_dir, "manifest.txt")
-    token = f"{os.getpid()}.{os.urandom(4).hex()}.tmp"
-    data_temp = os.path.join(out_dir, f".augmented.bin.{token}")
-    manifest_temp = os.path.join(out_dir, f".manifest.txt.{token}")
-    try:
-        with open(data_temp, "wb") as fh:
-            fh.write(out)
+    with _staged(out_dir) as stage:
+        data_temp = stage("augmented.bin", out)
         manifest = DatasetManifest(
             dataset=variant, count=len(records), seed=seed,
             augmentation=describe_augmentation(aug),
-            yona=describe_yona(yona_config), digest=fnv1a_64(out))
-        with open(manifest_temp, "w", encoding="utf-8") as fh:
-            fh.write(manifest.to_text())
+            yona=describe_yona(yona_config), digest=content_digest(out))
+        manifest_temp = stage("manifest.txt", manifest.to_text().encode())
         if os.path.lexists(manifest_path):
             os.remove(manifest_path)
-        os.replace(data_temp, data_path)
+        os.replace(data_temp, os.path.join(out_dir, "augmented.bin"))
         os.replace(manifest_temp, manifest_path)
-    finally:
-        for temp in (data_temp, manifest_temp):
-            if os.path.lexists(temp):
-                os.remove(temp)
     return manifest
 
 
@@ -465,7 +526,8 @@ def _chunk(tag: bytes, body: bytes) -> bytes:
 
 
 def write_png(image: ImageTensor, path) -> None:
-    """Encode losslessly; 1-channel images become grayscale PNGs."""
+    """Encode losslessly; 1-channel images become grayscale PNGs.  The file
+    is written atomically (`write_atomic`)."""
     channels = image.channels
     if channels not in (1, 3):
         raise FormatError(
@@ -483,8 +545,15 @@ def write_png(image: ImageTensor, path) -> None:
     payload = (_PNG_SIGNATURE + _chunk(b"IHDR", header)
                + _chunk(b"IDAT", zlib.compress(bytes(rows), 6))
                + _chunk(b"IEND", b""))
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    write_atomic(path, payload)
+
+
+def write_atomic(path, data) -> None:
+    """Write ``data`` to a temp name next to ``path``, then rename it into
+    place: ``path`` never holds a partial file."""
+    directory, name = os.path.split(os.fspath(path))
+    with _staged(directory or ".") as stage:
+        os.replace(stage(name, data), path)
 
 
 def _paeth(a: int, b: int, c: int) -> int:

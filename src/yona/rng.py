@@ -49,6 +49,9 @@ NOISE_ROLE = 2
 _TAPE_WORDS = 8192  # bulk tape refill quantum, 64 KiB of bytes per block
 _TAPE_PREFIX_WORDS = 256  # least words made on the first read of a block
 
+# Names the conventions above in manifests; change it with any of them.
+RNG_SCHEME = f"xoshiro256ss-splitmix64-tape{_TAPE_WORDS}"
+
 # Counter offsets for one tape block, precomputed once.
 _TAPE_COUNTERS = (np.arange(1, _TAPE_WORDS + 1, dtype=np.uint64)
                   * np.uint64(_GOLDEN))

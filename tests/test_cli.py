@@ -1,12 +1,15 @@
 """Command-line behavior: determinism, exit codes, flag plumbing."""
 
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+import yona
 from yona.cli import main
-from yona.dataset import DatasetManifest, fnv1a_64, read_png, write_png
+from yona.dataset import DatasetManifest, read_png, write_png
 from yona.image import ImageTensor
 
 from conftest import make_image
@@ -41,7 +44,26 @@ def test_augment_identity_no_yona_matches_input(tmp_path, small_batch_file,
                        "--out", str(tmp_path / "idem"))
     assert code == 0
     digest = manifest_of(tmp_path / "idem").digest
-    assert digest == fnv1a_64(small_batch_file.read_bytes())
+    assert digest == \
+        "sha256:" + hashlib.sha256(small_batch_file.read_bytes()).hexdigest()
+
+
+def test_augment_prints_a_format_2_manifest(tmp_path, small_batch_file,
+                                            capsys):
+    code, out, _ = run(capsys, "augment", "--dataset", str(small_batch_file),
+                       "--aug", "vflip", "--seed", "12",
+                       "--out", str(tmp_path / "m2"))
+    assert code == 0
+    assert out == (tmp_path / "m2" / "manifest.txt").read_text()
+    assert out.splitlines()[:3] == [
+        "format=2", f"engine=yona-{yona.__version__}",
+        "rng=xoshiro256ss-splitmix64-tape8192"]
+    manifest = DatasetManifest.from_text(out)
+    data = (tmp_path / "m2" / "augmented.bin").read_bytes()
+    # what `sha256sum augmented.bin` prints
+    assert manifest.digest == "sha256:" + hashlib.sha256(data).hexdigest()
+    assert (manifest.engine, manifest.rng) == (
+        f"yona-{yona.__version__}", "xoshiro256ss-splitmix64-tape8192")
 
 
 def test_augment_mask_fraction_recorded(tmp_path, small_batch_file, capsys):
@@ -98,6 +120,31 @@ def test_preview_replay_identical_bytes(tmp_path, small_batch_file, capsys):
     for name in ("img000_randaug_yona.png", "img000_randaug_augmented.png"):
         assert (tmp_path / "p1" / name).read_bytes() == \
             (tmp_path / "p2" / name).read_bytes()
+
+
+def test_failed_preview_leaves_no_temp_file(tmp_path, small_batch_file,
+                                            capsys, monkeypatch):
+    # the fifth rename fails: files renamed before it are whole, and no
+    # temp name is left in the directory
+    replace = os.replace
+    calls = []
+
+    def failing(src, dst):
+        calls.append(dst)
+        if len(calls) == 5:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    out_dir = tmp_path / "partial"
+    code, _, err = run(capsys, "preview", "--dataset", str(small_batch_file),
+                       "--count", "1", "--augs", "hflip", "cutout",
+                       "--out", str(out_dir))
+    assert code == 3 and "disk full" in err
+    names = sorted(p.name for p in out_dir.iterdir())
+    assert names == sorted(os.path.basename(d) for d in calls[:4])
+    for name in names:
+        read_png(out_dir / name)
 
 
 def test_preview_requires_input(tmp_path, capsys):

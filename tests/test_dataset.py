@@ -1,5 +1,6 @@
 """Binary ingestion/emission, manifests, digests, and the PNG codec."""
 
+import hashlib
 import struct
 import zlib
 
@@ -113,6 +114,17 @@ def test_cifar100_round_trip(tmp_path):
     assert back[2].image == records[2].image
 
 
+def test_write_cifar_rejects_other_shapes(tmp_path):
+    # 1x32x96 has the 3072 pixel bytes of a record, but not its layout
+    records = make_records(3, seed=5)
+    records[1] = CifarRecord(fine_label=1, image=make_image(
+        np.random.default_rng(5), channels=1, height=32, width=96))
+    path = tmp_path / "odd.bin"
+    with pytest.raises(FormatError, match=r"record 1 .*\(1, 32, 96\)"):
+        write_cifar(records, path, CIFAR10)
+    assert not path.exists()
+
+
 def test_cifar100_bad_coarse_label(tmp_path):
     rng = np.random.default_rng(4)
     records = [CifarRecord(fine_label=1, image=make_image(rng),
@@ -141,7 +153,7 @@ def test_identity_emission_preserves_bytes(tmp_path, small_records,
     emitted = (tmp_path / "out" / "augmented.bin").read_bytes()
     original = small_batch_file.read_bytes()
     assert emitted == original
-    assert manifest.digest == fnv1a_64(original)
+    assert manifest.digest == "sha256:" + hashlib.sha256(original).hexdigest()
     assert manifest.count == len(small_records)
     assert manifest.yona == "off"
 
@@ -188,14 +200,14 @@ def test_failed_emission_leaves_no_partial_output(tmp_path, small_records,
                                                   monkeypatch):
     import yona.dataset as ds
 
-    def broken(data, value=FNV_OFFSET):
+    def broken(data):
         raise RuntimeError("digest failed")
 
     fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
     earlier = write_augmented_dataset(small_records, default_spec("hflip"),
                                       YonaConfig(), 1, rerun)
     before = {p.name: p.read_bytes() for p in rerun.iterdir()}
-    monkeypatch.setattr(ds, "fnv1a_64", broken)
+    monkeypatch.setattr(ds, "content_digest", broken)
     for out_dir in (fresh, rerun):
         with pytest.raises(RuntimeError, match="digest failed"):
             write_augmented_dataset(small_records, default_spec("vflip"),
@@ -217,7 +229,7 @@ def test_rerun_replaces_the_earlier_pair(tmp_path, small_records):
         ["augmented.bin", "manifest.txt"]
     data = (out_dir / "augmented.bin").read_bytes()
     assert len(data) == 7 * 3073
-    assert later.digest == fnv1a_64(data)
+    assert later.digest == "sha256:" + hashlib.sha256(data).hexdigest()
     assert DatasetManifest.from_text(
         (out_dir / "manifest.txt").read_text()) == later
 
@@ -230,6 +242,47 @@ def test_manifest_text_round_trip(tmp_path, small_records):
     parsed = DatasetManifest.from_text(text)
     assert parsed == manifest
     assert "fraction:0.25" in parsed.yona
+
+
+def test_manifest_rejects_old_incomplete_and_malformed_text(
+        tmp_path, small_records):
+    text = write_augmented_dataset(small_records, default_spec("hflip"),
+                                   None, 4, tmp_path / "m").to_text()
+    assert text.startswith("format=2\nengine=yona-")
+    lines = text.splitlines(keepends=True)
+    format1 = ("dataset=cifar10\ncount=24\nseed=4\naugmentation=hflip,p:0.5"
+               "\nyona=off\ndigest=111be8bb652441c1\n")
+    with pytest.raises(FormatError, match="re-emit the dataset"):
+        DatasetManifest.from_text(format1)
+    for key in ("engine", "rng", "dataset", "count", "seed", "augmentation",
+                "yona", "digest"):
+        partial = "".join(x for x in lines if not x.startswith(key + "="))
+        with pytest.raises(FormatError, match=f"'{key}' is missing"):
+            DatasetManifest.from_text(partial)
+    bad_values = {"digest": ["111be8bb652441c1", "sha256:" + "0" * 63,
+                             "sha256:" + "A" * 64, "fnv1a:" + "0" * 64],
+                  "count": ["twelve"], "seed": ["0x10"],
+                  "format": ["3"]}
+    for key, values in bad_values.items():
+        for value in values:
+            changed = "".join(f"{key}={value}\n" if x.startswith(key + "=")
+                              else x for x in lines)
+            with pytest.raises(FormatError, match=f"'{key}'"):
+                DatasetManifest.from_text(changed)
+
+
+def test_custom_policy_tag_is_sha256_of_the_exact_table():
+    # two tables one float apart get different tags, each the SHA-256 of
+    # the table's exact repr
+    tags = []
+    for prob in ("0.1", "0.1000001"):
+        policy = parse_policy(f"Invert 0.5 0 ; Rotate {prob} 3\n")
+        table = repr(policy.sub_policies).encode()
+        header = describe_augmentation(default_spec("autoaug", policy=policy))
+        tag = "policy:sha256:" + hashlib.sha256(table).hexdigest()
+        assert header.split(",")[-1] == tag
+        tags.append(tag)
+    assert tags[0] != tags[1]
 
 
 def test_manifest_lines_tell_one_setting_apart():

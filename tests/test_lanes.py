@@ -127,25 +127,40 @@ def _records(count, variant, shapes=None):
     mask_fraction=0.3, noise=ConstantNoise(9))])
 def test_emission_mixes_lanes_and_scalar_records(tmp_path, monkeypatch,
                                                  variant, config):
-    # a 1x32x96 record has 3072 pixel bytes too, so it is emitted, but by
-    # the scalar path; the lanes resume after it
+    # a 1x32x96 record has 3072 pixel bytes too, but is no CIFAR record:
+    # every shape is checked before any work, on the batch path (hflip) and
+    # on the per-record path (cutout) alike
     records = _records(2 * ds._LANES + 9, variant,
                        {ds._LANES + 3: (1, 32, 96)})
-    runs = []
-    lanes = ds._augment_lanes
-    monkeypatch.setattr(ds, "_augment_lanes", lambda images, first, *rest:
-                        runs.append((first, len(images)))
-                        or lanes(images, first, *rest))
-    spec = default_spec("hflip")
-    write_augmented_dataset(records, spec, config, -5, tmp_path, variant)
-    assert runs == [(0, ds._LANES + 3), (ds._LANES + 4, ds._LANES + 5)]
-    table = np.fromfile(tmp_path / "augmented.bin", dtype=np.uint8).reshape(
-        len(records), -1)
-    for i, record in enumerate(records):
-        labels = ds._labels(record, variant)
-        expected = _scalar(record.image, spec, config, -5, i)
-        assert table[i, :len(labels)].tolist() == list(labels)
-        assert table[i, len(labels):].tobytes() == expected.to_bytes(), i
+
+    def refuse(*args):
+        raise AssertionError("work started before the shape check")
+
+    monkeypatch.setattr(ds, "_augment_lanes", refuse)
+    monkeypatch.setattr(ds, "derive_image_streams", refuse)
+    for kind in ("hflip", "cutout"):
+        assert ds._takes_lanes(default_spec(kind), config) == \
+            (kind == "hflip")
+        out_dir = tmp_path / kind
+        with pytest.raises(FormatError,
+                           match=rf"record {ds._LANES + 3} .*\(1, 32, 96\)"):
+            write_augmented_dataset(records, default_spec(kind), config, -5,
+                                    out_dir, variant)
+        assert not out_dir.exists()
+    # without it, both paths emit every record's labels and scalar bytes
+    monkeypatch.undo()
+    del records[ds._LANES + 3]
+    for kind in ("hflip", "cutout"):
+        spec = default_spec(kind)
+        write_augmented_dataset(records, spec, config, -5, tmp_path / kind,
+                                variant)
+        table = np.fromfile(tmp_path / kind / "augmented.bin",
+                            dtype=np.uint8).reshape(len(records), -1)
+        for i, record in enumerate(records):
+            labels = ds._labels(record, variant)
+            expected = _scalar(record.image, spec, config, -5, i)
+            assert table[i, :len(labels)].tolist() == list(labels)
+            assert table[i, len(labels):].tobytes() == expected.to_bytes(), i
 
 
 def test_lanes_replay_through_read_cifar(tmp_path):
