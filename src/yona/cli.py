@@ -22,7 +22,6 @@ from . import dataset as ds
 from . import evalstats as ev
 from .errors import FormatError
 from .image import ConstantNoise, GaussianNoise, UniformNoise
-from .rng import derive_image_streams
 
 
 class UsageError(Exception):
@@ -81,12 +80,14 @@ def _add_aug_flags(parser):
                              "(default: bundled 25-sub-policy table)")
 
 
-def _add_yona_flags(parser, default_on: bool):
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--yona", dest="yona", action="store_true",
-                       help="compose through the half-masking pipeline")
-    group.add_argument("--no-yona", dest="yona", action="store_false")
-    parser.set_defaults(yona=default_on)
+def _add_yona_flags(parser, default_on: bool | None):
+    """Compositor flags, less the --yona switch if ``default_on`` is None."""
+    if default_on is not None:
+        group = parser.add_mutually_exclusive_group()
+        group.add_argument("--yona", dest="yona", action="store_true",
+                           help="compose through the half-masking pipeline")
+        group.add_argument("--no-yona", dest="yona", action="store_false")
+        parser.set_defaults(yona=default_on)
     parser.add_argument("--mask-fraction", type=float, default=0.5,
                         help="masked fraction of the cut axis")
     parser.add_argument("--noise", default="uniform",
@@ -129,7 +130,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--augs", nargs="+", default=PREVIEW_AUGS,
                    choices=AUG_CHOICES)
-    _add_yona_flags(p, default_on=True)
+    _add_yona_flags(p, default_on=None)
     _add_common(p)
     p.set_defaults(func=cmd_preview)
     table["preview"] = p
@@ -158,7 +159,7 @@ def build_parser():
     p.add_argument("--gate-ratio", type=float,
                    help="fail (exit 4) if ratio exceeds this bound")
     _add_aug_flags(p)
-    _add_yona_flags(p, default_on=True)
+    _add_yona_flags(p, default_on=None)
     _add_common(p)
     p.set_defaults(func=cmd_bench)
     table["bench"] = p
@@ -225,7 +226,7 @@ def _parse_noise(text: str):
 
 
 def _build_yona(args) -> comp.YonaConfig | None:
-    if not args.yona:
+    if not getattr(args, "yona", True):  # preview and bench always compose
         return None
     return comp.YonaConfig(mask_fraction=args.mask_fraction,
                            axis_policy=args.axis_policy,
@@ -254,18 +255,16 @@ def cmd_preview(args) -> None:
         images.extend(r.image for r in records[:args.count])
     if not images:
         raise UsageError("preview needs --image and/or --dataset")
-    yona_config = _build_yona(args) or comp.YonaConfig()
+    yona_config = _build_yona(args)
     os.makedirs(args.out, exist_ok=True)
     index_lines = []
     for i, image in enumerate(images):
         for j, kind in enumerate(args.augs):
             spec = aug_mod.default_spec(kind)
             row = i * len(args.augs) + j
-            _, augment, _ = derive_image_streams(args.seed, row)
-            augmented = aug_mod.apply_augmentation(spec, image, augment)
-            structure, augment, noise = derive_image_streams(args.seed, row)
-            composed = comp.yona_apply(image, spec, yona_config, structure,
-                                       augment, noise)
+            augmented = comp.compose_record(image, spec, None, args.seed, row)
+            composed = comp.compose_record(image, spec, yona_config,
+                                           args.seed, row)
             names = []
             for column, img in (("original", image), ("augmented", augmented),
                                 ("yona", composed)):
@@ -309,8 +308,7 @@ def cmd_bench(args) -> None:
         raise UsageError(f"cannot parse --dims {args.dims!r}, want CxHxW")
     # benchmark work, not coin luck: force application unless overridden
     spec = _build_spec(args, forced_probability=1.0)
-    result = ev.benchmark_throughput(spec, _build_yona(args)
-                                     or comp.YonaConfig(),
+    result = ev.benchmark_throughput(spec, _build_yona(args),
                                      image_dims=dims,
                                      n_iterations=args.iterations,
                                      seed=args.seed)

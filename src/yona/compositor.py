@@ -1,10 +1,11 @@
 """Patch-level compositors.
 
-``yona_apply`` bisects an image along a coin-chosen axis, replaces one piece
+``yona_apply`` bisects an image along a coin-chosen axis, fills one piece
 with noise, augments the other piece as if it were a standalone image, and
-reassembles the two in their original spatial order.  ``yoco_apply`` is the
-comparison compositor: no masking, the augmentation runs independently on
-both halves.
+writes both into one buffer in their original spatial order.  ``yoco_apply``
+is the comparison compositor: no masking, the augmentation runs
+independently on both halves.  ``compose_record`` is record ``i`` of a run,
+composed on ``derive_image_streams(seed, i)``.
 
 Randomness contract per composition (default config):
 
@@ -18,15 +19,16 @@ the bytes owned by the others.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augment import AugmentationSpec, _augment_arr
+from .augment import AugmentationSpec, _augment_arr, apply_augmentation
 from .errors import GeometryError
 from .image import (Axis, ImageTensor, NoiseKind, UniformNoise, cut,
                     noise_bytes, round_half_up)
-from .rng import RngStream
+from .rng import RngStream, derive_image_streams
 
 AXIS_RANDOM = "random"
 AXIS_FIXED_HEIGHT = "height"
@@ -73,8 +75,9 @@ class YonaConfig:
         """Per-shape composition geometry, computed once per (C, H, W).
 
         Entry ``(height_cut << 1) | masked_first`` holds ``(masked_bytes,
-        mask_shape, aug_slice, concat_dim, boundary, masked_extent)``, or a
+        mask_shape, aug_slice, mask_slice, boundary, masked_extent)``, or a
         GeometryError to raise if that axis cannot host the mask fraction.
+        The slices index the kept and the masked piece of a (C, H, W) array.
         """
         channels, height, width = shape
         if height < 2 or width < 2:
@@ -92,20 +95,18 @@ class YonaConfig:
                 continue
             for masked_first in (False, True):
                 boundary = k if masked_first else extent - k
+                low, high = slice(None, boundary), slice(boundary, None)
+                masked, kept = (low, high) if masked_first else (high, low)
                 if height_cut:
-                    masked_bytes = channels * k * width
                     mask_shape = (channels, k, width)
-                    aug_slice = (np.s_[:, boundary:, :] if masked_first
-                                 else np.s_[:, :boundary, :])
-                    concat_dim = 1
+                    mask_slice = np.s_[:, masked, :]
+                    aug_slice = np.s_[:, kept, :]
                 else:
-                    masked_bytes = channels * height * k
                     mask_shape = (channels, height, k)
-                    aug_slice = (np.s_[:, :, boundary:] if masked_first
-                                 else np.s_[:, :, :boundary])
-                    concat_dim = 2
-                entries.append((masked_bytes, mask_shape, aug_slice,
-                                concat_dim, boundary, k))
+                    mask_slice = np.s_[:, :, masked]
+                    aug_slice = np.s_[:, :, kept]
+                entries.append((math.prod(mask_shape), mask_shape,
+                                aug_slice, mask_slice, boundary, k))
         ref_hw = (height, width) if self.region_reference == REGION_IMAGE \
             else None
         geom = (tuple(entries), ref_hw)
@@ -153,16 +154,13 @@ def _compose(image: ImageTensor, aug: AugmentationSpec, config: YonaConfig,
     entry = entries[(height_cut << 1) | masked_first]
     if type(entry) is GeometryError:
         raise entry
-    masked_bytes, mask_shape, aug_slice, concat_dim, boundary, \
+    masked_bytes, mask_shape, aug_slice, mask_slice, boundary, \
         masked_extent = entry
 
-    masked_part = noise_bytes(config.noise, masked_bytes,
-                              noise_rng).reshape(mask_shape)
-    augmented_part = _augment_arr(aug, arr[aug_slice], augment_rng, ref_hw)
-    if masked_first:
-        out = np.concatenate((masked_part, augmented_part), axis=concat_dim)
-    else:
-        out = np.concatenate((augmented_part, masked_part), axis=concat_dim)
+    out = np.empty(shape, dtype=np.uint8)
+    out[mask_slice] = noise_bytes(config.noise, masked_bytes,
+                                  noise_rng).reshape(mask_shape)
+    out[aug_slice] = _augment_arr(aug, arr[aug_slice], augment_rng, ref_hw)
     result = ImageTensor(out)
     if not want_trace:
         return result
@@ -187,6 +185,18 @@ def yona_apply(image: ImageTensor, aug: AugmentationSpec, config: YonaConfig,
     """Cut, mask one piece with noise, augment the other, reassemble."""
     return _compose(image, aug, config, structure_rng, augment_rng,
                     noise_rng, False)
+
+
+def compose_record(image: ImageTensor, aug: AugmentationSpec,
+                   config: YonaConfig | None, seed: int,
+                   index: int) -> ImageTensor:
+    """Record ``index`` of a run under ``seed``: `yona_apply` on
+    ``derive_image_streams(seed, index)``, or `apply_augmentation` on its
+    augment stream when ``config`` is None (yona off)."""
+    structure, augment, noise = derive_image_streams(seed, index)
+    if config is None:
+        return apply_augmentation(aug, image, augment)
+    return yona_apply(image, aug, config, structure, augment, noise)
 
 
 def yona_apply_fraction(image: ImageTensor, aug: AugmentationSpec,

@@ -6,6 +6,9 @@ augmented datasets feed any external trainer unchanged:
 * CIFAR-10 record: ``[label u8][1024 R][1024 G][1024 B]``, row-major planes;
 * CIFAR-100 record: ``[coarse u8][fine u8][3072 pixel bytes]``.
 
+Both writers lay records out through `_cifar_table`.  `augment` composes
+every spec through one batch path, `_augment_lanes`.
+
 PNG support is a minimal self-contained codec (8-bit grayscale/RGB,
 non-interlaced) so previews round-trip losslessly without extra
 dependencies.  Manifests (format 2) are flat ``key=value`` text with a
@@ -16,6 +19,7 @@ under a temp name in its directory and renamed into place (`_staged`).
 
 from __future__ import annotations
 
+import array
 import contextlib
 import functools
 import hashlib
@@ -29,14 +33,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .augment import (AugmentationSpec, apply_augmentation,
-                      default_cifar10_policy)
+from .augment import AugmentationSpec, _augment_arr, default_cifar10_policy
 from .compositor import (AXIS_FIXED_HEIGHT, AXIS_RANDOM, MASKED_FIRST,
-                         MASKED_RANDOM, YonaConfig, yona_apply)
+                         MASKED_RANDOM, YonaConfig)
 from .errors import CorruptRecordError, FormatError, GeometryError
-from .image import ConstantNoise, ImageTensor, UniformNoise
+from .image import ConstantNoise, ImageTensor, UniformNoise, noise_bytes
 from .rng import (AUGMENT_ROLE, NOISE_ROLE, RNG_SCHEME, STRUCTURE_ROLE,
-                  derive_image_streams, lane_tape, lane_words)
+                  image_stream, lane_tape, lane_words)
 
 CIFAR10 = "cifar10"
 CIFAR100 = "cifar100"
@@ -159,32 +162,31 @@ def read_cifar(path, variant: str) -> list[CifarRecord]:
     if complete == 0:
         return []
     table = np.frombuffer(blob, dtype=np.uint8).reshape(complete, record_size)
-    label_col = 1 if variant == CIFAR100 else 0
-    fine = table[:, label_col]
-    bad = np.nonzero(fine >= _LABEL_LIMIT[variant])[0]
-    if bad.size:
-        i = int(bad[0])
-        raise CorruptRecordError(
-            f"{path}: record {i} has fine label {int(fine[i])}, valid range "
-            f"is [0, {_LABEL_LIMIT[variant] - 1}]",
-            offset=i * record_size)
+    label_bytes = record_size - _PIXELS
+    _check_labels(table[:, :label_bytes], variant, f"{path}: ")
+    fine = table[:, label_bytes - 1]
+    pixels = table[:, label_bytes:].reshape(complete, *_SHAPE)
+    return [CifarRecord(fine_label=int(fine[i]), image=ImageTensor(pixels[i]),
+                        coarse_label=int(table[i, 0]) if variant == CIFAR100
+                        else None) for i in range(complete)]
+
+
+def _check_labels(labels: np.ndarray, variant: str, where: str = "") -> None:
+    """Raise CorruptRecordError naming the first record whose fine label,
+    then the first whose coarse label, lies outside the range ``variant``
+    allows.  ``labels`` holds each record's label bytes as integers, one row
+    per record; the error's offset is that record's byte offset."""
+    checks = [("fine", labels[:, -1], _LABEL_LIMIT[variant])]
     if variant == CIFAR100:
-        coarse = table[:, 0]
-        bad = np.nonzero(coarse >= _COARSE_LIMIT)[0]
+        checks.append(("coarse", labels[:, 0], _COARSE_LIMIT))
+    for name, column, limit in checks:
+        bad = np.flatnonzero((column < 0) | (column >= limit))
         if bad.size:
             i = int(bad[0])
             raise CorruptRecordError(
-                f"{path}: record {i} has coarse label {int(coarse[i])}, "
-                f"valid range is [0, {_COARSE_LIMIT - 1}]",
-                offset=i * record_size)
-    pixels = table[:, record_size - _PIXELS:].reshape(complete, 3, 32, 32)
-    records = []
-    for i in range(complete):
-        records.append(CifarRecord(
-            fine_label=int(fine[i]),
-            image=ImageTensor(pixels[i]),
-            coarse_label=int(table[i, 0]) if variant == CIFAR100 else None))
-    return records
+                f"{where}record {i} has {name} label {int(column[i])}, "
+                f"valid range is [0, {limit - 1}]",
+                offset=i * _RECORD_BYTES[variant])
 
 
 def _labels(record: CifarRecord, variant: str) -> tuple[int, ...]:
@@ -194,26 +196,39 @@ def _labels(record: CifarRecord, variant: str) -> tuple[int, ...]:
     return (record.fine_label,)
 
 
-def _check_shapes(records) -> None:
-    """Raise FormatError naming the first record that is not 3x32x32."""
+def _cifar_table(records: list, variant: str
+                 ) -> tuple[bytearray, np.ndarray]:
+    """One bytearray of ``records`` as a ``variant`` batch with the labels
+    in place, and an ``(N, 3, 32, 32)`` view of its zero pixels to fill.
+    Raises FormatError at the first record that is not 3x32x32, then
+    CorruptRecordError at the first label `read_cifar` would reject."""
     for i, record in enumerate(records):
         if record.image.shape != _SHAPE:
             raise FormatError(f"record {i} has image shape "
                               f"{record.image.shape}, a CIFAR record is "
                               f"{_SHAPE}")
+    record_size = _RECORD_BYTES[variant]
+    label_bytes = record_size - _PIXELS
+    # array("q") takes ints only, as bytes() did: no float or str coerced
+    labels = np.frombuffer(array.array("q", itertools.chain.from_iterable(
+        _labels(r, variant) for r in records)), dtype=np.int64).reshape(
+            -1, label_bytes)
+    _check_labels(labels, variant)
+    blob = bytearray(len(records) * record_size)
+    table = np.frombuffer(blob, dtype=np.uint8).reshape(-1, record_size)
+    table[:, :label_bytes] = labels
+    return blob, table[:, label_bytes:].reshape(-1, *_SHAPE)
 
 
 def write_cifar(records, path, variant: str) -> None:
-    """Serialize records back into the CIFAR binary batch layout.
-
-    Every record is checked to be 3x32x32 before the file is opened.
-    """
+    """Serialize records into the CIFAR binary batch layout, atomically
+    (`write_atomic`).  Shapes and labels are checked before the file is
+    opened (see `_cifar_table`)."""
     records = list(records)
-    _check_shapes(records)
-    with open(path, "wb") as fh:
-        for record in records:
-            fh.write(bytes(_labels(record, variant))
-                     + record.image.to_bytes())
+    blob, pixels = _cifar_table(records, variant)
+    for i, record in enumerate(records):
+        pixels[i] = record.image.array
+    write_atomic(path, blob)
 
 
 # --------------------------------------------------------------------------
@@ -342,52 +357,42 @@ def describe_yona(config: YonaConfig | None) -> str:
 # --------------------------------------------------------------------------
 # Augmented dataset emission
 
-_LANES = 256  # records per batch-path chunk
-_LANE_KINDS = frozenset({"identity", "hflip", "vflip"})
+_LANES = 256  # records per chunk
 _INDEX_BITS = (1 << 62) - 1  # stream labels keep only these index bits
 _COIN_LIMIT = np.uint64(1 << 52)  # a coin is True when (word >> 11) <= this
 _FLIPS = {"hflip": np.s_[..., ::-1], "vflip": np.s_[..., ::-1, :]}
 
 
-def _takes_lanes(aug: AugmentationSpec, config: YonaConfig | None) -> bool:
-    """Whether `_augment_lanes` composes the 3x32x32 records of this spec:
-    a kind that draws a fixed number of stream words, uniform or constant
-    noise, and a mask fraction that a 32-pixel axis can host."""
-    if aug.kind not in _LANE_KINDS:
-        return False
-    if config is None:
-        return True
-    if type(config.noise) not in (UniformNoise, ConstantNoise):
-        return False
-    entries, _ = config._geometry(_SHAPE)
-    return not any(type(e) is GeometryError for e in entries)
-
-
 def _augment_lanes(images, first_index: int, aug: AugmentationSpec,
                    config: YonaConfig | None, seed: int,
                    out: np.ndarray) -> None:
-    """Batch path: ``out[j]`` gets the augmented 3x32x32 ``images[j]``, the
-    record at index ``first_index + j``, for a spec `_takes_lanes` accepts.
+    """``out[j]`` gets the augmented 3x32x32 ``images[j]``, the record at
+    index ``first_index + j``, byte-identical to `compose_record`.
 
-    Byte-identical to `yona_apply` (`apply_augmentation` when ``config`` is
-    None) on ``derive_image_streams(seed, first_index + j)``.  Stream words
-    and the noise tape prefix are computed as uint64 lanes, ``_LANES``
-    records at a time; each (axis, side) group is written into ``out`` with
-    one scatter for the noise and one for the flipped kept piece.
+    ``_LANES`` records at a time, stream words, coins, flip gates and the
+    uniform noise tape are uint64 lanes, and each (axis, side) group gets
+    one scatter for its noise and one for its flipped kept piece.  Other
+    kinds augment each kept piece (the whole image without yona) on the
+    record's augment stream, and Gaussian noise is drawn on its noise
+    stream.  A mask fraction no 32-pixel axis can host raises GeometryError.
     """
     flip = _FLIPS.get(aug.kind)
+    ref_hw = None
     if config is not None:
-        entries, _ = config._geometry(_SHAPE)
+        entries, ref_hw = config._geometry(_SHAPE)
+        if images and type(entries[0]) is GeometryError:
+            raise entries[0]  # both axes of a square fail alike
         axis_random = config.axis_policy == AXIS_RANDOM
         side_random = config.masked_piece_policy == MASKED_RANDOM
+        noise = config.noise
     for start in range(0, len(images), _LANES):
         chunk = images[start:start + _LANES]
         n = len(chunk)
+        first = first_index + start
         o = out[start:start + n]
         for j, image in enumerate(chunk):
             o[j] = image.array
-        index = np.arange(n, dtype=np.uint64) \
-            + np.uint64((first_index + start) & _INDEX_BITS)
+        index = np.arange(n, dtype=np.uint64) + np.uint64(first & _INDEX_BITS)
         if flip is not None:
             # the scalar gate skips the flip when its uniform draws >= p
             # (it draws none at p 0 or 1, where this holds for all or none)
@@ -395,38 +400,46 @@ def _augment_lanes(images, first_index: int, aug: AugmentationSpec,
             gated = (word >> np.uint64(11)) * 2.0 ** -53 \
                 < aug.apply_probability
         if config is None:
-            if flip is not None:
-                sel = np.flatnonzero(gated)
-                o[sel] = o[sel][flip]
-            continue
-        # structure coins: axis first, then side; fixed policies skip theirs
-        words = lane_words(seed, index, STRUCTURE_ROLE,
-                           axis_random + side_random)
-        coins = (words >> np.uint64(11)) <= _COIN_LIMIT
-        height_cut = coins[0] if axis_random else np.full(
-            n, config.axis_policy == AXIS_FIXED_HEIGHT)
-        masked_first = coins[-1] if side_random else np.full(
-            n, config.masked_piece_policy == MASKED_FIRST)
-        group = 2 * height_cut + masked_first
-        if type(config.noise) is UniformNoise:
-            # a square image masks the same byte count in every group
-            tape = lane_tape(lane_words(seed, index, NOISE_ROLE, 1)[0],
-                             entries[0][0])
-        for g, (_, mask_shape, aug_slice, _, boundary, _) in \
-                enumerate(entries):
-            sel = np.flatnonzero(group == g)
-            if not sel.size:
-                continue
-            cut = slice(None, boundary) if g & 1 else slice(boundary, None)
-            mask = (sel, slice(None), cut) if g & 2 \
-                else (sel, slice(None), slice(None), cut)
-            if type(config.noise) is UniformNoise:
-                o[mask] = tape[sel].reshape((-1,) + mask_shape)
-            else:
-                o[mask] = config.noise.value
+            pieces = [(np.arange(n), np.s_[:, :, :])]
+        else:
+            # structure coins: axis first, then side; fixed policies skip
+            words = lane_words(seed, index, STRUCTURE_ROLE,
+                               axis_random + side_random)
+            coins = (words >> np.uint64(11)) <= _COIN_LIMIT
+            height_cut = coins[0] if axis_random else np.full(
+                n, config.axis_policy == AXIS_FIXED_HEIGHT)
+            masked_first = coins[-1] if side_random else np.full(
+                n, config.masked_piece_policy == MASKED_FIRST)
+            group = 2 * height_cut + masked_first
+            if type(noise) is UniformNoise:
+                # a square image masks the same byte count in every group
+                tape = lane_tape(lane_words(seed, index, NOISE_ROLE, 1)[0],
+                                 entries[0][0])
+            pieces = []
+            for g, (masked_bytes, mask_shape, aug_slice, mask_slice, _, _) \
+                    in enumerate(entries):
+                sel = np.flatnonzero(group == g)
+                if type(noise) is UniformNoise:
+                    o[(sel,) + mask_slice] = tape[sel].reshape(
+                        (-1,) + mask_shape)
+                elif type(noise) is ConstantNoise:
+                    o[(sel,) + mask_slice] = noise.value
+                else:
+                    for j in sel.tolist():
+                        o[(j,) + mask_slice] = noise_bytes(
+                            noise, masked_bytes,
+                            image_stream(seed, first + j, NOISE_ROLE)
+                        ).reshape(mask_shape)
+                pieces.append((sel, aug_slice))
+        for sel, aug_slice in pieces:
             if flip is not None:
                 kept = (sel[gated[sel]],) + aug_slice
                 o[kept] = o[kept][flip]
+            elif aug.kind != "identity":
+                for j in sel.tolist():
+                    o[(j,) + aug_slice] = _augment_arr(
+                        aug, chunk[j].array[aug_slice],
+                        image_stream(seed, first + j, AUGMENT_ROLE), ref_hw)
 
 
 @contextlib.contextmanager
@@ -461,10 +474,10 @@ def write_augmented_dataset(records, aug: AugmentationSpec,
 
     Labels pass through untouched; pixel bytes are produced from per-record
     streams derived from (seed, record index), so no record's bytes depend
-    on any other record.  Every record must be 3x32x32 (FormatError before
-    any work otherwise).  A spec that `_takes_lanes` goes through the batch
-    path, any other through `yona_apply` or `apply_augmentation` one record
-    at a time; the bytes are the same either way.
+    on any other record: record ``i`` equals `compose_record` on it alone.
+    Every record must be 3x32x32 with labels `read_cifar` accepts
+    (`_cifar_table` raises before any work otherwise); `_augment_lanes`
+    composes them.
 
     Returns the manifest.  Both files are written under temp names in
     ``out_dir`` and renamed into place, ``augmented.bin`` first and
@@ -473,30 +486,12 @@ def write_augmented_dataset(records, aug: AugmentationSpec,
     old manifest.
     """
     records = list(records)
-    _check_shapes(records)
     if variant is None:
         variant = CIFAR100 if records and records[0].coarse_label is not None \
             else CIFAR10
-    record_size = _RECORD_BYTES[variant]
-    out = bytearray(len(records) * record_size)
-    table = np.frombuffer(out, dtype=np.uint8).reshape(-1, record_size)
-    label_bytes = record_size - _PIXELS
-    table[:, :label_bytes] = np.frombuffer(bytes(itertools.chain.from_iterable(
-        _labels(r, variant) for r in records)), dtype=np.uint8).reshape(
-            -1, label_bytes)
-    pixels = table[:, label_bytes:].reshape(-1, *_SHAPE)
-    if _takes_lanes(aug, yona_config):
-        _augment_lanes([r.image for r in records], 0, aug, yona_config, seed,
-                       pixels)
-    else:
-        for index, record in enumerate(records):
-            structure, augment, noise = derive_image_streams(seed, index)
-            if yona_config is None:
-                image = apply_augmentation(aug, record.image, augment)
-            else:
-                image = yona_apply(record.image, aug, yona_config, structure,
-                                   augment, noise)
-            pixels[index] = image.array
+    out, pixels = _cifar_table(records, variant)
+    _augment_lanes([r.image for r in records], 0, aug, yona_config, seed,
+                   pixels)
 
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.txt")

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentationSpec, apply_augmentation
-from .compositor import YonaConfig, yona_apply, yona_apply_traced
+from .compositor import (YonaConfig, compose_record, yona_apply,
+                         yona_apply_traced)
 from .errors import DivergenceError
 from .image import Axis, ImageTensor, cut_at, noise_bytes
 from .rng import SeedSpec, derive_image_streams, derive_stream
@@ -184,23 +185,17 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
 
     losses = [probe_loss(weights, bias, clean, labels)]
     n = len(records)
-    plain_identity = aug is None or aug.kind == "identity"
     spec = aug if aug is not None else AugmentationSpec(kind="identity")
+    # plain identity feeds the clean features every epoch
+    fresh = spec.kind != "identity" or yona_config is not None
+    epoch_features = np.empty_like(clean) if fresh else clean
     for epoch in range(epochs):
-        if plain_identity and yona_config is None:
-            epoch_features = clean
-        else:
-            rows = []
+        if fresh:
             for i, record in enumerate(records):
-                structure, augment, noise = derive_image_streams(
-                    seed, epoch * n + i)
-                if yona_config is None:
-                    img = apply_augmentation(spec, record.image, augment)
-                else:
-                    img = yona_apply(record.image, spec, yona_config,
-                                     structure, augment, noise)
-                rows.append(_features(img))
-            epoch_features = np.stack(rows)
+                epoch_features[i] = compose_record(
+                    record.image, spec, yona_config, seed,
+                    epoch * n + i).array.reshape(-1)
+            epoch_features /= 255.0
         order = np.arange(n)
         for i in range(n - 1, 0, -1):  # Fisher-Yates on the probe stream
             j = shuffle_rng.next_index(i + 1)

@@ -324,6 +324,12 @@ def derive_stream(spec: SeedSpec) -> RngStream:
     return RngStream(*words)
 
 
+def image_stream(global_seed: int, image_index: int, role: int) -> RngStream:
+    """One named sub-stream of an image (see `derive_image_streams`)."""
+    return derive_stream(SeedSpec(global_seed,
+                                  image_stream_label(image_index, role)))
+
+
 def derive_image_streams(global_seed: int, image_index: int
                          ) -> tuple[RngStream, RngStream, RngStream]:
     """The three named sub-streams of one image.
@@ -332,14 +338,9 @@ def derive_image_streams(global_seed: int, image_index: int
     streams means changing the augmentation cannot perturb the noise bytes,
     so ablations stay comparable.
     """
-    return (
-        derive_stream(SeedSpec(global_seed,
-                               image_stream_label(image_index, STRUCTURE_ROLE))),
-        derive_stream(SeedSpec(global_seed,
-                               image_stream_label(image_index, AUGMENT_ROLE))),
-        derive_stream(SeedSpec(global_seed,
-                               image_stream_label(image_index, NOISE_ROLE))),
-    )
+    return (image_stream(global_seed, image_index, STRUCTURE_ROLE),
+            image_stream(global_seed, image_index, AUGMENT_ROLE),
+            image_stream(global_seed, image_index, NOISE_ROLE))
 
 
 def lane_words(global_seed: int, indices: np.ndarray, role: int,

@@ -195,6 +195,54 @@ def test_bench_rejects_tiny_iteration_count(capsys):
     assert "usage error" in err
 
 
+def test_bench_yona_flags_reach_the_benchmark(capsys, monkeypatch):
+    import yona.evalstats as ev
+    configs = []
+    measure = ev.benchmark_throughput
+
+    def spy(spec, config, **kwargs):
+        configs.append(config)
+        return measure(spec, config, **kwargs)
+
+    monkeypatch.setattr(ev, "benchmark_throughput", spy)
+    code, _, _ = run(capsys, "bench", "--aug", "hflip", "--iterations", "100",
+                     "--mask-fraction", "0.25", "--axis-policy", "height")
+    assert code == 0
+    assert (configs[0].mask_fraction, configs[0].axis_policy) == \
+        (0.25, "height")
+
+
+def test_preview_yona_flags_reach_the_composition(tmp_path, capsys):
+    img = make_image(np.random.default_rng(2))
+    source = tmp_path / "input.png"
+    write_png(img, source)
+    code, _, _ = run(capsys, "preview", "--image", str(source),
+                     "--augs", "identity", "--mask-fraction", "0.25",
+                     "--axis-policy", "height", "--masked-piece", "first",
+                     "--noise", "constant:7", "--out", str(tmp_path / "q"))
+    assert code == 0
+    composed = read_png(tmp_path / "q" / "img000_identity_yona.png").array
+    assert (composed[:, :8] == 7).all()  # 0.25 of 32 rows, masked first
+    assert np.array_equal(composed[:, 8:], img.array[:, 8:])
+
+
+@pytest.mark.parametrize("command", ["preview", "bench"])
+def test_preview_and_bench_have_no_yona_switch(tmp_path, small_batch_file,
+                                               capsys, command):
+    # both always compose, so their yona flags always apply
+    argv = [command, "--iterations", "100"] if command == "bench" else [
+        command, "--dataset", str(small_batch_file),
+        "--out", str(tmp_path / "p")]
+    for flag in ("--no-yona", "--yona"):
+        code, out, err = run(capsys, *argv, flag)
+        assert code == 1 and "usage error" in err and out == ""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"yona": False}))
+    code, _, err = run(capsys, *argv, "--config", str(config))
+    assert code == 1 and "unknown config keys ['yona']" in err
+    assert not (tmp_path / "p").exists()
+
+
 def test_probe_zero_train_count_is_usage_error(small_batch_file, capsys):
     code, _, err = run(capsys, "probe", "--dataset", str(small_batch_file),
                        "--train-count", "0")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from yona.augment import apply_augmentation, default_spec
-from yona.compositor import (YonaConfig, yoco_apply, yona_apply,
-                             yona_apply_fraction, yona_apply_traced)
+from yona.compositor import (YonaConfig, compose_record, yoco_apply,
+                             yona_apply, yona_apply_fraction,
+                             yona_apply_traced)
 from yona.errors import GeometryError
 from yona.image import (Axis, ConstantNoise, GaussianNoise, ImageTensor,
                         UniformNoise, concat, cut_at, mask_noise)
@@ -237,6 +238,18 @@ def test_gaussian_noise_config_composes():
     st, au, nz = streams(33)
     out2 = yona_apply(img, default_spec("identity"), config, st, au, nz)
     assert out1 == out2
+
+
+def test_compose_record_uses_the_streams_of_its_index():
+    rng = np.random.default_rng(36)
+    for index, (h, w) in enumerate([(32, 32), (7, 12), (16, 5)]):
+        img = make_image(rng, 3, h, w)
+        spec = default_spec("randaug")
+        config = YonaConfig(noise=GaussianNoise(), region_reference="image")
+        assert compose_record(img, spec, config, -3, index) == yona_apply(
+            img, spec, config, *streams(-3, index))
+        assert compose_record(img, spec, None, -3, index) == \
+            apply_augmentation(spec, img, streams(-3, index)[1])
 
 
 def test_rejects_tiny_images():

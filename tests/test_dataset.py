@@ -1,6 +1,7 @@
 """Binary ingestion/emission, manifests, digests, and the PNG codec."""
 
 import hashlib
+import os
 import struct
 import zlib
 
@@ -123,6 +124,71 @@ def test_write_cifar_rejects_other_shapes(tmp_path):
     with pytest.raises(FormatError, match=r"record 1 .*\(1, 32, 96\)"):
         write_cifar(records, path, CIFAR10)
     assert not path.exists()
+
+
+def test_write_cifar_checks_labels_and_keeps_the_old_file(tmp_path,
+                                                          monkeypatch):
+    # label 300 at record 2 is no byte at all, label 200 a byte that
+    # read_cifar rejects: both raise its CorruptRecordError, naming the
+    # record and the label, and the file already at the path stays whole
+    path = tmp_path / "batch.bin"
+    write_cifar(make_records(4, seed=6), path, CIFAR10)
+    before = path.read_bytes()
+    for label in (300, 200, 10, -1):
+        records = make_records(4, seed=7)
+        records[2] = CifarRecord(fine_label=label, image=records[2].image)
+        with pytest.raises(CorruptRecordError,
+                           match=rf"^record 2 has fine label {label}, "
+                                 r"valid range is \[0, 9\]$") as err:
+            write_cifar(records, path, CIFAR10)
+        assert err.value.offset == 2 * 3073
+        assert path.read_bytes() == before
+    records[2] = CifarRecord(fine_label=2.0, image=records[2].image)
+    with pytest.raises(TypeError):  # a label is an int, not a float
+        write_cifar(records, path, CIFAR10)
+    assert path.read_bytes() == before
+    # a write that fails after the checks leaves no partial file either
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write_cifar(make_records(9, seed=8), path, CIFAR10)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.bin"]
+
+
+def test_writers_apply_the_label_rule_of_read_cifar(tmp_path):
+    rng = np.random.default_rng(8)
+    for variant, coarse, fine, message in (
+            (CIFAR10, None, 10, "fine label 10, valid range is [0, 9]"),
+            (CIFAR100, 0, 100, "fine label 100, valid range is [0, 99]"),
+            (CIFAR100, 20, 5, "coarse label 20, valid range is [0, 19]")):
+        records = [CifarRecord(fine_label=1, image=make_image(rng),
+                               coarse_label=None if coarse is None else 1)
+                   for _ in range(3)]
+        records[1] = CifarRecord(fine_label=fine, image=records[1].image,
+                                 coarse_label=coarse)
+        out_dir = tmp_path / f"{variant}-{fine}"
+        for write in (
+                lambda: write_cifar(records, tmp_path / "x.bin", variant),
+                lambda: write_augmented_dataset(
+                    records, default_spec("cutout"), YonaConfig(), 0,
+                    out_dir, variant)):
+            with pytest.raises(CorruptRecordError) as err:
+                write()
+            assert str(err.value) == f"record 1 has {message}"
+        assert not out_dir.exists() and not (tmp_path / "x.bin").exists()
+        # read_cifar raises the same message on the bytes those labels make
+        blob = bytearray(3 * (3073 if variant == CIFAR10 else 3074))
+        blob[len(blob) // 3:len(blob) // 3 + (1 if coarse is None else 2)] \
+            = bytes([fine] if coarse is None else [coarse, fine])
+        raw = tmp_path / "raw.bin"
+        raw.write_bytes(blob)
+        with pytest.raises(CorruptRecordError) as err:
+            read_cifar(raw, variant)
+        assert str(err.value) == f"{raw}: record 1 has {message}"
 
 
 def test_cifar100_bad_coarse_label(tmp_path):

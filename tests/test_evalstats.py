@@ -143,6 +143,18 @@ def test_probe_identity_with_composition_still_masks():
     assert plain != composed
 
 
+def test_probe_feeds_a_no_op_augmentation_the_clean_features():
+    # hflip at p 0 is recomposed every epoch, identity feeds the clean
+    # features: both must train bit for bit alike
+    records = make_records(30, seed=25)
+    runs = [train_linear_probe(records, spec, None, epochs=2, lr=0.01,
+                               momentum=0.9, batch_size=10, seed=5)
+            for spec in (default_spec("hflip", apply_probability=0.0), None)]
+    (m1, l1), (m2, l2) = runs
+    assert l1 == l2
+    assert np.array_equal(m1.weights, m2.weights)
+
+
 def test_probe_training_replays():
     records = make_records(30, seed=23)
     m1, l1 = train_linear_probe(records, default_spec("cutout"),

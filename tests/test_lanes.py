@@ -1,6 +1,7 @@
-"""The batch lane path of `write_augmented_dataset` against the scalar
+"""The batch path of `write_augmented_dataset` against the scalar
 reference: every record it emits equals `yona_apply` (or
-`apply_augmentation` without yona) alone on `derive_image_streams(seed, i)`.
+`apply_augmentation` without yona) alone on `derive_image_streams(seed, i)`,
+for every augmentation kind and every noise.
 """
 
 import itertools
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import yona.dataset as ds
-from yona.augment import apply_augmentation, default_spec
+from yona.augment import (KINDS, apply_augmentation, default_spec,
+                          parse_policy)
 from yona.compositor import YonaConfig, yona_apply
 from yona.dataset import CifarRecord, read_cifar, write_augmented_dataset
 from yona.errors import FormatError, GeometryError
@@ -29,11 +31,34 @@ counts = st.one_of(st.just(1), st.integers(ds._LANES - 2, ds._LANES + 2),
 probabilities = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
                           st.floats(0.0, 1.0))
 noises = st.one_of(st.just(UniformNoise()),
-                   st.builds(ConstantNoise, st.integers(0, 255)))
-KINDS = ["identity", "hflip", "vflip"]
+                   st.builds(ConstantNoise, st.integers(0, 255)),
+                   st.builds(GaussianNoise, st.floats(-50.0, 300.0),
+                             st.floats(0.5, 80.0)))
+FLIP_KINDS = ["identity", "hflip", "vflip"]  # composed by lane scatters
 FRACTIONS = [0.25, 0.3, 0.5, 0.75]  # 0.3 rounds: 9.6 of 32 rows -> 10
 AXES = ["random", "height", "width"]
 SIDES = ["random", "first", "second"]
+POLICY = parse_policy("Invert 0.7 3 ; Rotate 0.4 8\n"
+                      "Equalize 1.0 0 ; Solarize 0.5 4\n"
+                      "ShearX 0.3 9 ; Color 0.8 2\n")
+SPECS = [default_spec(kind) for kind in KINDS] + [
+    default_spec("autoaug", policy=POLICY),
+    default_spec("erasing", apply_probability=1.0, erase_fill=77),
+    default_spec("cutout", apply_probability=1.0, cutout_fill=200,
+                 cutout_area_fraction=0.5),
+    default_spec("grid", apply_probability=1.0,
+                 grid_transform_probability=0.9),
+    default_spec("jitter", apply_probability=0.3),
+]
+CONFIGS = [
+    None,
+    YonaConfig(),
+    YonaConfig(noise=GaussianNoise(), region_reference="image"),
+    YonaConfig(mask_fraction=0.3, axis_policy="height", noise=ConstantNoise(9),
+               masked_piece_policy="first", region_reference="image"),
+    YonaConfig(mask_fraction=0.75, axis_policy="width",
+               noise=GaussianNoise(10.0, 60.0), masked_piece_policy="second"),
+]
 
 
 def _scalar(image, spec, config, seed, index):
@@ -50,7 +75,6 @@ def _images(count, seed):
 
 
 def _check_lanes(images, first, spec, config, seed):
-    assert ds._takes_lanes(spec, config)
     out = np.zeros((len(images), 3, 32, 32), dtype=np.uint8)
     ds._augment_lanes(images, first, spec, config, seed, out)
     for j, image in enumerate(images):
@@ -73,11 +97,18 @@ def test_lanes_match_the_scalar_path(kind, fraction, seed, first, count, p,
         kind, apply_probability=p), config, seed)
 
 
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+def test_every_spec_matches_the_scalar_path(spec, config):
+    # crosses a chunk boundary and the 2**62 wrap of index labels
+    _check_lanes(_images(ds._LANES + 5, 3), 2**62 - 100, spec, config, -7)
+
+
 def test_lanes_match_the_scalar_path_on_every_policy():
     images = _images(6, 0)
     for kind, p, fraction, axis, side, noise in itertools.product(
-            KINDS, [0.0, 0.37, 0.5, 1.0], FRACTIONS, AXES, SIDES,
-            [UniformNoise(), ConstantNoise(200)]):
+            FLIP_KINDS, [0.0, 0.37, 0.5, 1.0], FRACTIONS, AXES, SIDES,
+            [UniformNoise(), ConstantNoise(200), GaussianNoise()]):
         config = YonaConfig(mask_fraction=fraction, axis_policy=axis,
                             noise=noise, masked_piece_policy=side)
         _check_lanes(images, 2**62 - 3, default_spec(
@@ -128,8 +159,8 @@ def _records(count, variant, shapes=None):
 def test_emission_mixes_lanes_and_scalar_records(tmp_path, monkeypatch,
                                                  variant, config):
     # a 1x32x96 record has 3072 pixel bytes too, but is no CIFAR record:
-    # every shape is checked before any work, on the batch path (hflip) and
-    # on the per-record path (cutout) alike
+    # every shape is checked before any work, for a flip scatter (hflip)
+    # and a per-record kept piece (cutout) alike
     records = _records(2 * ds._LANES + 9, variant,
                        {ds._LANES + 3: (1, 32, 96)})
 
@@ -137,17 +168,15 @@ def test_emission_mixes_lanes_and_scalar_records(tmp_path, monkeypatch,
         raise AssertionError("work started before the shape check")
 
     monkeypatch.setattr(ds, "_augment_lanes", refuse)
-    monkeypatch.setattr(ds, "derive_image_streams", refuse)
+    monkeypatch.setattr(ds, "image_stream", refuse)
     for kind in ("hflip", "cutout"):
-        assert ds._takes_lanes(default_spec(kind), config) == \
-            (kind == "hflip")
         out_dir = tmp_path / kind
         with pytest.raises(FormatError,
                            match=rf"record {ds._LANES + 3} .*\(1, 32, 96\)"):
             write_augmented_dataset(records, default_spec(kind), config, -5,
                                     out_dir, variant)
         assert not out_dir.exists()
-    # without it, both paths emit every record's labels and scalar bytes
+    # without it, every record's labels and scalar bytes are emitted
     monkeypatch.undo()
     del records[ds._LANES + 3]
     for kind in ("hflip", "cutout"):
@@ -188,14 +217,7 @@ def test_non_cifar_shape_still_raises(tmp_path, config):
     (default_spec("hflip"), YonaConfig(noise=GaussianNoise())),
     (default_spec("randaug"), YonaConfig()),
 ])
-def test_other_specs_take_the_scalar_path(tmp_path, monkeypatch, spec,
-                                          config):
-    assert not ds._takes_lanes(spec, config)
-
-    def refuse(*args):
-        raise AssertionError("batch path taken")
-
-    monkeypatch.setattr(ds, "_augment_lanes", refuse)
+def test_other_specs_take_the_scalar_path(tmp_path, spec, config):
     records = _records(20, "cifar10")
     write_augmented_dataset(records, spec, config, 4, tmp_path)
     back = read_cifar(tmp_path / "augmented.bin", "cifar10")
@@ -205,7 +227,14 @@ def test_other_specs_take_the_scalar_path(tmp_path, monkeypatch, spec,
 
 def test_unhostable_mask_fraction_takes_the_scalar_error(tmp_path):
     config = YonaConfig(mask_fraction=0.01)  # rounds to 0 of 32 pixels
-    assert not ds._takes_lanes(default_spec("hflip"), config)
-    with pytest.raises(GeometryError):
-        write_augmented_dataset(_records(3, "cifar10"), default_spec("hflip"),
-                                config, 0, tmp_path / "out")
+    for kind in ("hflip", "cutout"):
+        with pytest.raises(GeometryError, match="leaves no pixels"):
+            write_augmented_dataset(_records(3, "cifar10"),
+                                    default_spec(kind), config, 0,
+                                    tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        # no record selects an axis, so nothing raises: an empty dataset
+        manifest = write_augmented_dataset([], default_spec(kind), config, 0,
+                                           tmp_path / kind)
+        assert manifest.count == 0
+        assert (tmp_path / kind / "augmented.bin").read_bytes() == b""
