@@ -4,8 +4,8 @@
 with noise, augments the other piece as if it were a standalone image, and
 writes both into one buffer in their original spatial order.  ``yoco_apply``
 is the comparison compositor: no masking, the augmentation runs
-independently on both halves.  ``compose_record`` is record ``i`` of a run,
-composed on ``derive_image_streams(seed, i)``.
+independently on both halves.  ``compose_batch`` composes records ``i, i +
+1, ...`` of a run for every command; ``compose_record`` is a batch of one.
 
 Randomness contract per composition (default config):
 
@@ -24,11 +24,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augment import AugmentationSpec, _augment_arr, apply_augmentation
+from .augment import AugmentationSpec, _augment_arr
 from .errors import GeometryError
-from .image import (Axis, ImageTensor, NoiseKind, UniformNoise, cut,
-                    noise_bytes, round_half_up)
-from .rng import RngStream, derive_image_streams
+from .image import (Axis, ConstantNoise, ImageTensor, NoiseKind,
+                    UniformNoise, cut, noise_bytes, round_half_up)
+from .rng import (_TAPE_WORDS, AUGMENT_ROLE, NOISE_ROLE, STRUCTURE_ROLE,
+                  RngStream, image_stream, lane_tape, lane_words)
 
 AXIS_RANDOM = "random"
 AXIS_FIXED_HEIGHT = "height"
@@ -187,16 +188,97 @@ def yona_apply(image: ImageTensor, aug: AugmentationSpec, config: YonaConfig,
                     noise_rng, False)
 
 
+_LANES = 256  # records per chunk
+_COIN_LIMIT = np.uint64(1 << 52)  # a coin is True when (word >> 11) <= this
+_FLIPS = {"hflip": np.s_[..., ::-1], "vflip": np.s_[..., ::-1, :]}
+
+
+def compose_batch(images, first_index: int, aug: AugmentationSpec,
+                  config: YonaConfig | None, seed: int, out: np.ndarray):
+    """``out[j]`` gets ``images[j]`` (of shape ``out.shape[1:]``) composed
+    as record ``first_index + j``, as `yona_apply` (`apply_augmentation`
+    without ``config``) on ``derive_image_streams(seed, first_index + j)``
+    would; returns each record's ``config._geometry`` group ``(height_cut
+    << 1) | masked_first``, or None without ``config``.
+
+    Stream words, coins, flip gates and uniform noise are uint64 lanes over
+    ``_LANES`` records; other kinds augment each kept piece on its augment
+    stream, and Gaussian noise (or uniform noise of a piece longer than one
+    tape block) comes from each noise stream.  A group that cannot host the
+    mask fraction raises its GeometryError once a record selects it.
+    """
+    flip = _FLIPS.get(aug.kind)
+    ref_hw = None
+    groups = None if config is None else np.empty(len(images), dtype=np.intp)
+    if config is not None and images:
+        entries, ref_hw = config._geometry(out.shape[1:])
+        uniform = type(config.noise) is UniformNoise
+    for start in range(0, len(images), _LANES):
+        chunk = images[start:start + _LANES]
+        n = len(chunk)
+        first = first_index + start
+        o = out[start:start + n]
+        np.stack([image.array for image in chunk], out=o)
+        if flip is not None:
+            # the scalar gate skips the flip when its uniform draws >= p
+            # (it draws none at p 0 or 1, where this holds for all or none)
+            word = lane_words(seed, first, n, AUGMENT_ROLE, 1)[0]
+            gated = (word >> np.uint64(11)) * 2.0 ** -53 \
+                < aug.apply_probability
+        if config is None:
+            pieces = [(np.arange(n), np.s_[:, :, :])]
+        else:
+            # structure coins: axis first, then side; fixed policies skip
+            axis_random = config.axis_policy == AXIS_RANDOM
+            side_random = config.masked_piece_policy == MASKED_RANDOM
+            words = lane_words(seed, first, n, STRUCTURE_ROLE,
+                               axis_random + side_random)
+            coins = (words >> np.uint64(11)) <= _COIN_LIMIT
+            height_cut = coins[0] if axis_random else np.full(
+                n, config.axis_policy == AXIS_FIXED_HEIGHT)
+            masked_first = coins[-1] if side_random else np.full(
+                n, config.masked_piece_policy == MASKED_FIRST)
+            group = groups[start:start + n] = 2 * height_cut + masked_first
+            if uniform:
+                tape_seeds = lane_words(seed, first, n, NOISE_ROLE, 1)[0]
+            pieces = []
+            for g in dict.fromkeys(group.tolist()):  # by first record
+                if type(entries[g]) is GeometryError:
+                    raise entries[g]
+                sel = np.flatnonzero(group == g)
+                nbytes, mask_shape, aug_slice, mask_slice, _, _ = entries[g]
+                mask = (sel,) + mask_slice
+                if uniform and nbytes <= _TAPE_WORDS * 8:
+                    o[mask] = lane_tape(tape_seeds[sel], nbytes).reshape(
+                        (-1,) + mask_shape)
+                elif type(config.noise) is ConstantNoise:
+                    o[mask] = config.noise.value
+                else:
+                    for j in sel.tolist():
+                        o[(j,) + mask_slice] = noise_bytes(
+                            config.noise, nbytes,
+                            image_stream(seed, first + j, NOISE_ROLE)
+                        ).reshape(mask_shape)
+                pieces.append((sel, aug_slice))
+        for sel, aug_slice in pieces:
+            if flip is not None:
+                kept = (sel[gated[sel]],) + aug_slice
+                o[kept] = o[kept][flip]
+            elif aug.kind != "identity":
+                for j in sel.tolist():
+                    o[(j,) + aug_slice] = _augment_arr(
+                        aug, chunk[j].array[aug_slice],
+                        image_stream(seed, first + j, AUGMENT_ROLE), ref_hw)
+    return groups
+
+
 def compose_record(image: ImageTensor, aug: AugmentationSpec,
                    config: YonaConfig | None, seed: int,
                    index: int) -> ImageTensor:
-    """Record ``index`` of a run under ``seed``: `yona_apply` on
-    ``derive_image_streams(seed, index)``, or `apply_augmentation` on its
-    augment stream when ``config`` is None (yona off)."""
-    structure, augment, noise = derive_image_streams(seed, index)
-    if config is None:
-        return apply_augmentation(aug, image, augment)
-    return yona_apply(image, aug, config, structure, augment, noise)
+    """Record ``index`` of a run under ``seed``: a `compose_batch` of one."""
+    out = np.empty((1,) + image.shape, dtype=np.uint8)
+    compose_batch([image], index, aug, config, seed, out)
+    return ImageTensor(out[0])
 
 
 def yona_apply_fraction(image: ImageTensor, aug: AugmentationSpec,

@@ -6,8 +6,8 @@ augmented datasets feed any external trainer unchanged:
 * CIFAR-10 record: ``[label u8][1024 R][1024 G][1024 B]``, row-major planes;
 * CIFAR-100 record: ``[coarse u8][fine u8][3072 pixel bytes]``.
 
-Both writers lay records out through `_cifar_table`.  `augment` composes
-every spec through one batch path, `_augment_lanes`.
+Both writers lay records out through `_cifar_table`; `augment` composes
+with `compositor.compose_batch` and knows nothing of composition itself.
 
 PNG support is a minimal self-contained codec (8-bit grayscale/RGB,
 non-interlaced) so previews round-trip losslessly without extra
@@ -33,13 +33,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .augment import AugmentationSpec, _augment_arr, default_cifar10_policy
-from .compositor import (AXIS_FIXED_HEIGHT, AXIS_RANDOM, MASKED_FIRST,
-                         MASKED_RANDOM, YonaConfig)
-from .errors import CorruptRecordError, FormatError, GeometryError
-from .image import ConstantNoise, ImageTensor, UniformNoise, noise_bytes
-from .rng import (AUGMENT_ROLE, NOISE_ROLE, RNG_SCHEME, STRUCTURE_ROLE,
-                  image_stream, lane_tape, lane_words)
+from .augment import AugmentationSpec, default_cifar10_policy
+from .compositor import YonaConfig, compose_batch
+from .errors import CorruptRecordError, FormatError
+from .image import ImageTensor
+from .rng import RNG_SCHEME
 
 CIFAR10 = "cifar10"
 CIFAR100 = "cifar100"
@@ -189,29 +187,27 @@ def _check_labels(labels: np.ndarray, variant: str, where: str = "") -> None:
                 offset=i * _RECORD_BYTES[variant])
 
 
-def _labels(record: CifarRecord, variant: str) -> tuple[int, ...]:
-    if variant == CIFAR100:
-        coarse = record.coarse_label if record.coarse_label is not None else 0
-        return (coarse, record.fine_label)
-    return (record.fine_label,)
-
-
 def _cifar_table(records: list, variant: str
                  ) -> tuple[bytearray, np.ndarray]:
     """One bytearray of ``records`` as a ``variant`` batch with the labels
     in place, and an ``(N, 3, 32, 32)`` view of its zero pixels to fill.
-    Raises FormatError at the first record that is not 3x32x32, then
-    CorruptRecordError at the first label `read_cifar` would reject."""
+    Raises FormatError at the first record that is not 3x32x32 and
+    CorruptRecordError at the first CIFAR-100 record without a coarse
+    label, then at the first label `read_cifar` would reject."""
+    record_size = _RECORD_BYTES[variant]
     for i, record in enumerate(records):
         if record.image.shape != _SHAPE:
             raise FormatError(f"record {i} has image shape "
                               f"{record.image.shape}, a CIFAR record is "
                               f"{_SHAPE}")
-    record_size = _RECORD_BYTES[variant]
+        if variant == CIFAR100 and record.coarse_label is None:
+            raise CorruptRecordError(f"record {i} has no coarse label",
+                                     offset=i * record_size)
     label_bytes = record_size - _PIXELS
     # array("q") takes ints only, as bytes() did: no float or str coerced
     labels = np.frombuffer(array.array("q", itertools.chain.from_iterable(
-        _labels(r, variant) for r in records)), dtype=np.int64).reshape(
+        (r.coarse_label, r.fine_label) if variant == CIFAR100
+        else (r.fine_label,) for r in records)), dtype=np.int64).reshape(
             -1, label_bytes)
     _check_labels(labels, variant)
     blob = bytearray(len(records) * record_size)
@@ -357,91 +353,6 @@ def describe_yona(config: YonaConfig | None) -> str:
 # --------------------------------------------------------------------------
 # Augmented dataset emission
 
-_LANES = 256  # records per chunk
-_INDEX_BITS = (1 << 62) - 1  # stream labels keep only these index bits
-_COIN_LIMIT = np.uint64(1 << 52)  # a coin is True when (word >> 11) <= this
-_FLIPS = {"hflip": np.s_[..., ::-1], "vflip": np.s_[..., ::-1, :]}
-
-
-def _augment_lanes(images, first_index: int, aug: AugmentationSpec,
-                   config: YonaConfig | None, seed: int,
-                   out: np.ndarray) -> None:
-    """``out[j]`` gets the augmented 3x32x32 ``images[j]``, the record at
-    index ``first_index + j``, byte-identical to `compose_record`.
-
-    ``_LANES`` records at a time, stream words, coins, flip gates and the
-    uniform noise tape are uint64 lanes, and each (axis, side) group gets
-    one scatter for its noise and one for its flipped kept piece.  Other
-    kinds augment each kept piece (the whole image without yona) on the
-    record's augment stream, and Gaussian noise is drawn on its noise
-    stream.  A mask fraction no 32-pixel axis can host raises GeometryError.
-    """
-    flip = _FLIPS.get(aug.kind)
-    ref_hw = None
-    if config is not None:
-        entries, ref_hw = config._geometry(_SHAPE)
-        if images and type(entries[0]) is GeometryError:
-            raise entries[0]  # both axes of a square fail alike
-        axis_random = config.axis_policy == AXIS_RANDOM
-        side_random = config.masked_piece_policy == MASKED_RANDOM
-        noise = config.noise
-    for start in range(0, len(images), _LANES):
-        chunk = images[start:start + _LANES]
-        n = len(chunk)
-        first = first_index + start
-        o = out[start:start + n]
-        for j, image in enumerate(chunk):
-            o[j] = image.array
-        index = np.arange(n, dtype=np.uint64) + np.uint64(first & _INDEX_BITS)
-        if flip is not None:
-            # the scalar gate skips the flip when its uniform draws >= p
-            # (it draws none at p 0 or 1, where this holds for all or none)
-            word = lane_words(seed, index, AUGMENT_ROLE, 1)[0]
-            gated = (word >> np.uint64(11)) * 2.0 ** -53 \
-                < aug.apply_probability
-        if config is None:
-            pieces = [(np.arange(n), np.s_[:, :, :])]
-        else:
-            # structure coins: axis first, then side; fixed policies skip
-            words = lane_words(seed, index, STRUCTURE_ROLE,
-                               axis_random + side_random)
-            coins = (words >> np.uint64(11)) <= _COIN_LIMIT
-            height_cut = coins[0] if axis_random else np.full(
-                n, config.axis_policy == AXIS_FIXED_HEIGHT)
-            masked_first = coins[-1] if side_random else np.full(
-                n, config.masked_piece_policy == MASKED_FIRST)
-            group = 2 * height_cut + masked_first
-            if type(noise) is UniformNoise:
-                # a square image masks the same byte count in every group
-                tape = lane_tape(lane_words(seed, index, NOISE_ROLE, 1)[0],
-                                 entries[0][0])
-            pieces = []
-            for g, (masked_bytes, mask_shape, aug_slice, mask_slice, _, _) \
-                    in enumerate(entries):
-                sel = np.flatnonzero(group == g)
-                if type(noise) is UniformNoise:
-                    o[(sel,) + mask_slice] = tape[sel].reshape(
-                        (-1,) + mask_shape)
-                elif type(noise) is ConstantNoise:
-                    o[(sel,) + mask_slice] = noise.value
-                else:
-                    for j in sel.tolist():
-                        o[(j,) + mask_slice] = noise_bytes(
-                            noise, masked_bytes,
-                            image_stream(seed, first + j, NOISE_ROLE)
-                        ).reshape(mask_shape)
-                pieces.append((sel, aug_slice))
-        for sel, aug_slice in pieces:
-            if flip is not None:
-                kept = (sel[gated[sel]],) + aug_slice
-                o[kept] = o[kept][flip]
-            elif aug.kind != "identity":
-                for j in sel.tolist():
-                    o[(j,) + aug_slice] = _augment_arr(
-                        aug, chunk[j].array[aug_slice],
-                        image_stream(seed, first + j, AUGMENT_ROLE), ref_hw)
-
-
 @contextlib.contextmanager
 def _staged(out_dir):
     """Yield ``stage(name, data)``, which writes ``data`` to a fresh temp
@@ -476,8 +387,9 @@ def write_augmented_dataset(records, aug: AugmentationSpec,
     streams derived from (seed, record index), so no record's bytes depend
     on any other record: record ``i`` equals `compose_record` on it alone.
     Every record must be 3x32x32 with labels `read_cifar` accepts
-    (`_cifar_table` raises before any work otherwise); `_augment_lanes`
-    composes them.
+    (`_cifar_table` raises before any work otherwise); `compose_batch`
+    composes them.  ``variant`` None means CIFAR-100 if every record has a
+    coarse label, CIFAR-10 if none has (FormatError on a mix).
 
     Returns the manifest.  Both files are written under temp names in
     ``out_dir`` and renamed into place, ``augmented.bin`` first and
@@ -487,11 +399,14 @@ def write_augmented_dataset(records, aug: AugmentationSpec,
     """
     records = list(records)
     if variant is None:
-        variant = CIFAR100 if records and records[0].coarse_label is not None \
-            else CIFAR10
+        coarse = [r.coarse_label is not None for r in records]
+        if any(coarse) and not all(coarse):
+            raise FormatError(f"records 0 and {coarse.index(not coarse[0])} "
+                              f"disagree on having a coarse label")
+        variant = CIFAR100 if any(coarse) else CIFAR10
     out, pixels = _cifar_table(records, variant)
-    _augment_lanes([r.image for r in records], 0, aug, yona_config, seed,
-                   pixels)
+    compose_batch([r.image for r in records], 0, aug, yona_config, seed,
+                  pixels)
 
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.txt")

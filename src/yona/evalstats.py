@@ -4,7 +4,8 @@ the RMS calibration error metric, and a throughput benchmark.
 The probe is softmax regression over raw pixels scaled to [0, 1].  It is a
 deliberately small stand-in whose job is to prove the augmentation pipeline
 feeds a learner correct, finite, reproducible batches — not to reproduce any
-deep-network accuracy.
+deep-network accuracy.  Stats and probe compose with `compose_batch`, as
+`augment` does; the benchmark times `yona_apply` on long-lived streams.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentationSpec, apply_augmentation
-from .compositor import (YonaConfig, compose_record, yona_apply,
-                         yona_apply_traced)
+from .compositor import _LANES, YonaConfig, compose_batch, yona_apply
 from .errors import DivergenceError
-from .image import Axis, ImageTensor, cut_at, noise_bytes
-from .rng import SeedSpec, derive_image_streams, derive_stream
+from .image import ImageTensor, noise_bytes
+from .rng import NOISE_ROLE, SeedSpec, derive_stream, image_stream
 
 
 # --------------------------------------------------------------------------
@@ -41,53 +41,56 @@ class StatsReport:
                 f"mean_abs_pixel_delta={self.mean_abs_pixel_delta:.6f}\n")
 
 
+def _one_shape(records: list) -> tuple[int, int, int]:
+    """Record 0's image shape; ValueError names the first record unlike it."""
+    for i, record in enumerate(records):
+        if record.image.shape != records[0].image.shape:
+            raise ValueError(f"record {i} has image shape {record.image.shape}"
+                             f", record 0 has {records[0].image.shape}")
+    return records[0].image.shape
+
+
 def collect_stats(records, aug: AugmentationSpec,
                   yona_config: YonaConfig | None, seed: int,
                   n_samples: int) -> StatsReport:
-    """Run the pipeline with an instrumented compositor and tally the coin
-    outcomes.  The masked fraction is verified independently per image by
-    replaying the noise stream and checking the masked region matches it."""
+    """Compose samples ``0 .. n_samples - 1`` (sample ``i`` is record ``i mod
+    len(records)``, all of one image shape) with `compose_batch` and tally
+    the coin outcomes.  The masked fraction is verified independently per
+    image by replaying the noise stream and checking the masked region."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     records = list(records)
     if not records:
         raise ValueError("collect_stats needs at least one record")
-    height_hits = 0
-    first_hits = 0
-    masked_total = 0.0
-    delta_total = 0.0
-    for i in range(n_samples):
-        image = records[i % len(records)].image
-        structure, augment, noise = derive_image_streams(seed, i)
-        if yona_config is None:
-            out = apply_augmentation(aug, image, augment)
-        else:
-            out, trace = yona_apply_traced(image, aug, yona_config,
-                                           structure, augment, noise)
-            # independent check: replay the noise stream and confirm the
-            # masked region carries exactly those bytes
-            _, _, replay = derive_image_streams(seed, i)
-            expected = noise_bytes(yona_config.noise,
-                                   trace.masked_byte_count, replay)
-            first, second = cut_at(out, trace.axis, trace.boundary)
-            region = (first if trace.masked_first else second).image.array
-            if not np.array_equal(region.reshape(-1), expected):
-                raise AssertionError(
-                    f"sample {i}: masked region does not replay from the "
-                    f"noise stream")
-            masked_total += trace.masked_byte_count / image.array.size
-            height_hits += trace.axis is Axis.HEIGHT
-            first_hits += trace.masked_first
-        delta_total += float(np.mean(np.abs(
-            out.array.astype(np.int16) - image.array.astype(np.int16))))
-    if yona_config is None:
-        return StatsReport(0.0, 0.0, 0.0, delta_total / n_samples, n_samples)
-    return StatsReport(
-        masked_fraction_mean=masked_total / n_samples,
-        axis_height_frequency=height_hits / n_samples,
-        piece1_masked_frequency=first_hits / n_samples,
-        mean_abs_pixel_delta=delta_total / n_samples,
-        sample_count=n_samples)
+    shape = _one_shape(records)
+    if yona_config is not None:
+        entries, _ = yona_config._geometry(shape)
+    out = np.empty((min(n_samples, _LANES),) + shape, dtype=np.uint8)
+    height_hits = first_hits = 0
+    masked_total = delta_total = 0.0
+    for start in range(0, n_samples, _LANES):
+        batch = [records[i % len(records)].image
+                 for i in range(start, min(start + _LANES, n_samples))]
+        groups = compose_batch(batch, start, aug, yona_config, seed, out)
+        if yona_config is not None:
+            height_hits += int(np.count_nonzero(groups >> 1))
+            first_hits += int(np.count_nonzero(groups & 1))
+        for j, image in enumerate(batch):
+            if yona_config is not None:
+                masked_bytes, _, _, mask_slice, _, _ = entries[groups[j]]
+                # independent check: the mask replays from the noise stream
+                replay = noise_bytes(yona_config.noise, masked_bytes,
+                                     image_stream(seed, start + j, NOISE_ROLE))
+                if not np.array_equal(out[j][mask_slice].reshape(-1), replay):
+                    raise AssertionError(
+                        f"sample {start + j}: masked region does not replay "
+                        f"from the noise stream")
+                masked_total += masked_bytes / out[j].size
+            delta_total += float(np.mean(np.abs(
+                out[j].astype(np.int16) - image.array.astype(np.int16))))
+    return StatsReport(masked_total / n_samples, height_hits / n_samples,
+                       first_hits / n_samples, delta_total / n_samples,
+                       n_samples)
 
 
 # --------------------------------------------------------------------------
@@ -161,14 +164,16 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
     """Mini-batch SGD with momentum on softmax cross-entropy.
 
     The augmentation (plain or composited) is re-applied fresh to every
-    image on every epoch.  Returns the model plus the loss history: entry 0
-    is the pre-training loss and entry e the loss after epoch e, both
-    measured on the un-augmented training set.  Raises DivergenceError if
-    any batch produces a non-finite loss.
+    image on every epoch, as one `compose_batch` of records ``e * n ..
+    e * n + n - 1`` in epoch ``e`` (of one image shape).  Returns the model
+    plus the loss history: entry 0 is the pre-training loss and entry e the
+    loss after epoch e, both measured on the un-augmented training set.
+    Raises DivergenceError if any batch produces a non-finite loss.
     """
     records = list(train_records)
     if not records:
         raise ValueError("training needs at least one record")
+    shape = _one_shape(records)
     labels = np.array([r.fine_label for r in records], dtype=np.int64)
     classes = np.unique(labels)
     if classes.size < 2:
@@ -189,13 +194,12 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
     # plain identity feeds the clean features every epoch
     fresh = spec.kind != "identity" or yona_config is not None
     epoch_features = np.empty_like(clean) if fresh else clean
+    composed = np.empty((n,) + shape, dtype=np.uint8)  # untouched unless fresh
     for epoch in range(epochs):
         if fresh:
-            for i, record in enumerate(records):
-                epoch_features[i] = compose_record(
-                    record.image, spec, yona_config, seed,
-                    epoch * n + i).array.reshape(-1)
-            epoch_features /= 255.0
+            compose_batch([r.image for r in records], epoch * n, spec,
+                          yona_config, seed, composed)
+            np.divide(composed.reshape(n, -1), 255.0, out=epoch_features)
         order = np.arange(n)
         for i in range(n - 1, 0, -1):  # Fisher-Yates on the probe stream
             j = shuffle_rng.next_index(i + 1)

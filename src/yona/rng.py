@@ -21,10 +21,10 @@ Python versions, and process/thread scheduling:
   block.  The word ``w`` is still consumed when the block's first byte is.
 
 `lane_words` and `lane_tape` are a second, vectorised implementation of the
-same conventions: the first output words of many image streams and the
-prefix of their first tape block, as numpy uint64 lanes.  The golden word
-fixture pins the scalar stream, and the lane differential test pins the
-lanes to it.
+same conventions: the first output words of the streams of a run of image
+indices and the prefix of their first tape block, as numpy uint64 lanes.
+The golden word fixture pins the scalar stream, and the lane differential
+test pins the lanes to it.
 
 Changing any of these conventions invalidates golden files and is a breaking
 change.
@@ -249,11 +249,7 @@ class RngStream:
         else:
             start = self._tape_end
             stop = _TAPE_WORDS
-        block = _TAPE_COUNTERS[start:stop] + _U64(self._tape_seed)
-        _mix64_block(block)
-        if not np.little_endian:
-            block = block.astype("<u8")
-        tape = block.view(np.uint8)
+        tape = _tape_bytes(_U64(self._tape_seed), start, stop)
         tape.flags.writeable = False  # blocks are published immutable
         self._tape = tape
         self._tape_pos = 0
@@ -343,22 +339,20 @@ def derive_image_streams(global_seed: int, image_index: int
             image_stream(global_seed, image_index, NOISE_ROLE))
 
 
-def lane_words(global_seed: int, indices: np.ndarray, role: int,
+def lane_words(global_seed: int, first_index: int, lanes: int, role: int,
                count: int) -> np.ndarray:
-    """The first ``count`` words of one named sub-stream of many images.
-
-    ``indices`` is a uint64 array of image indices; row ``j`` of the
-    ``(count, len(indices))`` result holds word ``j`` of each stream, equal
-    to ``derive_stream(SeedSpec(global_seed, image_stream_label(i, role)))``
-    stepped ``j + 1`` times.
-    """
-    label = (indices << _U64(2)) | _U64(role)
+    """Row ``j`` of the ``(count, lanes)`` result holds word ``j`` of
+    ``image_stream(global_seed, i, role)`` for each image ``i`` of
+    ``first_index .. first_index + lanes - 1``, labels wrapped as
+    `image_stream_label` wraps them."""
+    index = np.arange(lanes, dtype=np.uint64) + _U64(first_index & _MASK64)
+    label = (index << _U64(2)) | _U64(role)
     base = ((label << _U64(32)) | (label >> _U64(32))) \
         ^ _U64(global_seed & _MASK64)
     # SplitMix64 seeding: state word k mixes base + (k + 1) * GOLDEN
     s0, s1, s2, s3 = (_mix64_block(base + _TAPE_COUNTERS[k])
                       for k in range(4))
-    out = np.empty((count, indices.shape[0]), dtype=np.uint64)
+    out = np.empty((count, lanes), dtype=np.uint64)
     for j in range(count):
         x = s1 * _U64(5)
         out[j] = ((x << _U64(7)) | (x >> _U64(57))) * _U64(9)
@@ -372,12 +366,16 @@ def lane_words(global_seed: int, indices: np.ndarray, role: int,
     return out
 
 
-def lane_tape(seeds: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` bytes of the tape block of each seed word, as an
-    ``(len(seeds), n)`` uint8 array (``n`` at most one block)."""
-    words = -(-n // 8)
-    block = seeds[:, None] + _TAPE_COUNTERS[:words]
+def _tape_bytes(seeds, start: int, stop: int) -> np.ndarray:
+    """Tape bytes of block words ``start:stop`` of a seed word (or rows)."""
+    block = _TAPE_COUNTERS[start:stop] + seeds
     _mix64_block(block)
     if not np.little_endian:
         block = block.astype("<u8")
-    return block.view(np.uint8)[:, :n]
+    return block.view(np.uint8)
+
+
+def lane_tape(seeds: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` bytes of the tape block of each seed word, as an
+    ``(len(seeds), n)`` uint8 array (``n`` at most one block)."""
+    return _tape_bytes(seeds[:, None], 0, -(-n // 8))[:, :n]

@@ -204,6 +204,45 @@ def test_cifar100_bad_coarse_label(tmp_path):
         read_cifar(path, CIFAR100)
 
 
+def test_cifar100_writers_need_every_coarse_label(tmp_path):
+    # a missing coarse label is not coarse label 0
+    records = make_records(3, seed=9)
+    for i, record in enumerate(records):
+        record.coarse_label = None if i == 1 else 4
+    path = tmp_path / "batch.bin"
+    with pytest.raises(CorruptRecordError,
+                       match=r"^record 1 has no coarse label") as err:
+        write_cifar(records, path, CIFAR100)
+    assert err.value.offset == 3074
+    assert not path.exists()
+    with pytest.raises(CorruptRecordError, match=r"^record 1 has no coarse"):
+        write_augmented_dataset(records, default_spec("hflip"), None, 0,
+                                tmp_path / "out", CIFAR100)
+    assert not (tmp_path / "out").exists()
+
+
+def test_emission_picks_the_layout_from_every_record(tmp_path):
+    records = make_records(3, seed=10)
+    for labels, variant in (((None, None, None), CIFAR10),
+                            ((3, 0, 19), CIFAR100)):
+        for record, coarse in zip(records, labels):
+            record.coarse_label = coarse
+        manifest = write_augmented_dataset(records, default_spec("identity"),
+                                           None, 0, tmp_path / variant)
+        assert manifest.dataset == variant
+        back = read_cifar(tmp_path / variant / "augmented.bin", variant)
+        assert [(r.coarse_label, r.fine_label) for r in back] == \
+            [(r.coarse_label, r.fine_label) for r in records]
+    # a mix is neither layout, whichever record comes first
+    for labels in ((3, None, 7), (None, 5, None)):
+        for record, coarse in zip(records, labels):
+            record.coarse_label = coarse
+        with pytest.raises(FormatError, match="records 0 and 1 disagree"):
+            write_augmented_dataset(records, default_spec("identity"), None,
+                                    0, tmp_path / "mixed")
+        assert not (tmp_path / "mixed").exists()
+
+
 def test_unknown_variant_rejected(small_batch_file):
     with pytest.raises(ValueError):
         read_cifar(small_batch_file, "cifar1000")

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
-from yona.augment import default_spec
-from yona.compositor import YonaConfig
+import yona.evalstats as ev
+from yona.augment import apply_augmentation, default_spec
+from yona.compositor import YonaConfig, yona_apply_traced
 from yona.dataset import CifarRecord
 from yona.errors import DivergenceError
-from yona.evalstats import (PredictionRecord, benchmark_throughput,
-                            collect_stats, evaluate_probe, probe_gradients,
-                            probe_loss, rms_calibration_error,
-                            train_linear_probe)
-from yona.image import ImageTensor
+from yona.evalstats import (PredictionRecord, StatsReport,
+                            benchmark_throughput, collect_stats,
+                            evaluate_probe, probe_gradients, probe_loss,
+                            rms_calibration_error, train_linear_probe)
+from yona.image import (Axis, ConstantNoise, GaussianNoise, ImageTensor,
+                        cut_at, noise_bytes)
+from yona.rng import derive_image_streams
 
 from conftest import make_records
 
@@ -56,6 +59,82 @@ def test_stats_validation(small_records):
     with pytest.raises(ValueError):
         collect_stats([], default_spec("hflip"), YonaConfig(), seed=0,
                       n_samples=10)
+
+
+def _reference_stats(records, aug, yona_config, seed, n_samples):
+    """The per-sample `collect_stats` loop before the batch composer: each
+    sample composed alone by `yona_apply_traced`, its geometry read from
+    the trace and its noise replayed on freshly derived streams."""
+    height_hits = 0
+    first_hits = 0
+    masked_total = 0.0
+    delta_total = 0.0
+    for i in range(n_samples):
+        image = records[i % len(records)].image
+        structure, augment, noise = derive_image_streams(seed, i)
+        if yona_config is None:
+            out = apply_augmentation(aug, image, augment)
+        else:
+            out, trace = yona_apply_traced(image, aug, yona_config,
+                                           structure, augment, noise)
+            _, _, replay = derive_image_streams(seed, i)
+            expected = noise_bytes(yona_config.noise,
+                                   trace.masked_byte_count, replay)
+            first, second = cut_at(out, trace.axis, trace.boundary)
+            region = (first if trace.masked_first else second).image.array
+            assert np.array_equal(region.reshape(-1), expected)
+            masked_total += trace.masked_byte_count / image.array.size
+            height_hits += trace.axis is Axis.HEIGHT
+            first_hits += trace.masked_first
+        delta_total += float(np.mean(np.abs(
+            out.array.astype(np.int16) - image.array.astype(np.int16))))
+    if yona_config is None:
+        return StatsReport(0.0, 0.0, 0.0, delta_total / n_samples, n_samples)
+    return StatsReport(masked_total / n_samples, height_hits / n_samples,
+                       first_hits / n_samples, delta_total / n_samples,
+                       n_samples)
+
+
+@pytest.mark.parametrize("n_samples", [37, 301])  # below and above 60 records
+@pytest.mark.parametrize("spec, config", [
+    (default_spec("hflip"), None),
+    (default_spec("cutout"), None),
+    (default_spec("hflip"), YonaConfig()),
+    (default_spec("randaug"), YonaConfig()),
+    (default_spec("cutout"), YonaConfig(noise=ConstantNoise(9))),
+    (default_spec("cutout"), YonaConfig(noise=GaussianNoise())),
+    (default_spec("vflip", apply_probability=0.4), YonaConfig(
+        mask_fraction=0.3, axis_policy="height", masked_piece_policy="first",
+        region_reference="image")),
+    (default_spec("erasing"), YonaConfig(
+        mask_fraction=0.75, axis_policy="width", masked_piece_policy="second",
+        noise=GaussianNoise(10.0, 60.0))),
+])
+def test_stats_report_equals_the_per_sample_reference(small_records, spec,
+                                                      config, n_samples):
+    report = collect_stats(small_records, spec, config, -9, n_samples)
+    expected = _reference_stats(small_records, spec, config, -9, n_samples)
+    assert report.to_text() == expected.to_text()
+
+
+@pytest.mark.parametrize("config", [None, YonaConfig()])
+def test_stats_and_probe_need_one_image_shape(monkeypatch, config):
+    # a 1x32x96 record has as many pixels as a 3x32x32 one, but one batch
+    # composes one shape: both refuse it before any work
+    records = make_records(8, seed=30)
+    records[5] = CifarRecord(fine_label=1, image=ImageTensor(
+        np.zeros((1, 32, 96), np.uint8)))
+
+    def refuse(*args):
+        raise AssertionError("work started before the shape check")
+
+    monkeypatch.setattr(ev, "compose_batch", refuse)
+    message = r"^record 5 has image shape \(1, 32, 96\), record 0 has"
+    with pytest.raises(ValueError, match=message):
+        collect_stats(records, default_spec("hflip"), config, 0, 3)
+    with pytest.raises(ValueError, match=message):
+        train_linear_probe(records, default_spec("hflip"), config, epochs=1,
+                           lr=0.01, momentum=0.9, batch_size=4, seed=0)
 
 
 # --------------------------------------------------------------------------
@@ -165,6 +244,22 @@ def test_probe_training_replays():
                                 momentum=0.9, batch_size=10, seed=3)
     assert l1 == l2
     assert np.array_equal(m1.weights, m2.weights)
+
+
+def test_probe_loss_history_is_pinned():
+    # recorded before the probe composed each epoch as one batch
+    records = make_records(40, seed=26, num_classes=4)
+    pinned = {
+        "randaug": ["0x1.62e42fefa39efp+0", "0x1.0b5592051c052p+1",
+                    "0x1.40ae614c97082p+0", "0x1.3c279a85fbfcap+0"],
+        "hflip": ["0x1.62e42fefa39efp+0", "0x1.686b2745dab0ep+0",
+                  "0x1.8b82a43f8a328p-3", "0x1.633f119f2591cp-4"],
+    }
+    for kind, config in (("randaug", YonaConfig()), ("hflip", None)):
+        _, losses = train_linear_probe(records, default_spec(kind), config,
+                                       epochs=3, lr=0.01, momentum=0.9,
+                                       batch_size=10, seed=7)
+        assert [loss.hex() for loss in losses] == pinned[kind], kind
 
 
 def test_probe_divergence_raises():

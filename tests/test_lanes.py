@@ -1,16 +1,19 @@
-"""The batch path of `write_augmented_dataset` against the scalar
-reference: every record it emits equals `yona_apply` (or
+"""The batch composer `compose_batch` (the path of `write_augmented_dataset`,
+the probe, `stats` and `compose_record`) against the scalar
+reference: every record it composes equals `yona_apply` (or
 `apply_augmentation` without yona) alone on `derive_image_streams(seed, i)`,
 for every augmentation kind and every noise.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import yona.compositor as comp
 import yona.dataset as ds
 from yona.augment import (KINDS, apply_augmentation, default_spec,
                           parse_policy)
@@ -26,8 +29,8 @@ seeds = st.one_of(st.integers(-2**70, -1), st.just(0),
 # labels wrap at 2**62: (index << 2) | role is taken mod 2**64
 first_indices = st.one_of(st.just(0), st.integers(0, 10**6),
                           st.integers(2**62 - 600, 2**62 + 600))
-counts = st.one_of(st.just(1), st.integers(ds._LANES - 2, ds._LANES + 2),
-                   st.integers(1, 2 * ds._LANES + 3))
+counts = st.one_of(st.just(1), st.integers(comp._LANES - 2, comp._LANES + 2),
+                   st.integers(1, 2 * comp._LANES + 3))
 probabilities = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
                           st.floats(0.0, 1.0))
 noises = st.one_of(st.just(UniformNoise()),
@@ -68,18 +71,26 @@ def _scalar(image, spec, config, seed, index):
     return yona_apply(image, spec, config, structure, augment, noise)
 
 
-def _images(count, seed):
+def _images(count, seed, shape=(3, 32, 32)):
     pixels = np.random.default_rng(seed).integers(
-        0, 256, (count, 3, 32, 32), dtype=np.uint8)
+        0, 256, (count,) + shape, dtype=np.uint8)
     return [ImageTensor(a) for a in pixels]
 
 
 def _check_lanes(images, first, spec, config, seed):
-    out = np.zeros((len(images), 3, 32, 32), dtype=np.uint8)
-    ds._augment_lanes(images, first, spec, config, seed, out)
-    for j, image in enumerate(images):
-        expected = _scalar(image, spec, config, seed, first + j)
-        assert np.array_equal(out[j], expected.array), j
+    """Compare every record; where the scalar path raises GeometryError at
+    some record, the batch must raise that record's error.  Returns it."""
+    out = np.zeros((len(images),) + images[0].shape, dtype=np.uint8)
+    try:
+        expected = [_scalar(image, spec, config, seed, first + j)
+                    for j, image in enumerate(images)]
+    except GeometryError as exc:
+        with pytest.raises(GeometryError, match=f"^{re.escape(str(exc))}$"):
+            comp.compose_batch(images, first, spec, config, seed, out)
+        return exc
+    comp.compose_batch(images, first, spec, config, seed, out)
+    for j, image in enumerate(expected):
+        assert np.array_equal(out[j], image.array), j
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -101,7 +112,39 @@ def test_lanes_match_the_scalar_path(kind, fraction, seed, first, count, p,
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
 def test_every_spec_matches_the_scalar_path(spec, config):
     # crosses a chunk boundary and the 2**62 wrap of index labels
-    _check_lanes(_images(ds._LANES + 5, 3), 2**62 - 100, spec, config, -7)
+    _check_lanes(_images(comp._LANES + 5, 3), 2**62 - 100, spec, config, -7)
+
+
+@pytest.mark.parametrize("shape", [(3, 17, 40), (3, 40, 17), (1, 9, 30),
+                                   (1, 32, 32), (1, 2, 2)])
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("kind", ["hflip", "vflip", "cutout", "randaug"])
+def test_other_shapes_match_the_scalar_path(kind, config, shape):
+    # the axes mask different byte counts; 0.3 of 2 pixels rounds to 1
+    _check_lanes(_images(20, 5, shape), 2**62 - 7, default_spec(
+        kind, apply_probability=0.8), config, 11)
+
+
+@pytest.mark.parametrize("kind", ["hflip", "cutout"])
+@pytest.mark.parametrize("shape", [(3, 256, 256), (1, 3, 40000)])
+def test_pieces_longer_than_a_tape_block_match_the_scalar_path(kind, shape):
+    # 98,304 masked bytes either way on 3x256x256; on 1x3x40000 a height
+    # cut masks 80,000 bytes and a width cut 60,000, which fit one block:
+    # uniform noise longer than a block is drawn on each noise stream
+    _check_lanes(_images(6, 6, shape), 5, default_spec(kind), YonaConfig(),
+                 2)
+
+
+def test_unhostable_group_raises_for_the_first_record_selecting_it():
+    # 0.02 of 9 rows rounds to 0 pixels, of 20 columns too, of 30 to 1;
+    # record 0 cuts the width at seed 3 and the height at seed 4
+    spec = default_spec("hflip")
+    for seed, (shape, axis, fails) in itertools.product((3, 4), (
+            ((1, 9, 30), "random", True), ((1, 9, 20), "random", True),
+            ((1, 9, 30), "width", False))):
+        config = YonaConfig(mask_fraction=0.02, axis_policy=axis)
+        error = _check_lanes(_images(40, 7, shape), 0, spec, config, seed)
+        assert (error is not None) == fails, shape
 
 
 def test_lanes_match_the_scalar_path_on_every_policy():
@@ -133,9 +176,8 @@ def test_gate_at_exactly_the_apply_probability(kind):
 def test_lane_words_and_tape_match_scalar_streams(seed, first, role, count,
                                                   nbytes):
     indices = [first + j for j in range(7)]
-    lanes = np.array([i & (2**62 - 1) for i in indices], dtype=np.uint64)
-    words = lane_words(seed, lanes, role, count)
-    tape = lane_tape(lane_words(seed, lanes, role, 1)[0], nbytes)
+    words = lane_words(seed, first, 7, role, count)
+    tape = lane_tape(lane_words(seed, first, 7, role, 1)[0], nbytes)
     for j, index in enumerate(indices):
         spec = SeedSpec(seed, image_stream_label(index, role))
         assert words[:, j].tolist() == derive_stream(spec).next_words(count)
@@ -161,24 +203,24 @@ def test_emission_mixes_lanes_and_scalar_records(tmp_path, monkeypatch,
     # a 1x32x96 record has 3072 pixel bytes too, but is no CIFAR record:
     # every shape is checked before any work, for a flip scatter (hflip)
     # and a per-record kept piece (cutout) alike
-    records = _records(2 * ds._LANES + 9, variant,
-                       {ds._LANES + 3: (1, 32, 96)})
+    records = _records(2 * comp._LANES + 9, variant,
+                       {comp._LANES + 3: (1, 32, 96)})
 
     def refuse(*args):
         raise AssertionError("work started before the shape check")
 
-    monkeypatch.setattr(ds, "_augment_lanes", refuse)
-    monkeypatch.setattr(ds, "image_stream", refuse)
+    monkeypatch.setattr(ds, "compose_batch", refuse)
+    monkeypatch.setattr(comp, "image_stream", refuse)
     for kind in ("hflip", "cutout"):
         out_dir = tmp_path / kind
         with pytest.raises(FormatError,
-                           match=rf"record {ds._LANES + 3} .*\(1, 32, 96\)"):
+                           match=rf"record {comp._LANES + 3} .*\(1, 32, 96\)"):
             write_augmented_dataset(records, default_spec(kind), config, -5,
                                     out_dir, variant)
         assert not out_dir.exists()
     # without it, every record's labels and scalar bytes are emitted
     monkeypatch.undo()
-    del records[ds._LANES + 3]
+    del records[comp._LANES + 3]
     for kind in ("hflip", "cutout"):
         spec = default_spec(kind)
         write_augmented_dataset(records, spec, config, -5, tmp_path / kind,
@@ -186,9 +228,10 @@ def test_emission_mixes_lanes_and_scalar_records(tmp_path, monkeypatch,
         table = np.fromfile(tmp_path / kind / "augmented.bin",
                             dtype=np.uint8).reshape(len(records), -1)
         for i, record in enumerate(records):
-            labels = ds._labels(record, variant)
+            labels = [record.fine_label] if variant == "cifar10" else [
+                record.coarse_label, record.fine_label]
             expected = _scalar(record.image, spec, config, -5, i)
-            assert table[i, :len(labels)].tolist() == list(labels)
+            assert table[i, :len(labels)].tolist() == labels
             assert table[i, len(labels):].tobytes() == expected.to_bytes(), i
 
 
