@@ -644,17 +644,17 @@ class AugmentationSpec:
             raise ValueError(
                 f"apply_probability {self.apply_probability} outside [0, 1]")
         for name in ("brightness", "contrast", "saturation"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} factor must be >= 0, got "
-                                 f"{getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} factor must be finite and >= 0, "
+                                 f"got {getattr(self, name)}")
         if not 0.0 <= self.hue <= 0.5:
             raise ValueError(f"hue must be in [0, 0.5], got {self.hue}")
         if not 0 < self.erase_scale[0] <= self.erase_scale[1] < 1:
             raise ValueError(
                 f"erase_scale must nest inside (0, 1), got {self.erase_scale}")
-        if not 0 < self.erase_ratio[0] <= self.erase_ratio[1]:
-            raise ValueError(
-                f"erase_ratio must be positive, got {self.erase_ratio}")
+        if not 0 < self.erase_ratio[0] <= self.erase_ratio[1] < math.inf:
+            raise ValueError(f"erase_ratio must be finite and positive, got "
+                             f"{self.erase_ratio}")
         if not 0 <= self.erase_fill <= 255 or not 0 <= self.cutout_fill <= 255:
             raise ValueError("fill values must be bytes")
         if not 0.0 < self.cutout_area_fraction <= 1.0:

@@ -2,7 +2,10 @@
 
 Commands: augment, preview, stats, bench, probe.  Every command is a pure
 function of (input files, flags, seed): rerunning reproduces byte-identical
-outputs.  Exit codes: 0 success, 1 usage, 2 format, 3 I/O, 4 gate violation.
+outputs, and every output file (reports included) is renamed into place
+whole.  Exit codes: 0 success, 1 usage (a bad flag value, such as a
+non-finite parameter) or a diverged probe, 2 format, 3 I/O, 4 gate
+violation; each mapped failure prints one line on stderr.
 
 Flags may also be supplied through a JSON file (``--config``) whose keys
 mirror flag destinations; explicit flags win over file values, and unknown
@@ -20,7 +23,7 @@ from . import augment as aug_mod
 from . import compositor as comp
 from . import dataset as ds
 from . import evalstats as ev
-from .errors import FormatError
+from .errors import DivergenceError, FormatError
 from .image import ConstantNoise, GaussianNoise, UniformNoise
 
 
@@ -284,8 +287,7 @@ def cmd_stats(args) -> None:
                               args.seed, args.n)
     sys.stdout.write(report.to_text())
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_text())
+        ds.write_atomic(args.report, report.to_text().encode())
     _check_bound("axis_height_frequency", report.axis_height_frequency,
                  args.gate_axis_low, args.gate_axis_high)
     _check_bound("masked_fraction_mean", report.masked_fraction_mean,
@@ -314,8 +316,7 @@ def cmd_bench(args) -> None:
                                      seed=args.seed)
     sys.stdout.write(result.to_text())
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(result.to_text())
+        ds.write_atomic(args.report, result.to_text().encode())
     if args.gate_ratio is not None and result.ratio > args.gate_ratio:
         raise GateViolation(
             f"ratio={result.ratio:.3f} above bound {args.gate_ratio}")
@@ -397,6 +398,9 @@ def main(argv=None) -> int:
         return 2
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except DivergenceError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

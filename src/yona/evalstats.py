@@ -10,6 +10,7 @@ deep-network accuracy.  Stats and probe compose with `compose_batch`, as
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -168,8 +169,15 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
     e * n + n - 1`` in epoch ``e`` (of one image shape).  Returns the model
     plus the loss history: entry 0 is the pre-training loss and entry e the
     loss after epoch e, both measured on the un-augmented training set.
-    Raises DivergenceError if any batch produces a non-finite loss.
+    Raises ValueError before any work for ``batch_size < 1`` or a
+    non-finite ``lr`` or ``momentum``, and DivergenceError if any batch or
+    epoch produces a non-finite loss.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    for name, value in (("lr", lr), ("momentum", momentum)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     records = list(train_records)
     if not records:
         raise ValueError("training needs at least one record")
@@ -193,8 +201,11 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
     spec = aug if aug is not None else AugmentationSpec(kind="identity")
     # plain identity feeds the clean features every epoch
     fresh = spec.kind != "identity" or yona_config is not None
-    epoch_features = np.empty_like(clean) if fresh else clean
-    composed = np.empty((n,) + shape, dtype=np.uint8)  # untouched unless fresh
+    if fresh:
+        epoch_features = np.empty_like(clean)
+        composed = np.empty((n,) + shape, dtype=np.uint8)
+    else:
+        epoch_features = clean
     for epoch in range(epochs):
         if fresh:
             compose_batch([r.image for r in records], epoch * n, spec,
@@ -204,20 +215,25 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
         for i in range(n - 1, 0, -1):  # Fisher-Yates on the probe stream
             j = shuffle_rng.next_index(i + 1)
             order[i], order[j] = order[j], order[i]
-        for start in range(0, n, batch_size):
-            batch = order[start:start + batch_size]
-            x, y = epoch_features[batch], labels[batch]
-            loss = probe_loss(weights, bias, x, y)
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite loss in epoch {epoch}, batch starting at "
-                    f"{start}")
-            grad_w, grad_b = probe_gradients(weights, bias, x, y)
-            vel_w = momentum * vel_w + grad_w
-            vel_b = momentum * vel_b + grad_b
-            weights = weights - lr * vel_w
-            bias = bias - lr * vel_b
-        losses.append(probe_loss(weights, bias, clean, labels))
+        # a non-finite loss raises DivergenceError, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, batch_size):
+                batch = order[start:start + batch_size]
+                x, y = epoch_features[batch], labels[batch]
+                loss = probe_loss(weights, bias, x, y)
+                if not np.isfinite(loss):
+                    raise DivergenceError(
+                        f"non-finite loss in epoch {epoch}, batch starting "
+                        f"at {start}")
+                grad_w, grad_b = probe_gradients(weights, bias, x, y)
+                vel_w = momentum * vel_w + grad_w
+                vel_b = momentum * vel_b + grad_b
+                weights = weights - lr * vel_w
+                bias = bias - lr * vel_b
+            loss = probe_loss(weights, bias, clean, labels)
+        if not np.isfinite(loss):
+            raise DivergenceError(f"non-finite loss after epoch {epoch}")
+        losses.append(loss)
     return ProbeModel(weights=weights, bias=bias), losses
 
 

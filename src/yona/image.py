@@ -128,8 +128,11 @@ class GaussianNoise:
     stddev: float = 32.0
 
     def __post_init__(self):
-        if self.stddev <= 0:
-            raise ValueError(f"stddev must be > 0, got {self.stddev}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not 0 < self.stddev < math.inf:
+            raise ValueError(f"stddev must be finite and > 0, got "
+                             f"{self.stddev}")
 
 
 NoiseKind = Union[UniformNoise, ConstantNoise, GaussianNoise]

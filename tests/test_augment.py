@@ -1,5 +1,7 @@
 """The augmentation catalogue: defaults, kernels, policies, invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,15 @@ def test_unknown_kind_rejected():
 def test_apply_probability_validation():
     with pytest.raises(ValueError):
         AugmentationSpec(kind="hflip", apply_probability=1.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("brightness", math.nan), ("contrast", math.inf),
+    ("saturation", -math.inf), ("erase_ratio", (0.3, math.inf)),
+    ("erase_ratio", (math.nan, 3.3)), ("erase_ratio", (0.3, math.nan))])
+def test_non_finite_parameters_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        AugmentationSpec(kind="jitter", **{field: value})
 
 
 # --------------------------------------------------------------------------

@@ -266,6 +266,21 @@ def test_probe_negative_eval_count_is_usage_error(small_batch_file, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--batch-size", "-5"], "usage error: batch_size"),
+    (["--batch-size", "0"], "usage error: batch_size"),
+    (["--lr", "nan"], "usage error: lr"),
+    (["--lr", "inf"], "usage error: lr"),
+    (["--lr", "1e308"], "training diverged: ")])
+def test_probe_bad_hyperparameters_exit_1(small_batch_file, capsys, flags,
+                                          message):
+    code, out, err = run(capsys, "probe", "--dataset", str(small_batch_file),
+                         "--train-count", "40", "--epochs", "2", *flags)
+    assert code == 1
+    assert err.startswith(message) and err.count("\n") == 1
+    assert "epoch_loss" not in out
+
+
 def test_probe_end_to_end(small_batch_file, capsys):
     code, out, _ = run(capsys, "probe", "--dataset", str(small_batch_file),
                        "--train-count", "40", "--eval-count", "20",
@@ -321,6 +336,20 @@ def test_noise_flag_parsing(tmp_path, small_batch_file, capsys):
     code, _, err = run(capsys, "augment", "--dataset", str(small_batch_file),
                        "--noise", "sparkles", "--out", str(tmp_path / "nx"))
     assert code == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--aug", "jitter", "--apply-probability", "1",
+     "--jitter-brightness", "nan"],
+    ["--noise", "gaussian:127.5,nan"],
+    ["--aug", "erasing", "--erase-ratio", "0.3", "inf"]])
+def test_augment_rejects_non_finite_parameters(tmp_path, small_batch_file,
+                                               capsys, flags):
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "augment", "--dataset",
+                         str(small_batch_file), "--out", str(out_dir), *flags)
+    assert code == 1 and "usage error" in err and out == ""
+    assert not out_dir.exists()
 
 
 def test_missing_dataset_is_io_error(tmp_path, capsys):

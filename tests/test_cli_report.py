@@ -1,5 +1,7 @@
 """Report-file output for the stats and bench commands."""
 
+import os
+
 from yona.cli import main
 
 
@@ -20,3 +22,19 @@ def test_bench_report_file(tmp_path, capsys):
     assert code == 0
     assert report.read_text() == out
     assert "ratio=" in report.read_text()
+
+
+def test_failed_report_write_keeps_the_earlier_report(
+        tmp_path, small_batch_file, capsys, monkeypatch):
+    def failing(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing)
+    report = tmp_path / "report.txt"
+    report.write_text("earlier report\n")
+    for argv in (["stats", "--dataset", str(small_batch_file), "--n", "50"],
+                 ["bench", "--aug", "identity", "--iterations", "200"]):
+        code = main(argv + ["--report", str(report)])
+        assert code == 3 and "disk full" in capsys.readouterr().err
+        assert report.read_text() == "earlier report\n"
+        assert os.listdir(tmp_path) == ["report.txt"]

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from yona.augment import apply_augmentation, default_spec
+from yona.augment import KINDS, apply_augmentation, default_spec
 from yona.compositor import (YonaConfig, compose_record, yoco_apply,
                              yona_apply, yona_apply_fraction,
                              yona_apply_traced)
 from yona.errors import GeometryError
 from yona.image import (Axis, ConstantNoise, GaussianNoise, ImageTensor,
-                        UniformNoise, concat, cut_at, mask_noise)
+                        UniformNoise, concat, cut_at, mask_noise, noise_bytes,
+                        round_half_up)
 from yona.rng import SeedSpec, derive_image_streams, derive_stream
 
 from conftest import make_image
@@ -94,6 +97,52 @@ def test_fast_path_equals_traced_path():
         assert fast == traced
         assert trace.masked_byte_count == masked_region(
             traced.array, trace).size
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 10**6),
+       shape=st.tuples(st.integers(1, 3), st.integers(2, 40),
+                       st.integers(2, 40)),
+       fraction=st.floats(0.1, 0.9),
+       axis=st.sampled_from(["random", "height", "width"]),
+       side=st.sampled_from(["random", "first", "second"]),
+       noise=st.one_of(st.just(UniformNoise()),
+                       st.builds(ConstantNoise, st.integers(0, 255)),
+                       st.builds(GaussianNoise, st.floats(-50.0, 300.0),
+                                 st.floats(0.5, 80.0))),
+       kind=st.sampled_from(KINDS), p=st.sampled_from([0.5, 1.0]))
+def test_composition_invariants(seed, index, shape, fraction, axis, side,
+                                noise, kind, p):
+    img = make_image(np.random.default_rng(index), *shape)
+    spec = default_spec(kind, apply_probability=p)
+    config = YonaConfig(mask_fraction=fraction, axis_policy=axis,
+                        masked_piece_policy=side, noise=noise)
+    try:
+        out, trace = yona_apply_traced(img, spec, config,
+                                       *derive_image_streams(seed, index))
+    except GeometryError:
+        # only an axis the fraction cannot split leaves no composition
+        assert any(not 1 <= round_half_up(fraction * extent) <= extent - 1
+                   for extent in shape[1:])
+        return
+    except ValueError as exc:  # e.g. a grid larger than the kept piece
+        out, error = None, str(exc)
+        # the structure and noise streams do not depend on the kind
+        _, trace = yona_apply_traced(img, default_spec("identity"), config,
+                                     *derive_image_streams(seed, index))
+    _, augment, noise_rng = derive_image_streams(seed, index)
+    kept = ImageTensor(augmented_region(img.array, trace).copy())
+    if out is None:
+        with pytest.raises(ValueError) as alone:
+            apply_augmentation(spec, kept, augment)
+        assert str(alone.value) == error
+        return
+    assert out.shape == img.shape
+    masked = masked_region(out.array, trace)
+    assert np.array_equal(masked.reshape(-1), noise_bytes(
+        noise, trace.masked_byte_count, noise_rng))
+    assert np.array_equal(augmented_region(out.array, trace),
+                          apply_augmentation(spec, kept, augment).array)
 
 
 def test_shape_preserved_everywhere():

@@ -10,8 +10,8 @@ import pytest
 
 from yona.augment import default_cifar10_policy, default_spec, parse_policy
 from yona.compositor import YonaConfig, yona_apply
-from yona.dataset import (_FNV_CHUNK, CIFAR10, CIFAR100, FNV_OFFSET,
-                          CifarRecord, DatasetManifest, describe_augmentation,
+from yona.dataset import (CIFAR10, CIFAR100, FNV_OFFSET, CifarRecord,
+                          DatasetManifest, describe_augmentation,
                           describe_yona, fnv1a_64, read_cifar, read_png,
                           write_augmented_dataset, write_cifar, write_png)
 from yona.errors import CorruptRecordError, FormatError
@@ -27,32 +27,34 @@ def test_fnv1a_reference_vectors():
     assert fnv1a_64(b"foobar") == 0x85944171F73967E8
 
 
-def _fnv1a_64_scalar(data, value=FNV_OFFSET):
-    """Reference FNV-1a: one byte at a time, Python integers."""
-    for byte in data:
-        value = ((value ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return value
+# FNV-1a of 0..n random bytes (default_rng(n)) from FNV_OFFSET, as a
+# vectorised implementation computed them independently of the loop
+_FNV_PINS = {0: 0xCBF29CE484222325, 1: 0xAF64724C8602EB6E,
+             63: 0xB11A82E3268EB892, 64: 0xD6528B4AD9771E1B,
+             65: 0x3DD7220D822E0E31, 65535: 0x462F9ADCE53E4E8F,
+             65536: 0x14AB4C591EB80BEA, 65537: 0xA59487D6F5761AB3,
+             196625: 0x7D7A6F603ABFECA2}
 
 
-@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, _FNV_CHUNK - 1, _FNV_CHUNK,
-                               _FNV_CHUNK + 1, 3 * _FNV_CHUNK + 17])
+@pytest.mark.parametrize("n", sorted(_FNV_PINS))
 def test_fnv1a_matches_scalar_loop(n):
     rng = np.random.default_rng(n)
-    for data in (rng.integers(0, 256, n, dtype=np.uint8).tobytes(),
-                 bytes(n), b"\xff" * n):
+    data = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+    assert fnv1a_64(data) == _FNV_PINS[n]
+    for data in (data, bytes(n), b"\xff" * n):
         for value in (FNV_OFFSET, 0, 12345, 2**64 - 1):
-            expected = _fnv1a_64_scalar(data, value)
-            assert fnv1a_64(data, value) == expected
+            expected = fnv1a_64(data, value)
             assert fnv1a_64(bytearray(data), value) == expected
             assert fnv1a_64(memoryview(data), value) == expected
+            assert fnv1a_64(np.frombuffer(data, np.uint8), value) == expected
 
 
 def test_fnv1a_chains_across_splits():
     rng = np.random.default_rng(3)
-    data = rng.integers(0, 256, 2 * _FNV_CHUNK + 100, dtype=np.uint8).tobytes()
+    data = rng.integers(0, 256, 131172, dtype=np.uint8).tobytes()
     whole = fnv1a_64(data)
-    for cut in (0, 1, 64, 1000, _FNV_CHUNK - 1, _FNV_CHUNK, _FNV_CHUNK + 3,
-                len(data) - 1, len(data)):
+    for cut in (0, 1, 64, 1000, 65535, 65536, 65539, len(data) - 1,
+                len(data)):
         assert fnv1a_64(data[cut:], fnv1a_64(data[:cut])) == whole
 
 

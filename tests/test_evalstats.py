@@ -1,5 +1,8 @@
 """Statistics collection, the linear probe, calibration, and benchmarking."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -267,6 +270,53 @@ def test_probe_divergence_raises():
         with np.errstate(all="ignore"):
             train_linear_probe(toy_records(), None, None, epochs=5, lr=1e308,
                                momentum=0.9, batch_size=4, seed=0)
+
+
+def test_probe_divergence_in_the_last_step_raises():
+    # one batch per epoch: the only batch loss is finite, the update is not
+    with pytest.raises(DivergenceError):
+        train_linear_probe(toy_records(), None, None, epochs=1, lr=1e308,
+                           momentum=0.9, batch_size=20, seed=0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("batch_size", 0), ("batch_size", -5), ("lr", math.nan),
+    ("lr", math.inf), ("momentum", math.nan), ("momentum", -math.inf)])
+def test_probe_rejects_bad_hyperparameters(name, value):
+    args = dict(epochs=1, lr=0.1, momentum=0.9, batch_size=4, seed=0)
+    args[name] = value
+
+    def records():  # checked before any record is read
+        raise AssertionError("records consumed")
+        yield
+
+    with pytest.raises(ValueError, match=name):
+        train_linear_probe(records(), None, None, **args)
+
+
+def test_identity_probe_allocates_no_composition_buffer(monkeypatch):
+    # a uint8 (n, C, H, W) buffer is live during training only when the
+    # probe composes
+    records = toy_records()
+    composed = len(records) * 3 * 32 * 32
+    gradients = ev.probe_gradients
+    live = []
+
+    def spy(*args):  # one batch per epoch: called once per run
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, ev.__file__)])
+        live.append(composed in {trace.size for trace in snapshot.traces})
+        return gradients(*args)
+
+    monkeypatch.setattr(ev, "probe_gradients", spy)
+    tracemalloc.start()
+    try:
+        for spec in (None, default_spec("hflip")):
+            train_linear_probe(records, spec, None, epochs=1, lr=0.1,
+                               momentum=0.9, batch_size=20, seed=0)
+    finally:
+        tracemalloc.stop()
+    assert live == [False, True]
 
 
 def test_probe_validation():

@@ -1,5 +1,7 @@
 """Structural primitives: cut, mask, concat, and their invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,11 @@ def test_noise_kind_validation():
         ConstantNoise(300)
     with pytest.raises(ValueError):
         GaussianNoise(stddev=0.0)
+    for mean, stddev in ((math.nan, 32.0), (math.inf, 32.0),
+                         (127.5, math.nan), (127.5, math.inf)):
+        with pytest.raises(ValueError, match="mean" if stddev == 32.0
+                           else "stddev"):
+            GaussianNoise(mean, stddev)
 
 
 def test_pieces_may_be_thin():
