@@ -9,6 +9,12 @@ Every operation is a pure function of (parameters, image, rng state):
 replaying with an identical stream state reproduces identical bytes.
 Geometric resampling is nearest-neighbor with zero fill, which keeps
 outputs bit-exact and golden-testable at small image sizes.
+
+The primitive kernels are batch-shaped: each maps a (..., C, H, W) stack
+and gives every image the bytes it gets alone, so the scalar path and the
+batch composer share one copy.  `_policy_lanes` walks many records'
+augment-stream words as randaug or autoaug draw them, and
+`_run_policy_slots` applies the ops once per (op, magnitude) group.
 """
 
 from __future__ import annotations
@@ -94,12 +100,15 @@ def _uniform_in(rng: RngStream, lo: float, hi: float) -> float:
 
 
 def _gray(x: np.ndarray) -> np.ndarray:
-    """Luminance plane of a float (C, H, W) buffer, shape (1, H, W)."""
-    if x.shape[0] == 3:
-        g = 0.299 * x[0] + 0.587 * x[1] + 0.114 * x[2]
-    else:
-        g = x.mean(axis=0)
-    return g[None, :, :]
+    """Luminance planes of a float (..., C, H, W) buffer, shape
+    (..., 1, H, W)."""
+    if x.shape[-3] == 3:
+        return (0.299 * x[..., 0:1, :, :] + 0.587 * x[..., 1:2, :, :]
+                + 0.114 * x[..., 2:3, :, :])
+    return x.mean(axis=-3, keepdims=True)
+
+
+_IDENTITY_LUT = np.arange(256, dtype=np.uint8)
 
 
 # --------------------------------------------------------------------------
@@ -128,25 +137,28 @@ def _reflect_indices(idx: np.ndarray, n: int) -> np.ndarray:
 
 def _affine_nearest(arr: np.ndarray, a: float, b: float, c: float, d: float,
                     oy: float = 0.0, ox: float = 0.0,
-                    reflect: bool = False, fill: int = 0) -> np.ndarray:
-    """Inverse-mapped affine resample of a (C, H, W) buffer.
+                    reflect: bool = False) -> np.ndarray:
+    """Inverse-mapped affine resample of a (..., C, H, W) buffer.
 
     For output pixel (y, x) with offsets (dy, dx) from the image center,
     the source position is ``(a*dy + b*dx + cy + oy, c*dy + d*dx + cx + ox)``
     rounded to the nearest index.  Out-of-range sources reflect at the
-    borders or read as ``fill``.
+    borders or read as zero.  One flat index map serves every plane.
     """
-    h, w = arr.shape[1], arr.shape[2]
+    h, w = arr.shape[-2:]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     dy = (np.arange(h, dtype=np.float64) - cy)[:, None]
     dx = (np.arange(w, dtype=np.float64) - cx)[None, :]
     sy = np.floor(a * dy + b * dx + (cy + oy) + 0.5).astype(np.int64)
     sx = np.floor(c * dy + d * dx + (cx + ox) + 0.5).astype(np.int64)
+    planes = arr.reshape(arr.shape[:-2] + (h * w,))
     if reflect:
-        return arr[:, _reflect_indices(sy, h), _reflect_indices(sx, w)]
+        return planes[..., _reflect_indices(sy, h) * w
+                      + _reflect_indices(sx, w)]
     valid = (sy >= 0) & (sy < h) & (sx >= 0) & (sx < w)
-    gathered = arr[:, np.clip(sy, 0, h - 1), np.clip(sx, 0, w - 1)]
-    return np.where(valid[None, :, :], gathered, np.uint8(fill))
+    out = planes[..., np.clip(sy, 0, h - 1) * w + np.clip(sx, 0, w - 1)]
+    out *= valid
+    return out
 
 
 def _rotate_arr(arr, degrees, reflect=False):
@@ -165,12 +177,12 @@ def _shear_y_arr(arr, factor, reflect=False):
 
 def _translate_x_arr(arr, fraction, reflect=False):
     return _affine_nearest(arr, 1.0, 0.0, 0.0, 1.0,
-                           ox=-fraction * arr.shape[2], reflect=reflect)
+                           ox=-fraction * arr.shape[-1], reflect=reflect)
 
 
 def _translate_y_arr(arr, fraction, reflect=False):
     return _affine_nearest(arr, 1.0, 0.0, 0.0, 1.0,
-                           oy=-fraction * arr.shape[1], reflect=reflect)
+                           oy=-fraction * arr.shape[-2], reflect=reflect)
 
 
 # --------------------------------------------------------------------------
@@ -190,36 +202,30 @@ def _posterize_arr(arr, bits):
 
 
 def _autocontrast_arr(arr):
-    out = np.empty_like(arr)
+    planes = arr.reshape(-1, arr.shape[-2] * arr.shape[-1])
+    lo = planes.min(axis=1).astype(np.int64)[:, None]
+    span = planes.max(axis=1).astype(np.int64)[:, None] - lo
     ramp = np.arange(256, dtype=np.float64)
-    for ch in range(arr.shape[0]):
-        plane = arr[ch]
-        lo, hi = int(plane.min()), int(plane.max())
-        if hi <= lo:
-            out[ch] = plane
-            continue
-        lut = _to_u8((ramp - lo) * (255.0 / (hi - lo)))
-        out[ch] = lut[plane]
-    return out
+    lut = _to_u8((ramp - lo) * (255.0 / np.maximum(span, 1)))
+    lut = np.where(span > 0, lut, _IDENTITY_LUT)  # a flat plane is kept
+    return np.take_along_axis(lut, planes, axis=1).reshape(arr.shape)
 
 
 def _equalize_arr(arr):
-    out = np.empty_like(arr)
-    for ch in range(arr.shape[0]):
-        plane = arr[ch]
-        histo = np.bincount(plane.ravel(), minlength=256)
-        step = (int(histo.sum()) - int(histo[255])) // 255
-        if step == 0:
-            out[ch] = plane
-            continue
-        cumulative = np.concatenate(([0], np.cumsum(histo)[:-1]))
-        lut = np.minimum((step // 2 + cumulative) // step, 255).astype(np.uint8)
-        out[ch] = lut[plane]
-    return out
+    planes = arr.reshape(-1, arr.shape[-2] * arr.shape[-1])
+    count = planes.shape[0]
+    offsets = np.arange(0, 256 * count, 256)[:, None]
+    histo = np.bincount((planes + offsets).ravel(),
+                        minlength=256 * count).reshape(count, 256)
+    step = (planes.shape[1] - histo[:, 255:]) // 255
+    cumulative = np.cumsum(histo, axis=1) - histo
+    lut = np.minimum((step // 2 + cumulative) // np.maximum(step, 1), 255)
+    # a plane with fewer than 255 bytes below 255 (step 0) keeps its bytes
+    lut = np.where(step > 0, lut, _IDENTITY_LUT).astype(np.uint8)
+    return np.take_along_axis(lut, planes, axis=1).reshape(arr.shape)
 
 
-def _enhance(arr, degenerate, factor):
-    x = arr.astype(np.float64)
+def _enhance(x, degenerate, factor):
     return _to_u8(degenerate + (x - degenerate) * factor)
 
 
@@ -229,32 +235,38 @@ def _brightness_arr(arr, factor):
 
 def _color_arr(arr, factor):
     x = arr.astype(np.float64)
-    return _enhance(arr, _gray(x), factor)
+    return _enhance(x, _gray(x), factor)
 
 
 def _contrast_arr(arr, factor):
     x = arr.astype(np.float64)
-    return _enhance(arr, float(_gray(x).mean()), factor)
+    gray = _gray(x)
+    # each image's mean over its flattened plane: the summation order of
+    # that image's mean alone
+    mean = gray.reshape(gray.shape[:-3] + (-1,)).mean(axis=-1)
+    return _enhance(x, mean[..., None, None, None], factor)
 
 
 def _smooth_arr(x: np.ndarray) -> np.ndarray:
     """3x3 [[1,1,1],[1,5,1],[1,1,1]]/13 smoothing of the interior; borders
     keep their original values."""
     out = x.copy()
-    if x.shape[1] < 3 or x.shape[2] < 3:
+    if x.shape[-2] < 3 or x.shape[-1] < 3:
         return out
-    acc = (x[:, :-2, :-2] + x[:, :-2, 1:-1] + x[:, :-2, 2:]
-           + x[:, 1:-1, :-2] + 5.0 * x[:, 1:-1, 1:-1] + x[:, 1:-1, 2:]
-           + x[:, 2:, :-2] + x[:, 2:, 1:-1] + x[:, 2:, 2:])
-    out[:, 1:-1, 1:-1] = acc / 13.0
+    acc = (x[..., :-2, :-2] + x[..., :-2, 1:-1] + x[..., :-2, 2:]
+           + x[..., 1:-1, :-2] + 5.0 * x[..., 1:-1, 1:-1] + x[..., 1:-1, 2:]
+           + x[..., 2:, :-2] + x[..., 2:, 1:-1] + x[..., 2:, 2:])
+    out[..., 1:-1, 1:-1] = acc / 13.0
     return out
 
 
 def _sharpness_arr(arr, factor):
     x = arr.astype(np.float64)
-    return _enhance(arr, _smooth_arr(x), factor)
+    return _enhance(x, _smooth_arr(x), factor)
 
 
+# Every kernel maps a (..., C, H, W) uint8 buffer to a new one of the same
+# shape; each leading index gets the bytes the kernel gives that image alone.
 _PRIMITIVE_KERNELS = {
     "ShearX": lambda arr, m: _shear_x_arr(arr, m),
     "ShearY": lambda arr, m: _shear_y_arr(arr, m),
@@ -741,3 +753,106 @@ def apply_augmentation(spec: AugmentationSpec, image: ImageTensor,
     if out is image.array:
         return image
     return ImageTensor(np.ascontiguousarray(out))
+
+
+# --------------------------------------------------------------------------
+# Policy kinds over lanes
+
+POLICY_KINDS = frozenset({"randaug", "autoaug"})
+
+_OP_CODES = {name: code for code, name in enumerate(PRIMITIVE_OPS)}
+_SIGNED_CODES = np.array([name in _SIGNED_OPS for name in PRIMITIVE_OPS])
+
+
+def _index_limit(n: int) -> int:
+    """`RngStream.next_index(n)` keeps a word below this and redraws one at
+    or above it."""
+    return (1 << 64) - (1 << 64) % n
+
+
+def _policy_word_count(spec: AugmentationSpec) -> int:
+    """The most augment-stream words a randaug or autoaug spec draws: the
+    gate, then an index and a sign per op (autoaug: a sub-policy index,
+    then a gate and a sign per op)."""
+    p = spec.apply_probability
+    if p <= 0.0:
+        return 0
+    per_record = 2 * spec.randaug_num_ops if spec.kind == "randaug" else 5
+    return (p < 1.0) + per_record
+
+
+def _policy_lanes(spec: AugmentationSpec, words: np.ndarray):
+    """Walk each lane's augment-stream ``words`` (``(count, lanes)``, row
+    ``j`` holding word ``j``) as `_augment_arr` draws them for a randaug or
+    autoaug spec.
+
+    Returns ``(slots, fallback)``.  ``slots[k][i]`` codes lane ``i``'s
+    ``k``-th op as ``(op * 10 + magnitude index) * 2 + negative``, or -1
+    for none; `_run_policy_slots` decodes it.  ``fallback`` marks the lanes
+    whose `RngStream.next_index` draw would be rejected and redrawn, which
+    the walk does not follow; their slots hold -1.
+    """
+    lanes = np.arange(words.shape[1])
+    pos = np.zeros_like(lanes)
+    fallback = np.zeros(lanes.size, dtype=bool)
+
+    def draw(where):  # each lane's next word; lanes in ``where`` consume it
+        word = words[pos, lanes]
+        np.add(pos, where, out=pos)
+        return word
+
+    def unit(where):
+        return (draw(where) >> np.uint64(11)) * 2.0 ** -53
+
+    def index(n, where):
+        word = draw(where)
+        limit = _index_limit(n)
+        if limit < 1 << 64:
+            fallback[where & (word >= np.uint64(limit))] = True
+        return (word % np.uint64(n)).astype(np.intp)
+
+    def code(op, level, where):
+        # the sign coin: negative when its uniform is >= 0.5
+        signed = where & _SIGNED_CODES[op]
+        negative = signed & (unit(signed) >= 0.5)
+        return np.where(where, (op * 10 + level) * 2 + negative, -1)
+
+    p = spec.apply_probability
+    if p <= 0.0:
+        return [], fallback
+    live = np.ones(lanes.size, dtype=bool)
+    if p < 1.0:
+        live &= unit(live) < p
+    slots = []
+    if spec.kind == "randaug":
+        for _ in range(spec.randaug_num_ops):
+            slots.append(code(index(len(PRIMITIVE_OPS), live), 0, live))
+    else:
+        policy = spec.policy if spec.policy is not None \
+            else default_cifar10_policy()
+        sub = index(len(policy), live)
+        for slot in range(2):
+            entries = [entry[slot] for entry in policy.sub_policies]
+            op = np.array([_OP_CODES[name] for name, _, _ in entries])[sub]
+            prob = np.array([prob for _, prob, _ in entries])[sub]
+            level = np.array([level for _, _, level in entries])[sub]
+            take = live & (prob > 0.0)
+            gated = take & (prob < 1.0)
+            take &= ~gated | (unit(gated) < prob)
+            slots.append(code(op, level, take))
+    return [np.where(fallback, -1, codes) for codes in slots], fallback
+
+
+def _run_policy_slots(spec: AugmentationSpec, stack: np.ndarray,
+                      slots) -> None:
+    """Apply coded ops (as `_policy_lanes` returns them, one code per image
+    of the (N, C, H, W) ``stack``) in place, slot by slot: one kernel call
+    per (op, magnitude) group."""
+    for codes in slots:
+        for c in np.unique(codes[codes >= 0]).tolist():
+            name = PRIMITIVE_OPS[c // 20]
+            t = spec.randaug_magnitude / 30.0 if spec.kind == "randaug" \
+                else c // 2 % 10 / 9.0
+            magnitude = _scaled_magnitude(name, t, -1.0 if c & 1 else 1.0)
+            sel = np.flatnonzero(codes == c)
+            stack[sel] = _PRIMITIVE_KERNELS[name](stack[sel], magnitude)

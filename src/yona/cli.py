@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -294,6 +295,16 @@ def cmd_stats(args) -> None:
                  args.gate_masked_low, args.gate_masked_high)
 
 
+def _check_gate_values(args) -> None:
+    """Every ``--gate-*`` bound, from a flag or ``--config``, is finite: a
+    NaN bound would never fire."""
+    for dest, value in vars(args).items():
+        if dest.startswith("gate_") and isinstance(value, float) \
+                and not math.isfinite(value):
+            raise UsageError(
+                f"--{dest.replace('_', '-')} must be finite, got {value}")
+
+
 def _check_bound(name, value, low, high) -> None:
     if low is not None and value < low:
         raise GateViolation(f"{name}={value:.4f} below bound {low}")
@@ -391,6 +402,7 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             args = _merge_config_file(args, table, argv)
             args.func = table[argv[0]].get_default("func")
+        _check_gate_values(args)
         args.func(args)
         return 0
     except FormatError as exc:  # FormatError subclasses ValueError

@@ -5,7 +5,8 @@ with noise, augments the other piece as if it were a standalone image, and
 writes both into one buffer in their original spatial order.  ``yoco_apply``
 is the comparison compositor: no masking, the augmentation runs
 independently on both halves.  ``compose_batch`` composes records ``i, i +
-1, ...`` of a run for every command; ``compose_record`` is a batch of one.
+1, ...`` of a run for every command, running randaug and autoaug once per
+op group rather than once per record; ``compose_record`` is a batch of one.
 
 Randomness contract per composition (default config):
 
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augment import AugmentationSpec, _augment_arr
+from .augment import (POLICY_KINDS, AugmentationSpec, _augment_arr,
+                      _policy_lanes, _policy_word_count, _run_policy_slots)
 from .errors import GeometryError
 from .image import (Axis, ConstantNoise, ImageTensor, NoiseKind,
                     UniformNoise, cut, noise_bytes, round_half_up)
@@ -189,6 +191,7 @@ def yona_apply(image: ImageTensor, aug: AugmentationSpec, config: YonaConfig,
 
 
 _LANES = 256  # records per chunk
+_POLICY_LANES = 1024  # records per randaug or autoaug chunk: larger op groups
 _COIN_LIMIT = np.uint64(1 << 52)  # a coin is True when (word >> 11) <= this
 _FLIPS = {"hflip": np.s_[..., ::-1], "vflip": np.s_[..., ::-1, :]}
 
@@ -202,10 +205,16 @@ def compose_batch(images, first_index: int, aug: AugmentationSpec,
     << 1) | masked_first``, or None without ``config``.
 
     Stream words, coins, flip gates and uniform noise are uint64 lanes over
-    ``_LANES`` records; other kinds augment each kept piece on its augment
-    stream, and Gaussian noise (or uniform noise of a piece longer than one
-    tape block) comes from each noise stream.  A group that cannot host the
-    mask fraction raises its GeometryError once a record selects it.
+    chunks of ``_LANES`` records.  Randaug and autoaug resolve each
+    record's op sequence from its augment-stream words as lanes, over
+    chunks of ``_POLICY_LANES``, and run each op slot as one batch-shaped
+    kernel call per (op, magnitude) group of the kept pieces of one shape;
+    a record whose index draw `RngStream.next_index` would redraw, and
+    every record of the other kinds, augments its kept piece on its own
+    augment stream.  Gaussian noise (or uniform noise of a piece longer
+    than one tape block) comes from each noise stream.  A group that cannot
+    host the mask fraction raises its GeometryError once a record selects
+    it.
     """
     flip = _FLIPS.get(aug.kind)
     ref_hw = None
@@ -213,8 +222,9 @@ def compose_batch(images, first_index: int, aug: AugmentationSpec,
     if config is not None and images:
         entries, ref_hw = config._geometry(out.shape[1:])
         uniform = type(config.noise) is UniformNoise
-    for start in range(0, len(images), _LANES):
-        chunk = images[start:start + _LANES]
+    lanes = _POLICY_LANES if aug.kind in POLICY_KINDS else _LANES
+    for start in range(0, len(images), lanes):
+        chunk = images[start:start + lanes]
         n = len(chunk)
         first = first_index + start
         o = out[start:start + n]
@@ -260,16 +270,43 @@ def compose_batch(images, first_index: int, aug: AugmentationSpec,
                             image_stream(seed, first + j, NOISE_ROLE)
                         ).reshape(mask_shape)
                 pieces.append((sel, aug_slice))
+        fallback = None
+        if aug.kind in POLICY_KINDS:
+            slots, fallback = _policy_lanes(aug, lane_words(
+                seed, first, n, AUGMENT_ROLE, _policy_word_count(aug)))
+            if slots:
+                _run_policy_pieces(aug, o, pieces, slots)
         for sel, aug_slice in pieces:
             if flip is not None:
                 kept = (sel[gated[sel]],) + aug_slice
                 o[kept] = o[kept][flip]
             elif aug.kind != "identity":
+                if fallback is not None:
+                    sel = sel[fallback[sel]]
                 for j in sel.tolist():
                     o[(j,) + aug_slice] = _augment_arr(
                         aug, chunk[j].array[aug_slice],
                         image_stream(seed, first + j, AUGMENT_ROLE), ref_hw)
     return groups
+
+
+def _run_policy_pieces(aug: AugmentationSpec, o: np.ndarray, pieces,
+                       slots) -> None:
+    """Run coded policy ops on the kept pieces ``(sel, aug_slice)`` of
+    ``o``, all pieces of one shape (both sides of an axis) as one stack."""
+    by_shape = {}
+    for sel, aug_slice in pieces:
+        by_shape.setdefault(o[0][aug_slice].shape, []).append(
+            (sel, aug_slice))
+    for parts in by_shape.values():
+        sel = np.concatenate([part_sel for part_sel, _ in parts])
+        stack = np.concatenate([o[(part_sel,) + aug_slice]
+                                for part_sel, aug_slice in parts])
+        _run_policy_slots(aug, stack, [codes[sel] for codes in slots])
+        start = 0
+        for part_sel, aug_slice in parts:
+            o[(part_sel,) + aug_slice] = stack[start:start + part_sel.size]
+            start += part_sel.size
 
 
 def compose_record(image: ImageTensor, aug: AugmentationSpec,

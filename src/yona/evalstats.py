@@ -135,23 +135,35 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def probe_loss(weights: np.ndarray, bias: np.ndarray, features: np.ndarray,
-               labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy of a batch."""
-    logits = features @ weights.T + bias
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return float(-log_probs[np.arange(len(labels)), labels].mean())
+
+
+def probe_loss(weights: np.ndarray, bias: np.ndarray, features: np.ndarray,
+               labels: np.ndarray) -> float:
+    """Mean softmax cross-entropy of a batch."""
+    return _cross_entropy(features @ weights.T + bias, labels)
+
+
+def _probe_step(weights: np.ndarray, bias: np.ndarray, features: np.ndarray,
+                labels: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """:func:`probe_loss` and :func:`probe_gradients` of a batch from one
+    logits product."""
+    logits = features @ weights.T + bias
+    probs = _softmax(logits)
+    probs[np.arange(len(labels)), labels] -= 1.0
+    probs /= len(labels)
+    return (_cross_entropy(logits, labels), probs.T @ features,
+            probs.sum(axis=0))
 
 
 def probe_gradients(weights: np.ndarray, bias: np.ndarray,
                     features: np.ndarray, labels: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of :func:`probe_loss` w.r.t. weights and bias."""
-    probs = _softmax(features @ weights.T + bias)
-    probs[np.arange(len(labels)), labels] -= 1.0
-    probs /= len(labels)
-    return probs.T @ features, probs.sum(axis=0)
+    return _probe_step(weights, bias, features, labels)[1:]
 
 
 def _features(image: ImageTensor) -> np.ndarray:
@@ -220,12 +232,11 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
             for start in range(0, n, batch_size):
                 batch = order[start:start + batch_size]
                 x, y = epoch_features[batch], labels[batch]
-                loss = probe_loss(weights, bias, x, y)
+                loss, grad_w, grad_b = _probe_step(weights, bias, x, y)
                 if not np.isfinite(loss):
                     raise DivergenceError(
                         f"non-finite loss in epoch {epoch}, batch starting "
                         f"at {start}")
-                grad_w, grad_b = probe_gradients(weights, bias, x, y)
                 vel_w = momentum * vel_w + grad_w
                 vel_b = momentum * vel_b + grad_b
                 weights = weights - lr * vel_w

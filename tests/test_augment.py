@@ -1,5 +1,6 @@
 """The augmentation catalogue: defaults, kernels, policies, invariants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from yona.augment import (KINDS, MAGNITUDE_RANGES, PRIMITIVE_OPS,
                           color_jitter, cutout, default_cifar10_policy,
                           default_spec, format_policy, grid_transform, hflip,
                           load_policy, parse_policy, rand_augment,
-                          random_erasing, vflip, _brightness_arr)
+                          random_erasing, vflip, _brightness_arr,
+                          _PRIMITIVE_KERNELS, _scaled_magnitude)
 from yona.dataset import fnv1a_64
 from yona.errors import UnsupportedAugmentationError
 from yona.image import ImageTensor
@@ -400,6 +402,44 @@ def test_all_primitives_preserve_shape():
         out = apply_primitive(op, img)
         assert out.shape == img.shape, name
         assert out.array.dtype == np.uint8
+
+
+def _kernel_batch(shape):
+    rng = np.random.default_rng(sum(shape))
+    batch = rng.integers(0, 256, (7,) + shape, dtype=np.uint8)
+    batch[1] = 77  # constant planes: autocontrast and equalize keep them
+    batch[2, 0] = 255  # one constant plane among random ones
+    batch[3] = rng.integers(0, 2, shape) * 255  # two levels
+    batch[4] = rng.integers(250, 256, shape)
+    # under 255 bytes below 255: equalize's step is 0 and it keeps them
+    batch[5] = np.where(rng.random(shape) < 0.8, 255, batch[5])
+    batch[6, :, :, ::2] = 0  # a plane of two levels, zero every other column
+    return batch
+
+
+@pytest.mark.parametrize("shape", [(3, 32, 32), (3, 16, 32), (3, 32, 16),
+                                   (1, 9, 30), (3, 2, 2)])
+@pytest.mark.parametrize("name", PRIMITIVE_OPS)
+def test_batched_kernels_match_per_image_application(name, shape):
+    # a kernel on a stack gives every image the bytes it gets alone
+    kernel = _PRIMITIVE_KERNELS[name]
+    batch = _kernel_batch(shape)
+    for level, sign in itertools.product((0, 9, 30), (1.0, -1.0)):
+        magnitude = _scaled_magnitude(name, level / 30.0, sign)
+        # as the scalar path calls it (policy magnitudes may lie a rounding
+        # error outside the range `PrimitiveOp` checks)
+        alone = [kernel(image, magnitude) for image in batch]
+        # kept pieces reach the kernels as strided views of a record
+        assert all(np.array_equal(kernel(view, magnitude), image)
+                   for view, image in zip(
+                       np.pad(batch, ((0, 0), (0, 0), (0, 0), (2, 0)))[
+                           ..., 2:], alone))
+        out = kernel(batch, magnitude)
+        assert out.dtype == np.uint8 and out.shape == batch.shape
+        assert np.array_equal(out, np.stack(alone)), (level, sign)
+        deeper = kernel(batch[:6].reshape((2, 3) + shape), magnitude)
+        assert np.array_equal(deeper.reshape((6,) + shape),
+                              np.stack(alone[:6])), (level, sign)
 
 
 # --------------------------------------------------------------------------

@@ -184,6 +184,37 @@ def test_bench_gate_pass_and_fail(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "config-text"])
+@pytest.mark.parametrize("command, gate, value", [
+    ("stats", "gate-axis-low", "nan"), ("stats", "gate-axis-high", "nan"),
+    ("stats", "gate-masked-low", "-inf"), ("stats", "gate-masked-high", "inf"),
+    ("bench", "gate-ratio", "nan"), ("bench", "gate-ratio", "inf")])
+def test_non_finite_gate_is_usage_error(tmp_path, small_batch_file, capsys,
+                                        monkeypatch, command, gate, value,
+                                        source):
+    # a NaN bound never fires, so it is refused before any work
+    import yona.evalstats as ev
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the gate check")
+
+    monkeypatch.setattr(ev, "collect_stats", refuse)
+    monkeypatch.setattr(ev, "benchmark_throughput", refuse)
+    argv = [command, "--iterations", "300"] if command == "bench" else [
+        command, "--dataset", str(small_batch_file), "--n", "50"]
+    if source == "flag":
+        argv.append(f"--{gate}={value}")
+    else:  # JSON NaN/Infinity literals, or a string argparse converts
+        config = tmp_path / "gates.json"
+        config.write_text(json.dumps({gate.replace("-", "_"): float(value)
+                                      if source == "config" else value}))
+        argv += ["--config", str(config)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"usage error: --{gate} must be finite, got " \
+        f"{float(value)}\n"
+
+
 def test_bench_rejects_bad_dims(capsys):
     code, _, err = run(capsys, "bench", "--dims", "not-dims")
     assert code == 1

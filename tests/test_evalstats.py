@@ -299,16 +299,16 @@ def test_identity_probe_allocates_no_composition_buffer(monkeypatch):
     # probe composes
     records = toy_records()
     composed = len(records) * 3 * 32 * 32
-    gradients = ev.probe_gradients
+    step = ev._probe_step
     live = []
 
     def spy(*args):  # one batch per epoch: called once per run
         snapshot = tracemalloc.take_snapshot().filter_traces(
             [tracemalloc.Filter(True, ev.__file__)])
         live.append(composed in {trace.size for trace in snapshot.traces})
-        return gradients(*args)
+        return step(*args)
 
-    monkeypatch.setattr(ev, "probe_gradients", spy)
+    monkeypatch.setattr(ev, "_probe_step", spy)
     tracemalloc.start()
     try:
         for spec in (None, default_spec("hflip")):

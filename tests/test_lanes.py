@@ -13,16 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import yona.augment as aug_mod
 import yona.compositor as comp
 import yona.dataset as ds
-from yona.augment import (KINDS, apply_augmentation, default_spec,
-                          parse_policy)
+from yona.augment import (_SIGNED_OPS, KINDS, PRIMITIVE_OPS,
+                          apply_augmentation, default_spec, parse_policy)
 from yona.compositor import YonaConfig, yona_apply
 from yona.dataset import CifarRecord, read_cifar, write_augmented_dataset
 from yona.errors import FormatError, GeometryError
 from yona.image import ConstantNoise, GaussianNoise, ImageTensor, UniformNoise
-from yona.rng import (SeedSpec, derive_image_streams, derive_stream,
-                      image_stream_label, lane_tape, lane_words)
+from yona.rng import (AUGMENT_ROLE, SeedSpec, derive_image_streams,
+                      derive_stream, image_stream, image_stream_label,
+                      lane_tape, lane_words)
 
 seeds = st.one_of(st.integers(-2**70, -1), st.just(0),
                   st.integers(2**64, 2**70), st.integers(1, 2**64 - 1))
@@ -44,6 +46,10 @@ SIDES = ["random", "first", "second"]
 POLICY = parse_policy("Invert 0.7 3 ; Rotate 0.4 8\n"
                       "Equalize 1.0 0 ; Solarize 0.5 4\n"
                       "ShearX 0.3 9 ; Color 0.8 2\n")
+GATED_POLICY = parse_policy("Rotate 0 9 ; Equalize 1 0\n"
+                            "Brightness 0.4 9 ; ShearY 1 9\n"
+                            "AutoContrast 1 5 ; Contrast 0.4 3\n"
+                            "TranslateX 0.4 9 ; Posterize 0 2\n")
 SPECS = [default_spec(kind) for kind in KINDS] + [
     default_spec("autoaug", policy=POLICY),
     default_spec("erasing", apply_probability=1.0, erase_fill=77),
@@ -52,6 +58,20 @@ SPECS = [default_spec(kind) for kind in KINDS] + [
     default_spec("grid", apply_probability=1.0,
                  grid_transform_probability=0.9),
     default_spec("jitter", apply_probability=0.3),
+]
+# explicit ids, so those of the specs above stay as they were
+POLICY_SPECS = [
+    pytest.param(default_spec("randaug", randaug_num_ops=n,
+                              randaug_magnitude=m, apply_probability=0.3),
+                 id=f"randaug-n{n}-m{m}-p0.3")
+    for n, m in itertools.product((0, 1, 2, 4), (0, 9, 30))] + [
+    # op probabilities 0 (no draw), 1 (no draw) and 0.4 (a gate draw);
+    # four sub-policies: an index draw no word can make `next_index` redraw
+    pytest.param(default_spec("autoaug", policy=GATED_POLICY),
+                 id="autoaug-gated"),
+    pytest.param(default_spec("autoaug", policy=GATED_POLICY,
+                              apply_probability=0.3),
+                 id="autoaug-gated-p0.3"),
 ]
 CONFIGS = [
     None,
@@ -109,10 +129,57 @@ def test_lanes_match_the_scalar_path(kind, fraction, seed, first, count, p,
 
 
 @pytest.mark.parametrize("config", CONFIGS)
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("spec", SPECS + POLICY_SPECS, ids=lambda s: s.kind)
 def test_every_spec_matches_the_scalar_path(spec, config):
     # crosses a chunk boundary and the 2**62 wrap of index labels
     _check_lanes(_images(comp._LANES + 5, 3), 2**62 - 100, spec, config, -7)
+
+
+@pytest.mark.parametrize("kind", ["randaug", "autoaug"])
+@pytest.mark.parametrize("config", CONFIGS[:3])
+def test_policy_chunks_match_the_scalar_path(monkeypatch, kind, config):
+    # the policy kinds compose in chunks of their own size; a smaller one
+    # makes this batch cross two chunk boundaries
+    monkeypatch.setattr(comp, "_POLICY_LANES", 100)
+    _check_lanes(_images(comp._LANES + 5, 4), 2**62 - 100,
+                 default_spec(kind, apply_probability=0.8), config, -7)
+
+
+@pytest.mark.parametrize("kind", ["randaug", "autoaug"])
+@pytest.mark.parametrize("config", [None, YonaConfig()])
+def test_rejected_index_draws_fall_back_to_the_scalar_path(monkeypatch, kind,
+                                                          config):
+    # with the lane limit lowered to 2**63 a lane whose index word is at or
+    # above it leaves the lane walk, which cannot follow a redraw; it must
+    # be exactly those records that compose on their own augment stream
+    monkeypatch.setattr(aug_mod, "_index_limit", lambda n: 1 << 63)
+    seed, first, count = 5, 2**62 - 100, comp._LANES + 5
+    expected = set()
+    for i in range(first, first + count):
+        stream = image_stream(seed, i, AUGMENT_ROLE)
+        for _ in range(2 if kind == "randaug" else 1):
+            word = stream.next_u64()
+            if word >= 1 << 63:
+                expected.add(image_stream(seed, i, AUGMENT_ROLE).state)
+                break
+            if PRIMITIVE_OPS[word % 14] in _SIGNED_OPS:
+                stream.next_u64()
+    scalar = comp._augment_arr
+    fell_back = set()
+
+    def spy(spec, arr, rng, ref_hw=None):
+        fell_back.add(rng.state)
+        return scalar(spec, arr, rng, ref_hw)
+
+    images, spec = _images(count, 8), default_spec(kind)
+    want = [_scalar(image, spec, config, seed, first + j)
+            for j, image in enumerate(images)]
+    monkeypatch.setattr(comp, "_augment_arr", spy)
+    out = np.empty((count,) + images[0].shape, dtype=np.uint8)
+    comp.compose_batch(images, first, spec, config, seed, out)
+    assert all(np.array_equal(out[j], image.array)
+               for j, image in enumerate(want))
+    assert fell_back == expected and 0 < len(expected) < count
 
 
 @pytest.mark.parametrize("shape", [(3, 17, 40), (3, 40, 17), (1, 9, 30),
