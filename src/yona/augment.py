@@ -26,7 +26,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import UnsupportedAugmentationError
-from .image import ImageTensor, round_half_up
+from .image import ImageTensor, _to_u8, round_half_up
 from .rng import RngStream
 
 # --------------------------------------------------------------------------
@@ -90,10 +90,6 @@ class PrimitiveOp:
 
 # --------------------------------------------------------------------------
 # Small numeric helpers
-
-def _to_u8(x: np.ndarray) -> np.ndarray:
-    return np.clip(np.floor(x + 0.5), 0, 255).astype(np.uint8)
-
 
 def _uniform_in(rng: RngStream, lo: float, hi: float) -> float:
     return lo + rng.next_unit_uniform() * (hi - lo)
@@ -655,10 +651,18 @@ class AugmentationSpec:
         if not 0.0 <= self.apply_probability <= 1.0:
             raise ValueError(
                 f"apply_probability {self.apply_probability} outside [0, 1]")
-        for name in ("brightness", "contrast", "saturation"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} factor must be finite and >= 0, "
-                                 f"got {getattr(self, name)}")
+        # |x| <= 255 (1+b)(3+2c)(3+2s) after each jitter step in any order:
+        # contrast (saturation) adds 1+c (1+s) times a 2|x| spread to a gray
+        # value; hue keeps channel ranges.  The contrast mean sums up to 2**61
+        # values (a float64 array's most), so 2**62 bounds must stay finite.
+        b, c, s = self.brightness, self.contrast, self.saturation
+        growth = 255.0 * (1 + b) * (3 + 2 * c) * (3 + 2 * s)
+        if not (min(b, c, s) >= 0
+                and growth <= np.finfo(np.float64).max / 2.0 ** 62):
+            raise ValueError(
+                f"jitter factors must be >= 0 and keep 255 (1+b)(3+2c)(3+2s) "
+                f"finite times 2**62; got brightness {b}, contrast {c}, "
+                f"saturation {s}")
         if not 0.0 <= self.hue <= 0.5:
             raise ValueError(f"hue must be in [0, 0.5], got {self.hue}")
         if not 0 < self.erase_scale[0] <= self.erase_scale[1] < 1:

@@ -28,8 +28,8 @@ import numpy as np
 from .augment import (POLICY_KINDS, AugmentationSpec, _augment_arr,
                       _policy_lanes, _policy_word_count, _run_policy_slots)
 from .errors import GeometryError
-from .image import (Axis, ConstantNoise, ImageTensor, NoiseKind,
-                    UniformNoise, cut, noise_bytes, round_half_up)
+from .image import (Axis, ImageTensor, NoiseKind, UniformNoise, cut,
+                    noise_bytes, noise_from_tape, round_half_up)
 from .rng import (_TAPE_WORDS, AUGMENT_ROLE, NOISE_ROLE, STRUCTURE_ROLE,
                   RngStream, image_stream, lane_tape, lane_words)
 
@@ -204,24 +204,26 @@ def compose_batch(images, first_index: int, aug: AugmentationSpec,
     would; returns each record's ``config._geometry`` group ``(height_cut
     << 1) | masked_first``, or None without ``config``.
 
-    Stream words, coins, flip gates and uniform noise are uint64 lanes over
-    chunks of ``_LANES`` records.  Randaug and autoaug resolve each
-    record's op sequence from its augment-stream words as lanes, over
-    chunks of ``_POLICY_LANES``, and run each op slot as one batch-shaped
-    kernel call per (op, magnitude) group of the kept pieces of one shape;
-    a record whose index draw `RngStream.next_index` would redraw, and
-    every record of the other kinds, augments its kept piece on its own
-    augment stream.  Gaussian noise (or uniform noise of a piece longer
-    than one tape block) comes from each noise stream.  A group that cannot
-    host the mask fraction raises its GeometryError once a record selects
-    it.
+    Stream words, coins, flip gates and noise tape are uint64 lanes over
+    chunks of ``_LANES`` records.  Every mask, of any noise kind and length,
+    is `noise_from_tape` over the tape lanes of the records of one
+    geometry group.  Randaug and autoaug resolve each record's op sequence
+    from its augment-stream words as lanes, over chunks of
+    ``_POLICY_LANES``, and run each op slot as one batch-shaped kernel call
+    per (op, magnitude) group of the kept pieces of one shape; a record
+    whose index draw `RngStream.next_index` would redraw, and every record
+    of the other kinds, augments its kept piece on its own augment stream.
+    A group that cannot host the mask fraction raises its GeometryError
+    once a record selects it.
     """
     flip = _FLIPS.get(aug.kind)
     ref_hw = None
     groups = None if config is None else np.empty(len(images), dtype=np.intp)
     if config is not None and images:
         entries, ref_hw = config._geometry(out.shape[1:])
-        uniform = type(config.noise) is UniformNoise
+        # a mask reads at most a tape word per byte, rounded up to a pair;
+        # one noise-stream word seeds each tape block
+        blocks = -(-(out[0].size + 1) // _TAPE_WORDS)
     lanes = _POLICY_LANES if aug.kind in POLICY_KINDS else _LANES
     for start in range(0, len(images), lanes):
         chunk = images[start:start + lanes]
@@ -249,26 +251,16 @@ def compose_batch(images, first_index: int, aug: AugmentationSpec,
             masked_first = coins[-1] if side_random else np.full(
                 n, config.masked_piece_policy == MASKED_FIRST)
             group = groups[start:start + n] = 2 * height_cut + masked_first
-            if uniform:
-                tape_seeds = lane_words(seed, first, n, NOISE_ROLE, 1)[0]
+            tape_seeds = lane_words(seed, first, n, NOISE_ROLE, blocks)
             pieces = []
             for g in dict.fromkeys(group.tolist()):  # by first record
                 if type(entries[g]) is GeometryError:
                     raise entries[g]
                 sel = np.flatnonzero(group == g)
                 nbytes, mask_shape, aug_slice, mask_slice, _, _ = entries[g]
-                mask = (sel,) + mask_slice
-                if uniform and nbytes <= _TAPE_WORDS * 8:
-                    o[mask] = lane_tape(tape_seeds[sel], nbytes).reshape(
-                        (-1,) + mask_shape)
-                elif type(config.noise) is ConstantNoise:
-                    o[mask] = config.noise.value
-                else:
-                    for j in sel.tolist():
-                        o[(j,) + mask_slice] = noise_bytes(
-                            config.noise, nbytes,
-                            image_stream(seed, first + j, NOISE_ROLE)
-                        ).reshape(mask_shape)
+                noise = noise_from_tape(config.noise, lambda size: lane_tape(
+                    tape_seeds[:, sel], size), nbytes)
+                o[(sel,) + mask_slice] = noise.reshape((-1,) + mask_shape)
                 pieces.append((sel, aug_slice))
         fallback = None
         if aug.kind in POLICY_KINDS:

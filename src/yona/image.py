@@ -33,6 +33,12 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _to_u8(x: np.ndarray) -> np.ndarray:
+    """Float pixels as bytes: rounded half up, clipped to [0, 255]."""
+    y = x + 0.5
+    return np.clip(np.floor(y, out=y), 0, 255, out=y).astype(np.uint8)
+
+
 class ImageTensor:
     """Channel-planar 8-bit image of shape (C, H, W).
 
@@ -138,20 +144,38 @@ class GaussianNoise:
 NoiseKind = Union[UniformNoise, ConstantNoise, GaussianNoise]
 
 
-def noise_bytes(kind: NoiseKind, count: int, rng: RngStream) -> np.ndarray:
-    """Draw ``count`` noise bytes of the given kind from ``rng``.
-
-    May return a read-only view of the stream's byte tape; treat the result
-    as immutable.
-    """
+def noise_from_tape(kind: NoiseKind, take, count: int) -> np.ndarray:
+    """``count`` noise bytes of ``kind`` per lane of the tape ``take(n)``
+    reads, ``n`` bytes at a time as ``(..., n)`` uint8: the one law of each
+    kind, for a stream (`noise_bytes`) and for lanes (`compose_batch`)
+    alike.  Constant noise is one row, to broadcast over lanes.  Gaussian
+    noise is Box-Muller over the unit uniforms of one tape word per draw
+    (radii from the first half, angles from the second; cosines, then
+    sines), rounded half up and clipped to [0, 255]."""
     if type(kind) is UniformNoise:
-        return rng.fill_bytes(count)
+        return take(count)
     if type(kind) is ConstantNoise:
         return np.full(count, kind.value, dtype=np.uint8)
-    if type(kind) is GaussianNoise:
-        z = rng.fill_gaussian(count, kind.mean, kind.stddev)
-        return np.clip(np.floor(z + 0.5), 0, 255).astype(np.uint8)
-    raise TypeError(f"unknown noise kind: {kind!r}")
+    if type(kind) is not GaussianNoise:
+        raise TypeError(f"unknown noise kind: {kind!r}")
+    # draws come in pairs; the float work runs in place on one buffer
+    tape = np.ascontiguousarray(take(16 * ((count + 1) // 2)))
+    u = (tape.view("<u8") >> np.uint64(11)) * 2.0 ** -53
+    half = u.shape[-1] // 2
+    r, theta = u[..., :half], u[..., half:]
+    np.log(np.subtract(1.0, r, out=r), out=r)  # 1 - u in (0, 1]
+    np.sqrt(np.multiply(r, -2.0, out=r), out=r)
+    cos = np.cos(np.multiply(theta, 2.0 * np.pi, out=theta))
+    np.multiply(np.sin(theta, out=theta), r, out=theta)
+    r *= cos
+    z = u[..., :count]
+    return _to_u8(np.add(np.multiply(z, kind.stddev, out=z), kind.mean, out=z))
+
+
+def noise_bytes(kind: NoiseKind, count: int, rng: RngStream) -> np.ndarray:
+    """Draw ``count`` noise bytes of the given kind from ``rng``'s tape; may
+    return a read-only view of the tape, so treat the result as immutable."""
+    return noise_from_tape(kind, rng.fill_bytes, count)
 
 
 # --------------------------------------------------------------------------

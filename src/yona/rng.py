@@ -22,9 +22,9 @@ Python versions, and process/thread scheduling:
 
 `lane_words` and `lane_tape` are a second, vectorised implementation of the
 same conventions: the first output words of the streams of a run of image
-indices and the prefix of their first tape block, as numpy uint64 lanes.
-The golden word fixture pins the scalar stream, and the lane differential
-test pins the lanes to it.
+indices and the tapes those words seed, as numpy lanes.  The golden word
+fixture pins the scalar stream, and the lane differential test pins the
+lanes to it.
 
 Changing any of these conventions invalidates golden files and is a breaking
 change.
@@ -225,15 +225,6 @@ class RngStream:
             if w < limit:
                 return w % n
 
-    def next_gaussian(self, mean: float = 0.0, stddev: float = 1.0) -> float:
-        """Normal draw via Box-Muller; consumes exactly two words."""
-        if stddev <= 0:
-            raise ValueError(f"stddev must be > 0, got {stddev}")
-        u1 = ((self.next_u64() >> 11) + 1) * 1.1102230246251565e-16  # (0, 1]
-        u2 = (self.next_u64() >> 11) * 1.1102230246251565e-16
-        r = np.sqrt(-2.0 * np.log(u1))
-        return mean + stddev * float(r * np.cos(2.0 * np.pi * u2))
-
     # -- bulk byte tape ------------------------------------------------------
 
     def _refill_tape(self, need: int) -> None:
@@ -249,7 +240,7 @@ class RngStream:
         else:
             start = self._tape_end
             stop = _TAPE_WORDS
-        tape = _tape_bytes(_U64(self._tape_seed), start, stop)
+        tape = _tape_bytes(_TAPE_COUNTERS[start:stop] + _U64(self._tape_seed))
         tape.flags.writeable = False  # blocks are published immutable
         self._tape = tape
         self._tape_pos = 0
@@ -279,24 +270,6 @@ class RngStream:
             self._tape_pos += take
             filled += take
         return out
-
-    def fill_unit_uniforms(self, n: int) -> np.ndarray:
-        """``n`` uniforms in [0, 1) derived from 8n tape bytes."""
-        raw = np.ascontiguousarray(self.fill_bytes(8 * n))
-        words = raw.view("<u8")
-        return (words >> _U64(11)).astype(np.float64) * 1.1102230246251565e-16
-
-    def fill_gaussian(self, n: int, mean: float = 0.0,
-                      stddev: float = 1.0) -> np.ndarray:
-        """``n`` normal draws via vectorized Box-Muller over tape uniforms."""
-        if stddev <= 0:
-            raise ValueError(f"stddev must be > 0, got {stddev}")
-        m = (n + 1) // 2
-        u = self.fill_unit_uniforms(2 * m)
-        r = np.sqrt(-2.0 * np.log(1.0 - u[:m]))  # 1-u in (0, 1]
-        theta = 2.0 * np.pi * u[m:]
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return mean + stddev * z
 
     def __repr__(self) -> str:
         return (f"RngStream(state=({self._s0:#x}, {self._s1:#x}, "
@@ -366,16 +339,21 @@ def lane_words(global_seed: int, first_index: int, lanes: int, role: int,
     return out
 
 
-def _tape_bytes(seeds, start: int, stop: int) -> np.ndarray:
-    """Tape bytes of block words ``start:stop`` of a seed word (or rows)."""
-    block = _TAPE_COUNTERS[start:stop] + seeds
-    _mix64_block(block)
+def _tape_bytes(words: np.ndarray) -> np.ndarray:
+    """Tape bytes of seed-plus-counter words, mixed in place, row by row."""
+    _mix64_block(words)
     if not np.little_endian:
-        block = block.astype("<u8")
-    return block.view(np.uint8)
+        words = words.astype("<u8")
+    return words.view(np.uint8)
 
 
 def lane_tape(seeds: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` bytes of the tape block of each seed word, as an
-    ``(len(seeds), n)`` uint8 array (``n`` at most one block)."""
-    return _tape_bytes(seeds[:, None], 0, -(-n // 8))[:, :n]
+    """The first ``n`` tape bytes of each lane, ``(lanes, n)`` uint8.  Row
+    ``b`` of ``seeds``, ``(blocks, lanes)``, seeds block ``b`` of each lane,
+    as row ``b`` of `lane_words` does for a stream that draws only tape."""
+    words = np.empty((seeds.shape[1], -(-n // 8)), dtype=np.uint64)
+    for start in range(0, words.shape[1], _TAPE_WORDS):
+        block = words[:, start:start + _TAPE_WORDS]
+        np.add(_TAPE_COUNTERS[:block.shape[1]],
+               seeds[start // _TAPE_WORDS, :, None], out=block)
+    return _tape_bytes(words)[:, :n]

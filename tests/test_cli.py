@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import yona
+from yona.augment import default_spec
 from yona.cli import main
 from yona.dataset import DatasetManifest, read_png, write_png
 from yona.image import ImageTensor
@@ -381,6 +382,39 @@ def test_augment_rejects_non_finite_parameters(tmp_path, small_batch_file,
                          str(small_batch_file), "--out", str(out_dir), *flags)
     assert code == 1 and "usage error" in err and out == ""
     assert not out_dir.exists()
+
+
+def _largest_accepted_jitter(name):
+    """The largest float jitter factor ``name`` a spec accepts: a bisection
+    over the bit patterns of non-negative floats, which order as they do."""
+    lo, hi = 0, int(np.float64(np.inf).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            default_spec("jitter", **{name: float(np.int64(mid).view(
+                np.float64))})
+            lo = mid
+        except ValueError:
+            hi = mid
+    return float(np.int64(lo).view(np.float64))
+
+
+@pytest.mark.filterwarnings("error")  # a float overflow warning fails it
+@pytest.mark.parametrize("name", ["brightness", "contrast", "saturation"])
+def test_augment_rejects_jitter_factors_that_overflow(tmp_path,
+                                                      small_batch_file,
+                                                      capsys, name):
+    flags = ["augment", "--dataset", str(small_batch_file), "--aug",
+             "jitter", "--apply-probability", "1", f"--jitter-{name}"]
+    out_dir = tmp_path / "over"
+    code, out, err = run(capsys, *flags, "1e308", "--out", str(out_dir))
+    assert code == 1 and "usage error" in err and out == ""
+    assert not out_dir.exists()
+    largest = _largest_accepted_jitter(name)
+    assert 1e285 < largest < 1e287
+    code, out, _ = run(capsys, *flags, repr(largest), "--out",
+                       str(tmp_path / "largest"))
+    assert code == 0 and "digest=" in out
 
 
 def test_missing_dataset_is_io_error(tmp_path, capsys):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import yona.compositor as comp
 import yona.evalstats as ev
 from yona.augment import apply_augmentation, default_spec
 from yona.compositor import YonaConfig, yona_apply_traced
@@ -16,7 +17,7 @@ from yona.evalstats import (PredictionRecord, StatsReport,
                             evaluate_probe, probe_gradients, probe_loss,
                             rms_calibration_error, train_linear_probe)
 from yona.image import (Axis, ConstantNoise, GaussianNoise, ImageTensor,
-                        cut_at, noise_bytes)
+                        UniformNoise, cut_at, noise_bytes)
 from yona.rng import derive_image_streams
 
 from conftest import make_records
@@ -118,6 +119,29 @@ def test_stats_report_equals_the_per_sample_reference(small_records, spec,
     report = collect_stats(small_records, spec, config, -9, n_samples)
     expected = _reference_stats(small_records, spec, config, -9, n_samples)
     assert report.to_text() == expected.to_text()
+
+
+@pytest.mark.parametrize("noise", [UniformNoise(), GaussianNoise()])
+def test_stats_replay_catches_one_wrong_lane_byte(monkeypatch, small_records,
+                                                  noise):
+    # the replay draws each mask on the record's own noise stream, not on
+    # the lane tape, so one wrong byte in one lane mask must fail it
+    law = comp.noise_from_tape
+    calls = []
+
+    def one_wrong_byte(kind, take, count):
+        masks = law(kind, take, count)
+        if not calls:
+            masks = masks.copy()
+            masks[-1, count // 2] ^= 1
+        calls.append(count)
+        return masks
+
+    monkeypatch.setattr(comp, "noise_from_tape", one_wrong_byte)
+    with pytest.raises(AssertionError, match="does not replay"):
+        collect_stats(small_records, default_spec("hflip"),
+                      YonaConfig(noise=noise), 3, 50)
+    assert calls
 
 
 @pytest.mark.parametrize("config", [None, YonaConfig()])

@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import yona.augment as aug_mod
@@ -195,11 +195,12 @@ def test_other_shapes_match_the_scalar_path(kind, config, shape):
 @pytest.mark.parametrize("kind", ["hflip", "cutout"])
 @pytest.mark.parametrize("shape", [(3, 256, 256), (1, 3, 40000)])
 def test_pieces_longer_than_a_tape_block_match_the_scalar_path(kind, shape):
-    # 98,304 masked bytes either way on 3x256x256; on 1x3x40000 a height
-    # cut masks 80,000 bytes and a width cut 60,000, which fit one block:
-    # uniform noise longer than a block is drawn on each noise stream
-    _check_lanes(_images(6, 6, shape), 5, default_spec(kind), YonaConfig(),
-                 2)
+    # 98,304 masked bytes either way on 3x256x256 (uniform noise reads 2
+    # tape blocks, Gaussian noise 786,432 bytes: 12 blocks); on 1x3x40000 a
+    # height cut masks 80,000 bytes and a width cut 60,000, which fit one
+    # block of uniform noise
+    for config in (YonaConfig(), YonaConfig(noise=GaussianNoise(100.0, 50.0))):
+        _check_lanes(_images(6, 6, shape), 5, default_spec(kind), config, 2)
 
 
 def test_unhostable_group_raises_for_the_first_record_selecting_it():
@@ -239,12 +240,16 @@ def test_gate_at_exactly_the_apply_probability(kind):
 @settings(max_examples=40)
 @given(seed=seeds, first=first_indices, role=st.integers(0, 3),
        count=st.integers(1, 5),
-       nbytes=st.one_of(st.integers(0, 3100), st.just(8 * 8192)))
+       nbytes=st.one_of(st.integers(0, 3100), st.just(8 * 8192),
+                        st.integers(8 * 8192 + 1, 3 * 8 * 8192)))
+@example(seed=-3, first=2**62 - 4, role=2, count=1, nbytes=2 * 8 * 8192 + 5)
 def test_lane_words_and_tape_match_scalar_streams(seed, first, role, count,
                                                   nbytes):
+    # a stream that draws only tape seeds its block b with its word b
     indices = [first + j for j in range(7)]
     words = lane_words(seed, first, 7, role, count)
-    tape = lane_tape(lane_words(seed, first, 7, role, 1)[0], nbytes)
+    tape = lane_tape(lane_words(seed, first, 7, role, -(-nbytes // 65536)),
+                     nbytes)
     for j, index in enumerate(indices):
         spec = SeedSpec(seed, image_stream_label(index, role))
         assert words[:, j].tolist() == derive_stream(spec).next_words(count)

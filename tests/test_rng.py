@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from yona.image import GaussianNoise, noise_bytes
 from yona.rng import (_TAPE_COUNTERS, RngStream, SeedSpec, _mix64_block,
                       derive_image_streams, derive_stream, image_stream_label)
 
@@ -94,18 +95,6 @@ def test_next_index_rejects_zero():
         derive_stream(SeedSpec(0, 0)).next_index(0)
 
 
-def test_gaussian_moments():
-    s = derive_stream(SeedSpec(4, 2))
-    draws = np.array([s.next_gaussian() for _ in range(100_000)])
-    assert 0.99 <= draws.std() <= 1.01
-    assert abs(draws.mean()) < 0.02
-
-
-def test_gaussian_rejects_bad_stddev():
-    with pytest.raises(ValueError):
-        derive_stream(SeedSpec(0, 0)).next_gaussian(0.0, 0.0)
-
-
 def test_fill_bytes_replay_and_chunking_independence():
     a = derive_stream(SeedSpec(5, 5))
     b = derive_stream(SeedSpec(5, 5))
@@ -169,7 +158,7 @@ def _run_tape_op(stream, op):
         return np.asarray(stream.fill_bytes(n)).copy()
     if kind == "u64":
         return stream.next_u64()
-    return stream.fill_gaussian(n, 3.0, 2.0)
+    return noise_bytes(GaussianNoise(3.0, 2.0), n, stream)
 
 
 def test_lazy_tape_matches_eager_blocks():
@@ -205,10 +194,12 @@ def test_fill_bytes_byte_frequencies():
 
 
 def test_fill_gaussian_moments():
+    # Gaussian noise bytes off the tape; rounding to whole bytes adds the
+    # variance 1/12 of a uniform error, and no draw reaches a clip
     s = derive_stream(SeedSpec(10, 3))
-    z = s.fill_gaussian(200_000, mean=10.0, stddev=4.0)
-    assert abs(z.mean() - 10.0) < 0.05
-    assert abs(z.std() - 4.0) < 0.05
+    z = noise_bytes(GaussianNoise(100.0, 4.0), 200_000, s).astype(np.float64)
+    assert abs(z.mean() - 100.0) < 0.05
+    assert abs(z.std() - math.sqrt(4.0 ** 2 + 1 / 12)) < 0.05
 
 
 def test_clone_replays_identically():
