@@ -221,9 +221,9 @@ def compose_batch(images, first_index: int, aug: AugmentationSpec,
     groups = None if config is None else np.empty(len(images), dtype=np.intp)
     if config is not None and images:
         entries, ref_hw = config._geometry(out.shape[1:])
-        # a mask reads at most a tape word per byte, rounded up to a pair;
+        # a mask reads at most half a tape word per byte (Gaussian noise);
         # one noise-stream word seeds each tape block
-        blocks = -(-(out[0].size + 1) // _TAPE_WORDS)
+        blocks = -(-out[0].size // (2 * _TAPE_WORDS))
     lanes = _POLICY_LANES if aug.kind in POLICY_KINDS else _LANES
     for start in range(0, len(images), lanes):
         chunk = images[start:start + lanes]

@@ -37,7 +37,7 @@ from . import __version__
 from .augment import AugmentationSpec, default_cifar10_policy
 from .compositor import YonaConfig, compose_batch
 from .errors import CorruptRecordError, FormatError
-from .image import ImageTensor
+from .image import GAUSSIAN_SAMPLER, GaussianNoise, ImageTensor
 from .rng import RNG_SCHEME
 
 CIFAR10 = "cifar10"
@@ -207,7 +207,8 @@ class DatasetManifest:
     @classmethod
     def from_text(cls, text: str) -> "DatasetManifest":
         """Parse `to_text` output; raise FormatError on a format-1 manifest,
-        a missing key, or a count, seed or digest that does not parse."""
+        a Gaussian ``yona`` value without the sampler tag, a missing key, or
+        a count, seed or digest that does not parse."""
         values = {}
         for line in text.splitlines():
             key, _, value = line.strip().partition("=")
@@ -226,6 +227,12 @@ class DatasetManifest:
         for key in keys:
             if key not in values:
                 raise FormatError(f"manifest key {key!r} is missing")
+        noise = re.search(r"noise:GaussianNoise:[^,]*", values["yona"])
+        if noise and not noise[0].endswith(":" + GAUSSIAN_SAMPLER):
+            raise FormatError(
+                f"manifest key 'yona': {noise[0]!r} names no Gaussian "
+                f"sampler (an emit of the old Box-Muller law); re-emit the "
+                f"dataset with `yona augment`")
         if not _DIGEST_RE.fullmatch(values["digest"]):
             raise FormatError(f"manifest key 'digest': {values['digest']!r} "
                               "is not sha256:<64 lowercase hex digits>")
@@ -278,11 +285,13 @@ def describe_augmentation(spec: AugmentationSpec) -> str:
 def describe_yona(config: YonaConfig | None) -> str:
     if config is None:
         return "off"
-    noise = ":".join([type(config.noise).__name__] + [
-        _num(getattr(config.noise, f.name)) for f in fields(config.noise)])
+    noise = [type(config.noise).__name__] + [
+        _num(getattr(config.noise, f.name)) for f in fields(config.noise)]
+    if type(config.noise) is GaussianNoise:
+        noise.append(GAUSSIAN_SAMPLER)
     return (f"fraction:{_num(config.mask_fraction)},"
             f"axis:{config.axis_policy},"
-            f"side:{config.masked_piece_policy},noise:{noise},"
+            f"side:{config.masked_piece_policy},noise:{':'.join(noise)},"
             f"region:{config.region_reference}")
 
 

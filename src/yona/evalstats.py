@@ -76,9 +76,9 @@ def collect_stats(records, aug: AugmentationSpec,
         if yona_config is not None:
             height_hits += int(np.count_nonzero(groups >> 1))
             first_hits += int(np.count_nonzero(groups & 1))
-        for j, image in enumerate(batch):
-            if yona_config is not None:
-                masked_bytes, _, _, mask_slice, _, _ = entries[groups[j]]
+        if yona_config is not None:
+            for j, group in enumerate(groups.tolist()):
+                masked_bytes, _, _, mask_slice, _, _ = entries[group]
                 # independent check: the mask replays from the noise stream
                 replay = noise_bytes(yona_config.noise, masked_bytes,
                                      image_stream(seed, start + j, NOISE_ROLE))
@@ -87,8 +87,13 @@ def collect_stats(records, aug: AugmentationSpec,
                         f"sample {start + j}: masked region does not replay "
                         f"from the noise stream")
                 masked_total += masked_bytes / out[j].size
-            delta_total += float(np.mean(np.abs(
-                out[j].astype(np.int16) - image.array.astype(np.int16))))
+        # exact int64 row sums: each quotient is the record's np.mean
+        n = len(batch)
+        delta = out[:n].astype(np.int16)
+        delta -= np.stack([image.array for image in batch])
+        for mean in (np.abs(delta, out=delta).reshape(n, -1).sum(
+                axis=1, dtype=np.int64) / delta[0].size).tolist():
+            delta_total += mean
     return StatsReport(masked_total / n_samples, height_hits / n_samples,
                        first_hits / n_samples, delta_total / n_samples,
                        n_samples)

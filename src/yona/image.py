@@ -8,6 +8,7 @@ treated as immutable by convention (cut pieces may alias their parent).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -128,7 +129,8 @@ class ConstantNoise:
 
 @dataclass(frozen=True)
 class GaussianNoise:
-    """Normal draws rounded and clamped to [0, 255]."""
+    """Normal draws rounded and clamped to [0, 255], as an exact table law
+    over 32-bit tape words (see `noise_from_tape`)."""
 
     mean: float = 127.5
     stddev: float = 32.0
@@ -143,33 +145,114 @@ class GaussianNoise:
 
 NoiseKind = Union[UniformNoise, ConstantNoise, GaussianNoise]
 
+# Names the Gaussian law of `noise_from_tape` in manifests; change it with
+# the law.
+GAUSSIAN_SAMPLER = "cdf32"
+
+
+def _cdf32_threshold(num: int, den: int) -> int:
+    """``floor(Phi(num / den) * 2**32)`` exactly, for integers ``num`` and
+    ``den > 0``.
+
+    ``num = 0`` gives 2**31, and ``|num / den| >= 7`` (``Phi(-7) * 2**32 <
+    0.01``) gives 0 or 2**32 - 1.  Otherwise ``|Phi(z) - 1/2| = phi(x) *
+    S(x)`` with ``x = |z|`` and ``S(x) = x + x**3/3 + x**5/(3*5) + ...``, a
+    sum of positive terms, is evaluated in `decimal` with a bound on its
+    relative error; a floor that the bound leaves open is decided again at
+    twice the digits.
+    """
+    if num == 0:
+        return 1 << 31
+    if abs(num) >= 7 * den:
+        return 0 if num < 0 else (1 << 32) - 1
+    import decimal
+    D = decimal.Decimal
+    digits = 40
+    while digits <= 5000:
+        with decimal.localcontext() as ctx:
+            ctx.prec = digits
+            ulp = D(10) ** (1 - digits)
+            # pi by the Gauss-Legendre iteration
+            a, b, t, p = D(1), D(2).sqrt() / 2, D(1) / 4, 1
+            while abs(a - b) > ulp:
+                a, b, t, p = ((a + b) / 2, (a * b).sqrt(),
+                              t - p * ((a - b) / 2) ** 2, 2 * p)
+            pi = (a + b) ** 2 / (4 * t)
+            x = D(abs(num)) / den
+            x2 = x * x
+            term = total = x
+            n = 1  # stop once the tail is below a unit of ``total``
+            while n <= 2 * x2 or term > total * ulp:
+                n += 2
+                term = term * x2 / n
+                total += term
+            # |Phi(z) - 1/2| * 2**32, within a relative error of eta
+            y = total * (-x2 / 2).exp() / (2 * pi).sqrt() * 2 ** 32
+            eta = (3 * n + 100) * ulp
+            rounding = decimal.ROUND_FLOOR if num > 0 \
+                else decimal.ROUND_CEILING
+            low, high = (v.to_integral_value(rounding)
+                         for v in (y * (1 - eta), y * (1 + eta)))
+            if low == high:
+                return (1 << 31) + int(low if num > 0 else -low)
+        digits *= 2
+    raise ArithmeticError(f"Phi({num}/{den}) * 2**32 is not decided")
+
+
+@functools.lru_cache(maxsize=16)
+def _cdf32_table(kind: GaussianNoise):
+    """``(thresholds, cells, split)`` of ``kind``.
+
+    ``thresholds`` holds ``t_k = floor(Phi((k + 1/2 - mean) / stddev) *
+    2**32)`` for ``k`` in 0..254 as uint64, each from the exact binary
+    values of ``mean`` and ``stddev``.  For each top half ``h`` of a tape
+    word ``u``, ``cells[h]`` is the byte ``#{t_k <= h << 16}`` and
+    ``split[h]`` says whether a threshold falls strictly inside the 2**16
+    words from there, where the byte also depends on the low half.
+    """
+    a, b = float(kind.mean).as_integer_ratio()
+    c, d = float(kind.stddev).as_integer_ratio()
+    thresholds = np.array([_cdf32_threshold(((2 * k + 1) * b - 2 * a) * d,
+                                            2 * b * c) for k in range(255)],
+                          dtype=np.uint64)
+    starts = np.arange(1 << 16, dtype=np.uint64) << np.uint64(16)
+    cells = np.searchsorted(thresholds, starts, side="right").astype(np.uint8)
+    inside = thresholds[thresholds & np.uint64(0xFFFF) != 0]
+    split = np.zeros(1 << 16, dtype=bool)
+    split[inside >> np.uint64(16)] = True
+    for table in (thresholds, cells, split):
+        table.flags.writeable = False
+    return thresholds, cells, split
+
 
 def noise_from_tape(kind: NoiseKind, take, count: int) -> np.ndarray:
     """``count`` noise bytes of ``kind`` per lane of the tape ``take(n)``
     reads, ``n`` bytes at a time as ``(..., n)`` uint8: the one law of each
     kind, for a stream (`noise_bytes`) and for lanes (`compose_batch`)
-    alike.  Constant noise is one row, to broadcast over lanes.  Gaussian
-    noise is Box-Muller over the unit uniforms of one tape word per draw
-    (radii from the first half, angles from the second; cosines, then
-    sines), rounded half up and clipped to [0, 255]."""
+    alike.  Constant noise is one row, to broadcast over lanes.
+
+    Gaussian noise reads each sample's 4 tape bytes as one little-endian
+    uint32 ``u`` and gives the byte ``#{k in 0..254 : t_k <= u}`` over the
+    thresholds of `_cdf32_table`, so byte ``k`` has the probability of a
+    normal draw rounding half up to ``k``, the clipped tails folded into 0
+    and 255, to a resolution of 2**-32.  A lookup on the top 16 bits of
+    ``u`` answers every sample but those in the at most 255 cells a
+    threshold splits, which search the thresholds.  No float arithmetic
+    touches the bytes.
+    """
     if type(kind) is UniformNoise:
         return take(count)
     if type(kind) is ConstantNoise:
         return np.full(count, kind.value, dtype=np.uint8)
     if type(kind) is not GaussianNoise:
         raise TypeError(f"unknown noise kind: {kind!r}")
-    # draws come in pairs; the float work runs in place on one buffer
-    tape = np.ascontiguousarray(take(16 * ((count + 1) // 2)))
-    u = (tape.view("<u8") >> np.uint64(11)) * 2.0 ** -53
-    half = u.shape[-1] // 2
-    r, theta = u[..., :half], u[..., half:]
-    np.log(np.subtract(1.0, r, out=r), out=r)  # 1 - u in (0, 1]
-    np.sqrt(np.multiply(r, -2.0, out=r), out=r)
-    cos = np.cos(np.multiply(theta, 2.0 * np.pi, out=theta))
-    np.multiply(np.sin(theta, out=theta), r, out=theta)
-    r *= cos
-    z = u[..., :count]
-    return _to_u8(np.add(np.multiply(z, kind.stddev, out=z), kind.mean, out=z))
+    thresholds, cells, split = _cdf32_table(kind)
+    u = take(4 * count).view("<u4")
+    top = np.right_shift(u, 16, dtype=np.intp)
+    out = cells[top]
+    at = np.unravel_index(np.flatnonzero(split[top]), u.shape)
+    out[at] = np.searchsorted(thresholds, u[at], side="right")
+    return out
 
 
 def noise_bytes(kind: NoiseKind, count: int, rng: RngStream) -> np.ndarray:

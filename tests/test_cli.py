@@ -10,7 +10,8 @@ import pytest
 import yona
 from yona.augment import default_spec
 from yona.cli import main
-from yona.dataset import DatasetManifest, read_png, write_png
+from yona.dataset import (CifarRecord, DatasetManifest, read_png,
+                          write_cifar, write_png)
 from yona.image import ImageTensor
 
 from conftest import make_image
@@ -382,6 +383,31 @@ def test_augment_rejects_non_finite_parameters(tmp_path, small_batch_file,
                          str(small_batch_file), "--out", str(out_dir), *flags)
     assert code == 1 and "usage error" in err and out == ""
     assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mean, stddev, law", [
+    ("0", "1e308", {0, 255}),  # every threshold is 2**31
+    ("0", "5e-324", {0}), ("127.5", "5e-324", {127, 128}),
+    ("1e6", "32", {255}), ("-1e6", "32", {0})])
+def test_extreme_gaussian_noise_emits_the_exact_law(tmp_path, capsys, mean,
+                                                    stddev, law):
+    # pixels of 77, which no law here gives, left so by identity: the
+    # masked half of each record is exactly the bytes outside 77
+    pixels = np.full((3, 32, 32), 77, dtype=np.uint8)
+    write_cifar([CifarRecord(1, ImageTensor(pixels))] * 40,
+                tmp_path / "b.bin", "cifar10")
+    code, _, err = run(capsys, "augment", "--dataset", str(tmp_path / "b.bin"),
+                       "--aug", "identity", "--noise",
+                       f"gaussian:{mean},{stddev}", "--out",
+                       str(tmp_path / "out"))
+    assert code == 0, err
+    assert manifest_of(tmp_path / "out").yona.endswith(":cdf32,region:piece")
+    pixels = np.fromfile(tmp_path / "out" / "augmented.bin",
+                         dtype=np.uint8).reshape(40, 3073)[:, 1:]
+    noise = pixels[pixels != 77]
+    assert noise.size == 40 * 1536
+    assert set(np.unique(noise).tolist()) == law
 
 
 def _largest_accepted_jitter(name):

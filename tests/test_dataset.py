@@ -15,7 +15,8 @@ from yona.dataset import (CIFAR10, CIFAR100, FNV_OFFSET, CifarRecord,
                           describe_yona, fnv1a_64, read_cifar, read_png,
                           write_augmented_dataset, write_cifar, write_png)
 from yona.errors import CorruptRecordError, FormatError
-from yona.image import ConstantNoise, GaussianNoise, ImageTensor
+from yona.image import (ConstantNoise, GaussianNoise, ImageTensor,
+                        UniformNoise)
 from yona.rng import derive_image_streams
 
 from conftest import make_image, make_records
@@ -376,6 +377,34 @@ def test_manifest_rejects_old_incomplete_and_malformed_text(
                               else x for x in lines)
             with pytest.raises(FormatError, match=f"'{key}'"):
                 DatasetManifest.from_text(changed)
+
+
+def test_gaussian_manifest_names_its_sampler(tmp_path, small_records):
+    manifest = write_augmented_dataset(
+        small_records, default_spec("hflip"),
+        YonaConfig(noise=GaussianNoise(127.5, 32.0)), 4, tmp_path / "g")
+    assert manifest.yona == ("fraction:0.5,axis:random,side:random,"
+                             "noise:GaussianNoise:127.5:32:cdf32,region:piece")
+    text = manifest.to_text()
+    assert DatasetManifest.from_text(text) == manifest
+    # an emit of the Box-Muller law named no sampler
+    with pytest.raises(FormatError, match="re-emit the dataset with `yona "
+                                          "augment`"):
+        DatasetManifest.from_text(text.replace(":cdf32", ""))
+
+
+@pytest.mark.parametrize("noise, line", [
+    (UniformNoise(), "noise:UniformNoise"),
+    (ConstantNoise(200), "noise:ConstantNoise:200")])
+def test_uniform_and_constant_manifests_name_no_sampler(tmp_path,
+                                                        small_records, noise,
+                                                        line):
+    manifest = write_augmented_dataset(
+        small_records, default_spec("hflip"), YonaConfig(noise=noise), 4,
+        tmp_path / "m")
+    assert manifest.yona == ("fraction:0.5,axis:random,side:random,"
+                             f"{line},region:piece")
+    assert DatasetManifest.from_text(manifest.to_text()) == manifest
 
 
 def test_custom_policy_tag_is_sha256_of_the_exact_table():

@@ -196,7 +196,7 @@ def test_other_shapes_match_the_scalar_path(kind, config, shape):
 @pytest.mark.parametrize("shape", [(3, 256, 256), (1, 3, 40000)])
 def test_pieces_longer_than_a_tape_block_match_the_scalar_path(kind, shape):
     # 98,304 masked bytes either way on 3x256x256 (uniform noise reads 2
-    # tape blocks, Gaussian noise 786,432 bytes: 12 blocks); on 1x3x40000 a
+    # tape blocks, Gaussian noise 393,216 bytes: 6 blocks); on 1x3x40000 a
     # height cut masks 80,000 bytes and a width cut 60,000, which fit one
     # block of uniform noise
     for config in (YonaConfig(), YonaConfig(noise=GaussianNoise(100.0, 50.0))):

@@ -31,6 +31,8 @@ EMITS = [
     ["--aug", "jitter", "--apply-probability", "1"],
     ["--aug", "hflip", "--noise", "gaussian:127.5,40"],
     ["--aug", "randaug", "--no-yona", "--randaug-n", "3"],
+    ["--aug", "cutout", "--noise", "gaussian:10,60", "--region-reference",
+     "image"],
 ]
 
 # prints {"features": ..., "digests": [...]}, or {"skip": reason} when

@@ -1,12 +1,16 @@
 """Pinned-generator behavior: goldens, distributions, stream independence."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from yona.image import GaussianNoise, noise_bytes
+from yona.image import (GaussianNoise, _cdf32_table, noise_bytes,
+                        noise_from_tape)
 from yona.rng import (_TAPE_COUNTERS, RngStream, SeedSpec, _mix64_block,
                       derive_image_streams, derive_stream, image_stream_label)
 
@@ -193,13 +197,109 @@ def test_fill_bytes_byte_frequencies():
     assert np.all(np.abs(counts - expect) < 5 * sigma)
 
 
-def test_fill_gaussian_moments():
-    # Gaussian noise bytes off the tape; rounding to whole bytes adds the
-    # variance 1/12 of a uniform error, and no draw reaches a clip
+def _law(kind):
+    """Byte probabilities of the table law: P(k) = (t_k - t_{k-1}) / 2**32
+    with t_{-1} = 0 and t_255 = 2**32."""
+    thresholds = _cdf32_table(kind)[0].astype(np.float64)
+    return np.diff(np.concatenate([[0.0], thresholds, [2.0 ** 32]])) / 2 ** 32
+
+
+@pytest.mark.parametrize("mean, stddev", [
+    (127.5, 32.0), (100.0, 4.0), (250.0, 30.0), (10.0, 60.0), (-20.0, 15.0),
+    (127.5, 1e5)])
+def test_gaussian_bytes_fit_the_table_law(mean, stddev):
+    # chi-square of 200k tape bytes against the table's own probabilities,
+    # bins under 5 expected lumped; clipped tails pile up at 0 or 255
+    n = 200_000
+    kind = GaussianNoise(mean, stddev)
     s = derive_stream(SeedSpec(10, 3))
-    z = noise_bytes(GaussianNoise(100.0, 4.0), 200_000, s).astype(np.float64)
-    assert abs(z.mean() - 100.0) < 0.05
-    assert abs(z.std() - math.sqrt(4.0 ** 2 + 1 / 12)) < 0.05
+    counts = np.bincount(noise_bytes(kind, n, s), minlength=256)
+    p = _law(kind)
+    assert not counts[p == 0].any()
+    big = n * p >= 5
+    observed = np.append(counts[big], counts[~big].sum())
+    expected = np.append(n * p[big], n * p[~big].sum())
+    keep = expected > 0
+    chi2 = float((((observed - expected) ** 2)[keep] / expected[keep]).sum())
+    df = int(keep.sum()) - 1
+    # Wilson-Hilferty upper 1e-4 point of chi-square with df degrees
+    a = 2 / (9 * df)
+    assert chi2 < df * (1 - a + 3.719 * math.sqrt(a)) ** 3, (chi2, df)
+    if (mean, stddev) == (100.0, 4.0):
+        # no clip in reach: rounding adds the variance 1/12
+        z = noise_bytes(kind, n, derive_stream(SeedSpec(10, 3)))
+        z = z.astype(np.float64)
+        assert abs(z.mean() - 100.0) < 0.05
+        assert abs(z.std() - math.sqrt(4.0 ** 2 + 1 / 12)) < 0.05
+
+
+THRESHOLD_CASES = [(127.5, 32.0), (100.0, 4.0), (10.0, 60.0), (250.0, 30.0),
+                   (0.1, 0.3), (127.5, 0.01), (127.5, 1e5), (3.0, 1.0)]
+
+
+@pytest.mark.parametrize("mean, stddev", THRESHOLD_CASES)
+def test_gaussian_thresholds_match_a_float_erfc_oracle(mean, stddev):
+    thresholds = _cdf32_table(GaussianNoise(mean, stddev))[0]
+    for k, t in enumerate(thresholds.tolist()):
+        z = (k + 0.5 - mean) / stddev
+        oracle = math.floor(0.5 * math.erfc(-z / math.sqrt(2)) * 2 ** 32)
+        assert abs(t - oracle) <= 1, (k, t, oracle)
+
+
+@pytest.mark.parametrize("mean, stddev", THRESHOLD_CASES)
+def test_gaussian_thresholds_match_mpmath(mean, stddev):
+    mpmath = pytest.importorskip("mpmath")
+    thresholds = _cdf32_table(GaussianNoise(mean, stddev))[0].tolist()
+    with mpmath.workdps(50):
+        for k in range(255):
+            z = (mpmath.mpf(2 * k + 1) / 2 - mpmath.mpf(mean)) \
+                / mpmath.mpf(stddev)
+            # floor(Phi(z) 2**32) = 2**32 - ceil(Phi(-z) 2**32): the upper
+            # tail keeps its relative precision, where Phi(z) rounds to 1
+            exact = 2 ** 32 - int(mpmath.ceil(mpmath.ncdf(-z) * 2 ** 32))
+            assert thresholds[k] == exact, (k, mpmath.nstr(z, 20))
+
+
+@pytest.mark.parametrize("mean, stddev, most, distinct", [
+    (127.5, 0.01, 127, 1),  # 127 thresholds 2**32 - 1 share the last cell
+    (127.5, 1e5, 4, 4), (127.5, 32.0, 3, 3),  # tail cells hold several
+    (0.0, 1e308, 0, 0)])  # every threshold is 2**31: no cell is split
+def test_gaussian_table_lookup_equals_the_threshold_count(mean, stddev,
+                                                          most, distinct):
+    # every word of every split cell, the two ends and random words give
+    # #{t_k <= u}, on one stream's tape and on lanes alike
+    kind = GaussianNoise(mean, stddev)
+    thresholds, _, split = _cdf32_table(kind)
+    inside = thresholds[thresholds & np.uint64(0xFFFF) != 0]
+    cells = np.unique(inside >> np.uint64(16))
+    assert np.array_equal(np.flatnonzero(split), cells)
+    crowds = [inside[inside >> np.uint64(16) == h] for h in cells]
+    assert max(map(len, crowds), default=0) == most
+    assert max((np.unique(c).size for c in crowds), default=0) == distinct
+    words = np.concatenate([
+        ((cells[:, None] << np.uint64(16))
+         + np.arange(1 << 16, dtype=np.uint64)).ravel(),
+        np.array([0, 2 ** 32 - 1], dtype=np.uint64),
+        np.random.default_rng(1).integers(0, 2 ** 32, 100_000,
+                                          dtype=np.uint64)])
+    tape = words.astype("<u4").view(np.uint8)
+    want = np.searchsorted(thresholds, words, side="right")
+    n = words.size
+    assert np.array_equal(noise_from_tape(kind, lambda m: tape[:m], n), want)
+    # lane rows, like lane_tape's, are slices of longer rows
+    rows = np.stack([np.append(tape, tape[:4])] * 2)
+    assert np.array_equal(noise_from_tape(kind, lambda m: rows[:, :m], n),
+                          np.stack([want] * 2))
+
+
+def test_gaussian_tables_are_built_on_first_use():
+    # importing yona loads no decimal and builds no table
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, yona.image; print("
+         "'decimal' in sys.modules, yona.image._cdf32_table.cache_info()"
+         ".currsize)"], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert child.stdout.split() == ["False", "0"]
 
 
 def test_clone_replays_identically():
