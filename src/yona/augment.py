@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import UnsupportedAugmentationError
 from .image import ImageTensor, _to_u8, round_half_up
-from .rng import RngStream
+from .rng import RngStream, lane_indices, lane_units
 
 # --------------------------------------------------------------------------
 # Primitive bank
@@ -768,12 +768,6 @@ _OP_CODES = {name: code for code, name in enumerate(PRIMITIVE_OPS)}
 _SIGNED_CODES = np.array([name in _SIGNED_OPS for name in PRIMITIVE_OPS])
 
 
-def _index_limit(n: int) -> int:
-    """`RngStream.next_index(n)` keeps a word below this and redraws one at
-    or above it."""
-    return (1 << 64) - (1 << 64) % n
-
-
 def _policy_word_count(spec: AugmentationSpec) -> int:
     """The most augment-stream words a randaug or autoaug spec draws: the
     gate, then an index and a sign per op (autoaug: a sub-policy index,
@@ -806,14 +800,12 @@ def _policy_lanes(spec: AugmentationSpec, words: np.ndarray):
         return word
 
     def unit(where):
-        return (draw(where) >> np.uint64(11)) * 2.0 ** -53
+        return lane_units(draw(where))
 
     def index(n, where):
-        word = draw(where)
-        limit = _index_limit(n)
-        if limit < 1 << 64:
-            fallback[where & (word >= np.uint64(limit))] = True
-        return (word % np.uint64(n)).astype(np.intp)
+        picked, rejected = lane_indices(draw(where), n)
+        fallback[where & rejected] = True
+        return picked
 
     def code(op, level, where):
         # the sign coin: negative when its uniform is >= 0.5

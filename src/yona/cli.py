@@ -8,8 +8,9 @@ non-finite parameter) or a diverged probe, 2 format, 3 I/O, 4 gate
 violation; each mapped failure prints one line on stderr.
 
 Flags may also be supplied through a JSON file (``--config``) whose keys
-mirror flag destinations; explicit flags win over file values, and unknown
-keys are rejected.
+mirror flag destinations; each value passes through its flag's own type,
+choices and nargs, explicit flags win over file values, and unknown keys
+are rejected.
 """
 
 from __future__ import annotations
@@ -372,7 +373,33 @@ def cmd_probe(args) -> None:
 # --------------------------------------------------------------------------
 # Entry
 
+def _config_tokens(path, key, actions, value) -> list[str]:
+    """The flag tokens that give ``key`` (the flag destination of
+    ``actions``) the JSON ``value``, for the flag's own parser to read."""
+    switches = [a for a in actions if a.nargs == 0]
+    if switches:  # store_true/store_false: a JSON boolean picks the flag
+        if type(value) is not bool:
+            raise UsageError(f"{path}: {key} must be true or false, "
+                             f"got {json.dumps(value)}")
+        return [a.option_strings[0] for a in switches if a.const is value][:1]
+    action = actions[0]
+    option = action.option_strings[0]
+    scalar = (str, int, float)
+    if type(value) in scalar:
+        return [f"{option}={value}"]
+    if type(value) is list and value and all(type(v) in scalar
+                                             for v in value):
+        if isinstance(action, argparse._AppendAction):
+            return [f"{option}={v}" for v in value]
+        if action.nargs is not None:
+            return [option] + [str(v) for v in value]
+    raise UsageError(f"{path}: {key} cannot be {json.dumps(value)}")
+
+
 def _merge_config_file(args, parser_table, argv) -> argparse.Namespace:
+    """Re-parse ``argv`` with the config file's values placed before it as
+    the flag tokens they stand for, so each passes through its flag's type,
+    choices and nargs; a flag given in ``argv`` wins over its file value."""
     path = args.config
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -382,13 +409,22 @@ def _merge_config_file(args, parser_table, argv) -> argparse.Namespace:
     if not isinstance(values, dict):
         raise FormatError(f"{path}: config must be a JSON object")
     sub = parser_table[args.command]
-    known = {a.dest for a in sub._actions}
-    unknown = set(values) - known
+    actions = {}
+    for action in sub._actions:
+        actions.setdefault(action.dest, []).append(action)
+    unknown = set(values) - set(actions)
     if unknown:
         raise UsageError(
             f"{path}: unknown config keys {sorted(unknown)}")
-    sub.set_defaults(**values)
-    return sub.parse_args(argv[1:])
+    # a flag sets no destination to None, so one left at None was not
+    # given on the command line
+    given = sub.parse_args(argv[1:], argparse.Namespace(
+        **dict.fromkeys(actions)))
+    tokens = []
+    for key, value in values.items():
+        if getattr(given, key) is None:
+            tokens += _config_tokens(path, key, actions[key], value)
+    return sub.parse_args(tokens + argv[1:])
 
 
 def main(argv=None) -> int:
@@ -401,7 +437,6 @@ def main(argv=None) -> int:
                              "(augment|preview|stats|bench|probe)")
         if getattr(args, "config", None):
             args = _merge_config_file(args, table, argv)
-            args.func = table[argv[0]].get_default("func")
         _check_gate_values(args)
         args.func(args)
         return 0

@@ -30,8 +30,8 @@ from .augment import (POLICY_KINDS, AugmentationSpec, _augment_arr,
 from .errors import GeometryError
 from .image import (Axis, ImageTensor, NoiseKind, UniformNoise, cut,
                     noise_bytes, noise_from_tape, round_half_up)
-from .rng import (_TAPE_WORDS, AUGMENT_ROLE, NOISE_ROLE, STRUCTURE_ROLE,
-                  RngStream, image_stream, lane_tape, lane_words)
+from .rng import (AUGMENT_ROLE, NOISE_ROLE, STRUCTURE_ROLE, RngStream,
+                  lane_states, lane_tape, lane_units, lane_words)
 
 AXIS_RANDOM = "random"
 AXIS_FIXED_HEIGHT = "height"
@@ -192,7 +192,6 @@ def yona_apply(image: ImageTensor, aug: AugmentationSpec, config: YonaConfig,
 
 _LANES = 256  # records per chunk
 _POLICY_LANES = 1024  # records per randaug or autoaug chunk: larger op groups
-_COIN_LIMIT = np.uint64(1 << 52)  # a coin is True when (word >> 11) <= this
 _FLIPS = {"hflip": np.s_[..., ::-1], "vflip": np.s_[..., ::-1, :]}
 
 
@@ -204,26 +203,25 @@ def compose_batch(images, first_index: int, aug: AugmentationSpec,
     would; returns each record's ``config._geometry`` group ``(height_cut
     << 1) | masked_first``, or None without ``config``.
 
-    Stream words, coins, flip gates and noise tape are uint64 lanes over
-    chunks of ``_LANES`` records.  Every mask, of any noise kind and length,
-    is `noise_from_tape` over the tape lanes of the records of one
-    geometry group.  Randaug and autoaug resolve each record's op sequence
-    from its augment-stream words as lanes, over chunks of
-    ``_POLICY_LANES``, and run each op slot as one batch-shaped kernel call
-    per (op, magnitude) group of the kept pieces of one shape; a record
-    whose index draw `RngStream.next_index` would redraw, and every record
-    of the other kinds, augments its kept piece on its own augment stream.
-    A group that cannot host the mask fraction raises its GeometryError
-    once a record selects it.
+    Each chunk of ``_LANES`` records seeds each role once as `rng` lanes
+    and reads every draw through `rng`'s lane twins of the scalar rules:
+    the structure coins, the flip gates and the noise tape.  Every mask, of
+    any noise kind and length, is `noise_from_tape` over the tape lanes of
+    the records of one geometry group.  Randaug and autoaug resolve each
+    record's op sequence from its augment-stream words as lanes, over
+    chunks of ``_POLICY_LANES``, and run each op slot as one batch-shaped
+    kernel call per (op, magnitude) group of the kept pieces of one shape;
+    a record whose index draw `RngStream.next_index` would redraw, and
+    every record of the other kinds, augments its kept piece on its own
+    augment stream, an `RngStream` built from its lane state.  A group
+    that cannot host the mask fraction raises its GeometryError once a
+    record selects it.
     """
     flip = _FLIPS.get(aug.kind)
     ref_hw = None
     groups = None if config is None else np.empty(len(images), dtype=np.intp)
     if config is not None and images:
         entries, ref_hw = config._geometry(out.shape[1:])
-        # a mask reads at most half a tape word per byte (Gaussian noise);
-        # one noise-stream word seeds each tape block
-        blocks = -(-out[0].size // (2 * _TAPE_WORDS))
     lanes = _POLICY_LANES if aug.kind in POLICY_KINDS else _LANES
     for start in range(0, len(images), lanes):
         chunk = images[start:start + lanes]
@@ -231,11 +229,11 @@ def compose_batch(images, first_index: int, aug: AugmentationSpec,
         first = first_index + start
         o = out[start:start + n]
         np.stack([image.array for image in chunk], out=o)
+        aug_states = lane_states(seed, first, n, AUGMENT_ROLE)
         if flip is not None:
             # the scalar gate skips the flip when its uniform draws >= p
             # (it draws none at p 0 or 1, where this holds for all or none)
-            word = lane_words(seed, first, n, AUGMENT_ROLE, 1)[0]
-            gated = (word >> np.uint64(11)) * 2.0 ** -53 \
+            gated = lane_units(lane_words(aug_states, 1)[0]) \
                 < aug.apply_probability
         if config is None:
             pieces = [(np.arange(n), np.s_[:, :, :])]
@@ -243,15 +241,15 @@ def compose_batch(images, first_index: int, aug: AugmentationSpec,
             # structure coins: axis first, then side; fixed policies skip
             axis_random = config.axis_policy == AXIS_RANDOM
             side_random = config.masked_piece_policy == MASKED_RANDOM
-            words = lane_words(seed, first, n, STRUCTURE_ROLE,
-                               axis_random + side_random)
-            coins = (words >> np.uint64(11)) <= _COIN_LIMIT
+            coins = lane_units(lane_words(
+                lane_states(seed, first, n, STRUCTURE_ROLE),
+                axis_random + side_random)) <= 0.5
             height_cut = coins[0] if axis_random else np.full(
                 n, config.axis_policy == AXIS_FIXED_HEIGHT)
             masked_first = coins[-1] if side_random else np.full(
                 n, config.masked_piece_policy == MASKED_FIRST)
             group = groups[start:start + n] = 2 * height_cut + masked_first
-            tape_seeds = lane_words(seed, first, n, NOISE_ROLE, blocks)
+            noise_states = lane_states(seed, first, n, NOISE_ROLE)
             pieces = []
             for g in dict.fromkeys(group.tolist()):  # by first record
                 if type(entries[g]) is GeometryError:
@@ -259,13 +257,13 @@ def compose_batch(images, first_index: int, aug: AugmentationSpec,
                 sel = np.flatnonzero(group == g)
                 nbytes, mask_shape, aug_slice, mask_slice, _, _ = entries[g]
                 noise = noise_from_tape(config.noise, lambda size: lane_tape(
-                    tape_seeds[:, sel], size), nbytes)
+                    noise_states[:, sel], size), nbytes)
                 o[(sel,) + mask_slice] = noise.reshape((-1,) + mask_shape)
                 pieces.append((sel, aug_slice))
         fallback = None
         if aug.kind in POLICY_KINDS:
             slots, fallback = _policy_lanes(aug, lane_words(
-                seed, first, n, AUGMENT_ROLE, _policy_word_count(aug)))
+                aug_states, _policy_word_count(aug)))
             if slots:
                 _run_policy_pieces(aug, o, pieces, slots)
         for sel, aug_slice in pieces:
@@ -275,10 +273,11 @@ def compose_batch(images, first_index: int, aug: AugmentationSpec,
             elif aug.kind != "identity":
                 if fallback is not None:
                     sel = sel[fallback[sel]]
-                for j in sel.tolist():
+                for j, state in zip(sel.tolist(),
+                                    aug_states[:, sel].T.tolist()):
                     o[(j,) + aug_slice] = _augment_arr(
-                        aug, chunk[j].array[aug_slice],
-                        image_stream(seed, first + j, AUGMENT_ROLE), ref_hw)
+                        aug, chunk[j].array[aug_slice], RngStream(*state),
+                        ref_hw)
     return groups
 
 

@@ -28,6 +28,7 @@ import itertools
 import os
 import re
 import struct
+import sys
 import zlib
 from dataclasses import dataclass, fields
 
@@ -422,16 +423,14 @@ def _paeth(a: int, b: int, c: int) -> int:
 
 
 def _unfilter(raw: bytes, height: int, stride: int, bpp: int) -> bytearray:
+    """Scanlines of ``height * (stride + 1)`` bytes ``raw`` (a filter type
+    byte, then ``stride`` bytes, per row) as unfiltered pixel bytes."""
     out = bytearray(height * stride)
     pos = 0
     for y in range(height):
-        if pos >= len(raw):
-            raise FormatError("PNG pixel data ends early", offset=pos)
         ftype = raw[pos]
         pos += 1
         line = raw[pos:pos + stride]
-        if len(line) < stride:
-            raise FormatError("PNG pixel data ends early", offset=pos)
         pos += stride
         row_start = y * stride
         prev_start = row_start - stride
@@ -473,14 +472,17 @@ def read_png(path) -> ImageTensor:
     while pos + 8 <= len(blob):
         length = struct.unpack(">I", blob[pos:pos + 4])[0]
         tag = blob[pos + 4:pos + 8]
-        body = blob[pos + 8:pos + 8 + length]
-        if len(body) != length:
+        if pos + 12 + length > len(blob):  # the body or its CRC is cut
             raise FormatError(f"{path}: truncated chunk {tag!r}", offset=pos)
+        body = blob[pos + 8:pos + 8 + length]
         crc = struct.unpack(
             ">I", blob[pos + 8 + length:pos + 12 + length])[0]
         if crc != (zlib.crc32(tag + body) & 0xFFFFFFFF):
             raise FormatError(f"{path}: CRC mismatch in {tag!r}", offset=pos)
         if tag == b"IHDR":
+            if length != 13:
+                raise FormatError(f"{path}: IHDR holds {length} bytes, "
+                                  f"not 13", offset=pos)
             header = struct.unpack(">IIBBBBB", body)
         elif tag == b"IDAT":
             idat += body
@@ -494,12 +496,21 @@ def read_png(path) -> ImageTensor:
         raise FormatError(
             f"{path}: unsupported PNG (depth={depth}, color={color_type}, "
             f"interlace={interlace})")
+    if width == 0 or height == 0:
+        raise FormatError(f"{path}: empty image ({width}x{height})")
     channels = 1 if color_type == 0 else 3
     stride = width * channels
+    size = height * (stride + 1)  # a filter type byte leads each row
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        # inflate at most a byte past the size the header declares: a
+        # longer stream is refused without being inflated whole
+        raw = inflater.decompress(bytes(idat), min(size + 1, sys.maxsize))
     except zlib.error as exc:
         raise FormatError(f"{path}: corrupt pixel data ({exc})") from exc
+    if len(raw) != size or not inflater.eof:
+        raise FormatError(f"{path}: pixel data does not hold the {size} "
+                          f"bytes its header declares")
     pixels = _unfilter(raw, height, stride, channels)
     arr = np.frombuffer(bytes(pixels), dtype=np.uint8).reshape(
         height, width, channels)

@@ -20,11 +20,24 @@ Python versions, and process/thread scheduling:
   prefix it needs (at least 256 words), the next makes the rest of the
   block.  The word ``w`` is still consumed when the block's first byte is.
 
-`lane_words` and `lane_tape` are a second, vectorised implementation of the
-same conventions: the first output words of the streams of a run of image
-indices and the tapes those words seed, as numpy lanes.  The golden word
-fixture pins the scalar stream, and the lane differential test pins the
-lanes to it.
+Each rule has a lane twin over numpy uint64 lanes, one lane per stream of
+a run of image indices.  This module is the only place where a stream word
+becomes a draw, for a stream as for lanes:
+
+* seeding, `derive_stream` (`image_stream`): `lane_states`, ``(4, N)``
+  xoshiro states;
+* a word, :meth:`RngStream.next_u64`: `lane_words`;
+* a unit uniform, :meth:`RngStream.next_unit_uniform`: `lane_units`; a
+  coin is a uniform ``<= 0.5`` and a gate a uniform ``< p`` on either side;
+* an index with rejection, :meth:`RngStream.next_index`: `lane_indices`,
+  which flags the words the stream would reject and redraw; both use
+  `_index_limit`;
+* tape, :meth:`RngStream.fill_bytes` on a stream that draws only tape:
+  `lane_tape`, which draws its own block-seed words.
+
+The lane twins leave the states they are given as they are.  The golden
+word fixture pins the scalar stream, and the lane differential tests pin
+the twins to it.
 
 Changing any of these conventions invalidates golden files and is a breaking
 change.
@@ -95,6 +108,12 @@ class SeedSpec:
 def image_stream_label(image_index: int, role: int) -> int:
     """Label for one of the three named sub-streams of an image."""
     return ((image_index << 2) | role) & _MASK64
+
+
+def _index_limit(n: int) -> int:
+    """`RngStream.next_index(n)` keeps a word below this and redraws one at
+    or above it."""
+    return (1 << 64) - (1 << 64) % n
 
 
 class RngStream:
@@ -219,7 +238,7 @@ class RngStream:
         """Uniform index in [0, n) via rejection sampling (no modulo bias)."""
         if n < 1:
             raise ValueError(f"next_index needs n >= 1, got {n}")
-        limit = (1 << 64) - ((1 << 64) % n)
+        limit = _index_limit(n)
         while True:
             w = self.next_u64()
             if w < limit:
@@ -312,31 +331,51 @@ def derive_image_streams(global_seed: int, image_index: int
             image_stream(global_seed, image_index, NOISE_ROLE))
 
 
-def lane_words(global_seed: int, first_index: int, lanes: int, role: int,
-               count: int) -> np.ndarray:
-    """Row ``j`` of the ``(count, lanes)`` result holds word ``j`` of
-    ``image_stream(global_seed, i, role)`` for each image ``i`` of
-    ``first_index .. first_index + lanes - 1``, labels wrapped as
+def lane_states(global_seed: int, first_index: int, lanes: int,
+                role: int) -> np.ndarray:
+    """Column ``j`` of the ``(4, lanes)`` result is the state of
+    ``image_stream(global_seed, first_index + j, role)``, labels wrapped as
     `image_stream_label` wraps them."""
     index = np.arange(lanes, dtype=np.uint64) + _U64(first_index & _MASK64)
     label = (index << _U64(2)) | _U64(role)
     base = ((label << _U64(32)) | (label >> _U64(32))) \
         ^ _U64(global_seed & _MASK64)
     # SplitMix64 seeding: state word k mixes base + (k + 1) * GOLDEN
-    s0, s1, s2, s3 = (_mix64_block(base + _TAPE_COUNTERS[k])
-                      for k in range(4))
-    out = np.empty((count, lanes), dtype=np.uint64)
+    return _mix64_block(base + _TAPE_COUNTERS[:4, None])
+
+
+def lane_words(states: np.ndarray, count: int) -> np.ndarray:
+    """Row ``j`` of the ``(count, lanes)`` result holds word ``j`` of each
+    lane's stream, as ``count`` `RngStream.next_u64` calls draw them from
+    the ``(4, lanes)`` ``states``; ``states`` is left as it is."""
+    s0, s1, s2, s3 = states.copy()
+    out = np.empty((count, states.shape[1]), dtype=np.uint64)
     for j in range(count):
+        if j:
+            t = s1 << _U64(17)
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = (s3 << _U64(45)) | (s3 >> _U64(19))
         x = s1 * _U64(5)
         out[j] = ((x << _U64(7)) | (x >> _U64(57))) * _U64(9)
-        t = s1 << _U64(17)
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = (s3 << _U64(45)) | (s3 >> _U64(19))
     return out
+
+
+def lane_units(words: np.ndarray) -> np.ndarray:
+    """`RngStream.next_unit_uniform` of each word: its top 53 bits scaled
+    by 2**-53, exactly."""
+    return (words >> _U64(11)) * 2.0 ** -53
+
+
+def lane_indices(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, rejected)``: the index in [0, n) `RngStream.next_index(n)`
+    takes from each word, and whether it rejects the word and redraws (the
+    index of a rejected word is not the draw)."""
+    rejected = words > _U64(_index_limit(n) - 1)
+    return (words % _U64(n)).astype(np.intp), rejected
 
 
 def _tape_bytes(words: np.ndarray) -> np.ndarray:
@@ -347,13 +386,13 @@ def _tape_bytes(words: np.ndarray) -> np.ndarray:
     return words.view(np.uint8)
 
 
-def lane_tape(seeds: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` tape bytes of each lane, ``(lanes, n)`` uint8.  Row
-    ``b`` of ``seeds``, ``(blocks, lanes)``, seeds block ``b`` of each lane,
-    as row ``b`` of `lane_words` does for a stream that draws only tape."""
-    words = np.empty((seeds.shape[1], -(-n // 8)), dtype=np.uint64)
-    for start in range(0, words.shape[1], _TAPE_WORDS):
+def lane_tape(states: np.ndarray, nbytes: int) -> np.ndarray:
+    """The first ``nbytes`` tape bytes of each lane's stream, ``(lanes,
+    nbytes)`` uint8, as `RngStream.fill_bytes` gives them on a stream that
+    draws only tape: its word ``b`` seeds tape block ``b``."""
+    words = np.empty((states.shape[1], -(-nbytes // 8)), dtype=np.uint64)
+    seeds = lane_words(states, -(-words.shape[1] // _TAPE_WORDS))
+    for b, start in enumerate(range(0, words.shape[1], _TAPE_WORDS)):
         block = words[:, start:start + _TAPE_WORDS]
-        np.add(_TAPE_COUNTERS[:block.shape[1]],
-               seeds[start // _TAPE_WORDS, :, None], out=block)
-    return _tape_bytes(words)[:, :n]
+        np.add(_TAPE_COUNTERS[:block.shape[1]], seeds[b, :, None], out=block)
+    return _tape_bytes(words)[:, :nbytes]

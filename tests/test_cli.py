@@ -496,6 +496,36 @@ def test_config_file_rejects_unknown_keys(tmp_path, small_batch_file, capsys):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize("values, given, same_as", [
+    # each value is read by its flag's own type, choices and nargs
+    ({"yona": "false"}, [], None),
+    ({"gate_axis_low": True}, [], None),
+    ({"seed": 1.5}, [], None),
+    ({"n": None}, [], None),
+    ({"noise": 5}, [], None),
+    ({"erase_scale": [0.1]}, [], None),
+    ({"grid_rows": 2.5}, [], None),
+    ({"yona": False, "n": 40}, [], ["--no-yona", "--n", "40"]),
+    ({"aug": "erasing", "erase_scale": [0.1, 0.3], "n": 40}, [],
+     ["--aug", "erasing", "--erase-scale", "0.1", "0.3", "--n", "40"]),
+    # a flag on the command line wins, a switch of the other side too
+    ({"yona": False, "n": 40, "seed": 2}, ["--yona", "--seed", "3"],
+     ["--yona", "--n", "40", "--seed", "3"]),
+], ids=json.dumps)
+def test_config_values_go_through_the_flag_parser(
+        tmp_path, small_batch_file, capsys, values, given, same_as):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(values))
+    argv = ["stats", "--dataset", str(small_batch_file)]
+    code, out, err = run(capsys, *argv, *given, "--config", str(config))
+    if same_as is None:
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+    else:
+        assert code == 0
+        assert (code, out) == run(capsys, *argv, *same_as)[:2]
+
+
 def test_help_lists_defaults(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["augment", "--help"])

@@ -3,12 +3,14 @@
 import hashlib
 import os
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 from yona.augment import default_cifar10_policy, default_spec, parse_policy
+from yona.cli import main
 from yona.compositor import YonaConfig, yona_apply
 from yona.dataset import (CIFAR10, CIFAR100, FNV_OFFSET, CifarRecord,
                           DatasetManifest, describe_augmentation,
@@ -550,14 +552,65 @@ def _encode_with_filters(img: ImageTensor, filter_types) -> bytes:
             raw.append(value & 0xFF)
     color_type = 0 if channels == 1 else 2
     header = struct.pack(">IIBBBBB", width, height, 8, color_type, 0, 0, 0)
+    return (_PNG_SIGNATURE + _png_chunk(b"IHDR", header)
+            + _png_chunk(b"IDAT", zlib.compress(bytes(raw)))
+            + _png_chunk(b"IEND", b""))
 
-    def chunk(tag, body):
-        return (struct.pack(">I", len(body)) + tag + body
-                + struct.pack(">I", zlib.crc32(tag + body) & 0xFFFFFFFF))
 
-    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", header)
-            + chunk(b"IDAT", zlib.compress(bytes(raw)))
-            + chunk(b"IEND", b""))
+_PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+
+
+def _png_chunk(tag, body):
+    return (struct.pack(">I", len(body)) + tag + body
+            + struct.pack(">I", zlib.crc32(tag + body) & 0xFFFFFFFF))
+
+
+def _rgb_png(width, height, raw, ihdr_tail=b"\x08\x02\x00\x00\x00",
+             iend=_png_chunk(b"IEND", b"")):
+    header = struct.pack(">II", width, height) + ihdr_tail
+    return (_PNG_SIGNATURE + _png_chunk(b"IHDR", header)
+            + _png_chunk(b"IDAT", zlib.compress(raw)) + iend)
+
+
+@pytest.mark.parametrize("blob", [
+    pytest.param(_rgb_png(2, 2, bytes(14), ihdr_tail=b"\x08\x02\x00\x00"),
+                 id="ihdr-of-12-bytes"),
+    pytest.param(_rgb_png(2, 2, bytes(14), iend=_png_chunk(b"IEND", b"")[:8]),
+                 id="final-chunk-without-crc"),
+    # the header alone would size a 2**60-pixel allocation
+    pytest.param(_rgb_png(2**30, 2**30, bytes(14)), id="2^30x2^30"),
+    pytest.param(_rgb_png(0, 0, b""), id="0x0"),
+    pytest.param(_rgb_png(2, 2, bytes(15)), id="pixel-data-too-long"),
+])
+def test_png_reader_boundary_is_a_format_error(tmp_path, capsys, blob):
+    path = tmp_path / "bad.png"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError):
+        read_png(path)
+    assert main(["preview", "--image", str(path), "--augs", "hflip",
+                 "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("format error: ") and err.count("\n") == 1
+    assert not (tmp_path / "p").exists()
+
+
+def test_png_reader_inflates_no_more_than_its_header_declares(tmp_path):
+    # 64 MiB of zeros deflate to ~64 KiB under a header declaring 4 bytes
+    deflate = zlib.compressobj()
+    idat = b"".join(deflate.compress(bytes(1 << 20)) for _ in range(64)) \
+        + deflate.flush()
+    path = tmp_path / "long.png"
+    path.write_bytes(_PNG_SIGNATURE + _png_chunk(b"IHDR", struct.pack(
+        ">IIBBBBB", 1, 1, 8, 2, 0, 0, 0)) + _png_chunk(b"IDAT", idat)
+        + _png_chunk(b"IEND", b""))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="does not hold the 4 bytes"):
+            read_png(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("filters", [(1,), (2,), (3,), (4,), (0, 1, 2, 3, 4)])

@@ -13,18 +13,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import yona.augment as aug_mod
 import yona.compositor as comp
 import yona.dataset as ds
+import yona.rng as rng_mod
 from yona.augment import (_SIGNED_OPS, KINDS, PRIMITIVE_OPS,
                           apply_augmentation, default_spec, parse_policy)
 from yona.compositor import YonaConfig, yona_apply
 from yona.dataset import CifarRecord, read_cifar, write_augmented_dataset
 from yona.errors import FormatError, GeometryError
 from yona.image import ConstantNoise, GaussianNoise, ImageTensor, UniformNoise
-from yona.rng import (AUGMENT_ROLE, SeedSpec, derive_image_streams,
-                      derive_stream, image_stream, image_stream_label,
-                      lane_tape, lane_words)
+from yona.rng import (AUGMENT_ROLE, RngStream, SeedSpec,
+                      derive_image_streams, derive_stream, image_stream,
+                      image_stream_label, lane_indices, lane_states,
+                      lane_tape, lane_units, lane_words)
 
 seeds = st.one_of(st.integers(-2**70, -1), st.just(0),
                   st.integers(2**64, 2**70), st.integers(1, 2**64 - 1))
@@ -149,10 +150,11 @@ def test_policy_chunks_match_the_scalar_path(monkeypatch, kind, config):
 @pytest.mark.parametrize("config", [None, YonaConfig()])
 def test_rejected_index_draws_fall_back_to_the_scalar_path(monkeypatch, kind,
                                                           config):
-    # with the lane limit lowered to 2**63 a lane whose index word is at or
-    # above it leaves the lane walk, which cannot follow a redraw; it must
-    # be exactly those records that compose on their own augment stream
-    monkeypatch.setattr(aug_mod, "_index_limit", lambda n: 1 << 63)
+    # with the one index limit lowered to 2**63 a lane whose index word is
+    # at or above it leaves the lane walk, which cannot follow a redraw; it
+    # must be exactly those records that compose on their own augment
+    # stream, which redraws under the same limit
+    monkeypatch.setattr(rng_mod, "_index_limit", lambda n: 1 << 63)
     seed, first, count = 5, 2**62 - 100, comp._LANES + 5
     expected = set()
     for i in range(first, first + count):
@@ -246,14 +248,53 @@ def test_gate_at_exactly_the_apply_probability(kind):
 def test_lane_words_and_tape_match_scalar_streams(seed, first, role, count,
                                                   nbytes):
     # a stream that draws only tape seeds its block b with its word b
-    indices = [first + j for j in range(7)]
-    words = lane_words(seed, first, 7, role, count)
-    tape = lane_tape(lane_words(seed, first, 7, role, -(-nbytes // 65536)),
-                     nbytes)
-    for j, index in enumerate(indices):
-        spec = SeedSpec(seed, image_stream_label(index, role))
+    states = lane_states(seed, first, 7, role)
+    before = states.copy()
+    words = lane_words(states, count)
+    tape = lane_tape(states, nbytes)
+    assert np.array_equal(states, before)  # the twins do not advance it
+    assert tape.shape == (7, nbytes)
+    for j in range(7):
+        spec = SeedSpec(seed, image_stream_label(first + j, role))
+        assert states[:, j].tolist() == list(derive_stream(spec).state)
         assert words[:, j].tolist() == derive_stream(spec).next_words(count)
         assert np.array_equal(tape[j], derive_stream(spec).fill_bytes(nbytes))
+
+
+@pytest.mark.parametrize("n", [1, 3, 14, 25, 2**10])
+def test_lane_units_and_indices_match_the_stream_rules(n):
+    # boundary words, around the rejection limit of n too, each drawn as
+    # the first word of a stream
+    limit = rng_mod._index_limit(n)
+    boundary = [0, 2**11 - 1, 2**63 - 1, 2**63, 2**63 + 1, limit - 1,
+                min(limit, 2**64 - 1), 2**64 - 1]
+    words = np.array(boundary, dtype=np.uint64)
+    units = lane_units(words)
+    index, rejected = lane_indices(words, n)
+    for k, w in enumerate(boundary):
+        stream = _stream_whose_first_word_is(w)
+        assert units[k] == stream.clone().next_unit_uniform()
+        assert (units[k] <= 0.5) == stream.clone().next_coin_pair()[0]
+        # a redraw shows as a stream that has read more than the one word
+        drawing, reading = stream.clone(), stream.clone()
+        drawn = drawing.next_index(n)
+        reading.next_u64()
+        assert rejected[k] == (drawing.next_u64() != reading.next_u64())
+        assert rejected[k] == (w >= limit)
+        if not rejected[k]:
+            assert index[k] == drawn
+
+
+def _stream_whose_first_word_is(w):
+    # xoshiro256** outputs rotl(s1 * 5, 7) * 9: invert it for s1
+    inv9, inv5 = pow(9, -1, 2**64), pow(5, -1, 2**64)
+    x = w * inv9 % 2**64
+    s1 = ((x >> 7) | (x << 57)) % 2**64 * inv5 % 2**64
+    stream = RngStream(0x1234, s1, 0x5678, 0x9ABC)
+    assert lane_words(np.array([[0x1234], [s1], [0x5678], [0x9ABC]],
+                               dtype=np.uint64), 1)[0, 0] == w
+    assert stream.clone().next_u64() == w
+    return stream
 
 
 def _records(count, variant, shapes=None):
@@ -282,7 +323,8 @@ def test_emission_mixes_lanes_and_scalar_records(tmp_path, monkeypatch,
         raise AssertionError("work started before the shape check")
 
     monkeypatch.setattr(ds, "compose_batch", refuse)
-    monkeypatch.setattr(comp, "image_stream", refuse)
+    monkeypatch.setattr(comp, "lane_states", refuse)
+    monkeypatch.setattr(comp, "RngStream", refuse)
     for kind in ("hflip", "cutout"):
         out_dir = tmp_path / kind
         with pytest.raises(FormatError,
