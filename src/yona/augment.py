@@ -13,8 +13,9 @@ outputs bit-exact and golden-testable at small image sizes.
 The primitive kernels are batch-shaped: each maps a (..., C, H, W) stack
 and gives every image the bytes it gets alone, so the scalar path and the
 batch composer share one copy.  `_policy_lanes` walks many records'
-augment-stream words as randaug or autoaug draw them, and
-`_run_policy_slots` applies the ops once per (op, magnitude) group.
+augment-stream words as randaug or autoaug draw them, index redraws
+included, and `_run_policy_slots` applies the ops once per (op, magnitude)
+group.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import UnsupportedAugmentationError
 from .image import ImageTensor, _to_u8, round_half_up
-from .rng import RngStream, lane_indices, lane_units
+from .rng import RngStream, lane_indices, lane_units, lane_words
 
 # --------------------------------------------------------------------------
 # Primitive bank
@@ -683,9 +684,10 @@ class AugmentationSpec:
             raise ValueError(
                 f"grid_transform_probability "
                 f"{self.grid_transform_probability} outside [0, 1]")
-        if self.randaug_num_ops < 0:
-            raise ValueError(
-                f"randaug_num_ops must be >= 0, got {self.randaug_num_ops}")
+        # RandAugment searched N <= 3; the cap bounds each record's walk
+        if not 0 <= self.randaug_num_ops <= 100:
+            raise ValueError(f"randaug_num_ops must be in [0, 100], got "
+                             f"{self.randaug_num_ops}")
         if not 0 <= self.randaug_magnitude <= 30:
             raise ValueError(
                 f"randaug_magnitude must be in [0, 30], got "
@@ -768,33 +770,23 @@ _OP_CODES = {name: code for code, name in enumerate(PRIMITIVE_OPS)}
 _SIGNED_CODES = np.array([name in _SIGNED_OPS for name in PRIMITIVE_OPS])
 
 
-def _policy_word_count(spec: AugmentationSpec) -> int:
-    """The most augment-stream words a randaug or autoaug spec draws: the
-    gate, then an index and a sign per op (autoaug: a sub-policy index,
-    then a gate and a sign per op)."""
-    p = spec.apply_probability
-    if p <= 0.0:
-        return 0
-    per_record = 2 * spec.randaug_num_ops if spec.kind == "randaug" else 5
-    return (p < 1.0) + per_record
+def _policy_lanes(spec: AugmentationSpec, states: np.ndarray) -> list:
+    """Walk each lane's augment stream (``states``, ``(4, lanes)``) as
+    `_augment_arr` draws it for a randaug or autoaug spec, redraws included.
 
-
-def _policy_lanes(spec: AugmentationSpec, words: np.ndarray):
-    """Walk each lane's augment-stream ``words`` (``(count, lanes)``, row
-    ``j`` holding word ``j``) as `_augment_arr` draws them for a randaug or
-    autoaug spec.
-
-    Returns ``(slots, fallback)``.  ``slots[k][i]`` codes lane ``i``'s
-    ``k``-th op as ``(op * 10 + magnitude index) * 2 + negative``, or -1
-    for none; `_run_policy_slots` decodes it.  ``fallback`` marks the lanes
-    whose `RngStream.next_index` draw would be rejected and redrawn, which
-    the walk does not follow; their slots hold -1.
+    ``slots[k][i]`` codes lane ``i``'s ``k``-th op as ``(op * 10 +
+    magnitude index) * 2 + negative``, or -1 for none; `_run_policy_slots`
+    decodes it.  Word rows are made as the walk reaches them; a longer
+    `lane_words` call repeats the rows already read.
     """
-    lanes = np.arange(words.shape[1])
+    lanes = np.arange(states.shape[1])
     pos = np.zeros_like(lanes)
-    fallback = np.zeros(lanes.size, dtype=bool)
+    words = lane_words(states, 0)
 
     def draw(where):  # each lane's next word; lanes in ``where`` consume it
+        nonlocal words
+        if pos.max() >= len(words):
+            words = lane_words(states, 2 * len(words) + 1)
         word = words[pos, lanes]
         np.add(pos, where, out=pos)
         return word
@@ -802,9 +794,12 @@ def _policy_lanes(spec: AugmentationSpec, words: np.ndarray):
     def unit(where):
         return lane_units(draw(where))
 
-    def index(n, where):
-        picked, rejected = lane_indices(draw(where), n)
-        fallback[where & rejected] = True
+    def index(n, where):  # `RngStream.next_index`: redraw rejected words
+        picked = np.zeros(lanes.size, dtype=np.intp)
+        while where.any():
+            drawn, rejected = lane_indices(draw(where), n)
+            picked[where] = drawn[where]
+            where = where & rejected
         return picked
 
     def code(op, level, where):
@@ -815,7 +810,7 @@ def _policy_lanes(spec: AugmentationSpec, words: np.ndarray):
 
     p = spec.apply_probability
     if p <= 0.0:
-        return [], fallback
+        return []
     live = np.ones(lanes.size, dtype=bool)
     if p < 1.0:
         live &= unit(live) < p
@@ -836,7 +831,7 @@ def _policy_lanes(spec: AugmentationSpec, words: np.ndarray):
             gated = take & (prob < 1.0)
             take &= ~gated | (unit(gated) < prob)
             slots.append(code(op, level, take))
-    return [np.where(fallback, -1, codes) for codes in slots], fallback
+    return slots
 
 
 def _run_policy_slots(spec: AugmentationSpec, stack: np.ndarray,

@@ -77,7 +77,7 @@ def _add_aug_flags(parser):
     parser.add_argument("--grid-rows", type=int, default=4)
     parser.add_argument("--grid-cols", type=int, default=4)
     parser.add_argument("--randaug-n", type=int, default=2,
-                        help="randaug op count")
+                        help="randaug op count, 0-100")
     parser.add_argument("--randaug-m", type=float, default=9,
                         help="randaug magnitude on 0-30")
     parser.add_argument("--policy-file",

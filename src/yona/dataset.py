@@ -7,7 +7,8 @@ augmented datasets feed any external trainer unchanged:
 * CIFAR-100 record: ``[coarse u8][fine u8][3072 pixel bytes]``.
 
 Both writers lay records out through `_cifar_table`; `augment` composes
-with `compositor.compose_batch` and knows nothing of composition itself.
+its pixels in place with `compositor.compose_batch` and knows nothing of
+composition itself.
 
 PNG support is a minimal self-contained codec (8-bit grayscale/RGB,
 non-interlaced) so previews round-trip losslessly without extra
@@ -126,9 +127,9 @@ def _check_labels(labels: np.ndarray, variant: str, where: str = "") -> None:
 
 def _cifar_table(records: list, variant: str
                  ) -> tuple[bytearray, np.ndarray]:
-    """One bytearray of ``records`` as a ``variant`` batch with the labels
-    in place, and an ``(N, 3, 32, 32)`` view of its zero pixels to fill.
-    Raises FormatError at the first record that is not 3x32x32 and
+    """One bytearray of ``records`` as a ``variant`` batch, labels and
+    pixels in place, and an ``(N, 3, 32, 32)`` view of its pixels.  Raises
+    FormatError at the first record that is not 3x32x32 and
     CorruptRecordError at the first CIFAR-100 record without a coarse
     label, then at the first label `read_cifar` would reject."""
     record_size = _RECORD_BYTES[variant]
@@ -150,7 +151,10 @@ def _cifar_table(records: list, variant: str
     blob = bytearray(len(records) * record_size)
     table = np.frombuffer(blob, dtype=np.uint8).reshape(-1, record_size)
     table[:, :label_bytes] = labels
-    return blob, table[:, label_bytes:].reshape(-1, *_SHAPE)
+    pixels = table[:, label_bytes:].reshape(-1, *_SHAPE)
+    for i, record in enumerate(records):
+        pixels[i] = record.image.array
+    return blob, pixels
 
 
 def write_cifar(records, path, variant: str) -> None:
@@ -158,10 +162,7 @@ def write_cifar(records, path, variant: str) -> None:
     (`write_atomic`).  Shapes and labels are checked before the file is
     opened (see `_cifar_table`)."""
     records = list(records)
-    blob, pixels = _cifar_table(records, variant)
-    for i, record in enumerate(records):
-        pixels[i] = record.image.array
-    write_atomic(path, blob)
+    write_atomic(path, _cifar_table(records, variant)[0])
 
 
 # --------------------------------------------------------------------------
@@ -351,8 +352,7 @@ def write_augmented_dataset(records, aug: AugmentationSpec,
                               f"disagree on having a coarse label")
         variant = CIFAR100 if any(coarse) else CIFAR10
     out, pixels = _cifar_table(records, variant)
-    compose_batch([r.image for r in records], 0, aug, yona_config, seed,
-                  pixels)
+    compose_batch(pixels, 0, aug, yona_config, seed)
 
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.txt")

@@ -66,17 +66,17 @@ def collect_stats(records, aug: AugmentationSpec,
     shape = _one_shape(records)
     if yona_config is not None:
         entries, _ = yona_config._geometry(shape)
-    out = np.empty((min(n_samples, _LANES),) + shape, dtype=np.uint8)
     height_hits = first_hits = 0
     masked_total = delta_total = 0.0
     for start in range(0, n_samples, _LANES):
-        batch = [records[i % len(records)].image
-                 for i in range(start, min(start + _LANES, n_samples))]
-        groups = compose_batch(batch, start, aug, yona_config, seed, out)
+        clean = np.stack([records[i % len(records)].image.array
+                          for i in range(start, min(start + _LANES,
+                                                    n_samples))])
+        out = clean.copy()
+        groups = compose_batch(out, start, aug, yona_config, seed)
         if yona_config is not None:
             height_hits += int(np.count_nonzero(groups >> 1))
             first_hits += int(np.count_nonzero(groups & 1))
-        if yona_config is not None:
             for j, group in enumerate(groups.tolist()):
                 masked_bytes, _, _, mask_slice, _, _ = entries[group]
                 # independent check: the mask replays from the noise stream
@@ -88,10 +88,9 @@ def collect_stats(records, aug: AugmentationSpec,
                         f"from the noise stream")
                 masked_total += masked_bytes / out[j].size
         # exact int64 row sums: each quotient is the record's np.mean
-        n = len(batch)
-        delta = out[:n].astype(np.int16)
-        delta -= np.stack([image.array for image in batch])
-        for mean in (np.abs(delta, out=delta).reshape(n, -1).sum(
+        delta = out.astype(np.int16)
+        delta -= clean
+        for mean in (np.abs(delta, out=delta).reshape(len(out), -1).sum(
                 axis=1, dtype=np.int64) / delta[0].size).tolist():
             delta_total += mean
     return StatsReport(masked_total / n_samples, height_hits / n_samples,
@@ -198,13 +197,15 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
     records = list(train_records)
     if not records:
         raise ValueError("training needs at least one record")
-    shape = _one_shape(records)
+    _one_shape(records)
     labels = np.array([r.fine_label for r in records], dtype=np.int64)
     classes = np.unique(labels)
     if classes.size < 2:
         raise ValueError("training needs at least two classes present")
     num_classes = int(classes.max()) + 1
-    clean = np.stack([_features(r.image) for r in records])
+    n = len(records)
+    pixels = np.stack([r.image.array for r in records])
+    clean = pixels.reshape(n, -1) / 255.0
     dim = clean.shape[1]
 
     weights = np.zeros((num_classes, dim))
@@ -214,19 +215,18 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
     shuffle_rng = derive_stream(SeedSpec(seed, 0xB07C4))
 
     losses = [probe_loss(weights, bias, clean, labels)]
-    n = len(records)
     spec = aug if aug is not None else AugmentationSpec(kind="identity")
     # plain identity feeds the clean features every epoch
     fresh = spec.kind != "identity" or yona_config is not None
     if fresh:
         epoch_features = np.empty_like(clean)
-        composed = np.empty((n,) + shape, dtype=np.uint8)
+        composed = np.empty_like(pixels)
     else:
         epoch_features = clean
     for epoch in range(epochs):
         if fresh:
-            compose_batch([r.image for r in records], epoch * n, spec,
-                          yona_config, seed, composed)
+            np.copyto(composed, pixels)
+            compose_batch(composed, epoch * n, spec, yona_config, seed)
             np.divide(composed.reshape(n, -1), 255.0, out=epoch_features)
         order = np.arange(n)
         for i in range(n - 1, 0, -1):  # Fisher-Yates on the probe stream

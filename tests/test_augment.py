@@ -568,6 +568,11 @@ def test_spec_validates_kind_parameters():
         AugmentationSpec(kind="cutout", cutout_area_fraction=0.0)
     with pytest.raises(ValueError):
         AugmentationSpec(kind="randaug", randaug_magnitude=40)
+    for ops in (-1, 101, 10**8):
+        with pytest.raises(ValueError, match="randaug_num_ops"):
+            AugmentationSpec(kind="randaug", randaug_num_ops=ops)
+    assert AugmentationSpec(kind="randaug",
+                            randaug_num_ops=100).randaug_num_ops == 100
     with pytest.raises(ValueError):
         AugmentationSpec(kind="grid", grid_rows=0)
 

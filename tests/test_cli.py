@@ -385,6 +385,22 @@ def test_augment_rejects_non_finite_parameters(tmp_path, small_batch_file,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["augment", "stats", "probe"])
+def test_randaug_op_count_over_100_is_usage_error(tmp_path, small_batch_file,
+                                                  capsys, command):
+    # 10**8 ops once meant a 29.8 GiB word table; refused before any work
+    out_dir = tmp_path / "out"
+    outputs = {"augment": ["--out", str(out_dir)], "stats": [],
+               "probe": ["--train-count", "10"]}[command]
+    code, out, err = run(capsys, command, "--dataset", str(small_batch_file),
+                         "--aug", "randaug", "--randaug-n", "100000000",
+                         *outputs)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: randaug_num_ops") \
+        and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mean, stddev, law", [
     ("0", "1e308", {0, 255}),  # every threshold is 2**31
