@@ -12,10 +12,11 @@ outputs bit-exact and golden-testable at small image sizes.
 
 The primitive kernels are batch-shaped: each maps a (..., C, H, W) stack
 and gives every image the bytes it gets alone, so the scalar path and the
-batch composer share one copy.  `_policy_lanes` walks many records'
-augment-stream words as randaug or autoaug draw them, index redraws
-included, and `_run_policy_slots` applies the ops once per (op, magnitude)
-group.
+batch composer share one copy.  `_augment_lanes` is the lane twin of
+`_augment_arr`: it augments many records' kept pieces on their augment
+streams as `rng.LaneStream` lanes, for every kind.  `_policy_lanes` walks
+those lanes as randaug or autoaug draw them, index redraws included, and
+`_run_policy_slots` applies the ops once per (op, magnitude) group.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import UnsupportedAugmentationError
 from .image import ImageTensor, _to_u8, round_half_up
-from .rng import RngStream, lane_indices, lane_units, lane_words
+from .rng import LaneStream, RngStream
 
 # --------------------------------------------------------------------------
 # Primitive bank
@@ -701,13 +702,18 @@ def default_spec(kind: str, **overrides) -> AugmentationSpec:
 
 def _augment_arr(spec: AugmentationSpec, arr: np.ndarray, rng: RngStream,
                  region_ref_hw: tuple[int, int] | None = None) -> np.ndarray:
-    """Kind dispatch on a raw buffer; may return a view of ``arr``."""
-    kind = spec.kind
+    """Gate, then kind dispatch on a raw buffer; may return a view of
+    ``arr``."""
     p = spec.apply_probability
-    if p <= 0.0:
+    if p <= 0.0 or p < 1.0 and rng.next_unit_uniform() >= p:
         return arr
-    if p < 1.0 and rng.next_unit_uniform() >= p:
-        return arr
+    return _ungated_arr(spec, arr, rng, region_ref_hw)
+
+
+def _ungated_arr(spec: AugmentationSpec, arr: np.ndarray, rng: RngStream,
+                 region_ref_hw: tuple[int, int] | None) -> np.ndarray:
+    """`_augment_arr` past its gate."""
+    kind = spec.kind
     if kind == "hflip":
         return arr[:, :, ::-1]
     if kind == "vflip":
@@ -762,66 +768,90 @@ def apply_augmentation(spec: AugmentationSpec, image: ImageTensor,
 
 
 # --------------------------------------------------------------------------
-# Policy kinds over lanes
+# Every kind over lanes
 
 POLICY_KINDS = frozenset({"randaug", "autoaug"})
 
+_FLIPS = {"hflip": np.s_[..., ::-1], "vflip": np.s_[..., ::-1, :]}
 _OP_CODES = {name: code for code, name in enumerate(PRIMITIVE_OPS)}
 _SIGNED_CODES = np.array([name in _SIGNED_OPS for name in PRIMITIVE_OPS])
 
 
-def _policy_lanes(spec: AugmentationSpec, states: np.ndarray) -> list:
-    """Walk each lane's augment stream (``states``, ``(4, lanes)``) as
-    `_augment_arr` draws it for a randaug or autoaug spec, redraws included.
+def _augment_lanes(spec: AugmentationSpec, out: np.ndarray, pieces,
+                   rng: LaneStream,
+                   region_ref_hw: tuple[int, int] | None) -> None:
+    """Lane twin of `_augment_arr`: augment the kept pieces of the (N, C,
+    H, W) ``out`` in place, row ``j`` on lane ``j`` of ``rng``, its augment
+    stream.  ``pieces`` lists ``(rows, piece)`` pairs, ``piece`` the
+    (C, H, W) slice of the kept piece of each of those rows.
+
+    The gate is one lane draw.  The flips are scatters.  Randaug and
+    autoaug walk each record's op sequence (`_policy_lanes`) and run each
+    op slot as one kernel call per (op, magnitude) group over the kept
+    pieces of one shape (both sides of an axis) as one stack.  Every
+    gated-in record of the other kinds augments its kept piece on an
+    `RngStream` built from its lane state.
+    """
+    p = spec.apply_probability
+    if p <= 0.0 or spec.kind == "identity":
+        return
+    live = rng.next_unit_uniform() < p if p < 1.0 \
+        else np.ones(len(out), dtype=bool)
+    flip = _FLIPS.get(spec.kind)
+    if flip is not None:
+        for rows, piece in pieces:
+            kept = (rows[live[rows]],) + piece
+            out[kept] = out[kept][flip]
+    elif spec.kind in POLICY_KINDS:
+        slots = _policy_lanes(spec, rng, live)
+        by_shape = {}
+        for rows, piece in pieces:
+            by_shape.setdefault(out[0][piece].shape, []).append((rows, piece))
+        for parts in by_shape.values():
+            rows = np.concatenate([part_rows for part_rows, _ in parts])
+            stack = np.concatenate([out[(part_rows,) + piece]
+                                    for part_rows, piece in parts])
+            _run_policy_slots(spec, stack, [codes[rows] for codes in slots])
+            start = 0
+            for part_rows, piece in parts:
+                out[(part_rows,) + piece] = \
+                    stack[start:start + part_rows.size]
+                start += part_rows.size
+    else:
+        # every kernel copies before it writes, so each may read its kept
+        # piece from ``out``
+        for rows, piece in pieces:
+            rows = rows[live[rows]]
+            for j, state in zip(rows.tolist(), rng.state[:, rows].T.tolist()):
+                kept = (j,) + piece
+                out[kept] = _ungated_arr(spec, out[kept], RngStream(*state),
+                                         region_ref_hw)
+
+
+def _policy_lanes(spec: AugmentationSpec, rng: LaneStream,
+                  live: np.ndarray) -> list:
+    """Walk the lanes of ``rng`` in ``live`` (the lanes past the gate) as
+    `_ungated_arr` draws a randaug or autoaug spec, redraws included.
 
     ``slots[k][i]`` codes lane ``i``'s ``k``-th op as ``(op * 10 +
     magnitude index) * 2 + negative``, or -1 for none; `_run_policy_slots`
-    decodes it.  Word rows are made as the walk reaches them; a longer
-    `lane_words` call repeats the rows already read.
+    decodes it.
     """
-    lanes = np.arange(states.shape[1])
-    pos = np.zeros_like(lanes)
-    words = lane_words(states, 0)
-
-    def draw(where):  # each lane's next word; lanes in ``where`` consume it
-        nonlocal words
-        if pos.max() >= len(words):
-            words = lane_words(states, 2 * len(words) + 1)
-        word = words[pos, lanes]
-        np.add(pos, where, out=pos)
-        return word
-
-    def unit(where):
-        return lane_units(draw(where))
-
-    def index(n, where):  # `RngStream.next_index`: redraw rejected words
-        picked = np.zeros(lanes.size, dtype=np.intp)
-        while where.any():
-            drawn, rejected = lane_indices(draw(where), n)
-            picked[where] = drawn[where]
-            where = where & rejected
-        return picked
-
     def code(op, level, where):
         # the sign coin: negative when its uniform is >= 0.5
         signed = where & _SIGNED_CODES[op]
-        negative = signed & (unit(signed) >= 0.5)
+        negative = signed & (rng.next_unit_uniform(signed) >= 0.5)
         return np.where(where, (op * 10 + level) * 2 + negative, -1)
 
-    p = spec.apply_probability
-    if p <= 0.0:
-        return []
-    live = np.ones(lanes.size, dtype=bool)
-    if p < 1.0:
-        live &= unit(live) < p
     slots = []
     if spec.kind == "randaug":
         for _ in range(spec.randaug_num_ops):
-            slots.append(code(index(len(PRIMITIVE_OPS), live), 0, live))
+            slots.append(code(rng.next_index(len(PRIMITIVE_OPS), live), 0,
+                              live))
     else:
         policy = spec.policy if spec.policy is not None \
             else default_cifar10_policy()
-        sub = index(len(policy), live)
+        sub = rng.next_index(len(policy), live)
         for slot in range(2):
             entries = [entry[slot] for entry in policy.sub_policies]
             op = np.array([_OP_CODES[name] for name, _, _ in entries])[sub]
@@ -829,7 +859,7 @@ def _policy_lanes(spec: AugmentationSpec, states: np.ndarray) -> list:
             level = np.array([level for _, _, level in entries])[sub]
             take = live & (prob > 0.0)
             gated = take & (prob < 1.0)
-            take &= ~gated | (unit(gated) < prob)
+            take &= ~gated | (rng.next_unit_uniform(gated) < prob)
             slots.append(code(op, level, take))
     return slots
 

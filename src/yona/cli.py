@@ -316,10 +316,11 @@ def _check_bound(name, value, low, high) -> None:
 def cmd_bench(args) -> None:
     try:
         dims = tuple(int(d) for d in args.dims.lower().split("x"))
-        if len(dims) != 3:
-            raise ValueError
     except ValueError:
-        raise UsageError(f"cannot parse --dims {args.dims!r}, want CxHxW")
+        dims = ()
+    if len(dims) != 3 or min(dims) < 1:
+        raise UsageError(f"--dims must be CxHxW, three integers >= 1, got "
+                         f"{args.dims!r}")
     # benchmark work, not coin luck: force application unless overridden
     spec = _build_spec(args, forced_probability=1.0)
     result = ev.benchmark_throughput(spec, _build_yona(args),

@@ -6,8 +6,8 @@ writes both into one buffer in their original spatial order.  ``yoco_apply``
 is the comparison compositor: no masking, the augmentation runs
 independently on both halves.  ``compose_batch`` composes the pixels of
 records ``i, i + 1, ...`` of a run in place, an (N, C, H, W) array, for
-every command, running randaug and autoaug once per op group rather than
-once per record; ``compose_record`` is a batch of one.
+every command, drawing every record's streams as lanes;
+``compose_record`` is a batch of one.
 
 Randomness contract per composition (default config):
 
@@ -26,13 +26,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augment import (POLICY_KINDS, AugmentationSpec, _augment_arr,
-                      _policy_lanes, _run_policy_slots)
+from .augment import AugmentationSpec, _augment_arr, _augment_lanes
 from .errors import GeometryError
 from .image import (Axis, ImageTensor, NoiseKind, UniformNoise, cut,
                     noise_bytes, noise_from_tape, round_half_up)
-from .rng import (AUGMENT_ROLE, NOISE_ROLE, STRUCTURE_ROLE, RngStream,
-                  lane_states, lane_tape, lane_units, lane_words)
+from .rng import (AUGMENT_ROLE, NOISE_ROLE, STRUCTURE_ROLE, LaneStream,
+                  RngStream, lane_states, lane_tape)
 
 AXIS_RANDOM = "random"
 AXIS_FIXED_HEIGHT = "height"
@@ -191,12 +190,13 @@ def yona_apply(image: ImageTensor, aug: AugmentationSpec, config: YonaConfig,
                     noise_rng, False)
 
 
-_LANES = 256  # records per chunk
-# records per randaug or autoaug chunk: larger op groups.  probe-randaug
-# (6 s runs, 2 vCPU): median 8,024 images/s at 1,024, 6,434 at 256; 1,024
-# won 10 of 10 alternating pairs, each by more than its IQR (853).
-_POLICY_LANES = 1024
-_FLIPS = {"hflip": np.s_[..., ::-1], "vflip": np.s_[..., ::-1, :]}
+# records per chunk.  Larger chunks make larger op groups for the policy
+# walk: the probe benchmark workload (6 s runs, 2 vCPU) made a median
+# 8,024 images/s at 1,024 and 6,434 at 256, winning 10 of 10 alternating
+# pairs, each by more than its IQR (853).  Composing 10,000 records with a
+# flip took a median 43-47 ms at 1,024 and 56 ms at 256 (2 vCPU), and the
+# emit benchmark workload read the same peak RSS.
+_LANES = 1024
 
 
 def compose_batch(out: np.ndarray, first_index: int, aug: AugmentationSpec,
@@ -208,48 +208,33 @@ def compose_batch(out: np.ndarray, first_index: int, aug: AugmentationSpec,
     record's ``config._geometry`` group ``(height_cut << 1) | masked_first``,
     or None without ``config``.
 
-    Each chunk of ``_LANES`` records seeds each role once as `rng` lanes
-    and reads every draw through `rng`'s lane twins of the scalar rules:
-    the structure coins, the flip gates and the noise tape.  Every mask, of
-    any noise kind and length, is `noise_from_tape` over the tape lanes of
-    the records of one geometry group.  Randaug and autoaug resolve each
-    record's op sequence from its augment-stream words as lanes, redraws
-    included, over chunks of ``_POLICY_LANES``, and run each op slot as one
-    batch-shaped kernel call per (op, magnitude) group of the kept pieces
-    of one shape; every record of the other kinds augments its kept piece
-    on its own augment stream, an `RngStream` built from its lane state.  A
-    group that cannot host the mask fraction raises its GeometryError once
-    a record selects it.
+    Each chunk of ``_LANES`` records seeds each role once as `rng` lanes:
+    it draws the structure coins through a `LaneStream` in `_compose`'s
+    order, fills every mask of one geometry group with `noise_from_tape`
+    over those records' `lane_tape`, whatever the noise kind and length,
+    and augments the kept pieces with one `_augment_lanes` call on their
+    augment lanes.  A group that cannot host the mask fraction raises its
+    GeometryError once a record selects it.
     """
-    flip = _FLIPS.get(aug.kind)
     ref_hw = None
     groups = None if config is None else np.empty(len(out), dtype=np.intp)
     if config is not None and len(out):
         entries, ref_hw = config._geometry(out.shape[1:])
-    lanes = _POLICY_LANES if aug.kind in POLICY_KINDS else _LANES
-    for start in range(0, len(out), lanes):
-        o = out[start:start + lanes]
+    for start in range(0, len(out), _LANES):
+        o = out[start:start + _LANES]
         n = len(o)
         first = first_index + start
-        aug_states = lane_states(seed, first, n, AUGMENT_ROLE)
-        if flip is not None:
-            # the scalar gate skips the flip when its uniform draws >= p
-            # (it draws none at p 0 or 1, where this holds for all or none)
-            gated = lane_units(lane_words(aug_states, 1)[0]) \
-                < aug.apply_probability
         if config is None:
             pieces = [(np.arange(n), np.s_[:, :, :])]
         else:
             # structure coins: axis first, then side; fixed policies skip
-            axis_random = config.axis_policy == AXIS_RANDOM
-            side_random = config.masked_piece_policy == MASKED_RANDOM
-            coins = lane_units(lane_words(
-                lane_states(seed, first, n, STRUCTURE_ROLE),
-                axis_random + side_random)) <= 0.5
-            height_cut = coins[0] if axis_random else np.full(
-                n, config.axis_policy == AXIS_FIXED_HEIGHT)
-            masked_first = coins[-1] if side_random else np.full(
-                n, config.masked_piece_policy == MASKED_FIRST)
+            coins = LaneStream(lane_states(seed, first, n, STRUCTURE_ROLE))
+            height_cut = coins.next_unit_uniform() <= 0.5 \
+                if config.axis_policy == AXIS_RANDOM \
+                else np.full(n, config.axis_policy == AXIS_FIXED_HEIGHT)
+            masked_first = coins.next_unit_uniform() <= 0.5 \
+                if config.masked_piece_policy == MASKED_RANDOM \
+                else np.full(n, config.masked_piece_policy == MASKED_FIRST)
             group = groups[start:start + n] = 2 * height_cut + masked_first
             noise_states = lane_states(seed, first, n, NOISE_ROLE)
             pieces = []
@@ -262,43 +247,9 @@ def compose_batch(out: np.ndarray, first_index: int, aug: AugmentationSpec,
                     noise_states[:, sel], size), nbytes)
                 o[(sel,) + mask_slice] = noise.reshape((-1,) + mask_shape)
                 pieces.append((sel, aug_slice))
-        if aug.kind in POLICY_KINDS:
-            slots = _policy_lanes(aug, aug_states)
-            if slots:
-                _run_policy_pieces(aug, o, pieces, slots)
-            continue
-        for sel, aug_slice in pieces:
-            if flip is not None:
-                kept = (sel[gated[sel]],) + aug_slice
-                o[kept] = o[kept][flip]
-            elif aug.kind != "identity":
-                # every kernel copies before it writes, so each may read
-                # its kept piece from ``o``
-                for j, state in zip(sel.tolist(),
-                                    aug_states[:, sel].T.tolist()):
-                    kept = (j,) + aug_slice
-                    o[kept] = _augment_arr(aug, o[kept], RngStream(*state),
-                                           ref_hw)
+        _augment_lanes(aug, o, pieces, LaneStream(
+            lane_states(seed, first, n, AUGMENT_ROLE)), ref_hw)
     return groups
-
-
-def _run_policy_pieces(aug: AugmentationSpec, o: np.ndarray, pieces,
-                       slots) -> None:
-    """Run coded policy ops on the kept pieces ``(sel, aug_slice)`` of
-    ``o``, all pieces of one shape (both sides of an axis) as one stack."""
-    by_shape = {}
-    for sel, aug_slice in pieces:
-        by_shape.setdefault(o[0][aug_slice].shape, []).append(
-            (sel, aug_slice))
-    for parts in by_shape.values():
-        sel = np.concatenate([part_sel for part_sel, _ in parts])
-        stack = np.concatenate([o[(part_sel,) + aug_slice]
-                                for part_sel, aug_slice in parts])
-        _run_policy_slots(aug, stack, [codes[sel] for codes in slots])
-        start = 0
-        for part_sel, aug_slice in parts:
-            o[(part_sel,) + aug_slice] = stack[start:start + part_sel.size]
-            start += part_sel.size
 
 
 def compose_record(image: ImageTensor, aug: AugmentationSpec,

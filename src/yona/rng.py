@@ -26,18 +26,16 @@ becomes a draw, for a stream as for lanes:
 
 * seeding, `derive_stream` (`image_stream`): `lane_states`, ``(4, N)``
   xoshiro states;
-* a word, :meth:`RngStream.next_u64`: `lane_words`;
-* a unit uniform, :meth:`RngStream.next_unit_uniform`: `lane_units`; a
-  coin is a uniform ``<= 0.5`` and a gate a uniform ``< p`` on either side;
-* an index with rejection, :meth:`RngStream.next_index`: `lane_indices`,
-  which flags the words the stream would reject and redraw; both use
-  `_index_limit`;
+* a word, a unit uniform and an index with rejection, the
+  ``next_u64``, ``next_unit_uniform`` and ``next_index`` of `RngStream`:
+  the same methods of `LaneStream`, which advance only the lanes asked
+  for; both ``next_index`` redraw through `_index_limit`.  A coin is a
+  uniform ``<= 0.5`` and a gate a uniform ``< p`` on either side;
 * tape, :meth:`RngStream.fill_bytes` on a stream that draws only tape:
-  `lane_tape`, which draws its own block-seed words.
+  `lane_tape`, which draws its block-seed words from a `LaneStream`.
 
-The lane twins leave the states they are given as they are.  The golden
-word fixture pins the scalar stream, and the lane differential tests pin
-the twins to it.
+The golden word fixture pins the scalar stream, and the lane differential
+tests pin the twins to it.
 
 Changing any of these conventions invalidates golden files and is a breaking
 change.
@@ -230,10 +228,6 @@ class RngStream:
         return ((w1 >> 11) <= 0x10000000000000,
                 (w2 >> 11) <= 0x10000000000000)
 
-    def next_byte_uniform(self) -> int:
-        """Uniform byte in [0, 255]; consumes one word (its top 8 bits)."""
-        return self.next_u64() >> 56
-
     def next_index(self, n: int) -> int:
         """Uniform index in [0, n) via rejection sampling (no modulo bias)."""
         if n < 1:
@@ -344,38 +338,51 @@ def lane_states(global_seed: int, first_index: int, lanes: int,
     return _mix64_block(base + _TAPE_COUNTERS[:4, None])
 
 
-def lane_words(states: np.ndarray, count: int) -> np.ndarray:
-    """Row ``j`` of the ``(count, lanes)`` result holds word ``j`` of each
-    lane's stream, as ``count`` `RngStream.next_u64` calls draw them from
-    the ``(4, lanes)`` ``states``; ``states`` is left as it is."""
-    s0, s1, s2, s3 = states.copy()
-    out = np.empty((count, states.shape[1]), dtype=np.uint64)
-    for j in range(count):
-        if j:
-            t = s1 << _U64(17)
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = (s3 << _U64(45)) | (s3 >> _U64(19))
+class LaneStream:
+    """Lane twin of `RngStream`: lane ``j`` draws what a stream from column
+    ``j`` of the ``(4, lanes)`` ``states`` would, word by word; ``state``
+    is a copy of ``states``.  Each draw returns one value per lane, and
+    only the lanes in the boolean ``where`` (all when None) consume it."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, states: np.ndarray):
+        self.state = np.array(states, dtype=np.uint64)
+
+    def next_u64(self, where: np.ndarray | None = None) -> np.ndarray:
+        """`RngStream.next_u64` of each lane."""
+        s0, s1, s2, s3 = state = self.state.copy()
         x = s1 * _U64(5)
-        out[j] = ((x << _U64(7)) | (x >> _U64(57))) * _U64(9)
-    return out
+        word = ((x << _U64(7)) | (x >> _U64(57))) * _U64(9)
+        t = s1 << _U64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3[:] = (s3 << _U64(45)) | (s3 >> _U64(19))
+        np.copyto(self.state, state, where=True if where is None else where)
+        return word
 
+    def next_unit_uniform(self, where: np.ndarray | None = None
+                          ) -> np.ndarray:
+        """`RngStream.next_unit_uniform` of each lane, exactly."""
+        return (self.next_u64(where) >> _U64(11)) * 2.0 ** -53
 
-def lane_units(words: np.ndarray) -> np.ndarray:
-    """`RngStream.next_unit_uniform` of each word: its top 53 bits scaled
-    by 2**-53, exactly."""
-    return (words >> _U64(11)) * 2.0 ** -53
-
-
-def lane_indices(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(index, rejected)``: the index in [0, n) `RngStream.next_index(n)`
-    takes from each word, and whether it rejects the word and redraws (the
-    index of a rejected word is not the draw)."""
-    rejected = words > _U64(_index_limit(n) - 1)
-    return (words % _U64(n)).astype(np.intp), rejected
+    def next_index(self, n: int, where: np.ndarray | None = None
+                   ) -> np.ndarray:
+        """`RngStream.next_index(n)` of each lane, redrawing a rejected word
+        until one is kept; lanes outside ``where`` read 0."""
+        if n < 1:
+            raise ValueError(f"next_index needs n >= 1, got {n}")
+        top = _U64(_index_limit(n) - 1)
+        picked = np.zeros(self.state.shape[1], dtype=np.intp)
+        where = np.ones(picked.size, dtype=bool) if where is None else where
+        while where.any():
+            word = self.next_u64(where)
+            picked[where] = (word % _U64(n))[where]
+            where = where & (word > top)
+        return picked
 
 
 def _tape_bytes(words: np.ndarray) -> np.ndarray:
@@ -389,10 +396,12 @@ def _tape_bytes(words: np.ndarray) -> np.ndarray:
 def lane_tape(states: np.ndarray, nbytes: int) -> np.ndarray:
     """The first ``nbytes`` tape bytes of each lane's stream, ``(lanes,
     nbytes)`` uint8, as `RngStream.fill_bytes` gives them on a stream that
-    draws only tape: its word ``b`` seeds tape block ``b``."""
+    draws only tape: its word ``b`` seeds tape block ``b``; ``states`` is
+    left as it is."""
     words = np.empty((states.shape[1], -(-nbytes // 8)), dtype=np.uint64)
-    seeds = lane_words(states, -(-words.shape[1] // _TAPE_WORDS))
-    for b, start in enumerate(range(0, words.shape[1], _TAPE_WORDS)):
+    seeds = LaneStream(states)
+    for start in range(0, words.shape[1], _TAPE_WORDS):
         block = words[:, start:start + _TAPE_WORDS]
-        np.add(_TAPE_COUNTERS[:block.shape[1]], seeds[b, :, None], out=block)
+        np.add(_TAPE_COUNTERS[:block.shape[1]], seeds.next_u64()[:, None],
+               out=block)
     return _tape_bytes(words)[:, :nbytes]

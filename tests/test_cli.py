@@ -218,8 +218,13 @@ def test_non_finite_gate_is_usage_error(tmp_path, small_batch_file, capsys,
 
 
 def test_bench_rejects_bad_dims(capsys):
-    code, _, err = run(capsys, "bench", "--dims", "not-dims")
-    assert code == 1
+    # one usage line before any work, for negative and zero extents too
+    for dims in ["not-dims", "3x32", "3x32x32x1", "3x-32x32", "3x-32x-32",
+                 "0x32x32", "3x32x0", "3xx32"]:
+        code, out, err = run(capsys, "bench", "--dims", dims)
+        assert code == 1 and out == ""
+        assert err == "usage error: --dims must be CxHxW, three integers " \
+            f">= 1, got {dims!r}\n"
 
 
 def test_bench_rejects_tiny_iteration_count(capsys):

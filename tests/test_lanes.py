@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import yona.augment as aug_mod
 import yona.compositor as comp
 import yona.dataset as ds
 import yona.rng as rng_mod
@@ -22,18 +23,30 @@ from yona.compositor import YonaConfig, yona_apply
 from yona.dataset import CifarRecord, read_cifar, write_augmented_dataset
 from yona.errors import FormatError, GeometryError
 from yona.image import ConstantNoise, GaussianNoise, ImageTensor, UniformNoise
-from yona.rng import (AUGMENT_ROLE, RngStream, SeedSpec,
+from yona.rng import (AUGMENT_ROLE, LaneStream, RngStream, SeedSpec,
                       derive_image_streams, derive_stream, image_stream,
-                      image_stream_label, lane_indices, lane_states,
-                      lane_tape, lane_units, lane_words)
+                      image_stream_label, lane_states, lane_tape)
+
+LANES = comp._LANES  # records per chunk as `compose_batch` runs
+# the chunk these tests compose in (`small_chunks`): their batches cross
+# its borders at a fraction of the cost of crossing LANES
+CHUNK = 256
+
+
+@pytest.fixture(autouse=True, scope="module")
+def small_chunks():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(comp, "_LANES", CHUNK)
+        yield
+
 
 seeds = st.one_of(st.integers(-2**70, -1), st.just(0),
                   st.integers(2**64, 2**70), st.integers(1, 2**64 - 1))
 # labels wrap at 2**62: (index << 2) | role is taken mod 2**64
 first_indices = st.one_of(st.just(0), st.integers(0, 10**6),
                           st.integers(2**62 - 600, 2**62 + 600))
-counts = st.one_of(st.just(1), st.integers(comp._LANES - 2, comp._LANES + 2),
-                   st.integers(1, 2 * comp._LANES + 3))
+counts = st.one_of(st.just(1), st.integers(CHUNK - 2, CHUNK + 2),
+                   st.integers(1, 2 * CHUNK + 3))
 probabilities = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
                           st.floats(0.0, 1.0))
 noises = st.one_of(st.just(UniformNoise()),
@@ -133,17 +146,25 @@ def test_lanes_match_the_scalar_path(kind, fraction, seed, first, count, p,
 @pytest.mark.parametrize("spec", SPECS + POLICY_SPECS, ids=lambda s: s.kind)
 def test_every_spec_matches_the_scalar_path(spec, config):
     # crosses a chunk boundary and the 2**62 wrap of index labels
-    _check_lanes(_images(comp._LANES + 5, 3), 2**62 - 100, spec, config, -7)
+    _check_lanes(_images(CHUNK + 5, 3), 2**62 - 100, spec, config, -7)
 
 
 @pytest.mark.parametrize("kind", ["randaug", "autoaug"])
 @pytest.mark.parametrize("config", CONFIGS[:3])
 def test_policy_chunks_match_the_scalar_path(monkeypatch, kind, config):
-    # the policy kinds compose in chunks of their own size; a smaller one
-    # makes this batch cross two chunk boundaries
-    monkeypatch.setattr(comp, "_POLICY_LANES", 100)
-    _check_lanes(_images(comp._LANES + 5, 4), 2**62 - 100,
+    # a smaller chunk makes this batch cross two chunk boundaries
+    monkeypatch.setattr(comp, "_LANES", 100)
+    _check_lanes(_images(CHUNK + 5, 4), 2**62 - 100,
                  default_spec(kind, apply_probability=0.8), config, -7)
+
+
+@pytest.mark.parametrize("kind, config", [
+    ("hflip", YonaConfig()), ("cutout", YonaConfig()), ("randaug", None)])
+def test_the_real_chunk_border_matches_the_scalar_path(monkeypatch, kind,
+                                                      config):
+    monkeypatch.setattr(comp, "_LANES", LANES)
+    _check_lanes(_images(LANES + 5, 9), 2**62 - 100, default_spec(kind),
+                 config, 13)
 
 
 @pytest.mark.parametrize("kind", ["randaug", "autoaug"])
@@ -154,7 +175,7 @@ def test_rejected_index_draws_redraw_in_the_lane_walk(monkeypatch, kind,
     # rejected and redrawn; the lane walk follows every redraw, so no
     # record leaves it for its own augment stream
     monkeypatch.setattr(rng_mod, "_index_limit", lambda n: 1 << 63)
-    seed, first, count = 5, 2**62 - 100, comp._LANES + 5
+    seed, first, count = 5, 2**62 - 100, CHUNK + 5
 
     def longest_redraw(stream):  # the most words one index draw rejects
         longest = 0
@@ -167,10 +188,10 @@ def test_rejected_index_draws_redraw_in_the_lane_walk(monkeypatch, kind,
                 stream.next_u64()  # the sign coin
         return longest
 
-    # a lane that rejects twice in a row reads past the rows it had
+    # some lane rejects twice in a row
     assert max(longest_redraw(image_stream(seed, i, AUGMENT_ROLE))
                for i in range(first, first + count)) >= 2
-    scalar, calls = comp._augment_arr, []
+    scalar, calls = aug_mod._ungated_arr, []
 
     def spy(*args):
         calls.append(args)
@@ -179,7 +200,7 @@ def test_rejected_index_draws_redraw_in_the_lane_walk(monkeypatch, kind,
     images, spec = _images(count, 8), default_spec(kind)
     want = [_scalar(image, spec, config, seed, first + j)
             for j, image in enumerate(images)]
-    monkeypatch.setattr(comp, "_augment_arr", spy)
+    monkeypatch.setattr(aug_mod, "_ungated_arr", spy)
     out = np.stack([image.array for image in images])
     comp.compose_batch(out, first, spec, config, seed)
     assert not calls
@@ -253,9 +274,10 @@ def test_lane_words_and_tape_match_scalar_streams(seed, first, role, count,
     # a stream that draws only tape seeds its block b with its word b
     states = lane_states(seed, first, 7, role)
     before = states.copy()
-    words = lane_words(states, count)
+    lanes = LaneStream(states)
+    words = np.array([lanes.next_u64() for _ in range(count)])
     tape = lane_tape(states, nbytes)
-    assert np.array_equal(states, before)  # the twins do not advance it
+    assert np.array_equal(states, before)  # the twins draw on a copy
     assert tape.shape == (7, nbytes)
     for j in range(7):
         spec = SeedSpec(seed, image_stream_label(first + j, role))
@@ -267,25 +289,26 @@ def test_lane_words_and_tape_match_scalar_streams(seed, first, role, count,
 @pytest.mark.parametrize("n", [1, 3, 14, 25, 2**10])
 def test_lane_units_and_indices_match_the_stream_rules(n):
     # boundary words, around the rejection limit of n too, each drawn as
-    # the first word of a stream
+    # the first word of a stream, one stream per lane
     limit = rng_mod._index_limit(n)
     boundary = [0, 2**11 - 1, 2**63 - 1, 2**63, 2**63 + 1, limit - 1,
                 min(limit, 2**64 - 1), 2**64 - 1]
-    words = np.array(boundary, dtype=np.uint64)
-    units = lane_units(words)
-    index, rejected = lane_indices(words, n)
+    streams = [_stream_whose_first_word_is(w) for w in boundary]
+    lanes = LaneStream(np.array([s.state for s in streams],
+                                dtype=np.uint64).T)
+    units = LaneStream(lanes.state).next_unit_uniform()
+    index = lanes.next_index(n)
+    after = lanes.next_u64()
     for k, w in enumerate(boundary):
-        stream = _stream_whose_first_word_is(w)
+        stream = streams[k]
         assert units[k] == stream.clone().next_unit_uniform()
         assert (units[k] <= 0.5) == stream.clone().next_coin_pair()[0]
         # a redraw shows as a stream that has read more than the one word
         drawing, reading = stream.clone(), stream.clone()
-        drawn = drawing.next_index(n)
+        assert index[k] == drawing.next_index(n)
         reading.next_u64()
-        assert rejected[k] == (drawing.next_u64() != reading.next_u64())
-        assert rejected[k] == (w >= limit)
-        if not rejected[k]:
-            assert index[k] == drawn
+        assert after[k] == drawing.next_u64()
+        assert (after[k] != reading.next_u64()) == (w >= limit)
 
 
 def _stream_whose_first_word_is(w):
@@ -294,10 +317,45 @@ def _stream_whose_first_word_is(w):
     x = w * inv9 % 2**64
     s1 = ((x >> 7) | (x << 57)) % 2**64 * inv5 % 2**64
     stream = RngStream(0x1234, s1, 0x5678, 0x9ABC)
-    assert lane_words(np.array([[0x1234], [s1], [0x5678], [0x9ABC]],
-                               dtype=np.uint64), 1)[0, 0] == w
     assert stream.clone().next_u64() == w
     return stream
+
+
+draw_kinds = st.sampled_from(["u64", "unit_uniform", "index"])
+wheres = st.one_of(st.none(), st.lists(st.booleans(), min_size=6,
+                                       max_size=6))
+
+
+@settings(max_examples=60)
+@given(seed=seeds, first=first_indices,
+       draws=st.lists(st.tuples(draw_kinds, st.integers(1, 2**40), wheres),
+                      max_size=12),
+       rejecting=st.booleans())
+def test_lane_stream_matches_per_lane_streams(seed, first, draws, rejecting):
+    # each lane of a LaneStream draws what its own RngStream draws, under
+    # any mix of draws and ``where`` masks; a lane outside ``where`` reads
+    # its next word (an index reads 0) and consumes nothing.  With the
+    # index limit lowered to 2**63 half of all index words are rejected
+    with pytest.MonkeyPatch.context() as patch:
+        if rejecting:
+            patch.setattr(rng_mod, "_index_limit", lambda n: 1 << 63)
+        lanes = LaneStream(lane_states(seed, first, 6, AUGMENT_ROLE))
+        streams = [image_stream(seed, first + j, AUGMENT_ROLE)
+                   for j in range(6)]
+        for kind, n, where in draws:
+            args = [n] if kind == "index" else []
+            got = getattr(lanes, f"next_{kind}")(
+                *args, None if where is None else np.array(where))
+            for j, stream in enumerate(streams):
+                if where is None or where[j]:
+                    want = getattr(stream, f"next_{kind}")(*args)
+                elif kind == "index":
+                    want = 0
+                else:
+                    want = getattr(stream.clone(), f"next_{kind}")()
+                assert got[j] == want, (kind, j)
+        # every lane has consumed what its stream has
+        assert lanes.next_u64().tolist() == [s.next_u64() for s in streams]
 
 
 def _records(count, variant, shapes=None):
@@ -319,25 +377,24 @@ def test_emission_mixes_lanes_and_scalar_records(tmp_path, monkeypatch,
     # a 1x32x96 record has 3072 pixel bytes too, but is no CIFAR record:
     # every shape is checked before any work, for a flip scatter (hflip)
     # and a per-record kept piece (cutout) alike
-    records = _records(2 * comp._LANES + 9, variant,
-                       {comp._LANES + 3: (1, 32, 96)})
+    records = _records(2 * CHUNK + 9, variant, {CHUNK + 3: (1, 32, 96)})
 
     def refuse(*args):
         raise AssertionError("work started before the shape check")
 
     monkeypatch.setattr(ds, "compose_batch", refuse)
     monkeypatch.setattr(comp, "lane_states", refuse)
-    monkeypatch.setattr(comp, "RngStream", refuse)
+    monkeypatch.setattr(aug_mod, "RngStream", refuse)
     for kind in ("hflip", "cutout"):
         out_dir = tmp_path / kind
         with pytest.raises(FormatError,
-                           match=rf"record {comp._LANES + 3} .*\(1, 32, 96\)"):
+                           match=rf"record {CHUNK + 3} .*\(1, 32, 96\)"):
             write_augmented_dataset(records, default_spec(kind), config, -5,
                                     out_dir, variant)
         assert not out_dir.exists()
     # without it, every record's labels and scalar bytes are emitted
     monkeypatch.undo()
-    del records[comp._LANES + 3]
+    del records[CHUNK + 3]
     for kind in ("hflip", "cutout"):
         spec = default_spec(kind)
         write_augmented_dataset(records, spec, config, -5, tmp_path / kind,
@@ -377,7 +434,7 @@ def test_non_cifar_shape_still_raises(tmp_path, config):
     (default_spec("hflip"), YonaConfig(noise=GaussianNoise())),
     (default_spec("randaug"), YonaConfig()),
 ])
-def test_other_specs_take_the_scalar_path(tmp_path, spec, config):
+def test_emitted_bytes_equal_the_scalar_reference(tmp_path, spec, config):
     records = _records(20, "cifar10")
     write_augmented_dataset(records, spec, config, 4, tmp_path)
     back = read_cifar(tmp_path / "augmented.bin", "cifar10")

@@ -76,15 +76,6 @@ def test_coin_pair_matches_uniforms():
         assert a.state == b.state
 
 
-def test_byte_uniform_chi_square():
-    s = derive_stream(SeedSpec(9, 0))
-    draws = np.array([s.next_byte_uniform() for _ in range(1_000_000)])
-    counts = np.bincount(draws, minlength=256)
-    expect = 1_000_000 / 256
-    sigma = math.sqrt(1_000_000 * (1 / 256) * (255 / 256))
-    assert np.all(np.abs(counts - expect) < 5 * sigma)
-
-
 def test_next_index_singleton_and_bounds():
     s = derive_stream(SeedSpec(0, 5))
     assert all(s.next_index(1) == 0 for _ in range(10))
@@ -337,6 +328,6 @@ def test_word_buffer_interleaves_consistently():
     b = derive_stream(SeedSpec(13, 1))
     seq = [a.next_u64() for _ in range(3)]
     b.next_unit_uniform()
-    b.next_byte_uniform()
+    b.next_u64()
     seq_b = [b.next_u64()]
     assert seq[2] == seq_b[0]
