@@ -244,10 +244,10 @@ def _build_yona(args) -> comp.YonaConfig | None:
 # Commands
 
 def cmd_augment(args) -> None:
-    records = ds.read_cifar(args.dataset, args.variant)
-    manifest = ds.write_augmented_dataset(
-        records, _build_spec(args), _build_yona(args), args.seed, args.out,
-        variant=args.variant)
+    spec, yona_config = _build_spec(args), _build_yona(args)
+    manifest = ds.write_augmented_table(
+        ds.read_cifar_table(args.dataset, args.variant), args.variant, spec,
+        yona_config, args.seed, args.out)
     sys.stdout.write(manifest.to_text())
 
 
@@ -284,9 +284,9 @@ def cmd_preview(args) -> None:
 
 
 def cmd_stats(args) -> None:
-    records = ds.read_cifar(args.dataset, args.variant)
-    report = ev.collect_stats(records, _build_spec(args), _build_yona(args),
-                              args.seed, args.n)
+    spec, yona_config = _build_spec(args), _build_yona(args)
+    report = ev.collect_stats(ds.read_cifar(args.dataset, args.variant), spec,
+                              yona_config, args.seed, args.n)
     sys.stdout.write(report.to_text())
     if args.report:
         ds.write_atomic(args.report, report.to_text().encode())
@@ -342,15 +342,16 @@ def cmd_probe(args) -> None:
         raise UsageError("--eval-count must be at least 0")
     if args.epochs < 0:
         raise UsageError("--epochs must be at least 0")
+    spec = _build_spec(args) if args.aug != "identity" else None
+    yona_config = _build_yona(args)
     records = ds.read_cifar(args.dataset, args.variant)
     if len(records) < args.train_count + args.eval_count:
         raise UsageError(
             f"dataset holds {len(records)} records, need "
             f"{args.train_count + args.eval_count}")
     train = records[:args.train_count]
-    spec = _build_spec(args) if args.aug != "identity" else None
     model, losses = ev.train_linear_probe(
-        train, spec, _build_yona(args), args.epochs, args.lr, args.momentum,
+        train, spec, yona_config, args.epochs, args.lr, args.momentum,
         args.batch_size, args.seed)
     for epoch, loss in enumerate(losses):
         print(f"epoch_loss_{epoch}={loss:.6f}")

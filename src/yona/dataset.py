@@ -6,9 +6,14 @@ augmented datasets feed any external trainer unchanged:
 * CIFAR-10 record: ``[label u8][1024 R][1024 G][1024 B]``, row-major planes;
 * CIFAR-100 record: ``[coarse u8][fine u8][3072 pixel bytes]``.
 
-Both writers lay records out through `_cifar_table`; `augment` composes
-its pixels in place with `compositor.compose_batch` and knows nothing of
-composition itself.
+A batch is one table: a uint8 array with one row per record.
+`read_cifar_table` reads and checks it (through `open`, so a pipe works),
+`read_cifar` splits it into records whose images are read-only views of
+it, and both writers lay records out as one with `_cifar_table`.
+`write_augmented_table` composes a table's pixels in place with
+`compositor.compose_batch`, knowing nothing of composition itself, and
+writes it; `yona augment` runs it on the table it read, so the batch is
+held once from read to write.
 
 PNG support is a minimal self-contained codec (8-bit grayscale/RGB,
 non-interlaced) so previews round-trip losslessly without extra
@@ -78,33 +83,48 @@ class CifarRecord:
     coarse_label: int | None = None
 
 
-def read_cifar(path, variant: str) -> list[CifarRecord]:
-    """Parse a CIFAR binary batch file into records, validating labels.
+def read_cifar_table(path, variant: str) -> np.ndarray:
+    """The ``variant`` batch file at ``path`` as a writable ``(N, record
+    size)`` uint8 table, one row per record, its labels checked.
 
     Raises FormatError (with the byte offset of the first incomplete record)
-    on truncation and CorruptRecordError on out-of-range labels.
+    on truncation and CorruptRecordError on out-of-range labels.  The file
+    is read through `open`, so ``path`` may name a pipe.
     """
     if variant not in _RECORD_BYTES:
         raise ValueError(f"unknown dataset variant {variant!r}")
     record_size = _RECORD_BYTES[variant]
+    # grown in place, 256 KiB at a time, so the file is held once (1 MiB
+    # reads raised the stats-gauss peak RSS by ~2 MiB)
+    blob = bytearray()
     with open(path, "rb") as fh:
-        blob = fh.read()
+        while chunk := fh.read(1 << 18):
+            blob += chunk
     complete = len(blob) // record_size
     if len(blob) % record_size != 0:
         raise FormatError(
             f"{path}: file length {len(blob)} is not a multiple of the "
             f"{record_size}-byte record size",
             offset=complete * record_size)
-    if complete == 0:
-        return []
     table = np.frombuffer(blob, dtype=np.uint8).reshape(complete, record_size)
-    label_bytes = record_size - _PIXELS
-    _check_labels(table[:, :label_bytes], variant, f"{path}: ")
-    fine = table[:, label_bytes - 1]
-    pixels = table[:, label_bytes:].reshape(complete, *_SHAPE)
-    return [CifarRecord(fine_label=int(fine[i]), image=ImageTensor(pixels[i]),
-                        coarse_label=int(table[i, 0]) if variant == CIFAR100
-                        else None) for i in range(complete)]
+    _check_labels(table[:, :record_size - _PIXELS], variant, f"{path}: ")
+    return table
+
+
+def read_cifar(path, variant: str) -> list[CifarRecord]:
+    """Parse a CIFAR binary batch file into records, validating labels.
+
+    Raises FormatError (with the byte offset of the first incomplete record)
+    on truncation and CorruptRecordError on out-of-range labels.  Each image
+    is a read-only view of the bytes read (`read_cifar_table`).
+    """
+    table = read_cifar_table(path, variant)
+    table.flags.writeable = False
+    fine = table[:, -_PIXELS - 1].tolist()
+    coarse = table[:, 0].tolist() if variant != CIFAR10 else [None] * len(fine)
+    pixels = table[:, -_PIXELS:].reshape(-1, *_SHAPE)
+    return [CifarRecord(label, ImageTensor(image), coarse_label)
+            for label, coarse_label, image in zip(fine, coarse, pixels)]
 
 
 def _check_labels(labels: np.ndarray, variant: str, where: str = "") -> None:
@@ -125,13 +145,12 @@ def _check_labels(labels: np.ndarray, variant: str, where: str = "") -> None:
                 offset=i * _RECORD_BYTES[variant])
 
 
-def _cifar_table(records: list, variant: str
-                 ) -> tuple[bytearray, np.ndarray]:
-    """One bytearray of ``records`` as a ``variant`` batch, labels and
-    pixels in place, and an ``(N, 3, 32, 32)`` view of its pixels.  Raises
-    FormatError at the first record that is not 3x32x32 and
-    CorruptRecordError at the first CIFAR-100 record without a coarse
-    label, then at the first label `read_cifar` would reject."""
+def _cifar_table(records: list, variant: str) -> np.ndarray:
+    """``records`` as a writable ``variant`` table, labels and pixels in
+    place (see `read_cifar_table`).  Raises FormatError at the first record
+    that is not 3x32x32 and CorruptRecordError at the first CIFAR-100
+    record without a coarse label, then at the first label `read_cifar`
+    would reject."""
     record_size = _RECORD_BYTES[variant]
     for i, record in enumerate(records):
         if record.image.shape != _SHAPE:
@@ -148,21 +167,19 @@ def _cifar_table(records: list, variant: str
         else (r.fine_label,) for r in records)), dtype=np.int64).reshape(
             -1, label_bytes)
     _check_labels(labels, variant)
-    blob = bytearray(len(records) * record_size)
-    table = np.frombuffer(blob, dtype=np.uint8).reshape(-1, record_size)
+    table = np.empty((len(records), record_size), dtype=np.uint8)
     table[:, :label_bytes] = labels
     pixels = table[:, label_bytes:].reshape(-1, *_SHAPE)
     for i, record in enumerate(records):
         pixels[i] = record.image.array
-    return blob, pixels
+    return table
 
 
 def write_cifar(records, path, variant: str) -> None:
     """Serialize records into the CIFAR binary batch layout, atomically
     (`write_atomic`).  Shapes and labels are checked before the file is
     opened (see `_cifar_table`)."""
-    records = list(records)
-    write_atomic(path, _cifar_table(records, variant)[0])
+    write_atomic(path, _cifar_table(list(records), variant))
 
 
 # --------------------------------------------------------------------------
@@ -330,19 +347,11 @@ def write_augmented_dataset(records, aug: AugmentationSpec,
                             ) -> DatasetManifest:
     """Augment every record and emit a CIFAR-layout file plus a manifest.
 
-    Labels pass through untouched; pixel bytes are produced from per-record
-    streams derived from (seed, record index), so no record's bytes depend
-    on any other record: record ``i`` equals `compose_record` on it alone.
     Every record must be 3x32x32 with labels `read_cifar` accepts
-    (`_cifar_table` raises before any work otherwise); `compose_batch`
-    composes them.  ``variant`` None means CIFAR-100 if every record has a
-    coarse label, CIFAR-10 if none has (FormatError on a mix).
-
-    Returns the manifest.  Both files are written under temp names in
-    ``out_dir`` and renamed into place, ``augmented.bin`` first and
-    ``manifest.txt`` last, after any old manifest is removed: a failed run
-    leaves no temp file, and a new ``augmented.bin`` never sits next to an
-    old manifest.
+    (`_cifar_table` raises before any work otherwise); they are laid out
+    as one table and emitted by `write_augmented_table`.  ``variant`` None
+    means CIFAR-100 if every record has a coarse label, CIFAR-10 if none
+    has (FormatError on a mix).
     """
     records = list(records)
     if variant is None:
@@ -351,17 +360,40 @@ def write_augmented_dataset(records, aug: AugmentationSpec,
             raise FormatError(f"records 0 and {coarse.index(not coarse[0])} "
                               f"disagree on having a coarse label")
         variant = CIFAR100 if any(coarse) else CIFAR10
-    out, pixels = _cifar_table(records, variant)
-    compose_batch(pixels, 0, aug, yona_config, seed)
+    return write_augmented_table(_cifar_table(records, variant), variant, aug,
+                                 yona_config, seed, out_dir)
+
+
+def write_augmented_table(table: np.ndarray, variant: str,
+                          aug: AugmentationSpec,
+                          yona_config: YonaConfig | None, seed: int,
+                          out_dir) -> DatasetManifest:
+    """Augment the records of a writable ``variant`` table (as
+    `read_cifar_table` returns) in place and emit it as ``augmented.bin``
+    plus a manifest.
+
+    Labels pass through untouched; `compose_batch` composes the pixels from
+    per-record streams derived from (seed, record index), so no record's
+    bytes depend on any other record: record ``i`` equals `compose_record`
+    on it alone.
+
+    Returns the manifest.  Both files are written under temp names in
+    ``out_dir`` and renamed into place, ``augmented.bin`` first and
+    ``manifest.txt`` last, after any old manifest is removed: a failed run
+    leaves no temp file, and a new ``augmented.bin`` never sits next to an
+    old manifest.
+    """
+    compose_batch(table[:, -_PIXELS:].reshape(-1, *_SHAPE), 0, aug,
+                  yona_config, seed)
 
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.txt")
     with _staged(out_dir) as stage:
-        data_temp = stage("augmented.bin", out)
+        data_temp = stage("augmented.bin", table)
         manifest = DatasetManifest(
-            dataset=variant, count=len(records), seed=seed,
+            dataset=variant, count=len(table), seed=seed,
             augmentation=describe_augmentation(aug),
-            yona=describe_yona(yona_config), digest=content_digest(out))
+            yona=describe_yona(yona_config), digest=content_digest(table))
         manifest_temp = stage("manifest.txt", manifest.to_text().encode())
         if os.path.lexists(manifest_path):
             os.remove(manifest_path)

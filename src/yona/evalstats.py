@@ -176,10 +176,6 @@ def probe_gradients(weights: np.ndarray, bias: np.ndarray,
     return _probe_step(weights, bias, features, labels)[1:]
 
 
-def _features(image: ImageTensor) -> np.ndarray:
-    return image.array.reshape(-1).astype(np.float64) / 255.0
-
-
 def train_linear_probe(train_records, aug: AugmentationSpec | None,
                        yona_config: YonaConfig | None, epochs: int,
                        lr: float, momentum: float, batch_size: int,
@@ -262,7 +258,7 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
 def evaluate_probe(model: ProbeModel, records) -> list[PredictionRecord]:
     """Score records into (confidence, correct) prediction pairs."""
     records = list(records)
-    features = np.stack([_features(r.image) for r in records])
+    features = np.stack([r.image.array.reshape(-1) for r in records]) / 255.0
     labels = np.array([r.fine_label for r in records])
     probs = model.predict_proba(features)
     predicted = probs.argmax(axis=1)

@@ -1,0 +1,96 @@
+"""The emit-digest corpus: what `yona augment` writes, case by case.
+
+Each case is one `augment` over a 1,100-record batch (it crosses the
+1,024-record chunk border of `compose_batch`) built from yona's own pinned
+stream, never numpy's generators.  The corpus pins each case's
+`augmented.bin` SHA-256 and its full manifest text, one line each, in
+``tests/fixtures/emit_digests.txt``; `tests/test_emit_corpus.py`
+recomputes it and diffs it line by line.  An output byte may change only
+openly, in a change that rewrites the fixture with::
+
+    PYTHONPATH=src python tests/emit_corpus.py
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from yona.augment import KINDS
+from yona.cli import main
+from yona.rng import SeedSpec, derive_stream
+
+FIXTURE = Path(__file__).parent / "fixtures" / "emit_digests.txt"
+RECORDS = 1100
+SEED = "3"
+
+NOISES = {"uniform": [], "gaussian": ["--noise", "gaussian:127.5,32"],
+          "no-yona": ["--no-yona"]}
+CASES = {f"{kind}/{noise}": ["--aug", kind, *flags]
+         for kind in KINDS for noise, flags in NOISES.items()}
+CASES.update({
+    "hflip/constant": ["--aug", "hflip", "--noise", "constant:200"],
+    "hflip/height-first-0.3": ["--aug", "hflip", "--mask-fraction", "0.3",
+                               "--axis-policy", "height",
+                               "--masked-piece", "first"],
+    "cutout/region-image": ["--aug", "cutout", "--region-reference",
+                            "image"],
+    "randaug/cifar100": ["--variant", "cifar100", "--aug", "randaug"],
+})
+
+
+def write_batch(path, variant: str = "cifar10") -> None:
+    """``RECORDS`` records whose pixels and labels come from one pinned
+    stream: the pixel tape first, then one `next_index` per label byte."""
+    stream = derive_stream(SeedSpec(1100, 0xC0A9 if variant == "cifar10"
+                                    else 0xC100))
+    pixels = stream.fill_bytes(RECORDS * 3072).reshape(RECORDS, 3072)
+    limits = (10,) if variant == "cifar10" else (20, 100)
+    labels = np.array([[stream.next_index(n) for n in limits]
+                       for _ in range(RECORDS)], dtype=np.uint8)
+    Path(path).write_bytes(np.concatenate([labels, pixels], axis=1).tobytes())
+
+
+def emit(batch, out_dir, flags) -> tuple[str, str]:
+    """``(sha256 of augmented.bin, manifest text printed)`` of one
+    `augment` through `yona.cli.main`."""
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        code = main(["augment", "--dataset", str(batch), "--seed", SEED,
+                     "--out", str(out_dir), *flags])
+    if code != 0:
+        raise RuntimeError(f"augment {flags} exited {code}")
+    data = (Path(out_dir) / "augmented.bin").read_bytes()
+    return "sha256:" + hashlib.sha256(data).hexdigest(), printed.getvalue()
+
+
+def batches(directory) -> dict[str, Path]:
+    """The two corpus batches, written under ``directory``."""
+    paths = {}
+    for variant in ("cifar10", "cifar100"):
+        paths[variant] = Path(directory) / f"{variant}.bin"
+        write_batch(paths[variant], variant)
+    return paths
+
+
+def corpus_lines(directory) -> list[str]:
+    """The fixture's lines: per case, ``NAME augmented.bin=DIGEST`` and then
+    ``NAME manifest KEY=VALUE`` for each manifest line."""
+    paths = batches(directory)
+    lines = []
+    for name, flags in CASES.items():
+        variant = "cifar100" if "cifar100" in flags else "cifar10"
+        digest, manifest = emit(paths[variant], Path(directory) / name,
+                                flags)
+        lines.append(f"{name} augmented.bin={digest}")
+        lines += [f"{name} manifest {line}" for line in manifest.splitlines()]
+    return lines
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        FIXTURE.write_text("\n".join(corpus_lines(scratch)) + "\n")
+    print(f"wrote {len(CASES)} cases to {FIXTURE}", file=sys.stderr)

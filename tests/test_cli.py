@@ -390,14 +390,19 @@ def test_augment_rejects_non_finite_parameters(tmp_path, small_batch_file,
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("command", ["augment", "stats", "probe"])
+@pytest.mark.parametrize("command, missing_dataset", [
+    pytest.param(command, missing, id=command + "-missing" * missing)
+    for missing in (False, True) for command in ("augment", "stats", "probe")])
 def test_randaug_op_count_over_100_is_usage_error(tmp_path, small_batch_file,
-                                                  capsys, command):
-    # 10**8 ops once meant a 29.8 GiB word table; refused before any work
+                                                  capsys, command,
+                                                  missing_dataset):
+    # 10**8 ops once meant a 29.8 GiB word table; refused before any work,
+    # the dataset's read included
     out_dir = tmp_path / "out"
+    dataset = tmp_path / "missing.bin" if missing_dataset else small_batch_file
     outputs = {"augment": ["--out", str(out_dir)], "stats": [],
                "probe": ["--train-count", "10"]}[command]
-    code, out, err = run(capsys, command, "--dataset", str(small_batch_file),
+    code, out, err = run(capsys, command, "--dataset", str(dataset),
                          "--aug", "randaug", "--randaug-n", "100000000",
                          *outputs)
     assert code == 1 and out == ""

@@ -67,6 +67,8 @@ def test_read_small_batch(small_batch_file, small_records):
     assert all(0 <= r.fine_label <= 9 for r in records)
     assert records[7].image == small_records[7].image
     assert records[7].coarse_label is None
+    with pytest.raises(ValueError):  # the images are read-only views
+        records[7].image.array[0, 0, 0] = 1
 
 
 def test_read_empty_file(tmp_path):
