@@ -254,13 +254,13 @@ def cmd_augment(args) -> None:
 def cmd_preview(args) -> None:
     if args.count < 1:
         raise UsageError("--count must be at least 1")
+    yona_config = _build_yona(args)
     images = [ds.read_png(path) for path in args.image]
     if args.dataset:
         records = ds.read_cifar(args.dataset, args.variant)
         images.extend(r.image for r in records[:args.count])
     if not images:
         raise UsageError("preview needs --image and/or --dataset")
-    yona_config = _build_yona(args)
     os.makedirs(args.out, exist_ok=True)
     index_lines = []
     for i, image in enumerate(images):

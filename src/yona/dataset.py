@@ -11,9 +11,10 @@ A batch is one table: a uint8 array with one row per record.
 `read_cifar` splits it into records whose images are read-only views of
 it, and both writers lay records out as one with `_cifar_table`.
 `write_augmented_table` composes a table's pixels in place with
-`compositor.compose_batch`, knowing nothing of composition itself, and
-writes it; `yona augment` runs it on the table it read, so the batch is
-held once from read to write.
+`compositor.compose_batch`, knowing nothing of composition itself, one
+chunk of records at a time, while one helper thread hashes and writes
+the chunks composed before; `yona augment` runs it on the table it read,
+so the batch is held once from read to write.
 
 PNG support is a minimal self-contained codec (8-bit grayscale/RGB,
 non-interlaced) so previews round-trip losslessly without extra
@@ -35,12 +36,13 @@ import os
 import re
 import struct
 import sys
+import threading
 import zlib
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import __version__
+from . import __version__, compositor
 from .augment import AugmentationSpec, default_cifar10_policy
 from .compositor import YonaConfig, compose_batch
 from .errors import CorruptRecordError, FormatError
@@ -319,26 +321,25 @@ def describe_yona(config: YonaConfig | None) -> str:
 
 @contextlib.contextmanager
 def _staged(out_dir):
-    """Yield ``stage(name, data)``, which writes ``data`` to a fresh temp
-    name in ``out_dir`` and returns that path for the caller to
-    ``os.replace`` into place; on exit every temp not yet renamed is
-    removed, so a failure leaves none behind."""
+    """Yield ``stage(name)``, which opens a fresh temp name in ``out_dir``
+    for binary writing and returns the handle; the caller closes it and
+    ``os.replace``s its ``name`` into place.  On exit every handle is
+    closed and then every temp not yet renamed is removed, so a failure
+    leaves none behind."""
     token = f"{os.getpid()}.{os.urandom(4).hex()}.tmp"
-    temps = []
+    with contextlib.ExitStack() as cleanup:
+        def stage(name):
+            temp = os.path.join(out_dir, f".{name}.{token}")
+            handle = open(temp, "wb")
+            cleanup.callback(_discard, temp)
+            return cleanup.enter_context(handle)  # closed before discarded
 
-    def stage(name, data) -> str:
-        temp = os.path.join(out_dir, f".{name}.{token}")
-        temps.append(temp)
-        with open(temp, "wb") as fh:
-            fh.write(data)
-        return temp
-
-    try:
         yield stage
-    finally:
-        for temp in temps:
-            if os.path.lexists(temp):
-                os.remove(temp)
+
+
+def _discard(temp) -> None:
+    if os.path.lexists(temp):
+        os.remove(temp)
 
 
 def write_augmented_dataset(records, aug: AugmentationSpec,
@@ -377,28 +378,73 @@ def write_augmented_table(table: np.ndarray, variant: str,
     bytes depend on any other record: record ``i`` equals `compose_record`
     on it alone.
 
+    The table goes through in chunks of ``compositor._LANES`` records: the
+    caller's thread composes chunk k while one helper thread feeds the
+    rows composed before it to the SHA-256 digest and appends them to the
+    staged ``augmented.bin`` (both release the GIL on large buffers).
+    After composing chunk k it joins the helper of chunk k-1 and starts
+    one on chunk k, so one helper runs at a time and the bytes reach the
+    file and the digest in record order.  Nothing is created before the
+    first chunk has composed: a GeometryError leaves no directory.
+
     Returns the manifest.  Both files are written under temp names in
     ``out_dir`` and renamed into place, ``augmented.bin`` first and
-    ``manifest.txt`` last, after any old manifest is removed: a failed run
-    leaves no temp file, and a new ``augmented.bin`` never sits next to an
-    old manifest.
+    ``manifest.txt`` last, after any old manifest is removed.  An
+    exception in either thread joins the helper, removes the temps and is
+    raised in the caller's thread (the caller's own when both fail): a
+    failed run leaves no temp file, and a new ``augmented.bin`` never sits
+    next to an old manifest.
     """
-    compose_batch(table[:, -_PIXELS:].reshape(-1, *_SHAPE), 0, aug,
-                  yona_config, seed)
+    pixels = table[:, -_PIXELS:].reshape(-1, *_SHAPE)
+    lanes = compositor._LANES
+    digest = hashlib.sha256()
+    helper, failures = None, []
 
-    os.makedirs(out_dir, exist_ok=True)
+    def append(data, rows):
+        try:
+            digest.update(rows)
+            data.write(rows)
+        except Exception as exc:  # raised again by `join`
+            failures.append(exc)
+
+    def join():
+        helper.join()
+        if failures:
+            raise failures[0]
+
     manifest_path = os.path.join(out_dir, "manifest.txt")
     with _staged(out_dir) as stage:
-        data_temp = stage("augmented.bin", table)
+        try:
+            # an empty table still composes (and emits) one empty chunk
+            for start in range(0, len(table), lanes) or [0]:
+                compose_batch(pixels[start:start + lanes], start, aug,
+                              yona_config, seed)
+                if helper is None:
+                    os.makedirs(out_dir, exist_ok=True)
+                    data = stage("augmented.bin")
+                else:
+                    join()
+                job = threading.Thread(
+                    target=append, args=(data, table[start:start + lanes]))
+                job.start()
+                helper = job  # started: `join` never meets it unstarted
+            join()
+        except BaseException:
+            if helper is not None:
+                helper.join()  # the caller's exception wins over the helper's
+            raise
+        data.close()
         manifest = DatasetManifest(
             dataset=variant, count=len(table), seed=seed,
             augmentation=describe_augmentation(aug),
-            yona=describe_yona(yona_config), digest=content_digest(table))
-        manifest_temp = stage("manifest.txt", manifest.to_text().encode())
+            yona=describe_yona(yona_config),
+            digest="sha256:" + digest.hexdigest())
+        with stage("manifest.txt") as fh:
+            fh.write(manifest.to_text().encode())
         if os.path.lexists(manifest_path):
             os.remove(manifest_path)
-        os.replace(data_temp, os.path.join(out_dir, "augmented.bin"))
-        os.replace(manifest_temp, manifest_path)
+        os.replace(data.name, os.path.join(out_dir, "augmented.bin"))
+        os.replace(fh.name, manifest_path)
     return manifest
 
 
@@ -441,7 +487,9 @@ def write_atomic(path, data) -> None:
     place: ``path`` never holds a partial file."""
     directory, name = os.path.split(os.fspath(path))
     with _staged(directory or ".") as stage:
-        os.replace(stage(name, data), path)
+        with stage(name) as fh:
+            fh.write(data)
+        os.replace(fh.name, path)
 
 
 def _paeth(a: int, b: int, c: int) -> int:

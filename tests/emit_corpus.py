@@ -3,8 +3,9 @@
 Each case is one `augment` over a 1,100-record batch (it crosses the
 1,024-record chunk border of `compose_batch`) built from yona's own pinned
 stream, never numpy's generators.  The corpus pins each case's
-`augmented.bin` SHA-256 and its full manifest text, one line each, in
-``tests/fixtures/emit_digests.txt``; `tests/test_emit_corpus.py`
+`augmented.bin` SHA-256 and its full manifest text, one line each, and
+the full `yona stats` report of the cases in ``STATS`` (the same flags and
+seed), in ``tests/fixtures/emit_digests.txt``; `tests/test_emit_corpus.py`
 recomputes it and diffs it line by line.  An output byte may change only
 openly, in a change that rewrites the fixture with::
 
@@ -41,6 +42,7 @@ CASES.update({
                             "image"],
     "randaug/cifar100": ["--variant", "cifar100", "--aug", "randaug"],
 })
+STATS = ["cutout/gaussian"]
 
 
 def write_batch(path, variant: str = "cifar10") -> None:
@@ -55,16 +57,23 @@ def write_batch(path, variant: str = "cifar10") -> None:
     Path(path).write_bytes(np.concatenate([labels, pixels], axis=1).tobytes())
 
 
+def printed(command, batch, flags) -> str:
+    """What one ``command`` on ``batch`` under ``SEED`` through
+    `yona.cli.main` prints; RuntimeError unless it exits 0."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main([command, "--dataset", str(batch), "--seed", SEED,
+                     *flags])
+    if code != 0:
+        raise RuntimeError(f"{command} {flags} exited {code}")
+    return out.getvalue()
+
+
 def emit(batch, out_dir, flags) -> tuple[str, str]:
     """``(sha256 of augmented.bin, manifest text printed)`` of one
     `augment` through `yona.cli.main`."""
-    with contextlib.redirect_stdout(io.StringIO()) as printed:
-        code = main(["augment", "--dataset", str(batch), "--seed", SEED,
-                     "--out", str(out_dir), *flags])
-    if code != 0:
-        raise RuntimeError(f"augment {flags} exited {code}")
+    manifest = printed("augment", batch, ["--out", str(out_dir), *flags])
     data = (Path(out_dir) / "augmented.bin").read_bytes()
-    return "sha256:" + hashlib.sha256(data).hexdigest(), printed.getvalue()
+    return "sha256:" + hashlib.sha256(data).hexdigest(), manifest
 
 
 def batches(directory) -> dict[str, Path]:
@@ -78,7 +87,8 @@ def batches(directory) -> dict[str, Path]:
 
 def corpus_lines(directory) -> list[str]:
     """The fixture's lines: per case, ``NAME augmented.bin=DIGEST`` and then
-    ``NAME manifest KEY=VALUE`` for each manifest line."""
+    ``NAME manifest KEY=VALUE`` for each manifest line; then, per ``STATS``
+    case, ``NAME stats KEY=VALUE`` for each report line."""
     paths = batches(directory)
     lines = []
     for name, flags in CASES.items():
@@ -87,6 +97,9 @@ def corpus_lines(directory) -> list[str]:
                                 flags)
         lines.append(f"{name} augmented.bin={digest}")
         lines += [f"{name} manifest {line}" for line in manifest.splitlines()]
+    for name in STATS:
+        report = printed("stats", paths["cifar10"], CASES[name])
+        lines += [f"{name} stats {line}" for line in report.splitlines()]
     return lines
 
 

@@ -1,13 +1,18 @@
 """Command-line behavior: determinism, exit codes, flag plumbing."""
 
+import errno
 import hashlib
+import io
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
 import yona
+import yona.compositor as comp
+import yona.dataset as ds
 from yona.augment import default_spec
 from yona.cli import main
 from yona.dataset import (CifarRecord, DatasetManifest, read_png,
@@ -88,6 +93,50 @@ def test_augment_rejects_workers(tmp_path, small_batch_file, capsys):
     assert not (tmp_path / "w").exists()
 
 
+def test_augment_helper_write_error_is_io_error(tmp_path, small_batch_file,
+                                                capsys, monkeypatch):
+    # the second append, on the helper thread of chunk 1, hits a full disk
+    writers = []
+
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            writers.append(threading.current_thread())
+            if len(writers) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return super().write(data)
+
+    def open_full(path, mode="r", *args, **kwargs):
+        return FullDisk(path, mode) if mode == "wb" else \
+            open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(comp, "_LANES", 16)
+    monkeypatch.setattr(ds, "open", open_full, raising=False)
+    out_dir = tmp_path / "full"
+    threads = threading.active_count()
+    code, out, err = run(capsys, "augment", "--dataset",
+                         str(small_batch_file), "--out", str(out_dir))
+    assert threading.active_count() == threads
+    assert len(writers) == 2 and threading.main_thread() not in writers
+    assert code == 3 and out == ""
+    assert err.startswith("i/o error: [Errno 28]") and err.count("\n") == 1
+    assert list(out_dir.iterdir()) == []  # no temp left
+
+
+def test_augment_unhostable_mask_fraction_creates_nothing(
+        tmp_path, small_batch_file, capsys):
+    # 0.01 of 32 rows rounds to none: the first chunk raises before the
+    # output directory or a temp exists
+    out_dir = tmp_path / "none"
+    threads = threading.active_count()
+    code, out, err = run(capsys, "augment", "--dataset",
+                         str(small_batch_file), "--mask-fraction", "0.01",
+                         "--out", str(out_dir))
+    assert threading.active_count() == threads
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_preview_counts_and_identity_column(tmp_path, capsys):
     rng = np.random.default_rng(0)
     img = make_image(rng)
@@ -162,6 +211,17 @@ def test_preview_negative_count_is_usage_error(tmp_path, small_batch_file,
     assert code == 1
     assert "usage error" in err
     assert not (tmp_path / "neg").exists()
+
+
+def test_preview_checks_its_flags_before_reading(tmp_path, capsys):
+    # a bad flag value is a usage error even when the input is missing
+    out_dir = tmp_path / "pv"
+    code, out, err = run(capsys, "preview", "--dataset",
+                         str(tmp_path / "missing.bin"), "--mask-fraction",
+                         "2", "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 def test_stats_reports_and_gates(small_batch_file, capsys):

@@ -3,12 +3,17 @@
 import hashlib
 import os
 import struct
+import threading
+import time
 import tracemalloc
+import types
 import zlib
 
 import numpy as np
 import pytest
 
+import yona.compositor as comp
+import yona.dataset as ds
 from yona.augment import default_cifar10_policy, default_spec, parse_policy
 from yona.cli import main
 from yona.compositor import YonaConfig, yona_apply
@@ -308,27 +313,90 @@ def test_emission_never_touches_labels(tmp_path, small_records):
         [r.fine_label for r in small_records]
 
 
-def test_failed_emission_leaves_no_partial_output(tmp_path, small_records,
-                                                  monkeypatch):
-    import yona.dataset as ds
-
-    def broken(data):
-        raise RuntimeError("digest failed")
-
+def _failed_emissions_leave_no_partial_output(tmp_path, records,
+                                              break_step, message):
+    """Emit into a fresh directory and over an earlier pair after
+    ``break_step()`` makes a step raise RuntimeError(``message``)."""
     fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
-    earlier = write_augmented_dataset(small_records, default_spec("hflip"),
+    earlier = write_augmented_dataset(records, default_spec("hflip"),
                                       YonaConfig(), 1, rerun)
     before = {p.name: p.read_bytes() for p in rerun.iterdir()}
-    monkeypatch.setattr(ds, "content_digest", broken)
+    break_step()
+    threads = threading.active_count()
     for out_dir in (fresh, rerun):
-        with pytest.raises(RuntimeError, match="digest failed"):
-            write_augmented_dataset(small_records, default_spec("vflip"),
+        with pytest.raises(RuntimeError, match=message):
+            write_augmented_dataset(records, default_spec("vflip"),
                                     YonaConfig(), 2, out_dir)
+        assert threading.active_count() == threads  # the helper was joined
     # nothing is left behind, and an earlier pair stays whole
     assert list(fresh.iterdir()) == []
     assert {p.name: p.read_bytes() for p in rerun.iterdir()} == before
     assert DatasetManifest.from_text(before["manifest.txt"].decode()) == \
         earlier
+
+
+def test_failed_emission_leaves_no_partial_output(tmp_path, small_records,
+                                                  monkeypatch):
+    # the digest fails on the helper thread that hashes and writes chunk 0,
+    # while the caller's thread composes chunk 1
+    class Broken:
+        def update(self, data):
+            raise RuntimeError("digest failed")
+
+    monkeypatch.setattr(comp, "_LANES", 16)
+    _failed_emissions_leave_no_partial_output(
+        tmp_path, small_records, lambda: monkeypatch.setattr(
+            ds, "hashlib", types.SimpleNamespace(sha256=Broken)),
+        "digest failed")
+
+
+def _compose_chunk_0(out, first_index, *args):
+    if first_index > 0:
+        raise RuntimeError("compose failed")
+    return comp.compose_batch(out, first_index, *args)
+
+
+def test_emission_failing_on_a_later_chunk_leaves_no_partial_output(
+        tmp_path, small_records, monkeypatch):
+    # composing chunk 1 fails while the helper is still hashing chunk 0
+    class SlowDigest:
+        def __init__(self):
+            self.digest = hashlib.sha256()
+
+        def update(self, data):
+            time.sleep(0.1)
+            self.digest.update(data)
+
+    def break_step():
+        monkeypatch.setattr(ds, "hashlib",
+                            types.SimpleNamespace(sha256=SlowDigest))
+        monkeypatch.setattr(ds, "compose_batch", _compose_chunk_0)
+
+    monkeypatch.setattr(comp, "_LANES", 16)
+    _failed_emissions_leave_no_partial_output(
+        tmp_path, small_records, break_step, "compose failed")
+
+
+def test_emission_failing_in_both_threads_raises_the_callers_error(
+        tmp_path, small_records, monkeypatch):
+    # the helper's digest of chunk 0 fails, then the compose of chunk 1
+    failed = []
+
+    class Broken:
+        def update(self, data):
+            failed.append(threading.current_thread())
+            raise RuntimeError("digest failed")
+
+    def break_step():
+        monkeypatch.setattr(ds, "hashlib",
+                            types.SimpleNamespace(sha256=Broken))
+        monkeypatch.setattr(ds, "compose_batch", _compose_chunk_0)
+
+    monkeypatch.setattr(comp, "_LANES", 16)
+    _failed_emissions_leave_no_partial_output(
+        tmp_path, small_records, break_step, "compose failed")
+    # one failed helper per emission, neither on the caller's thread
+    assert len(failed) == 2 and threading.main_thread() not in failed
 
 
 def test_rerun_replaces_the_earlier_pair(tmp_path, small_records):

@@ -11,6 +11,7 @@ import threading
 
 import pytest
 
+from yona import compositor as comp
 from yona import dataset as ds
 from yona.augment import KINDS, default_spec
 from yona.compositor import YonaConfig
@@ -53,6 +54,19 @@ def test_library_emit_gives_the_corpus_manifest(tmp_path, corpus_batches,
     assert ["augmented.bin=" + manifest.digest] + [
         "manifest " + line for line in manifest.to_text().splitlines()] \
         == _pinned()[f"{kind}/uniform"]
+
+
+@pytest.mark.parametrize("name", ["hflip/gaussian", "randaug/uniform"])
+def test_small_chunks_give_the_corpus_bytes(tmp_path, corpus_batches,
+                                            monkeypatch, name):
+    # 100-record chunks: the batch crosses ten chunk borders, at each of
+    # which `augment` joins one helper thread and starts the next
+    monkeypatch.setattr(comp, "_LANES", 100)
+    digest, manifest = emit(corpus_batches["cifar10"], tmp_path / "out",
+                            CASES[name])
+    assert ["augmented.bin=" + digest] + [
+        "manifest " + line for line in manifest.splitlines()] \
+        == _pinned()[name]
 
 
 def test_augment_reads_a_fifo(tmp_path, corpus_batches):
