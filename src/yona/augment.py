@@ -788,9 +788,12 @@ def _augment_lanes(spec: AugmentationSpec, out: np.ndarray, pieces,
     The gate is one lane draw.  The flips are scatters.  Randaug and
     autoaug walk each record's op sequence (`_policy_lanes`) and run each
     op slot as one kernel call per (op, magnitude) group over the kept
-    pieces of one shape (both sides of an axis) as one stack.  Every
-    gated-in record of the other kinds augments its kept piece on an
-    `RngStream` built from its lane state.
+    pieces of one shape (both sides of an axis) as one stack.  Cutout
+    draws each square's center as two lane index draws, height then width,
+    and fills the squares of each ``(rows, piece)`` pair through one
+    broadcast mask compare.  Every gated-in record of the other kinds
+    (jitter, erasing, grid) augments its kept piece on an `RngStream`
+    built from its lane state.
     """
     p = spec.apply_probability
     if p <= 0.0 or spec.kind == "identity":
@@ -817,6 +820,24 @@ def _augment_lanes(spec: AugmentationSpec, out: np.ndarray, pieces,
                 out[(part_rows,) + piece] = \
                     stack[start:start + part_rows.size]
                 start += part_rows.size
+    elif spec.kind == "cutout":
+        for rows, piece in pieces:
+            rows = rows[live[rows]]
+            _, h, w = out[0][piece].shape
+            ys, xs = np.ogrid[:h, :w]
+            ref_h, ref_w = region_ref_hw or (h, w)
+            side = max(1, round_half_up(math.sqrt(spec.cutout_area_fraction)
+                                        * min(ref_h, ref_w)))
+            where = np.zeros(len(out), dtype=bool)
+            where[rows] = True
+            # the square's corner; the half-open ranges clip it at the border
+            top = rng.next_index(h, where)[rows, None, None] - side // 2
+            left = rng.next_index(w, where)[rows, None, None] - side // 2
+            square = (top <= ys) & (ys < top + side) \
+                & (left <= xs) & (xs < left + side)
+            kept = (rows,) + piece
+            out[kept] = np.where(square[:, None], np.uint8(spec.cutout_fill),
+                                 out[kept])
     else:
         # every kernel copies before it writes, so each may read its kept
         # piece from ``out``

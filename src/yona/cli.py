@@ -284,6 +284,8 @@ def cmd_preview(args) -> None:
 
 
 def cmd_stats(args) -> None:
+    if args.n < 1:  # `collect_stats` checks it only after the read
+        raise UsageError(f"--n must be >= 1, got {args.n}")
     spec, yona_config = _build_spec(args), _build_yona(args)
     report = ev.collect_stats(ds.read_cifar(args.dataset, args.variant), spec,
                               yona_config, args.seed, args.n)
@@ -342,6 +344,17 @@ def cmd_probe(args) -> None:
         raise UsageError("--eval-count must be at least 0")
     if args.epochs < 0:
         raise UsageError("--epochs must be at least 0")
+    # `train_linear_probe` and `rms_calibration_error` check these too, but
+    # only once the dataset has been read and, for the bins, the probe trained
+    if args.batch_size < 1:
+        raise UsageError(f"batch_size must be >= 1, got {args.batch_size}")
+    for name in ("lr", "momentum"):
+        if not math.isfinite(getattr(args, name)):
+            raise UsageError(
+                f"{name} must be finite, got {getattr(args, name)}")
+    if args.calibration_bins < 1:
+        raise UsageError(
+            f"--calibration-bins must be >= 1, got {args.calibration_bins}")
     spec = _build_spec(args) if args.aug != "identity" else None
     yona_config = _build_yona(args)
     records = ds.read_cifar(args.dataset, args.variant)

@@ -471,6 +471,32 @@ def test_randaug_op_count_over_100_is_usage_error(tmp_path, small_batch_file,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("missing_dataset", [False, True],
+                         ids=["file", "missing"])
+@pytest.mark.parametrize("command, flags", [
+    ("stats", ["--n", "0"]),
+    ("probe", ["--batch-size", "0"]),
+    ("probe", ["--lr", "nan"]),
+    ("probe", ["--momentum", "inf"]),
+    ("probe", ["--calibration-bins", "0", "--eval-count", "50"])])
+def test_numeric_flags_are_checked_before_reading(tmp_path, small_batch_file,
+                                                  monkeypatch, capsys,
+                                                  command, flags,
+                                                  missing_dataset):
+    # each was once checked only after the read (exit 3 on a missing file),
+    # and the bins only after the whole probe had trained
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dataset was read before the flag check")
+
+    monkeypatch.setattr(ds, "read_cifar", refuse)
+    dataset = tmp_path / "missing.bin" if missing_dataset else small_batch_file
+    outputs = {"stats": [], "probe": ["--train-count", "10"]}[command]
+    code, out, err = run(capsys, command, "--dataset", str(dataset),
+                         *outputs, *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mean, stddev, law", [
     ("0", "1e308", {0, 255}),  # every threshold is 2**31

@@ -144,6 +144,36 @@ def test_stats_replay_catches_one_wrong_lane_byte(monkeypatch, small_records,
     assert calls
 
 
+@pytest.mark.parametrize("noise", [UniformNoise(), GaussianNoise()])
+def test_stats_replay_names_the_lowest_wrong_sample(monkeypatch,
+                                                    small_records, noise):
+    # the replay checks one geometry group at a time; a wrong mask in the
+    # group composed first must not hide a lower sample's in a later group
+    spec, config = default_spec("hflip"), YonaConfig(noise=noise)
+    out = np.stack([record.image.array for record in small_records[:50]])
+    groups = comp.compose_batch(out, 0, spec, config, 3)
+    order = list(dict.fromkeys(groups.tolist()))  # as the composer fills
+    first = np.flatnonzero(groups == order[0])
+    later = np.flatnonzero(groups == order[1])
+    # the group composed first is group 0, the lowest number too, and its
+    # last sample comes after the later group's first
+    assert order[0] == 0 and later[0] < first[-1]
+    law = comp.noise_from_tape
+    wrong_rows = [len(first) - 1, 0]  # in the first and the second call
+
+    def wrong_bytes(kind, take, count):
+        masks = law(kind, take, count)
+        if wrong_rows:
+            masks = masks.copy()
+            masks[wrong_rows.pop(0), count // 2] ^= 1
+        return masks
+
+    monkeypatch.setattr(comp, "noise_from_tape", wrong_bytes)
+    with pytest.raises(AssertionError, match=f"^sample {later[0]}: "):
+        collect_stats(small_records, spec, config, 3, 50)
+    assert not wrong_rows
+
+
 @pytest.mark.parametrize("config", [None, YonaConfig()])
 def test_stats_and_probe_need_one_image_shape(monkeypatch, config):
     # a 1x32x96 record has as many pixels as a 3x32x32 one, but one batch

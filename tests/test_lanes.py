@@ -167,6 +167,25 @@ def test_the_real_chunk_border_matches_the_scalar_path(monkeypatch, kind,
                  config, 13)
 
 
+def _check_lane_walk(monkeypatch, images, first, spec, config, seed):
+    """`_check_lanes` for a kind the lane walk runs: no record leaves it
+    for its own augment stream (`_ungated_arr`)."""
+    want = [_scalar(image, spec, config, seed, first + j)
+            for j, image in enumerate(images)]
+    scalar, calls = aug_mod._ungated_arr, []
+
+    def spy(*args):
+        calls.append(args)
+        return scalar(*args)
+
+    monkeypatch.setattr(aug_mod, "_ungated_arr", spy)
+    out = np.stack([image.array for image in images])
+    comp.compose_batch(out, first, spec, config, seed)
+    assert not calls
+    for j, image in enumerate(want):
+        assert np.array_equal(out[j], image.array), j
+
+
 @pytest.mark.parametrize("kind", ["randaug", "autoaug"])
 @pytest.mark.parametrize("config", [None, YonaConfig()])
 def test_rejected_index_draws_redraw_in_the_lane_walk(monkeypatch, kind,
@@ -191,21 +210,46 @@ def test_rejected_index_draws_redraw_in_the_lane_walk(monkeypatch, kind,
     # some lane rejects twice in a row
     assert max(longest_redraw(image_stream(seed, i, AUGMENT_ROLE))
                for i in range(first, first + count)) >= 2
-    scalar, calls = aug_mod._ungated_arr, []
+    _check_lane_walk(monkeypatch, _images(count, 8), first,
+                     default_spec(kind), config, seed)
 
-    def spy(*args):
-        calls.append(args)
-        return scalar(*args)
 
-    images, spec = _images(count, 8), default_spec(kind)
-    want = [_scalar(image, spec, config, seed, first + j)
-            for j, image in enumerate(images)]
-    monkeypatch.setattr(aug_mod, "_ungated_arr", spy)
-    out = np.stack([image.array for image in images])
-    comp.compose_batch(out, first, spec, config, seed)
-    assert not calls
-    assert all(np.array_equal(out[j], image.array)
-               for j, image in enumerate(want))
+CUTOUT_CONFIGS = [
+    None,
+    # kept pieces of 22 rows or columns of 32, 10 or 12 of 15x17
+    YonaConfig(mask_fraction=0.3),
+    YonaConfig(mask_fraction=0.3, region_reference="image",
+               noise=GaussianNoise()),
+]
+
+
+@pytest.mark.parametrize("shape", [(3, 32, 32), (3, 15, 17)])
+@pytest.mark.parametrize("config", CUTOUT_CONFIGS)
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("fraction, fill", [
+    (0.25, 0), (1.0, 200), (1e-4, 200)])  # 1e-4: a 1-pixel square
+def test_cutout_lane_walk_matches_the_scalar_path(monkeypatch, fraction,
+                                                  fill, p, config, shape):
+    # a fraction of 1.0 of the image is a square wider than the kept piece
+    _check_lane_walk(monkeypatch, _images(40, 12, shape), 2**62 - 7,
+                     default_spec("cutout", apply_probability=p,
+                                  cutout_area_fraction=fraction,
+                                  cutout_fill=fill), config, 3)
+
+
+@pytest.mark.parametrize("config", CUTOUT_CONFIGS)
+def test_rejected_cutout_draws_redraw_in_the_lane_walk(monkeypatch, config):
+    # as for the policy walk: half of all index words are rejected
+    monkeypatch.setattr(rng_mod, "_index_limit", lambda n: 1 << 63)
+    seed, first, count = 5, 2**62 - 100, CHUNK + 5
+    # at p 1 there is no gate draw: some lane rejects its first two words,
+    # so its height draw redraws twice
+    assert any(stream.next_u64() >= 1 << 63 and stream.next_u64() >= 1 << 63
+               for stream in (image_stream(seed, i, AUGMENT_ROLE)
+                              for i in range(first, first + count)))
+    _check_lane_walk(monkeypatch, _images(count, 8), first,
+                     default_spec("cutout", apply_probability=1.0), config,
+                     seed)
 
 
 @pytest.mark.parametrize("shape", [(3, 17, 40), (3, 40, 17), (1, 9, 30),
@@ -375,8 +419,9 @@ def _records(count, variant, shapes=None):
 def test_emission_mixes_lanes_and_scalar_records(tmp_path, monkeypatch,
                                                  variant, config):
     # a 1x32x96 record has 3072 pixel bytes too, but is no CIFAR record:
-    # every shape is checked before any work, for a flip scatter (hflip)
-    # and a per-record kept piece (cutout) alike
+    # every shape is checked before any work, for a flip scatter (hflip),
+    # a lane-walk square (cutout) and a per-record kept piece (erasing)
+    # alike
     records = _records(2 * CHUNK + 9, variant, {CHUNK + 3: (1, 32, 96)})
 
     def refuse(*args):
@@ -385,7 +430,7 @@ def test_emission_mixes_lanes_and_scalar_records(tmp_path, monkeypatch,
     monkeypatch.setattr(ds, "compose_batch", refuse)
     monkeypatch.setattr(comp, "lane_states", refuse)
     monkeypatch.setattr(aug_mod, "RngStream", refuse)
-    for kind in ("hflip", "cutout"):
+    for kind in ("hflip", "cutout", "erasing"):
         out_dir = tmp_path / kind
         with pytest.raises(FormatError,
                            match=rf"record {CHUNK + 3} .*\(1, 32, 96\)"):
@@ -395,7 +440,7 @@ def test_emission_mixes_lanes_and_scalar_records(tmp_path, monkeypatch,
     # without it, every record's labels and scalar bytes are emitted
     monkeypatch.undo()
     del records[CHUNK + 3]
-    for kind in ("hflip", "cutout"):
+    for kind in ("hflip", "cutout", "erasing"):
         spec = default_spec(kind)
         write_augmented_dataset(records, spec, config, -5, tmp_path / kind,
                                 variant)
@@ -444,7 +489,7 @@ def test_emitted_bytes_equal_the_scalar_reference(tmp_path, spec, config):
 
 def test_unhostable_mask_fraction_takes_the_scalar_error(tmp_path):
     config = YonaConfig(mask_fraction=0.01)  # rounds to 0 of 32 pixels
-    for kind in ("hflip", "cutout"):
+    for kind in ("hflip", "cutout", "erasing"):
         with pytest.raises(GeometryError, match="leaves no pixels"):
             write_augmented_dataset(_records(3, "cifar10"),
                                     default_spec(kind), config, 0,
