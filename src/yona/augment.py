@@ -467,9 +467,6 @@ def cutout(image: ImageTensor, mask_area_fraction: float,
 
 def _grid_arr(arr, grid_rows, grid_cols, rng, transform_probability=0.5):
     h, w = arr.shape[1], arr.shape[2]
-    if not 1 <= grid_rows <= h or not 1 <= grid_cols <= w:
-        raise ValueError(
-            f"grid {grid_rows}x{grid_cols} exceeds image {h}x{w}")
     if transform_probability <= 0:
         return arr
     out = arr.copy()
@@ -700,6 +697,16 @@ def default_spec(kind: str, **overrides) -> AugmentationSpec:
     return AugmentationSpec(kind=kind, **overrides)
 
 
+def check_piece_shapes(spec: AugmentationSpec, shapes) -> None:
+    """Raise ValueError unless ``spec`` can augment a (C, H, W) piece of
+    each of ``shapes``: a grid that may apply must fit each."""
+    for _, h, w in shapes:
+        if spec.kind == "grid" and spec.apply_probability > 0 and not (
+                spec.grid_rows <= h and spec.grid_cols <= w):
+            raise ValueError(f"grid {spec.grid_rows}x{spec.grid_cols} "
+                             f"exceeds image {h}x{w}")
+
+
 def _augment_arr(spec: AugmentationSpec, arr: np.ndarray, rng: RngStream,
                  region_ref_hw: tuple[int, int] | None = None) -> np.ndarray:
     """Gate, then kind dispatch on a raw buffer; may return a view of
@@ -730,6 +737,7 @@ def _ungated_arr(spec: AugmentationSpec, arr: np.ndarray, rng: RngStream,
         return _cutout_arr(arr, spec.cutout_area_fraction, rng,
                            fill=spec.cutout_fill, ref_hw=region_ref_hw)
     if kind == "grid":
+        check_piece_shapes(spec, [arr.shape])
         return _grid_arr(arr, spec.grid_rows, spec.grid_cols, rng,
                          spec.grid_transform_probability)
     if kind == "randaug":

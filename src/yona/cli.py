@@ -258,11 +258,13 @@ def cmd_preview(args) -> None:
     images = [ds.read_png(path) for path in args.image]
     if args.dataset:
         records = ds.read_cifar(args.dataset, args.variant)
+        if len(records) < args.count:
+            raise UsageError(
+                f"dataset holds {len(records)} records, need {args.count}")
         images.extend(r.image for r in records[:args.count])
     if not images:
         raise UsageError("preview needs --image and/or --dataset")
-    os.makedirs(args.out, exist_ok=True)
-    index_lines = []
+    files, index_lines = {}, []
     for i, image in enumerate(images):
         for j, kind in enumerate(args.augs):
             spec = aug_mod.default_spec(kind)
@@ -270,14 +272,17 @@ def cmd_preview(args) -> None:
             augmented = comp.compose_record(image, spec, None, args.seed, row)
             composed = comp.compose_record(image, spec, yona_config,
                                            args.seed, row)
-            names = []
-            for column, img in (("original", image), ("augmented", augmented),
-                                ("yona", composed)):
-                name = f"img{i:03d}_{kind}_{column}.png"
-                ds.write_png(img, os.path.join(args.out, name))
-                names.append(name)
+            columns = {f"img{i:03d}_{kind}_{column}.png": img
+                       for column, img in (("original", image),
+                                           ("augmented", augmented),
+                                           ("yona", composed))}
+            files.update(columns)
             index_lines.append(
-                f"image {i} aug {kind} seed {args.seed}: " + " ".join(names))
+                f"image {i} aug {kind} seed {args.seed}: " + " ".join(columns))
+    # every pair has composed: a failure above wrote nothing
+    os.makedirs(args.out, exist_ok=True)
+    for name, img in files.items():
+        ds.write_png(img, os.path.join(args.out, name))
     ds.write_atomic(os.path.join(args.out, "index.txt"),
                     ("\n".join(index_lines) + "\n").encode())
     print(f"wrote {len(images) * len(args.augs) * 3} PNG files to {args.out}")

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augment import AugmentationSpec, _augment_arr, _augment_lanes
+from .augment import (AugmentationSpec, _augment_arr, _augment_lanes,
+                      check_piece_shapes)
 from .errors import GeometryError
 from .image import (Axis, ImageTensor, NoiseKind, UniformNoise, cut,
                     noise_bytes, noise_from_tape, round_half_up)
@@ -214,12 +215,22 @@ def compose_batch(out: np.ndarray, first_index: int, aug: AugmentationSpec,
     over those records' `lane_tape`, whatever the noise kind and length,
     and augments the kept pieces with one `_augment_lanes` call on their
     augment lanes.  A group that cannot host the mask fraction raises its
-    GeometryError once a record selects it.
+    GeometryError once a record selects it; `check_piece_shapes` checks
+    ``aug`` on every kept piece the run may cut before any work.
     """
     ref_hw = None
     groups = None if config is None else np.empty(len(out), dtype=np.intp)
-    if config is not None and len(out):
-        entries, ref_hw = config._geometry(out.shape[1:])
+    if len(out):
+        kept = [out.shape[1:]]
+        if config is not None:
+            entries, ref_hw = config._geometry(out.shape[1:])
+            cuts = (False, True) if config.axis_policy == AXIS_RANDOM \
+                else (config.axis_policy == AXIS_FIXED_HEIGHT,)
+            # the kept piece of each axis the run may cut; an axis that
+            # cannot host the mask fraction raises once a record selects it
+            kept = [out[0][entries[2 * cut][2]].shape for cut in cuts
+                    if type(entries[2 * cut]) is not GeometryError]
+        check_piece_shapes(aug, kept)  # whichever records gate in
     for start in range(0, len(out), _LANES):
         o = out[start:start + _LANES]
         n = len(o)

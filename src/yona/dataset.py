@@ -12,9 +12,10 @@ A batch is one table: a uint8 array with one row per record.
 it, and both writers lay records out as one with `_cifar_table`.
 `write_augmented_table` composes a table's pixels in place with
 `compositor.compose_batch`, knowing nothing of composition itself, one
-chunk of records at a time, while one helper thread hashes and writes
-the chunks composed before; `yona augment` runs it on the table it read,
-so the batch is held once from read to write.
+chunk of records at a time, while the one worker of a per-run
+``ThreadPoolExecutor(1)`` hashes and writes the chunk composed before;
+`yona augment` runs it on the table it read, so the batch is held once
+from read to write.
 
 PNG support is a minimal self-contained codec (8-bit grayscale/RGB,
 non-interlaced) so previews round-trip losslessly without extra
@@ -33,11 +34,12 @@ import contextlib
 import hashlib
 import itertools
 import os
+import pathlib
 import re
 import struct
 import sys
-import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -331,15 +333,10 @@ def _staged(out_dir):
         def stage(name):
             temp = os.path.join(out_dir, f".{name}.{token}")
             handle = open(temp, "wb")
-            cleanup.callback(_discard, temp)
-            return cleanup.enter_context(handle)  # closed before discarded
+            cleanup.callback(pathlib.Path(temp).unlink, missing_ok=True)
+            return cleanup.enter_context(handle)  # closed before removed
 
         yield stage
-
-
-def _discard(temp) -> None:
-    if os.path.lexists(temp):
-        os.remove(temp)
 
 
 def write_augmented_dataset(records, aug: AugmentationSpec,
@@ -365,6 +362,11 @@ def write_augmented_dataset(records, aug: AugmentationSpec,
                                  yona_config, seed, out_dir)
 
 
+def _append(data, digest, rows) -> None:
+    digest.update(rows)
+    data.write(rows)
+
+
 def write_augmented_table(table: np.ndarray, variant: str,
                           aug: AugmentationSpec,
                           yona_config: YonaConfig | None, seed: int,
@@ -379,60 +381,40 @@ def write_augmented_table(table: np.ndarray, variant: str,
     on it alone.
 
     The table goes through in chunks of ``compositor._LANES`` records: the
-    caller's thread composes chunk k while one helper thread feeds the
-    rows composed before it to the SHA-256 digest and appends them to the
-    staged ``augmented.bin`` (both release the GIL on large buffers).
-    After composing chunk k it joins the helper of chunk k-1 and starts
-    one on chunk k, so one helper runs at a time and the bytes reach the
-    file and the digest in record order.  Nothing is created before the
-    first chunk has composed: a GeometryError leaves no directory.
+    caller's thread composes chunk k while the one worker of a
+    ``ThreadPoolExecutor(1)`` feeds chunk k-1 to the SHA-256 digest and
+    appends it to the staged ``augmented.bin`` (both release the GIL on
+    large buffers).  The caller waits for chunk k-1 before it submits
+    chunk k, so the bytes reach the file and the digest in record order.
+    Nothing is created before the first chunk has composed: a
+    GeometryError leaves no directory.
 
     Returns the manifest.  Both files are written under temp names in
     ``out_dir`` and renamed into place, ``augmented.bin`` first and
     ``manifest.txt`` last, after any old manifest is removed.  An
-    exception in either thread joins the helper, removes the temps and is
-    raised in the caller's thread (the caller's own when both fail): a
-    failed run leaves no temp file, and a new ``augmented.bin`` never sits
-    next to an old manifest.
+    exception in either thread joins the worker, removes the temps and is
+    raised in the caller's thread (the caller's own when both fail: an
+    unread future is dropped): a failed run leaves no temp file, and a new
+    ``augmented.bin`` never sits next to an old manifest.
     """
     pixels = table[:, -_PIXELS:].reshape(-1, *_SHAPE)
     lanes = compositor._LANES
     digest = hashlib.sha256()
-    helper, failures = None, []
-
-    def append(data, rows):
-        try:
-            digest.update(rows)
-            data.write(rows)
-        except Exception as exc:  # raised again by `join`
-            failures.append(exc)
-
-    def join():
-        helper.join()
-        if failures:
-            raise failures[0]
-
     manifest_path = os.path.join(out_dir, "manifest.txt")
-    with _staged(out_dir) as stage:
-        try:
-            # an empty table still composes (and emits) one empty chunk
-            for start in range(0, len(table), lanes) or [0]:
-                compose_batch(pixels[start:start + lanes], start, aug,
-                              yona_config, seed)
-                if helper is None:
-                    os.makedirs(out_dir, exist_ok=True)
-                    data = stage("augmented.bin")
-                else:
-                    join()
-                job = threading.Thread(
-                    target=append, args=(data, table[start:start + lanes]))
-                job.start()
-                helper = job  # started: `join` never meets it unstarted
-            join()
-        except BaseException:
-            if helper is not None:
-                helper.join()  # the caller's exception wins over the helper's
-            raise
+    # the helper is joined before `_staged` closes and removes the temps
+    with _staged(out_dir) as stage, ThreadPoolExecutor(1) as helper:
+        # an empty table still composes (and emits) one empty chunk
+        for start in range(0, len(table), lanes) or [0]:
+            compose_batch(pixels[start:start + lanes], start, aug,
+                          yona_config, seed)
+            if start == 0:
+                os.makedirs(out_dir, exist_ok=True)
+                data = stage("augmented.bin")
+            else:
+                appended.result()
+            appended = helper.submit(_append, data, digest,
+                                     table[start:start + lanes])
+        appended.result()
         data.close()
         manifest = DatasetManifest(
             dataset=variant, count=len(table), seed=seed,

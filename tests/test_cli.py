@@ -19,7 +19,7 @@ from yona.dataset import (CifarRecord, DatasetManifest, read_png,
                           write_cifar, write_png)
 from yona.image import ImageTensor
 
-from conftest import make_image
+from conftest import make_image, make_records
 
 
 def run(capsys, *argv):
@@ -137,6 +137,29 @@ def test_augment_unhostable_mask_fraction_creates_nothing(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("flags, code", [
+    (["--grid-cols", "20"], 1),  # the kept pieces are 32x16 and 16x32
+    (["--grid-cols", "20", "--axis-policy", "height"], 0),  # 16x32 only
+    (["--grid-cols", "33", "--no-yona"], 1)])  # the whole 32x32 image
+def test_augment_grid_fit_does_not_depend_on_the_seed(tmp_path, capsys,
+                                                      flags, code):
+    # at seeds 2 and 3 no record of a 3-record batch both cuts the width
+    # and gates the grid in; the fit is checked against every kept piece
+    # the run may cut, before any work
+    batch = tmp_path / "three.bin"
+    write_cifar(make_records(3, seed=2), batch, "cifar10")
+    for seed in range(6):
+        out_dir = tmp_path / f"grid{seed}"
+        got, out, err = run(capsys, "augment", "--dataset", str(batch),
+                            "--aug", "grid", *flags, "--seed", str(seed),
+                            "--out", str(out_dir))
+        assert got == code, seed
+        if code:
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("usage error: grid ")
+            assert not out_dir.exists()
+
+
 def test_preview_counts_and_identity_column(tmp_path, capsys):
     rng = np.random.default_rng(0)
     img = make_image(rng)
@@ -211,6 +234,31 @@ def test_preview_negative_count_is_usage_error(tmp_path, small_batch_file,
     assert code == 1
     assert "usage error" in err
     assert not (tmp_path / "neg").exists()
+
+
+def test_preview_count_above_the_dataset_is_usage_error(
+        tmp_path, small_batch_file, capsys):
+    out_dir = tmp_path / "over"
+    code, out, err = run(capsys, "preview", "--dataset",
+                         str(small_batch_file), "--count", "61",
+                         "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err == "usage error: dataset holds 60 records, need 61\n"
+    assert not out_dir.exists()
+
+
+def test_failed_preview_creates_nothing(tmp_path, capsys):
+    # the 8x8 image composes every kind; the 1x5 one after it cannot be cut
+    rng = np.random.default_rng(4)
+    small, tiny = tmp_path / "small.png", tmp_path / "tiny.png"
+    write_png(make_image(rng, height=8, width=8), small)
+    write_png(make_image(rng, height=1, width=5), tiny)
+    out_dir = tmp_path / "pv"
+    code, out, err = run(capsys, "preview", "--image", str(small),
+                         "--image", str(tiny), "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 def test_preview_checks_its_flags_before_reading(tmp_path, capsys):

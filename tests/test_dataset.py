@@ -399,6 +399,38 @@ def test_emission_failing_in_both_threads_raises_the_callers_error(
     assert len(failed) == 2 and threading.main_thread() not in failed
 
 
+def test_emission_hashes_every_chunk_on_one_helper_thread(tmp_path,
+                                                         monkeypatch):
+    # 2,100 records cross two chunk borders at the default chunk size
+    hashers = []
+
+    class SpyDigest:
+        def __init__(self):
+            self.digest = hashlib.sha256()
+
+        def update(self, data):
+            hashers.append(threading.current_thread())
+            self.digest.update(data)
+
+        def hexdigest(self):
+            return self.digest.hexdigest()
+
+    monkeypatch.setattr(ds, "hashlib",
+                        types.SimpleNamespace(sha256=SpyDigest))
+    table = np.random.default_rng(8).integers(0, 256, (2100, 3073),
+                                              dtype=np.uint8)
+    table[:, 0] %= 10
+    threads = threading.active_count()
+    manifest = ds.write_augmented_table(table, CIFAR10, default_spec("hflip"),
+                                        YonaConfig(), 3, tmp_path / "out")
+    assert threading.active_count() == threads
+    assert len(hashers) == -(-2100 // comp._LANES) > 1
+    assert len(set(hashers)) == 1
+    assert hashers[0] is not threading.main_thread()
+    assert manifest.digest == "sha256:" + hashlib.sha256(
+        (tmp_path / "out" / "augmented.bin").read_bytes()).hexdigest()
+
+
 def test_rerun_replaces_the_earlier_pair(tmp_path, small_records):
     out_dir = tmp_path / "out"
     write_augmented_dataset(small_records, default_spec("hflip"),
