@@ -15,7 +15,7 @@ from .augment import (AugmentationSpec, PolicyTable, PrimitiveOp,
                       default_spec, grid_transform, hflip, load_policy,
                       rand_augment, random_erasing, vflip)
 from .compositor import (YonaConfig, YonaTrace, compose_record, yoco_apply,
-                         yona_apply, yona_apply_fraction, yona_apply_traced)
+                         yona_apply, yona_apply_traced)
 from .dataset import (CifarRecord, DatasetManifest, fnv1a_64, read_cifar,
                       read_png, write_augmented_dataset, write_cifar,
                       write_png)

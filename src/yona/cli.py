@@ -254,6 +254,9 @@ def cmd_augment(args) -> None:
 def cmd_preview(args) -> None:
     if args.count < 1:
         raise UsageError("--count must be at least 1")
+    if len(set(args.augs)) < len(args.augs):  # one file set per kind
+        raise UsageError("--augs names a kind more than once: "
+                         + " ".join(args.augs))
     yona_config = _build_yona(args)
     images = [ds.read_png(path) for path in args.image]
     if args.dataset:

@@ -22,7 +22,7 @@ the bytes owned by the others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,27 +76,33 @@ class YonaConfig:
         object.__setattr__(self, "_geometry_memo", {})
 
     def _geometry(self, shape: tuple[int, int, int]):
-        """Per-shape composition geometry, computed once per (C, H, W).
+        """Per-shape composition geometry, memoised per (C, H, W).
 
         Entry ``(height_cut << 1) | masked_first`` holds ``(masked_bytes,
-        mask_shape, aug_slice, mask_slice, boundary, masked_extent)``, or a
-        GeometryError to raise if that axis cannot host the mask fraction.
+        mask_shape, aug_slice, mask_slice, boundary, masked_extent)`` for
+        each axis the axis policy can cut, and is None for the other axis.
         The slices index the kept and the masked piece of a (C, H, W) array.
+        Raises GeometryError if the image is too small to cut, or if an axis
+        the policy can cut cannot host the mask fraction.
         """
+        try:
+            return self._geometry_memo[shape]
+        except KeyError:
+            pass
         channels, height, width = shape
         if height < 2 or width < 2:
             raise GeometryError(
                 f"image {shape} is too small to cut along both axes")
-        entries = []
-        for height_cut in (False, True):
+        entries = [None] * 4
+        cuts = (False, True) if self.axis_policy == AXIS_RANDOM \
+            else (self.axis_policy == AXIS_FIXED_HEIGHT,)
+        for height_cut in cuts:
             extent = height if height_cut else width
             k = round_half_up(self.mask_fraction * extent)
             if not 1 <= k <= extent - 1:
-                # raised only if this axis is actually selected
-                entries.extend([GeometryError(
+                raise GeometryError(
                     f"mask fraction {self.mask_fraction} of extent {extent} "
-                    f"leaves no pixels on one side")] * 2)
-                continue
+                    f"leaves no pixels on one side")
             for masked_first in (False, True):
                 boundary = k if masked_first else extent - k
                 low, high = slice(None, boundary), slice(boundary, None)
@@ -109,13 +115,13 @@ class YonaConfig:
                     mask_shape = (channels, height, k)
                     mask_slice = np.s_[:, :, masked]
                     aug_slice = np.s_[:, :, kept]
-                entries.append((math.prod(mask_shape), mask_shape,
-                                aug_slice, mask_slice, boundary, k))
+                entries[(height_cut << 1) | masked_first] = (
+                    math.prod(mask_shape), mask_shape, aug_slice, mask_slice,
+                    boundary, k)
         ref_hw = (height, width) if self.region_reference == REGION_IMAGE \
             else None
-        geom = (tuple(entries), ref_hw)
-        self._geometry_memo[shape] = geom
-        return geom
+        geometry = self._geometry_memo[shape] = (tuple(entries), ref_hw)
+        return geometry
 
 
 @dataclass(frozen=True)
@@ -151,15 +157,9 @@ def _compose(image: ImageTensor, aug: AugmentationSpec, config: YonaConfig,
         else:
             masked_first = side_policy == MASKED_FIRST
 
-    geometry = config._geometry_memo.get(shape)
-    if geometry is None:
-        geometry = config._geometry(shape)
-    entries, ref_hw = geometry
-    entry = entries[(height_cut << 1) | masked_first]
-    if type(entry) is GeometryError:
-        raise entry
+    entries, ref_hw = config._geometry(shape)
     masked_bytes, mask_shape, aug_slice, mask_slice, boundary, \
-        masked_extent = entry
+        masked_extent = entries[(height_cut << 1) | masked_first]
 
     out = np.empty(shape, dtype=np.uint8)
     out[mask_slice] = noise_bytes(config.noise, masked_bytes,
@@ -214,9 +214,10 @@ def compose_batch(out: np.ndarray, first_index: int, aug: AugmentationSpec,
     order, fills every mask of one geometry group with `noise_from_tape`
     over those records' `lane_tape`, whatever the noise kind and length,
     and augments the kept pieces with one `_augment_lanes` call on their
-    augment lanes.  A group that cannot host the mask fraction raises its
-    GeometryError once a record selects it; `check_piece_shapes` checks
-    ``aug`` on every kept piece the run may cut before any work.
+    augment lanes.  Before any work, a non-empty batch reads its geometry
+    off ``config._geometry``, which raises GeometryError for a shape the
+    config cannot cut whatever the seed, and `check_piece_shapes` checks
+    ``aug`` on every kept piece the run may cut.
     """
     ref_hw = None
     groups = None if config is None else np.empty(len(out), dtype=np.intp)
@@ -224,12 +225,9 @@ def compose_batch(out: np.ndarray, first_index: int, aug: AugmentationSpec,
         kept = [out.shape[1:]]
         if config is not None:
             entries, ref_hw = config._geometry(out.shape[1:])
-            cuts = (False, True) if config.axis_policy == AXIS_RANDOM \
-                else (config.axis_policy == AXIS_FIXED_HEIGHT,)
-            # the kept piece of each axis the run may cut; an axis that
-            # cannot host the mask fraction raises once a record selects it
-            kept = [out[0][entries[2 * cut][2]].shape for cut in cuts
-                    if type(entries[2 * cut]) is not GeometryError]
+            # the kept piece of each axis the run may cut
+            kept = [out[0][entry[2]].shape for entry in entries[::2]
+                    if entry is not None]
         check_piece_shapes(aug, kept)  # whichever records gate in
     for start in range(0, len(out), _LANES):
         o = out[start:start + _LANES]
@@ -250,8 +248,6 @@ def compose_batch(out: np.ndarray, first_index: int, aug: AugmentationSpec,
             noise_states = lane_states(seed, first, n, NOISE_ROLE)
             pieces = []
             for g in dict.fromkeys(group.tolist()):  # by first record
-                if type(entries[g]) is GeometryError:
-                    raise entries[g]
                 sel = np.flatnonzero(group == g)
                 nbytes, mask_shape, aug_slice, mask_slice, _, _ = entries[g]
                 noise = noise_from_tape(config.noise, lambda size: lane_tape(
@@ -270,17 +266,6 @@ def compose_record(image: ImageTensor, aug: AugmentationSpec,
     out = image.array[None].copy()
     compose_batch(out, index, aug, config, seed)
     return ImageTensor(out[0])
-
-
-def yona_apply_fraction(image: ImageTensor, aug: AugmentationSpec,
-                        fraction: float, structure_rng: RngStream,
-                        augment_rng: RngStream, noise_rng: RngStream,
-                        config: YonaConfig | None = None) -> ImageTensor:
-    """`yona_apply` with the masked piece covering ``fraction`` of the cut
-    axis; the side the masked block occupies is still coin-chosen."""
-    base = config if config is not None else YonaConfig()
-    return yona_apply(image, aug, replace(base, mask_fraction=fraction),
-                      structure_rng, augment_rng, noise_rng)
 
 
 def yoco_apply(image: ImageTensor, aug: AugmentationSpec,

@@ -272,6 +272,42 @@ def test_preview_checks_its_flags_before_reading(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_preview_of_an_unhostable_axis_fails_at_every_seed(tmp_path,
+                                                           capsys):
+    # 0.1 of 4 columns rounds to 0: the random axis policy may cut them
+    source = tmp_path / "tall.png"
+    write_png(make_image(np.random.default_rng(6), height=40, width=4),
+              source)
+    argv = ["preview", "--image", str(source), "--augs", "hflip",
+            "--mask-fraction", "0.1"]
+    for seed in range(8):
+        out_dir = tmp_path / f"pv{seed}"
+        code, out, err = run(capsys, *argv, "--seed", str(seed),
+                             "--out", str(out_dir))
+        assert code == 1 and out == "", seed
+        assert err == "usage error: mask fraction 0.1 of extent 4 leaves " \
+            "no pixels on one side\n"
+        assert not out_dir.exists()
+        code, _, _ = run(capsys, *argv, "--seed", str(seed), "--axis-policy",
+                         "height", "--out", str(out_dir))
+        assert code == 0, seed
+
+
+def test_preview_refuses_a_repeated_kind(tmp_path, capsys):
+    # one kind twice would write two rows to the same three PNG names
+    source = tmp_path / "sq.png"
+    write_png(make_image(np.random.default_rng(7), height=8, width=8),
+              source)
+    out_dir = tmp_path / "pvd"
+    for image in (source, tmp_path / "missing.png"):  # before any read
+        code, out, err = run(capsys, "preview", "--image", str(image),
+                             "--augs", "hflip", "hflip", "--out",
+                             str(out_dir), "--seed", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+
 def test_stats_reports_and_gates(small_batch_file, capsys):
     code, out, _ = run(capsys, "stats", "--dataset", str(small_batch_file),
                        "--n", "400", "--seed", "1")

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from yona.augment import KINDS, apply_augmentation, default_spec
 from yona.compositor import (YonaConfig, compose_record, yoco_apply,
-                             yona_apply, yona_apply_fraction,
-                             yona_apply_traced)
+                             yona_apply, yona_apply_traced)
 from yona.errors import GeometryError
 from yona.image import (Axis, ConstantNoise, GaussianNoise, ImageTensor,
                         UniformNoise, concat, cut_at, mask_noise, noise_bytes,
@@ -117,19 +116,25 @@ def test_composition_invariants(seed, index, shape, fraction, axis, side,
     spec = default_spec(kind, apply_probability=p)
     config = YonaConfig(mask_fraction=fraction, axis_policy=axis,
                         masked_piece_policy=side, noise=noise)
+    # the extents of the axes the policy can cut
+    cuttable = {"random": shape[1:], "height": shape[1:2],
+                "width": shape[2:]}[axis]
+    hosts = all(1 <= round_half_up(fraction * extent) <= extent - 1
+                for extent in cuttable)
     try:
         out, trace = yona_apply_traced(img, spec, config,
                                        *derive_image_streams(seed, index))
     except GeometryError:
-        # only an axis the fraction cannot split leaves no composition
-        assert any(not 1 <= round_half_up(fraction * extent) <= extent - 1
-                   for extent in shape[1:])
+        # an axis the policy can cut and the fraction cannot split leaves
+        # no composition, whichever axis the coins draw
+        assert not hosts
         return
     except ValueError as exc:  # e.g. a grid larger than the kept piece
         out, error = None, str(exc)
         # the structure and noise streams do not depend on the kind
         _, trace = yona_apply_traced(img, default_spec("identity"), config,
                                      *derive_image_streams(seed, index))
+    assert hosts
     _, augment, noise_rng = derive_image_streams(seed, index)
     kept = ImageTensor(augmented_region(img.array, trace).copy())
     if out is None:
@@ -239,7 +244,8 @@ def test_fraction_half_consistent_with_default():
     img = make_image(rng)
     spec = default_spec("hflip")
     st, au, nz = streams(23)
-    via_fraction = yona_apply_fraction(img, spec, 0.5, st, au, nz)
+    via_fraction = yona_apply(img, spec, YonaConfig(mask_fraction=0.5), st,
+                              au, nz)
     st, au, nz = streams(23)
     via_default = yona_apply(img, spec, YonaConfig(), st, au, nz)
     assert via_fraction == via_default

@@ -273,9 +273,10 @@ def test_pieces_longer_than_a_tape_block_match_the_scalar_path(kind, shape):
         _check_lanes(_images(6, 6, shape), 5, default_spec(kind), config, 2)
 
 
-def test_unhostable_group_raises_for_the_first_record_selecting_it():
-    # 0.02 of 9 rows rounds to 0 pixels, of 20 columns too, of 30 to 1;
-    # record 0 cuts the width at seed 3 and the height at seed 4
+def test_unhostable_axis_raises_when_the_policy_can_cut_it():
+    # 0.02 of 9 rows rounds to 0 pixels, of 20 columns too, of 30 to 1: a
+    # run fails when its axis policy can cut an unhostable axis, both where
+    # record 0 cuts the width (seed 3) and where it cuts the height (seed 4)
     spec = default_spec("hflip")
     for seed, (shape, axis, fails) in itertools.product((3, 4), (
             ((1, 9, 30), "random", True), ((1, 9, 20), "random", True),
@@ -283,6 +284,19 @@ def test_unhostable_group_raises_for_the_first_record_selecting_it():
         config = YonaConfig(mask_fraction=0.02, axis_policy=axis)
         error = _check_lanes(_images(40, 7, shape), 0, spec, config, seed)
         assert (error is not None) == fails, shape
+
+
+def test_unhostable_axis_raises_at_every_seed():
+    # 0.1 of 40 rows is 4, of 4 columns rounds to 0: the random policy may
+    # cut the width, so every seed fails, whichever axis record 0 draws
+    images, spec = _images(1, 5, (1, 40, 4)), default_spec("hflip")
+    for seed in range(16):
+        error = _check_lanes(images, 0, spec, YonaConfig(mask_fraction=0.1),
+                             seed)
+        assert str(error) == \
+            "mask fraction 0.1 of extent 4 leaves no pixels on one side"
+        assert _check_lanes(images, 0, spec, YonaConfig(
+            mask_fraction=0.1, axis_policy="height"), seed) is None
 
 
 def test_lanes_match_the_scalar_path_on_every_policy():
