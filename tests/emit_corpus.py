@@ -26,6 +26,7 @@ from yona.cli import main
 from yona.rng import SeedSpec, derive_stream
 
 FIXTURE = Path(__file__).parent / "fixtures" / "emit_digests.txt"
+POLICY_FILE = Path(__file__).parent / "fixtures" / "small_policy.txt"
 RECORDS = 1100
 SEED = "3"
 
@@ -41,6 +42,20 @@ CASES.update({
     "cutout/region-image": ["--aug", "cutout", "--region-reference",
                             "image"],
     "randaug/cifar100": ["--variant", "cifar100", "--aug", "randaug"],
+    "erasing/scale-ratio": ["--aug", "erasing", "--erase-scale", "0.1", "0.2",
+                            "--erase-ratio", "0.5", "2"],
+    "cutout/area-0.1": ["--aug", "cutout", "--cutout-area", "0.1"],
+    "grid/2x3": ["--aug", "grid", "--grid-rows", "2", "--grid-cols", "3"],
+    "randaug/n3-m30": ["--aug", "randaug", "--randaug-n", "3",
+                       "--randaug-m", "30"],
+    "autoaug/policy-file": ["--aug", "autoaug", "--policy-file",
+                            str(POLICY_FILE)],
+    "erasing/width-second": ["--aug", "erasing", "--axis-policy", "width",
+                             "--masked-piece", "second"],
+    "jitter/p1-factors": ["--aug", "jitter", "--apply-probability", "1",
+                          "--jitter-brightness", "0.3",
+                          "--jitter-contrast", "0.6",
+                          "--jitter-saturation", "0.2", "--jitter-hue", "0.25"],
 })
 STATS = ["cutout/gaussian"]
 
