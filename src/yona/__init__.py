@@ -10,10 +10,8 @@ only on (seed, record index).
 __version__ = "0.1.0"  # before the imports: manifests name it (dataset.py)
 
 from .augment import (AugmentationSpec, PolicyTable, PrimitiveOp,
-                      apply_augmentation, apply_primitive, auto_augment,
-                      color_jitter, cutout, default_cifar10_policy,
-                      default_spec, grid_transform, hflip, load_policy,
-                      rand_augment, random_erasing, vflip)
+                      apply_augmentation, apply_primitive,
+                      default_cifar10_policy, default_spec, load_policy)
 from .compositor import (YonaConfig, YonaTrace, compose_record, yoco_apply,
                          yona_apply, yona_apply_traced)
 from .dataset import (CifarRecord, DatasetManifest, fnv1a_64, read_cifar,

@@ -5,6 +5,12 @@ randaug, autoaug) plus identity, all shape-preserving on (C, H, W) uint8
 buffers, plus the 14 photometric/geometric primitives that randaug samples
 from and autoaug policies are built on.
 
+Every kind has one entry, ``apply_augmentation(spec, image, rng)``; its
+parameters travel as its `AugmentationSpec` (``default_spec(kind,
+apply_probability=1.0, ...)`` runs it ungated).  Past the gate,
+`_ungated_arr` returns the flips and identity as views of the buffer and
+hands any other kind's spec to its kernel in `_KIND_KERNELS`.
+
 Every operation is a pure function of (parameters, image, rng state):
 replaying with an identical stream state reproduces identical bytes.
 Geometric resampling is nearest-neighbor with zero fill, which keeps
@@ -27,7 +33,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import UnsupportedAugmentationError
+from .errors import FormatError, UnsupportedAugmentationError
 from .image import ImageTensor, _to_u8, round_half_up
 from .rng import LaneStream, RngStream
 
@@ -107,19 +113,6 @@ def _gray(x: np.ndarray) -> np.ndarray:
 
 
 _IDENTITY_LUT = np.arange(256, dtype=np.uint8)
-
-
-# --------------------------------------------------------------------------
-# Flips
-
-def hflip(image: ImageTensor) -> ImageTensor:
-    """Mirror left-right: pixel (c, y, x) moves to (c, y, W-1-x)."""
-    return ImageTensor(np.ascontiguousarray(image.array[:, :, ::-1]))
-
-
-def vflip(image: ImageTensor) -> ImageTensor:
-    """Mirror top-bottom: pixel (c, y, x) moves to (c, H-1-y, x)."""
-    return ImageTensor(np.ascontiguousarray(image.array[:, ::-1, :]))
 
 
 # --------------------------------------------------------------------------
@@ -283,14 +276,8 @@ _PRIMITIVE_KERNELS = {
 }
 
 
-def apply_primitive(op: PrimitiveOp, image: ImageTensor,
-                    rng: RngStream | None = None) -> ImageTensor:
-    """Apply one bank primitive at its stated magnitude.
-
-    The operation itself is deterministic; ``rng`` is accepted for interface
-    symmetry and ignored.
-    """
-    del rng
+def apply_primitive(op: PrimitiveOp, image: ImageTensor) -> ImageTensor:
+    """Apply one bank primitive at its stated magnitude; no draw."""
     out = _PRIMITIVE_KERNELS[op.name](image.array, op.magnitude)
     return ImageTensor(np.ascontiguousarray(out))
 
@@ -322,7 +309,13 @@ def _sampled_primitive_arr(arr: np.ndarray, name: str, t: float,
 # --------------------------------------------------------------------------
 # Color jitter
 
-def _jitter_arr(arr, brightness, contrast, saturation, hue, rng):
+def _jitter_arr(spec, arr, rng, ref_hw):
+    """Perturb brightness/contrast/saturation/hue in a random order.
+
+    Each multiplicative factor is sampled from [max(0, 1-f), 1+f]; the hue
+    shift is sampled from [-hue, hue] turns.  Arithmetic runs in float and is
+    re-quantized once at the end.
+    """
     # random application order, then one sampled factor per adjustment
     order = [0, 1, 2, 3]
     for i in range(3, 0, -1):
@@ -331,22 +324,21 @@ def _jitter_arr(arr, brightness, contrast, saturation, hue, rng):
     x = arr.astype(np.float64)
     chromatic = arr.shape[0] == 3
     for step in order:
-        if step == 0:
-            f = _uniform_in(rng, max(0.0, 1.0 - brightness), 1.0 + brightness)
-            x = x * f
-        elif step == 1:
-            f = _uniform_in(rng, max(0.0, 1.0 - contrast), 1.0 + contrast)
-            mean = float(_gray(x).mean())
-            x = mean + (x - mean) * f
-        elif step == 2:
-            f = _uniform_in(rng, max(0.0, 1.0 - saturation), 1.0 + saturation)
-            if chromatic:
-                g = _gray(x)
-                x = g + (x - g) * f
-        else:
-            delta = _uniform_in(rng, -hue, hue)
+        if step == 3:
+            delta = _uniform_in(rng, -spec.hue, spec.hue)
             if chromatic and delta != 0.0:
                 x = _hue_shift(x, delta)
+            continue
+        spread = (spec.brightness, spec.contrast, spec.saturation)[step]
+        f = _uniform_in(rng, max(0.0, 1.0 - spread), 1.0 + spread)
+        if step == 0:
+            x = x * f
+        elif step == 1:
+            mean = float(_gray(x).mean())
+            x = mean + (x - mean) * f
+        elif chromatic:
+            g = _gray(x)
+            x = g + (x - g) * f
     return _to_u8(x)
 
 
@@ -387,28 +379,18 @@ def _hue_shift(x, delta):
     return _hsv_to_rgb(h, s, v) * 255.0
 
 
-def color_jitter(image: ImageTensor, brightness: float, contrast: float,
-                 saturation: float, hue: float, rng: RngStream) -> ImageTensor:
-    """Perturb brightness/contrast/saturation/hue in a random order.
-
-    Each multiplicative factor is sampled from [max(0, 1-f), 1+f]; the hue
-    shift is sampled from [-hue, hue] turns.  Arithmetic runs in float and is
-    re-quantized once at the end.
-    """
-    return apply_augmentation(AugmentationSpec(
-        kind="jitter", apply_probability=1.0, brightness=brightness,
-        contrast=contrast, saturation=saturation, hue=hue), image, rng)
-
-
 # --------------------------------------------------------------------------
 # Region augmentations
 
-def _erasing_arr(arr, scale, ratio, fill, rng, ref_hw=None):
+def _erasing_arr(spec, arr, rng, ref_hw):
+    """Erase one rectangle whose area fraction of ``ref_hw`` (else of the
+    buffer) lies in ``erase_scale`` and whose aspect ratio is log-uniform
+    over ``erase_ratio``; up to 10 placement attempts, then a graceful
+    no-op."""
     h, w = arr.shape[1], arr.shape[2]
     ref_h, ref_w = ref_hw if ref_hw is not None else (h, w)
-    area_lo = scale[0] * ref_h * ref_w
-    area_hi = scale[1] * ref_h * ref_w
-    log_lo, log_hi = math.log(ratio[0]), math.log(ratio[1])
+    area_lo, area_hi = (scale * ref_h * ref_w for scale in spec.erase_scale)
+    log_lo, log_hi = (math.log(ratio) for ratio in spec.erase_ratio)
     for _ in range(10):
         target = _uniform_in(rng, area_lo, area_hi)
         aspect = math.exp(_uniform_in(rng, log_lo, log_hi))
@@ -421,26 +403,25 @@ def _erasing_arr(arr, scale, ratio, fill, rng, ref_hw=None):
         top = rng.next_index(h - rect_h + 1)
         left = rng.next_index(w - rect_w + 1)
         out = arr.copy()
-        out[:, top:top + rect_h, left:left + rect_w] = fill
+        out[:, top:top + rect_h, left:left + rect_w] = spec.erase_fill
         return out
     return arr  # no placement found: leave the image unchanged
 
 
-def random_erasing(image: ImageTensor, scale: tuple[float, float],
-                   ratio: tuple[float, float], fill: int,
-                   rng: RngStream) -> ImageTensor:
-    """Erase one rectangle whose area fraction lies in ``scale`` and whose
-    aspect ratio is log-uniform over ``ratio``; up to 10 placement attempts,
-    then a graceful no-op."""
-    return apply_augmentation(AugmentationSpec(
-        kind="erasing", apply_probability=1.0, erase_scale=tuple(scale),
-        erase_ratio=tuple(ratio), erase_fill=fill), image, rng)
-
-
-def _cutout_arr(arr, fraction, rng, fill=0, ref_hw=None):
-    h, w = arr.shape[1], arr.shape[2]
+def _cutout_side(spec, h, w, ref_hw) -> int:
+    """The side of a cutout square on an ``h`` x ``w`` buffer:
+    ``max(1, round(sqrt(cutout_area_fraction) * min(H, W)))`` of ``ref_hw``
+    (None: of the buffer)."""
     ref_h, ref_w = ref_hw if ref_hw is not None else (h, w)
-    side = max(1, round_half_up(math.sqrt(fraction) * min(ref_h, ref_w)))
+    return max(1, round_half_up(math.sqrt(spec.cutout_area_fraction)
+                                * min(ref_h, ref_w)))
+
+
+def _cutout_arr(spec, arr, rng, ref_hw):
+    """Fill a `_cutout_side` square with ``cutout_fill``; its center is
+    uniform over the buffer's pixels and it is clipped at the borders."""
+    h, w = arr.shape[1], arr.shape[2]
+    side = _cutout_side(spec, h, w, ref_hw)
     center_y = rng.next_index(h)
     center_x = rng.next_index(w)
     top = center_y - side // 2
@@ -448,37 +429,32 @@ def _cutout_arr(arr, fraction, rng, fill=0, ref_hw=None):
     y0, y1 = max(0, top), min(h, top + side)
     x0, x1 = max(0, left), min(w, left + side)
     out = arr.copy()
-    out[:, y0:y1, x0:x1] = fill
+    out[:, y0:y1, x0:x1] = spec.cutout_fill
     return out
 
 
-def cutout(image: ImageTensor, mask_area_fraction: float,
-           rng: RngStream, fill: int = 0) -> ImageTensor:
-    """Zero out a square covering ``mask_area_fraction`` of the image area.
-
-    The square's side is ``round(sqrt(fraction) * min(H, W))``; its center is
-    uniform over all pixels and the square is clipped at the borders.
-    """
-    return apply_augmentation(AugmentationSpec(
-        kind="cutout", apply_probability=1.0,
-        cutout_area_fraction=mask_area_fraction, cutout_fill=fill),
-        image, rng)
-
-
-def _grid_arr(arr, grid_rows, grid_cols, rng, transform_probability=0.5):
+def _grid_arr(spec, arr, rng, ref_hw):
+    """Partition into ``grid_rows`` x ``grid_cols`` cells; each cell
+    independently, behind its own coin of ``grid_transform_probability``
+    (no coin at 0 or 1), receives one small geometric transform: rotate
+    within +/-15 degrees, or translate up to 10% of the cell, reflected
+    border.  Remainder pixels belong to the last row/column of cells.  A
+    grid with more rows or columns than the buffer raises ValueError."""
+    check_piece_shapes(spec, [arr.shape])
+    rows, cols, p = spec.grid_rows, spec.grid_cols, \
+        spec.grid_transform_probability
     h, w = arr.shape[1], arr.shape[2]
-    if transform_probability <= 0:
+    if p <= 0:
         return arr
     out = arr.copy()
-    cell_h, cell_w = h // grid_rows, w // grid_cols
-    for row in range(grid_rows):
+    cell_h, cell_w = h // rows, w // cols
+    for row in range(rows):
         y0 = row * cell_h
-        y1 = (row + 1) * cell_h if row < grid_rows - 1 else h
-        for col in range(grid_cols):
+        y1 = (row + 1) * cell_h if row < rows - 1 else h
+        for col in range(cols):
             x0 = col * cell_w
-            x1 = (col + 1) * cell_w if col < grid_cols - 1 else w
-            if transform_probability < 1.0 \
-                    and rng.next_unit_uniform() >= transform_probability:
+            x1 = (col + 1) * cell_w if col < cols - 1 else w
+            if p < 1.0 and rng.next_unit_uniform() >= p:
                 continue
             choice = rng.next_index(3)
             magnitude = 2.0 * rng.next_unit_uniform() - 1.0
@@ -491,20 +467,6 @@ def _grid_arr(arr, grid_rows, grid_cols, rng, transform_probability=0.5):
                 moved = _translate_y_arr(cell, magnitude * 0.1, reflect=True)
             out[:, y0:y1, x0:x1] = moved
     return out
-
-
-def grid_transform(image: ImageTensor, grid_rows: int, grid_cols: int,
-                   rng: RngStream,
-                   transform_probability: float = 0.5) -> ImageTensor:
-    """Partition into grid cells; each cell independently receives one
-    small geometric transform (rotate within +/-15 degrees, or translate
-    up to 10% of the cell, reflected border), gated per cell by a coin.
-    Remainder pixels belong to the last row/column of cells.
-    ``transform_probability`` must lie in [0, 1]."""
-    return apply_augmentation(AugmentationSpec(
-        kind="grid", apply_probability=1.0, grid_rows=grid_rows,
-        grid_cols=grid_cols,
-        grid_transform_probability=transform_probability), image, rng)
 
 
 # --------------------------------------------------------------------------
@@ -567,8 +529,14 @@ def format_policy(policy: PolicyTable) -> str:
 
 
 def load_policy(path) -> PolicyTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_policy(fh.read())
+    """The policy table in the file at ``path``; FormatError naming the
+    path if the file is not UTF-8 or does not parse."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse_policy(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
+        raise FormatError(f"{path}: {exc}") from None
 
 
 _DEFAULT_POLICY: PolicyTable | None = None
@@ -584,22 +552,38 @@ def default_cifar10_policy() -> PolicyTable:
     return _DEFAULT_POLICY
 
 
-def rand_augment(image: ImageTensor, num_ops: int, magnitude: float,
-                 rng: RngStream) -> ImageTensor:
-    """Apply ``num_ops`` primitives drawn uniformly (with replacement) from
-    the 14-op bank, each at the shared ``magnitude`` on a 0-30 scale."""
-    return apply_augmentation(AugmentationSpec(
-        kind="randaug", apply_probability=1.0, randaug_num_ops=num_ops,
-        randaug_magnitude=magnitude), image, rng)
+def _randaug_arr(spec, arr, rng, ref_hw):
+    """Apply ``randaug_num_ops`` primitives drawn uniformly (with
+    replacement) from the 14-op bank, each at the shared
+    ``randaug_magnitude`` on a 0-30 scale."""
+    t = spec.randaug_magnitude / 30.0
+    for _ in range(spec.randaug_num_ops):
+        name = PRIMITIVE_OPS[rng.next_index(len(PRIMITIVE_OPS))]
+        arr = _sampled_primitive_arr(arr, name, t, rng)
+    return arr
 
 
-def auto_augment(image: ImageTensor, policy: PolicyTable,
-                 rng: RngStream) -> ImageTensor:
-    """Pick one sub-policy uniformly and run its two gated ops in order."""
-    if policy is None:  # a spec without a policy uses the bundled table
-        raise ValueError("auto_augment needs a policy")
-    return apply_augmentation(AugmentationSpec(
-        kind="autoaug", apply_probability=1.0, policy=policy), image, rng)
+def _autoaug_arr(spec, arr, rng, ref_hw):
+    """Pick one sub-policy of ``policy`` (None: the bundled table)
+    uniformly and run its two gated ops in order."""
+    policy = spec.policy if spec.policy is not None \
+        else default_cifar10_policy()
+    sub = policy.sub_policies[rng.next_index(len(policy))]
+    for name, prob, mag_index in sub:
+        if prob <= 0.0:
+            continue
+        if prob < 1.0 and rng.next_unit_uniform() >= prob:
+            continue
+        arr = _sampled_primitive_arr(arr, name, mag_index / 9.0, rng)
+    return arr
+
+
+# Every kind past its gate but the flips and identity: ``(spec, arr, rng,
+# ref_hw)`` to a (C, H, W) buffer, which may be ``arr`` itself.  ``ref_hw``
+# (None: the buffer's own) sizes the region kinds; the others ignore it.
+_KIND_KERNELS = {"jitter": _jitter_arr, "erasing": _erasing_arr,
+                 "cutout": _cutout_arr, "grid": _grid_arr,
+                 "randaug": _randaug_arr, "autoaug": _autoaug_arr}
 
 
 # --------------------------------------------------------------------------
@@ -727,37 +711,7 @@ def _ungated_arr(spec: AugmentationSpec, arr: np.ndarray, rng: RngStream,
         return arr[:, ::-1, :]
     if kind == "identity":
         return arr
-    if kind == "jitter":
-        return _jitter_arr(arr, spec.brightness, spec.contrast,
-                           spec.saturation, spec.hue, rng)
-    if kind == "erasing":
-        return _erasing_arr(arr, spec.erase_scale, spec.erase_ratio,
-                            spec.erase_fill, rng, ref_hw=region_ref_hw)
-    if kind == "cutout":
-        return _cutout_arr(arr, spec.cutout_area_fraction, rng,
-                           fill=spec.cutout_fill, ref_hw=region_ref_hw)
-    if kind == "grid":
-        check_piece_shapes(spec, [arr.shape])
-        return _grid_arr(arr, spec.grid_rows, spec.grid_cols, rng,
-                         spec.grid_transform_probability)
-    if kind == "randaug":
-        t = spec.randaug_magnitude / 30.0
-        for _ in range(spec.randaug_num_ops):
-            name = PRIMITIVE_OPS[rng.next_index(len(PRIMITIVE_OPS))]
-            arr = _sampled_primitive_arr(arr, name, t, rng)
-        return arr
-    if kind == "autoaug":
-        policy = spec.policy if spec.policy is not None \
-            else default_cifar10_policy()
-        sub = policy.sub_policies[rng.next_index(len(policy))]
-        for name, prob, mag_index in sub:
-            if prob <= 0.0:
-                continue
-            if prob < 1.0 and rng.next_unit_uniform() >= prob:
-                continue
-            arr = _sampled_primitive_arr(arr, name, mag_index / 9.0, rng)
-        return arr
-    raise UnsupportedAugmentationError(f"unknown augmentation kind {kind!r}")
+    return _KIND_KERNELS[kind](spec, arr, rng, region_ref_hw)
 
 
 def apply_augmentation(spec: AugmentationSpec, image: ImageTensor,
@@ -833,9 +787,7 @@ def _augment_lanes(spec: AugmentationSpec, out: np.ndarray, pieces,
             rows = rows[live[rows]]
             _, h, w = out[0][piece].shape
             ys, xs = np.ogrid[:h, :w]
-            ref_h, ref_w = region_ref_hw or (h, w)
-            side = max(1, round_half_up(math.sqrt(spec.cutout_area_fraction)
-                                        * min(ref_h, ref_w)))
+            side = _cutout_side(spec, h, w, region_ref_hw)
             where = np.zeros(len(out), dtype=bool)
             where[rows] = True
             # the square's corner; the half-open ranges clip it at the border

@@ -49,6 +49,7 @@ def _sub(subparsers, name, help_text):
 
 
 AUG_CHOICES = list(aug_mod.KINDS)
+BENCH_BYTES = 2**24  # the largest `bench --dims` image, in bytes
 PREVIEW_AUGS = ["hflip", "vflip", "jitter", "erasing", "cutout", "grid",
                 "randaug", "autoaug"]
 
@@ -159,7 +160,8 @@ def build_parser():
 
     p = _sub(subs, "bench", "throughput of plain vs composited augmentation")
     p.add_argument("--iterations", type=int, default=10_000)
-    p.add_argument("--dims", default="3x32x32", help="image dims CxHxW")
+    p.add_argument("--dims", default="3x32x32",
+                   help=f"image dims CxHxW, at most {BENCH_BYTES} bytes")
     p.add_argument("--report", help="also write the report to this file")
     p.add_argument("--gate-ratio", type=float,
                    help="fail (exit 4) if ratio exceeds this bound")
@@ -331,6 +333,9 @@ def cmd_bench(args) -> None:
     if len(dims) != 3 or min(dims) < 1:
         raise UsageError(f"--dims must be CxHxW, three integers >= 1, got "
                          f"{args.dims!r}")
+    if math.prod(dims) > BENCH_BYTES:  # refused before any allocation
+        raise UsageError(f"--dims {args.dims} is {math.prod(dims)} bytes, "
+                         f"above the {BENCH_BYTES}-byte limit")
     # benchmark work, not coin luck: force application unless overridden
     spec = _build_spec(args, forced_probability=1.0)
     result = ev.benchmark_throughput(spec, _build_yona(args),
@@ -427,7 +432,7 @@ def _merge_config_file(args, parser_table, argv) -> argparse.Namespace:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             values = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})")
     if not isinstance(values, dict):
         raise FormatError(f"{path}: config must be a JSON object")

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from yona.augment import (PRIMITIVE_OPS, PrimitiveOp, apply_augmentation,
-                          apply_primitive, cutout, default_spec,
-                          grid_transform, hflip, random_erasing, vflip)
+                          apply_primitive, default_spec)
 from yona.compositor import YonaConfig, yona_apply, yona_apply_traced
 from yona.dataset import read_cifar, write_augmented_dataset
 from yona.errors import FormatError
@@ -163,11 +162,20 @@ def test_acceptance_06_overhead_ratio():
 
 def test_acceptance_07_involutions_and_locality():
     rng = np.random.default_rng(107)
+    flips = [default_spec(kind, apply_probability=1.0)
+             for kind in ("hflip", "vflip")]
+    cutout = default_spec("cutout", apply_probability=1.0)
+    erasing = default_spec("erasing", apply_probability=1.0,
+                           erase_scale=(0.05, 0.2), erase_ratio=(0.5, 2.0))
+    grid = default_spec("grid", apply_probability=1.0, grid_rows=2,
+                        grid_cols=2)
+    unused = derive_stream(SeedSpec(107, 0))  # a flip at p 1 draws nothing
     for i in range(1000):
         img = make_image(rng, 3, int(rng.integers(4, 33)),
                          int(rng.integers(4, 33)), low=1)
-        assert hflip(hflip(img)) == img
-        assert vflip(vflip(img)) == img
+        for flip in flips:
+            assert apply_augmentation(
+                flip, apply_augmentation(flip, img, unused), unused) == img
         inverted = apply_primitive(PrimitiveOp("Invert"), img)
         assert apply_primitive(PrimitiveOp("Invert"), inverted) == img
 
@@ -176,7 +184,7 @@ def test_acceptance_07_involutions_and_locality():
 
         s = derive_stream(SeedSpec(seed, 1))
         replay = s.clone()
-        out = cutout(img, 0.25, s)
+        out = apply_augmentation(cutout, img, s)
         side = max(1, round_half_up(np.sqrt(0.25) * min(height, width)))
         top = replay.next_index(height) - side // 2
         left = replay.next_index(width) - side // 2
@@ -186,7 +194,7 @@ def test_acceptance_07_involutions_and_locality():
         assert not diff[~region].any()
 
         s = derive_stream(SeedSpec(seed, 2))
-        out = random_erasing(img, (0.05, 0.2), (0.5, 2.0), 0, s)
+        out = apply_augmentation(erasing, img, s)
         if out != img:
             diff = (out.array != img.array).any(axis=0)
             rows = np.nonzero(diff.any(axis=1))[0]
@@ -197,7 +205,7 @@ def test_acceptance_07_involutions_and_locality():
         if i % 10 == 0:  # grid locality, sampled (cells replayed per coin)
             s = derive_stream(SeedSpec(seed, 3))
             replay = s.clone()
-            out = grid_transform(img, 2, 2, s)
+            out = apply_augmentation(grid, img, s)
             cell_h, cell_w = height // 2, width // 2
             diff = (out.array != img.array).any(axis=0)
             for row in range(2):

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import yona
 import yona.compositor as comp
 import yona.dataset as ds
-from yona.augment import default_spec
+from yona.augment import default_spec, parse_policy
 from yona.cli import main
 from yona.dataset import (CifarRecord, DatasetManifest, read_png,
                           write_cifar, write_png)
@@ -318,6 +319,12 @@ def test_stats_reports_and_gates(small_batch_file, capsys):
                        "--gate-axis-low", "0.99")
     assert code == 4
     assert "gate violated" in err
+    code, out, err = run(capsys, "stats", "--dataset", str(small_batch_file),
+                         "--n", "400", "--seed", "1",
+                         "--gate-axis-high", "0.01")
+    assert code == 4 and "axis_height_frequency=" in out
+    assert err.startswith("gate violated: axis_height_frequency=") \
+        and "above bound 0.01" in err and err.count("\n") == 1
 
 
 def test_bench_gate_pass_and_fail(capsys):
@@ -369,6 +376,23 @@ def test_bench_rejects_bad_dims(capsys):
         assert code == 1 and out == ""
         assert err == "usage error: --dims must be CxHxW, three integers " \
             f">= 1, got {dims!r}\n"
+
+
+def test_bench_rejects_dims_above_the_byte_limit(capsys, monkeypatch):
+    # 10**10 bytes would not fit in memory: refused before any allocation
+    import yona.evalstats as ev
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench started before the dims check")
+
+    monkeypatch.setattr(ev, "benchmark_throughput", refuse)
+    for dims, size in (("1x100000x100000", 10**10),
+                       ("1x4097x4096", 2**24 + 4096)):
+        code, out, err = run(capsys, "bench", "--dims", dims,
+                             "--iterations", "100")
+        assert (code, out) == (1, "")
+        assert err == f"usage error: --dims {dims} is {size} bytes, above " \
+            f"the {2**24}-byte limit\n"
 
 
 def test_bench_rejects_tiny_iteration_count(capsys):
@@ -453,7 +477,8 @@ def test_probe_negative_eval_count_is_usage_error(small_batch_file, capsys):
     (["--batch-size", "0"], "usage error: batch_size"),
     (["--lr", "nan"], "usage error: lr"),
     (["--lr", "inf"], "usage error: lr"),
-    (["--lr", "1e308"], "training diverged: ")])
+    (["--lr", "1e308"], "training diverged: "),
+    (["--eval-count", "21"], "usage error: dataset holds 60 records, need 61")])
 def test_probe_bad_hyperparameters_exit_1(small_batch_file, capsys, flags,
                                           message):
     code, out, err = run(capsys, "probe", "--dataset", str(small_batch_file),
@@ -461,6 +486,16 @@ def test_probe_bad_hyperparameters_exit_1(small_batch_file, capsys, flags,
     assert code == 1
     assert err.startswith(message) and err.count("\n") == 1
     assert "epoch_loss" not in out
+
+
+def test_probe_of_no_epochs_fails_the_loss_gate(small_batch_file, capsys):
+    # no epoch: the final loss is the initial one, so it did not decrease
+    code, out, err = run(capsys, "probe", "--dataset", str(small_batch_file),
+                         "--train-count", "40", "--epochs", "0",
+                         "--gate-loss-decrease")
+    assert code == 4 and "epoch_loss_0=" in out
+    assert err.startswith("gate violated: final loss ") \
+        and err.count("\n") == 1
 
 
 def test_probe_end_to_end(small_batch_file, capsys):
@@ -655,6 +690,44 @@ def test_truncated_dataset_is_format_error(tmp_path, capsys):
     assert "format error" in err
 
 
+@pytest.mark.parametrize("flag, content", [
+    ("--policy-file", b"Rotate 0.5 3\nInvert 0.2 0\n"),  # one entry a line
+    ("--policy-file", b"Rotate 0.5 3 ; Invert 0.2 \xff\n"),  # not UTF-8
+    ("--config", b'{"seed": 3, "aug": "\xff"}'),  # not UTF-8
+    ("--config", b'{"seed": 3'),  # truncated
+    ("--config", b'["--seed", "3"]'),  # an array, not an object
+], ids=["policy-one-entry", "policy-not-utf8", "config-not-utf8",
+        "config-truncated", "config-array"])
+def test_malformed_file_is_format_error(tmp_path, small_batch_file, capsys,
+                                        flag, content):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "augment", "--dataset",
+                         str(small_batch_file), "--aug", "autoaug", flag,
+                         str(bad), "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"format error: {bad}: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_policy_file_run_equals_the_library_run(tmp_path, small_batch_file,
+                                                capsys):
+    policy_file = Path(__file__).parent / "fixtures" / "small_policy.txt"
+    code, out, _ = run(capsys, "augment", "--dataset", str(small_batch_file),
+                       "--aug", "autoaug", "--policy-file", str(policy_file),
+                       "--seed", "5", "--out", str(tmp_path / "cli"))
+    assert code == 0
+    manifest = ds.write_augmented_dataset(
+        ds.read_cifar(small_batch_file, "cifar10"),
+        default_spec("autoaug", policy=parse_policy(policy_file.read_text())),
+        comp.YonaConfig(), 5, tmp_path / "lib")
+    assert "policy:sha256:" in manifest_of(tmp_path / "cli").augmentation
+    assert out == manifest.to_text()
+    assert (tmp_path / "cli" / "augmented.bin").read_bytes() \
+        == (tmp_path / "lib" / "augmented.bin").read_bytes()
+
+
 def test_unknown_flag_is_usage_error(small_batch_file, capsys):
     code, _, err = run(capsys, "augment", "--dataset", str(small_batch_file),
                        "--out", "x", "--frobnicate")
@@ -720,6 +793,27 @@ def test_config_values_go_through_the_flag_parser(
     else:
         assert code == 0
         assert (code, out) == run(capsys, *argv, *same_as)[:2]
+
+
+def test_config_list_repeats_an_append_flag(tmp_path, capsys):
+    images = []
+    for seed in (3, 4):
+        images.append(tmp_path / f"in{seed}.png")
+        write_png(make_image(np.random.default_rng(seed)), images[-1])
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"image": [str(p) for p in images],
+                                  "augs": ["hflip", "cutout"]}))
+    code, out, _ = run(capsys, "preview", "--config", str(config),
+                       "--out", str(tmp_path / "cfg"))
+    assert code == 0 and out.startswith("wrote 12 PNG files")
+    argv = ["preview", "--image", str(images[0]), "--image", str(images[1]),
+            "--augs", "hflip", "cutout", "--out", str(tmp_path / "flags")]
+    assert run(capsys, *argv)[0] == 0
+    names = sorted(os.listdir(tmp_path / "flags"))
+    assert sorted(os.listdir(tmp_path / "cfg")) == names
+    for name in names:
+        assert (tmp_path / "cfg" / name).read_bytes() \
+            == (tmp_path / "flags" / name).read_bytes(), name
 
 
 def test_help_lists_defaults(capsys):
