@@ -55,7 +55,8 @@ CASES.update({
     "jitter/p1-factors": ["--aug", "jitter", "--apply-probability", "1",
                           "--jitter-brightness", "0.3",
                           "--jitter-contrast", "0.6",
-                          "--jitter-saturation", "0.2", "--jitter-hue", "0.25"],
+                          "--jitter-saturation", "0.2",
+                          "--jitter-hue", "0.25"],
 })
 STATS = ["cutout/gaussian"]
 

@@ -478,7 +478,8 @@ def test_probe_negative_eval_count_is_usage_error(small_batch_file, capsys):
     (["--lr", "nan"], "usage error: lr"),
     (["--lr", "inf"], "usage error: lr"),
     (["--lr", "1e308"], "training diverged: "),
-    (["--eval-count", "21"], "usage error: dataset holds 60 records, need 61")])
+    (["--eval-count", "21"],
+     "usage error: dataset holds 60 records, need 61")])
 def test_probe_bad_hyperparameters_exit_1(small_batch_file, capsys, flags,
                                           message):
     code, out, err = run(capsys, "probe", "--dataset", str(small_batch_file),
