@@ -57,6 +57,8 @@ CASES.update({
                           "--jitter-contrast", "0.6",
                           "--jitter-saturation", "0.2",
                           "--jitter-hue", "0.25"],
+    "autoaug/p0.7": ["--aug", "autoaug", "--apply-probability", "0.7"],
+    "randaug/m0": ["--aug", "randaug", "--randaug-m", "0"],
 })
 STATS = ["cutout/gaussian"]
 
