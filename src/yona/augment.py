@@ -5,6 +5,12 @@ randaug, autoaug) plus identity, all shape-preserving on (C, H, W) uint8
 buffers, plus the 14 photometric/geometric primitives that randaug samples
 from and autoaug policies are built on.
 
+The primitive bank is one table, `_BANK`: one row per op, in draw order,
+holding its ``(arr, m)`` kernel, its declared magnitude range, whether a
+policy randomizes its sign, and its magnitude at strength ``t`` (randaug
+``m/30``, autoaug ``index/9``) and sign ``s``.  `PRIMITIVE_OPS`,
+`MAGNITUDE_RANGES` and the lane walk's sign column are read off it.
+
 Every kind has one entry, ``apply_augmentation(spec, image, rng)``; its
 parameters travel as its `AugmentationSpec` (``default_spec(kind,
 apply_probability=1.0, ...)`` runs it ungated).  Past the gate,
@@ -30,71 +36,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import FormatError, UnsupportedAugmentationError
 from .image import ImageTensor, _to_u8, round_half_up
 from .rng import LaneStream, RngStream
-
-# --------------------------------------------------------------------------
-# Primitive bank
-
-PRIMITIVE_OPS = (
-    "ShearX", "ShearY", "TranslateX", "TranslateY", "Rotate",
-    "AutoContrast", "Invert", "Equalize", "Solarize", "Posterize",
-    "Contrast", "Color", "Brightness", "Sharpness",
-)
-
-# ops whose magnitude direction is randomized when sampled by a policy
-_SIGNED_OPS = frozenset({
-    "ShearX", "ShearY", "TranslateX", "TranslateY", "Rotate",
-    "Contrast", "Color", "Brightness", "Sharpness",
-})
-
-# declared magnitude range per op (None: the op takes no magnitude)
-MAGNITUDE_RANGES: dict[str, tuple[float, float] | None] = {
-    "ShearX": (-0.3, 0.3),
-    "ShearY": (-0.3, 0.3),
-    "TranslateX": (-0.3, 0.3),   # fraction of width
-    "TranslateY": (-0.3, 0.3),   # fraction of height
-    "Rotate": (-30.0, 30.0),     # degrees
-    "AutoContrast": None,
-    "Invert": None,
-    "Equalize": None,
-    "Solarize": (0, 255),        # invert bytes >= threshold
-    "Posterize": (4, 8),         # bits kept
-    "Contrast": (0.1, 1.9),
-    "Color": (0.1, 1.9),
-    "Brightness": (0.1, 1.9),
-    "Sharpness": (0.1, 1.9),
-}
-
-
-@dataclass(frozen=True)
-class PrimitiveOp:
-    """One bank operation at a concrete magnitude on its own scale."""
-
-    name: str
-    magnitude: float | None = None
-
-    def __post_init__(self):
-        if self.name not in MAGNITUDE_RANGES:
-            raise UnsupportedAugmentationError(
-                f"unknown primitive op {self.name!r}")
-        rng_range = MAGNITUDE_RANGES[self.name]
-        if rng_range is None:
-            return
-        if self.magnitude is None:
-            raise ValueError(f"{self.name} requires a magnitude")
-        lo, hi = rng_range
-        if not lo <= self.magnitude <= hi:
-            raise ValueError(
-                f"{self.name} magnitude {self.magnitude} outside [{lo}, {hi}]")
-        if self.name in ("Solarize", "Posterize") \
-                and self.magnitude != int(self.magnitude):
-            raise ValueError(f"{self.name} magnitude must be integral")
-
 
 # --------------------------------------------------------------------------
 # Small numeric helpers
@@ -158,14 +106,6 @@ def _rotate_arr(arr, degrees, reflect=False):
     return _affine_nearest(arr, cos_t, -sin_t, sin_t, cos_t, reflect=reflect)
 
 
-def _shear_x_arr(arr, factor, reflect=False):
-    return _affine_nearest(arr, 1.0, 0.0, factor, 1.0, reflect=reflect)
-
-
-def _shear_y_arr(arr, factor, reflect=False):
-    return _affine_nearest(arr, 1.0, factor, 0.0, 1.0, reflect=reflect)
-
-
 def _translate_x_arr(arr, fraction, reflect=False):
     return _affine_nearest(arr, 1.0, 0.0, 0.0, 1.0,
                            ox=-fraction * arr.shape[-1], reflect=reflect)
@@ -178,19 +118,6 @@ def _translate_y_arr(arr, fraction, reflect=False):
 
 # --------------------------------------------------------------------------
 # Photometric primitives
-
-def _invert_arr(arr):
-    return np.uint8(255) - arr
-
-
-def _solarize_arr(arr, threshold):
-    return np.where(arr >= threshold, np.uint8(255) - arr, arr)
-
-
-def _posterize_arr(arr, bits):
-    mask = np.uint8((0xFF << (8 - int(bits))) & 0xFF)
-    return arr & mask
-
 
 def _autocontrast_arr(arr):
     planes = arr.reshape(-1, arr.shape[-2] * arr.shape[-1])
@@ -256,54 +183,95 @@ def _sharpness_arr(arr, factor):
     return _enhance(x, _smooth_arr(x), factor)
 
 
-# Every kernel maps a (..., C, H, W) uint8 buffer to a new one of the same
-# shape; each leading index gets the bytes the kernel gives that image alone.
-_PRIMITIVE_KERNELS = {
-    "ShearX": lambda arr, m: _shear_x_arr(arr, m),
-    "ShearY": lambda arr, m: _shear_y_arr(arr, m),
-    "TranslateX": lambda arr, m: _translate_x_arr(arr, m),
-    "TranslateY": lambda arr, m: _translate_y_arr(arr, m),
-    "Rotate": lambda arr, m: _rotate_arr(arr, m),
-    "AutoContrast": lambda arr, m: _autocontrast_arr(arr),
-    "Invert": lambda arr, m: _invert_arr(arr),
-    "Equalize": lambda arr, m: _equalize_arr(arr),
-    "Solarize": lambda arr, m: _solarize_arr(arr, int(m)),
-    "Posterize": lambda arr, m: _posterize_arr(arr, int(m)),
-    "Contrast": lambda arr, m: _contrast_arr(arr, m),
-    "Color": lambda arr, m: _color_arr(arr, m),
-    "Brightness": lambda arr, m: _brightness_arr(arr, m),
-    "Sharpness": lambda arr, m: _sharpness_arr(arr, m),
+# --------------------------------------------------------------------------
+# Primitive bank
+
+class _Op(NamedTuple):
+    """One row of the bank."""
+
+    kernel: Callable      # (..., C, H, W) uint8 buffer, magnitude -> new one
+    magnitude_range: tuple[float, float] | None  # None: takes no magnitude
+    signed: bool          # a policy randomizes the magnitude's direction
+    magnitude: Callable   # strength t in [0, 1], sign s -> magnitude
+
+
+# One row per op, in draw order: an index draw picks a row.  Each kernel
+# gives every leading index of its stack the bytes it gives that image
+# alone.  An int range declares an integral magnitude.
+_BANK = {
+    "ShearX": _Op(lambda arr, m: _affine_nearest(arr, 1.0, 0.0, m, 1.0),
+                  (-0.3, 0.3), True, lambda t, s: s * t * 0.3),
+    "ShearY": _Op(lambda arr, m: _affine_nearest(arr, 1.0, m, 0.0, 1.0),
+                  (-0.3, 0.3), True, lambda t, s: s * t * 0.3),
+    # a fraction of the width, then of the height
+    "TranslateX": _Op(_translate_x_arr, (-0.3, 0.3), True,
+                      lambda t, s: s * t * 0.3),
+    "TranslateY": _Op(_translate_y_arr, (-0.3, 0.3), True,
+                      lambda t, s: s * t * 0.3),
+    "Rotate": _Op(_rotate_arr, (-30.0, 30.0), True,  # degrees
+                  lambda t, s: s * t * 30.0),
+    "AutoContrast": _Op(lambda arr, m: _autocontrast_arr(arr), None, False,
+                        lambda t, s: None),
+    "Invert": _Op(lambda arr, m: np.uint8(255) - arr, None, False,
+                  lambda t, s: None),
+    "Equalize": _Op(lambda arr, m: _equalize_arr(arr), None, False,
+                    lambda t, s: None),
+    "Solarize": _Op(  # invert bytes >= threshold
+        lambda arr, m: np.where(arr >= int(m), np.uint8(255) - arr, arr),
+        (0, 255), False, lambda t, s: round_half_up(255.0 * (1.0 - t))),
+    "Posterize": _Op(  # bits kept
+        lambda arr, m: arr & np.uint8((0xFF << (8 - int(m))) & 0xFF),
+        (4, 8), False, lambda t, s: 8 - round_half_up(4.0 * t)),
+    "Contrast": _Op(_contrast_arr, (0.1, 1.9), True,
+                    lambda t, s: 1.0 + s * t * 0.9),
+    "Color": _Op(_color_arr, (0.1, 1.9), True,
+                 lambda t, s: 1.0 + s * t * 0.9),
+    "Brightness": _Op(_brightness_arr, (0.1, 1.9), True,
+                      lambda t, s: 1.0 + s * t * 0.9),
+    "Sharpness": _Op(_sharpness_arr, (0.1, 1.9), True,
+                     lambda t, s: 1.0 + s * t * 0.9),
 }
+
+PRIMITIVE_OPS = tuple(_BANK)
+MAGNITUDE_RANGES: dict[str, tuple[float, float] | None] = {
+    name: row.magnitude_range for name, row in _BANK.items()}
+
+
+@dataclass(frozen=True)
+class PrimitiveOp:
+    """One bank operation at a concrete magnitude on its own scale."""
+
+    name: str
+    magnitude: float | None = None
+
+    def __post_init__(self):
+        if self.name not in _BANK:
+            raise UnsupportedAugmentationError(
+                f"unknown primitive op {self.name!r}")
+        rng_range = _BANK[self.name].magnitude_range
+        if rng_range is None:
+            return
+        if self.magnitude is None:
+            raise ValueError(f"{self.name} requires a magnitude")
+        lo, hi = rng_range
+        if not lo <= self.magnitude <= hi:
+            raise ValueError(
+                f"{self.name} magnitude {self.magnitude} outside [{lo}, {hi}]")
+        if type(lo) is int and self.magnitude != int(self.magnitude):
+            raise ValueError(f"{self.name} magnitude must be integral")
 
 
 def apply_primitive(op: PrimitiveOp, image: ImageTensor) -> ImageTensor:
     """Apply one bank primitive at its stated magnitude; no draw."""
-    out = _PRIMITIVE_KERNELS[op.name](image.array, op.magnitude)
+    out = _BANK[op.name].kernel(image.array, op.magnitude)
     return ImageTensor(np.ascontiguousarray(out))
-
-
-def _scaled_magnitude(name: str, t: float, sign: float) -> float | None:
-    """Map a strength fraction t in [0, 1] onto an op's magnitude scale."""
-    if name in ("ShearX", "ShearY", "TranslateX", "TranslateY"):
-        return sign * t * 0.3
-    if name == "Rotate":
-        return sign * t * 30.0
-    if name == "Solarize":
-        return round_half_up(255.0 * (1.0 - t))
-    if name == "Posterize":
-        return 8 - round_half_up(4.0 * t)
-    if name in ("Contrast", "Color", "Brightness", "Sharpness"):
-        return 1.0 + sign * t * 0.9
-    return None
 
 
 def _sampled_primitive_arr(arr: np.ndarray, name: str, t: float,
                            rng: RngStream) -> np.ndarray:
-    sign = 1.0
-    if name in _SIGNED_OPS:
-        sign = 1.0 if rng.next_unit_uniform() < 0.5 else -1.0
-    magnitude = _scaled_magnitude(name, t, sign)
-    return _PRIMITIVE_KERNELS[name](arr, magnitude)
+    kernel, _, signed, magnitude = _BANK[name]
+    sign = -1.0 if signed and rng.next_unit_uniform() >= 0.5 else 1.0
+    return kernel(arr, magnitude(t, sign))
 
 
 # --------------------------------------------------------------------------
@@ -486,7 +454,7 @@ class PolicyTable:
             if len(sub) != 2:
                 raise ValueError("each sub-policy must hold exactly two ops")
             for name, prob, mag in sub:
-                if name not in MAGNITUDE_RANGES:
+                if name not in _BANK:
                     raise UnsupportedAugmentationError(
                         f"policy references unknown op {name!r}")
                 if not 0.0 <= prob <= 1.0:
@@ -735,8 +703,7 @@ def apply_augmentation(spec: AugmentationSpec, image: ImageTensor,
 POLICY_KINDS = frozenset({"randaug", "autoaug"})
 
 _FLIPS = {"hflip": np.s_[..., ::-1], "vflip": np.s_[..., ::-1, :]}
-_OP_CODES = {name: code for code, name in enumerate(PRIMITIVE_OPS)}
-_SIGNED_CODES = np.array([name in _SIGNED_OPS for name in PRIMITIVE_OPS])
+_SIGNED_CODES = np.array([row.signed for row in _BANK.values()])
 
 
 def _augment_lanes(spec: AugmentationSpec, out: np.ndarray, pieces,
@@ -835,7 +802,8 @@ def _policy_lanes(spec: AugmentationSpec, rng: LaneStream,
         sub = rng.next_index(len(policy), live)
         for slot in range(2):
             entries = [entry[slot] for entry in policy.sub_policies]
-            op = np.array([_OP_CODES[name] for name, _, _ in entries])[sub]
+            op = np.array([PRIMITIVE_OPS.index(name)
+                           for name, _, _ in entries])[sub]
             prob = np.array([prob for _, prob, _ in entries])[sub]
             level = np.array([level for _, _, level in entries])[sub]
             take = live & (prob > 0.0)
@@ -852,9 +820,9 @@ def _run_policy_slots(spec: AugmentationSpec, stack: np.ndarray,
     per (op, magnitude) group."""
     for codes in slots:
         for c in np.unique(codes[codes >= 0]).tolist():
-            name = PRIMITIVE_OPS[c // 20]
+            kernel, _, _, magnitude = _BANK[PRIMITIVE_OPS[c // 20]]
             t = spec.randaug_magnitude / 30.0 if spec.kind == "randaug" \
                 else c // 2 % 10 / 9.0
-            magnitude = _scaled_magnitude(name, t, -1.0 if c & 1 else 1.0)
             sel = np.flatnonzero(codes == c)
-            stack[sel] = _PRIMITIVE_KERNELS[name](stack[sel], magnitude)
+            stack[sel] = kernel(stack[sel],
+                                magnitude(t, -1.0 if c & 1 else 1.0))

@@ -57,7 +57,7 @@ PREVIEW_AUGS = ["hflip", "vflip", "jitter", "erasing", "cutout", "grid",
 def _add_common(parser):
     parser.add_argument("--config", help="JSON file of flag defaults")
     parser.add_argument("--seed", type=int, default=0,
-                        help="global seed")
+                        help="global seed, in [0, 2**64)")
 
 
 def _add_aug_flags(parser):
@@ -466,6 +466,10 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             args = _merge_config_file(args, table, argv)
         _check_gate_values(args)
+        # the library takes a seed mod 2**64: 2**64 would emit seed 0's
+        # bytes under a manifest that names another seed
+        if not 0 <= args.seed < 2**64:
+            raise UsageError(f"--seed must be in [0, 2**64), got {args.seed}")
         args.func(args)
         return 0
     except FormatError as exc:  # FormatError subclasses ValueError

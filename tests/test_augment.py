@@ -10,8 +10,8 @@ from yona.augment import (KINDS, MAGNITUDE_RANGES, PRIMITIVE_OPS,
                           AugmentationSpec, PolicyTable, PrimitiveOp,
                           apply_augmentation, apply_primitive,
                           default_cifar10_policy, default_spec, format_policy,
-                          load_policy, parse_policy, _brightness_arr,
-                          _PRIMITIVE_KERNELS, _scaled_magnitude, _ungated_arr)
+                          load_policy, parse_policy, _BANK, _brightness_arr,
+                          _ungated_arr)
 from yona.dataset import fnv1a_64
 from yona.errors import UnsupportedAugmentationError
 from yona.image import ImageTensor
@@ -397,6 +397,29 @@ def test_translate_moves_content():
     assert out.array[0, 0, 0] == 0
 
 
+def test_bank_rows_scale_into_their_ranges():
+    # an index draw picks an op by its position, so the order is pinned
+    assert PRIMITIVE_OPS == (
+        "ShearX", "ShearY", "TranslateX", "TranslateY", "Rotate",
+        "AutoContrast", "Invert", "Equalize", "Solarize", "Posterize",
+        "Contrast", "Color", "Brightness", "Sharpness")
+    strengths = [k / 9.0 for k in range(10)] + [m / 30.0 for m in range(31)]
+    for name, (_, bounds, signed, scaled) in _BANK.items():
+        for t in strengths:
+            up, down = scaled(t, 1.0), scaled(t, -1.0)
+            if bounds is None:
+                assert up is None and down is None, name
+                continue
+            # a policy magnitude may lie a rounding error outside its range
+            assert all(bounds[0] - 1e-12 <= m <= bounds[1] + 1e-12
+                       for m in (up, down)), (name, t, up, down)
+            # only a signed op's magnitude follows the sign
+            assert (up != down) == (signed and t > 0), (name, t)
+            assert (type(up) is int) == (name in ("Solarize", "Posterize"))
+    assert _BANK["Solarize"].magnitude(0.0, 1.0) == 255
+    assert _BANK["Posterize"].magnitude(0.0, 1.0) == 8
+
+
 def test_primitive_magnitude_validation():
     with pytest.raises(ValueError):
         PrimitiveOp("Rotate", 31.0)
@@ -445,10 +468,10 @@ def _kernel_batch(shape):
 @pytest.mark.parametrize("name", PRIMITIVE_OPS)
 def test_batched_kernels_match_per_image_application(name, shape):
     # a kernel on a stack gives every image the bytes it gets alone
-    kernel = _PRIMITIVE_KERNELS[name]
+    kernel, _, _, scaled = _BANK[name]
     batch = _kernel_batch(shape)
     for level, sign in itertools.product((0, 9, 30), (1.0, -1.0)):
-        magnitude = _scaled_magnitude(name, level / 30.0, sign)
+        magnitude = scaled(level / 30.0, sign)
         # as the scalar path calls it (policy magnitudes may lie a rounding
         # error outside the range `PrimitiveOp` checks)
         alone = [kernel(image, magnitude) for image in batch]

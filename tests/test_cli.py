@@ -617,6 +617,52 @@ def test_numeric_flags_are_checked_before_reading(tmp_path, small_batch_file,
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+# per command, the flags of a short run; each but probe writes "{out}"
+_SHORT_RUNS = {
+    "augment": ["--dataset", "{data}", "--out", "{out}"],
+    "preview": ["--dataset", "{data}", "--augs", "hflip", "--out", "{out}"],
+    "stats": ["--dataset", "{data}", "--n", "20", "--report", "{out}"],
+    "bench": ["--iterations", "100", "--report", "{out}"],
+    "probe": ["--dataset", "{data}", "--train-count", "20", "--epochs", "1"],
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("seed", [2**64, -1, 2**64 - 1])
+@pytest.mark.parametrize("command", sorted(_SHORT_RUNS))
+def test_seed_outside_64_bits_is_usage_error(tmp_path, small_batch_file,
+                                             monkeypatch, capsys, command,
+                                             seed, source):
+    # the library takes a seed mod 2**64, so `--seed 2**64` once emitted
+    # seed 0's bytes under a manifest naming another seed
+    import yona.evalstats as ev
+
+    out = tmp_path / "out"
+    argv = [command] + [flag.format(data=small_batch_file, out=out)
+                        for flag in _SHORT_RUNS[command]]
+    if source == "flag":
+        argv.append(f"--seed={seed}")
+    else:
+        config = tmp_path / "seed.json"
+        config.write_text(json.dumps({"seed": seed}))
+        argv += ["--config", str(config)]
+    if seed == 2**64 - 1:
+        assert run(capsys, *argv)[0] == 0
+        assert command == "probe" or out.exists()
+        return
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the seed check")
+
+    for name in ("read_cifar", "read_cifar_table"):
+        monkeypatch.setattr(ds, name, refuse)
+    monkeypatch.setattr(ev, "benchmark_throughput", refuse)
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert err == f"usage error: --seed must be in [0, 2**64), got {seed}\n"
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mean, stddev, law", [
     ("0", "1e308", {0, 255}),  # every threshold is 2**31

@@ -60,7 +60,8 @@ def test_library_emit_gives_the_corpus_manifest(tmp_path, corpus_batches,
 def test_small_chunks_give_the_corpus_bytes(tmp_path, corpus_batches,
                                             monkeypatch, name):
     # 100-record chunks: the batch crosses ten chunk borders, at each of
-    # which `augment` joins one helper thread and starts the next
+    # which `augment` waits on the previous chunk's future from its one
+    # `ThreadPoolExecutor(1)` worker and submits the next chunk
     monkeypatch.setattr(comp, "_LANES", 100)
     digest, manifest = emit(corpus_batches["cifar10"], tmp_path / "out",
                             CASES[name])

@@ -17,7 +17,7 @@ import yona.augment as aug_mod
 import yona.compositor as comp
 import yona.dataset as ds
 import yona.rng as rng_mod
-from yona.augment import (_SIGNED_OPS, KINDS, PRIMITIVE_OPS,
+from yona.augment import (_BANK, KINDS, PRIMITIVE_OPS,
                           apply_augmentation, default_spec, parse_policy)
 from yona.compositor import YonaConfig, yona_apply
 from yona.dataset import CifarRecord, read_cifar, write_augmented_dataset
@@ -203,7 +203,7 @@ def test_rejected_index_draws_redraw_in_the_lane_walk(monkeypatch, kind,
             while (word := stream.next_u64()) >= 1 << 63:
                 rejected += 1
             longest = max(longest, rejected)
-            if kind == "randaug" and PRIMITIVE_OPS[word % 14] in _SIGNED_OPS:
+            if kind == "randaug" and _BANK[PRIMITIVE_OPS[word % 14]].signed:
                 stream.next_u64()  # the sign coin
         return longest
 
