@@ -371,7 +371,7 @@ def _erasing_arr(spec, arr, rng, ref_hw):
         top = rng.next_index(h - rect_h + 1)
         left = rng.next_index(w - rect_w + 1)
         out = arr.copy()
-        out[:, top:top + rect_h, left:left + rect_w] = spec.erase_fill
+        out[:, top:top + rect_h, left:left + rect_w] = 0
         return out
     return arr  # no placement found: leave the image unchanged
 
@@ -386,8 +386,8 @@ def _cutout_side(spec, h, w, ref_hw) -> int:
 
 
 def _cutout_arr(spec, arr, rng, ref_hw):
-    """Fill a `_cutout_side` square with ``cutout_fill``; its center is
-    uniform over the buffer's pixels and it is clipped at the borders."""
+    """Fill a `_cutout_side` square with 0; its center is uniform over
+    the buffer's pixels and it is clipped at the borders."""
     h, w = arr.shape[1], arr.shape[2]
     side = _cutout_side(spec, h, w, ref_hw)
     center_y = rng.next_index(h)
@@ -397,23 +397,20 @@ def _cutout_arr(spec, arr, rng, ref_hw):
     y0, y1 = max(0, top), min(h, top + side)
     x0, x1 = max(0, left), min(w, left + side)
     out = arr.copy()
-    out[:, y0:y1, x0:x1] = spec.cutout_fill
+    out[:, y0:y1, x0:x1] = 0
     return out
 
 
 def _grid_arr(spec, arr, rng, ref_hw):
     """Partition into ``grid_rows`` x ``grid_cols`` cells; each cell
-    independently, behind its own coin of ``grid_transform_probability``
-    (no coin at 0 or 1), receives one small geometric transform: rotate
-    within +/-15 degrees, or translate up to 10% of the cell, reflected
-    border.  Remainder pixels belong to the last row/column of cells.  A
-    grid with more rows or columns than the buffer raises ValueError."""
+    independently, behind its own fair coin, receives one small geometric
+    transform: rotate within +/-15 degrees, or translate up to 10% of the
+    cell, reflected border.  Remainder pixels belong to the last row/column
+    of cells.  A grid with more rows or columns than the buffer raises
+    ValueError."""
     check_piece_shapes(spec, [arr.shape])
-    rows, cols, p = spec.grid_rows, spec.grid_cols, \
-        spec.grid_transform_probability
+    rows, cols = spec.grid_rows, spec.grid_cols
     h, w = arr.shape[1], arr.shape[2]
-    if p <= 0:
-        return arr
     out = arr.copy()
     cell_h, cell_w = h // rows, w // cols
     for row in range(rows):
@@ -422,7 +419,7 @@ def _grid_arr(spec, arr, rng, ref_hw):
         for col in range(cols):
             x0 = col * cell_w
             x1 = (col + 1) * cell_w if col < cols - 1 else w
-            if p < 1.0 and rng.next_unit_uniform() >= p:
+            if rng.next_unit_uniform() >= 0.5:
                 continue
             choice = rng.next_index(3)
             magnitude = 2.0 * rng.next_unit_uniform() - 1.0
@@ -459,8 +456,10 @@ class PolicyTable:
                         f"policy references unknown op {name!r}")
                 if not 0.0 <= prob <= 1.0:
                     raise ValueError(f"policy probability {prob} outside [0, 1]")
-                if not 0 <= mag <= 9:
-                    raise ValueError(f"magnitude index {mag} outside [0, 9]")
+                # the lane path indexes tables with it, so 4.0 is refused too
+                if not (isinstance(mag, int) and 0 <= mag <= 9):
+                    raise ValueError(
+                        f"magnitude index {mag!r} is not an integer in [0, 9]")
 
     def __len__(self) -> int:
         return len(self.sub_policies)
@@ -582,12 +581,9 @@ class AugmentationSpec:
     hue: float = 0.1
     erase_scale: tuple[float, float] = (0.02, 0.4)
     erase_ratio: tuple[float, float] = (0.3, 3.3)
-    erase_fill: int = 0
     cutout_area_fraction: float = 0.25
-    cutout_fill: int = 0
     grid_rows: int = 4
     grid_cols: int = 4
-    grid_transform_probability: float = 0.5
     randaug_num_ops: int = 2
     randaug_magnitude: float = 9.0
     policy: PolicyTable | None = field(default=None, repr=False)
@@ -622,18 +618,12 @@ class AugmentationSpec:
         if not 0 < self.erase_ratio[0] <= self.erase_ratio[1] < math.inf:
             raise ValueError(f"erase_ratio must be finite and positive, got "
                              f"{self.erase_ratio}")
-        if not 0 <= self.erase_fill <= 255 or not 0 <= self.cutout_fill <= 255:
-            raise ValueError("fill values must be bytes")
         if not 0.0 < self.cutout_area_fraction <= 1.0:
             raise ValueError(
                 f"cutout_area_fraction must be in (0, 1], got "
                 f"{self.cutout_area_fraction}")
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ValueError("grid dimensions must be >= 1")
-        if not 0.0 <= self.grid_transform_probability <= 1.0:
-            raise ValueError(
-                f"grid_transform_probability "
-                f"{self.grid_transform_probability} outside [0, 1]")
         # RandAugment searched N <= 3; the cap bounds each record's walk
         if not 0 <= self.randaug_num_ops <= 100:
             raise ValueError(f"randaug_num_ops must be in [0, 100], got "
@@ -763,8 +753,7 @@ def _augment_lanes(spec: AugmentationSpec, out: np.ndarray, pieces,
             square = (top <= ys) & (ys < top + side) \
                 & (left <= xs) & (xs < left + side)
             kept = (rows,) + piece
-            out[kept] = np.where(square[:, None], np.uint8(spec.cutout_fill),
-                                 out[kept])
+            out[kept] = np.where(square[:, None], np.uint8(0), out[kept])
     else:
         # every kernel copies before it writes, so each may read its kept
         # piece from ``out``

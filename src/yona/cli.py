@@ -50,8 +50,22 @@ def _sub(subparsers, name, help_text):
 
 AUG_CHOICES = list(aug_mod.KINDS)
 BENCH_BYTES = 2**24  # the largest `bench --dims` image, in bytes
-PREVIEW_AUGS = ["hflip", "vflip", "jitter", "erasing", "cutout", "grid",
-                "randaug", "autoaug"]
+PREVIEW_AUGS = [kind for kind in AUG_CHOICES if kind != "identity"]
+
+# The rule of each flag that only a command reads, as (text, test); `main`
+# checks every one before any command runs.  The library checks some of
+# them too, but only after the read (the bins: after training), and it takes
+# a seed mod 2**64, so 2**64 would emit seed 0's bytes under a manifest that
+# names another seed.  A NaN gate bound would never fire.
+_FLAG_RULES = {
+    "seed": ("in [0, 2**64)", lambda v: 0 <= v < 2**64),
+    **dict.fromkeys(("n", "count", "train_count", "batch_size",
+                     "calibration_bins"), (">= 1", lambda v: v >= 1)),
+    **dict.fromkeys(("eval_count", "epochs"), (">= 0", lambda v: v >= 0)),
+    **dict.fromkeys(("lr", "momentum", "gate_axis_low", "gate_axis_high",
+                     "gate_masked_low", "gate_masked_high", "gate_ratio"),
+                    ("finite", math.isfinite)),
+}
 
 
 def _add_common(parser):
@@ -112,7 +126,6 @@ def build_parser():
                      description="Deterministic patch-masking augmentation "
                                  "engine")
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
-    table = {}
 
     p = _sub(subs, "augment", "emit an augmented dataset")
     p.add_argument("--dataset", required=True, help="CIFAR binary batch file")
@@ -123,7 +136,6 @@ def build_parser():
     _add_yona_flags(p, default_on=True)
     _add_common(p)
     p.set_defaults(func=cmd_augment)
-    table["augment"] = p
 
     p = _sub(subs, "preview", "write original/augmented/composited PNG grids")
     p.add_argument("--image", action="append", default=[],
@@ -139,7 +151,6 @@ def build_parser():
     _add_yona_flags(p, default_on=None)
     _add_common(p)
     p.set_defaults(func=cmd_preview)
-    table["preview"] = p
 
     p = _sub(subs, "stats", "empirical pipeline statistics")
     p.add_argument("--dataset", required=True)
@@ -156,7 +167,6 @@ def build_parser():
     _add_yona_flags(p, default_on=True)
     _add_common(p)
     p.set_defaults(func=cmd_stats)
-    table["stats"] = p
 
     p = _sub(subs, "bench", "throughput of plain vs composited augmentation")
     p.add_argument("--iterations", type=int, default=10_000)
@@ -168,8 +178,8 @@ def build_parser():
     _add_aug_flags(p)
     _add_yona_flags(p, default_on=None)
     _add_common(p)
-    p.set_defaults(func=cmd_bench)
-    table["bench"] = p
+    # benchmark work, not coin luck: force application unless overridden
+    p.set_defaults(func=cmd_bench, apply_probability=1.0)
 
     p = _sub(subs, "probe", "train the linear probe end to end")
     p.add_argument("--dataset", required=True)
@@ -188,24 +198,17 @@ def build_parser():
     _add_yona_flags(p, default_on=False)
     _add_common(p)
     p.set_defaults(func=cmd_probe)
-    table["probe"] = p
 
-    return parser, table
+    return parser, subs.choices
 
 
-def _build_spec(args, forced_probability: float | None = None
-                ) -> aug_mod.AugmentationSpec:
-    overrides = {}
-    probability = getattr(args, "apply_probability", None)
-    if probability is None:
-        probability = forced_probability
-    if probability is not None:
-        overrides["apply_probability"] = probability
+def _build_spec(args) -> aug_mod.AugmentationSpec:
     policy = None
-    if getattr(args, "policy_file", None):
+    if args.policy_file:
         policy = aug_mod.load_policy(args.policy_file)
     return aug_mod.AugmentationSpec(
         kind=args.aug,
+        apply_probability=args.apply_probability,
         brightness=args.jitter_brightness,
         contrast=args.jitter_contrast,
         saturation=args.jitter_saturation,
@@ -217,8 +220,7 @@ def _build_spec(args, forced_probability: float | None = None
         grid_cols=args.grid_cols,
         randaug_num_ops=args.randaug_n,
         randaug_magnitude=args.randaug_m,
-        policy=policy,
-        **overrides)
+        policy=policy)
 
 
 def _parse_noise(text: str):
@@ -254,8 +256,6 @@ def cmd_augment(args) -> None:
 
 
 def cmd_preview(args) -> None:
-    if args.count < 1:
-        raise UsageError("--count must be at least 1")
     if len(set(args.augs)) < len(args.augs):  # one file set per kind
         raise UsageError("--augs names a kind more than once: "
                          + " ".join(args.augs))
@@ -294,8 +294,6 @@ def cmd_preview(args) -> None:
 
 
 def cmd_stats(args) -> None:
-    if args.n < 1:  # `collect_stats` checks it only after the read
-        raise UsageError(f"--n must be >= 1, got {args.n}")
     spec, yona_config = _build_spec(args), _build_yona(args)
     report = ev.collect_stats(ds.read_cifar(args.dataset, args.variant), spec,
                               yona_config, args.seed, args.n)
@@ -306,16 +304,6 @@ def cmd_stats(args) -> None:
                  args.gate_axis_low, args.gate_axis_high)
     _check_bound("masked_fraction_mean", report.masked_fraction_mean,
                  args.gate_masked_low, args.gate_masked_high)
-
-
-def _check_gate_values(args) -> None:
-    """Every ``--gate-*`` bound, from a flag or ``--config``, is finite: a
-    NaN bound would never fire."""
-    for dest, value in vars(args).items():
-        if dest.startswith("gate_") and isinstance(value, float) \
-                and not math.isfinite(value):
-            raise UsageError(
-                f"--{dest.replace('_', '-')} must be finite, got {value}")
 
 
 def _check_bound(name, value, low, high) -> None:
@@ -336,9 +324,7 @@ def cmd_bench(args) -> None:
     if math.prod(dims) > BENCH_BYTES:  # refused before any allocation
         raise UsageError(f"--dims {args.dims} is {math.prod(dims)} bytes, "
                          f"above the {BENCH_BYTES}-byte limit")
-    # benchmark work, not coin luck: force application unless overridden
-    spec = _build_spec(args, forced_probability=1.0)
-    result = ev.benchmark_throughput(spec, _build_yona(args),
+    result = ev.benchmark_throughput(_build_spec(args), _build_yona(args),
                                      image_dims=dims,
                                      n_iterations=args.iterations,
                                      seed=args.seed)
@@ -351,23 +337,6 @@ def cmd_bench(args) -> None:
 
 
 def cmd_probe(args) -> None:
-    if args.train_count < 1:
-        raise UsageError("--train-count must be at least 1")
-    if args.eval_count < 0:
-        raise UsageError("--eval-count must be at least 0")
-    if args.epochs < 0:
-        raise UsageError("--epochs must be at least 0")
-    # `train_linear_probe` and `rms_calibration_error` check these too, but
-    # only once the dataset has been read and, for the bins, the probe trained
-    if args.batch_size < 1:
-        raise UsageError(f"batch_size must be >= 1, got {args.batch_size}")
-    for name in ("lr", "momentum"):
-        if not math.isfinite(getattr(args, name)):
-            raise UsageError(
-                f"{name} must be finite, got {getattr(args, name)}")
-    if args.calibration_bins < 1:
-        raise UsageError(
-            f"--calibration-bins must be >= 1, got {args.calibration_bins}")
     spec = _build_spec(args) if args.aug != "identity" else None
     yona_config = _build_yona(args)
     records = ds.read_cifar(args.dataset, args.variant)
@@ -424,7 +393,7 @@ def _config_tokens(path, key, actions, value) -> list[str]:
     raise UsageError(f"{path}: {key} cannot be {json.dumps(value)}")
 
 
-def _merge_config_file(args, parser_table, argv) -> argparse.Namespace:
+def _merge_config_file(args, commands, argv) -> argparse.Namespace:
     """Re-parse ``argv`` with the config file's values placed before it as
     the flag tokens they stand for, so each passes through its flag's type,
     choices and nargs; a flag given in ``argv`` wins over its file value."""
@@ -436,7 +405,7 @@ def _merge_config_file(args, parser_table, argv) -> argparse.Namespace:
             raise FormatError(f"{path}: invalid JSON ({exc})")
     if not isinstance(values, dict):
         raise FormatError(f"{path}: config must be a JSON object")
-    sub = parser_table[args.command]
+    sub = commands[args.command]
     actions = {}
     for action in sub._actions:
         actions.setdefault(action.dest, []).append(action)
@@ -457,19 +426,19 @@ def _merge_config_file(args, parser_table, argv) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, table = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
             raise UsageError("a command is required "
                              "(augment|preview|stats|bench|probe)")
         if getattr(args, "config", None):
-            args = _merge_config_file(args, table, argv)
-        _check_gate_values(args)
-        # the library takes a seed mod 2**64: 2**64 would emit seed 0's
-        # bytes under a manifest that names another seed
-        if not 0 <= args.seed < 2**64:
-            raise UsageError(f"--seed must be in [0, 2**64), got {args.seed}")
+            args = _merge_config_file(args, commands, argv)
+        for dest, (rule, holds) in _FLAG_RULES.items():
+            value = getattr(args, dest, None)
+            if value is not None and not holds(value):
+                raise UsageError(f"--{dest.replace('_', '-')} must be "
+                                 f"{rule}, got {value}")
         args.func(args)
         return 0
     except FormatError as exc:  # FormatError subclasses ValueError

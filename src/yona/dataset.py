@@ -287,13 +287,13 @@ def describe_augmentation(spec: AugmentationSpec) -> str:
                      f"{_num(spec.erase_scale[1])}")
         parts.append(f"ratio:{_num(spec.erase_ratio[0])}-"
                      f"{_num(spec.erase_ratio[1])}")
-        parts.append(f"fill:{spec.erase_fill}")
+        parts.append("fill:0")  # fixed, still named: manifests stay the same
     elif spec.kind == "cutout":
         parts.append(f"area:{_num(spec.cutout_area_fraction)}")
-        parts.append(f"fill:{spec.cutout_fill}")
+        parts.append("fill:0")
     elif spec.kind == "grid":
         parts.append(f"grid:{spec.grid_rows}x{spec.grid_cols}")
-        parts.append(f"cell_p:{_num(spec.grid_transform_probability)}")
+        parts.append("cell_p:0.5")
     elif spec.kind == "randaug":
         parts.append(f"n:{spec.randaug_num_ops}")
         parts.append(f"m:{_num(spec.randaug_magnitude)}")

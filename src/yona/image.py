@@ -96,7 +96,7 @@ class ImageTensor:
         return self.array.tobytes()
 
     def copy(self) -> "ImageTensor":
-        return ImageTensor(np.ascontiguousarray(self.array))
+        return ImageTensor(self.array.copy())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ImageTensor):

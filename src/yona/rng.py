@@ -17,8 +17,8 @@ Python versions, and process/thread scheduling:
   consumed so far, independent of how reads are chunked.  Since tape word
   ``i`` depends only on ``w`` and ``i`` (a counter-based generator), blocks
   are materialised on demand: the first read of a block makes only the
-  prefix it needs (at least 256 words), the next makes the rest of the
-  block.  The word ``w`` is still consumed when the block's first byte is.
+  prefix it needs, the next makes the rest of the block.  The word ``w``
+  is still consumed when the block's first byte is.
 
 Each rule has a lane twin over numpy uint64 lanes, one lane per stream of
 a run of image indices.  This module is the only place where a stream word
@@ -58,7 +58,6 @@ AUGMENT_ROLE = 1
 NOISE_ROLE = 2
 
 _TAPE_WORDS = 8192  # bulk tape refill quantum, 64 KiB of bytes per block
-_TAPE_PREFIX_WORDS = 256  # least words made on the first read of a block
 
 # Names the conventions above in manifests; change it with any of them.
 RNG_SCHEME = f"xoshiro256ss-splitmix64-tape{_TAPE_WORDS}"
@@ -243,13 +242,13 @@ class RngStream:
     def _refill_tape(self, need: int) -> None:
         """Make the next tape window, ``need`` > 0 bytes being wanted.
 
-        The first window of a block holds ``max(ceil(need / 8), 256)``
-        words, the second the rest of the block.
+        The first window of a block holds ``ceil(need / 8)`` words, the
+        second the rest of the block.
         """
         if self._tape_end == _TAPE_WORDS:
             self._tape_seed = self.next_u64()
             start = 0
-            stop = min(max(-(-need // 8), _TAPE_PREFIX_WORDS), _TAPE_WORDS)
+            stop = min(-(-need // 8), _TAPE_WORDS)
         else:
             start = self._tape_end
             stop = _TAPE_WORDS

@@ -92,7 +92,6 @@ def test_acceptance_03_parameter_fidelity():
     erasing = default_spec("erasing")
     assert erasing.erase_scale == (0.02, 0.4)
     assert erasing.erase_ratio == (0.3, 3.3)
-    assert erasing.erase_fill == 0
     assert default_spec("cutout").cutout_area_fraction == 0.25
     randaug = default_spec("randaug")
     assert randaug.randaug_num_ops == 2

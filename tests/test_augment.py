@@ -48,9 +48,7 @@ def test_default_parameters_match_training_recipe():
     erasing = default_spec("erasing")
     assert erasing.erase_scale == (0.02, 0.4)
     assert erasing.erase_ratio == (0.3, 3.3)
-    assert erasing.erase_fill == 0
     assert default_spec("cutout").cutout_area_fraction == 0.25
-    assert default_spec("cutout").cutout_fill == 0
     randaug = default_spec("randaug")
     assert randaug.randaug_num_ops == 2
     assert randaug.randaug_magnitude == 9
@@ -307,16 +305,6 @@ def test_cutout_full_fraction_covers_image_when_centered():
 
 # --------------------------------------------------------------------------
 # Grid
-
-def test_grid_probability_zero_is_identity():
-    rng = np.random.default_rng(19)
-    img = make_image(rng)
-    s = stream(20)
-    out = apply_augmentation(forced("grid", grid_rows=1, grid_cols=1,
-                                    grid_transform_probability=0.0), img, s)
-    assert out == img
-    assert s.state == stream(20).state  # no draws consumed
-
 
 def test_grid_cells_confine_changes():
     rng = np.random.default_rng(20)
@@ -586,6 +574,9 @@ def test_policy_validation():
         PolicyTable(((("Rotate", 1.5, 3), ("Invert", 0.5, 0)),))
     with pytest.raises(ValueError):
         PolicyTable(((("Rotate", 0.5, 11), ("Invert", 0.5, 0)),))
+    for mag in (4.5, 4.0):  # a float index once ran on one path only
+        with pytest.raises(ValueError, match=f"magnitude index {mag} "):
+            PolicyTable(((("Rotate", 1.0, mag), ("Invert", 1.0, 0)),))
     with pytest.raises(UnsupportedAugmentationError):
         PolicyTable(((("Swirl", 0.5, 3), ("Invert", 0.5, 0)),))
     with pytest.raises(ValueError):
@@ -647,11 +638,9 @@ def test_always_applied_spec_draws_no_gate_coin():
                 dict(kind="jitter", brightness=0.3, contrast=0.6,
                      saturation=0.2, hue=0.25),
                 dict(kind="erasing", erase_scale=(0.05, 0.3),
-                     erase_ratio=(0.5, 2.0), erase_fill=7),
-                dict(kind="cutout", cutout_area_fraction=0.2,
-                     cutout_fill=200),
-                dict(kind="grid", grid_rows=2, grid_cols=3,
-                     grid_transform_probability=0.7),
+                     erase_ratio=(0.5, 2.0)),
+                dict(kind="cutout", cutout_area_fraction=0.2),
+                dict(kind="grid", grid_rows=2, grid_cols=3),
                 dict(kind="randaug", randaug_num_ops=3, randaug_magnitude=17),
                 dict(kind="autoaug", policy=policy),
             )

@@ -473,10 +473,10 @@ def test_probe_negative_eval_count_is_usage_error(small_batch_file, capsys):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--batch-size", "-5"], "usage error: batch_size"),
-    (["--batch-size", "0"], "usage error: batch_size"),
-    (["--lr", "nan"], "usage error: lr"),
-    (["--lr", "inf"], "usage error: lr"),
+    (["--batch-size", "-5"], "usage error: --batch-size"),
+    (["--batch-size", "0"], "usage error: --batch-size"),
+    (["--lr", "nan"], "usage error: --lr"),
+    (["--lr", "inf"], "usage error: --lr"),
     (["--lr", "1e308"], "training diverged: "),
     (["--eval-count", "21"],
      "usage error: dataset holds 60 records, need 61")])
@@ -591,6 +591,18 @@ def test_randaug_op_count_over_100_is_usage_error(tmp_path, small_batch_file,
     assert not out_dir.exists()
 
 
+# the RULE of each flag's `usage error: --FLAG must be RULE, got VALUE`
+_FLAG_RULE_TEXTS = {
+    "--seed": "in [0, 2**64)",
+    **dict.fromkeys(["--n", "--count", "--train-count", "--batch-size",
+                     "--calibration-bins"], ">= 1"),
+    **dict.fromkeys(["--eval-count", "--epochs"], ">= 0"),
+    **dict.fromkeys(["--lr", "--momentum", "--gate-axis-low",
+                     "--gate-axis-high", "--gate-masked-low",
+                     "--gate-masked-high", "--gate-ratio"], "finite"),
+}
+
+
 @pytest.mark.parametrize("missing_dataset", [False, True],
                          ids=["file", "missing"])
 @pytest.mark.parametrize("command, flags", [
@@ -598,23 +610,57 @@ def test_randaug_op_count_over_100_is_usage_error(tmp_path, small_batch_file,
     ("probe", ["--batch-size", "0"]),
     ("probe", ["--lr", "nan"]),
     ("probe", ["--momentum", "inf"]),
-    ("probe", ["--calibration-bins", "0", "--eval-count", "50"])])
+    ("probe", ["--calibration-bins", "0", "--eval-count", "50"]),
+    ("preview", ["--count", "0"]),
+    ("probe", ["--train-count", "0"]),
+    ("probe", ["--eval-count", "-1"]),
+    ("probe", ["--epochs", "-1"]),
+    ("stats", ["--seed", "-1"]),
+    ("stats", ["--gate-axis-low", "nan"]),
+    ("stats", ["--gate-axis-high", "inf"]),
+    ("stats", ["--gate-masked-low", "-inf"]),
+    ("stats", ["--gate-masked-high", "nan"]),
+    ("bench", ["--gate-ratio", "inf"]),
+    # the least values their rules allow
+    ("probe", ["--epochs", "0"]),
+    ("probe", ["--eval-count", "0"])])
 def test_numeric_flags_are_checked_before_reading(tmp_path, small_batch_file,
                                                   monkeypatch, capsys,
                                                   command, flags,
                                                   missing_dataset):
     # each was once checked only after the read (exit 3 on a missing file),
     # and the bins only after the whole probe had trained
-    def refuse(*args, **kwargs):
-        raise AssertionError("the dataset was read before the flag check")
+    import yona.evalstats as ev
 
-    monkeypatch.setattr(ds, "read_cifar", refuse)
-    dataset = tmp_path / "missing.bin" if missing_dataset else small_batch_file
-    outputs = {"stats": [], "probe": ["--train-count", "10"]}[command]
-    code, out, err = run(capsys, command, "--dataset", str(dataset),
-                         *outputs, *flags)
-    assert code == 1 and out == ""
-    assert err.startswith("usage error: ") and err.count("\n") == 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the flag check")
+
+    (flag, value), rest = flags[:2], flags[2:]
+    dataset = str(tmp_path / "missing.bin" if missing_dataset
+                  else small_batch_file)
+    out_dir = tmp_path / "out"
+    argv = [command] + {
+        "stats": ["--dataset", dataset],
+        "probe": ["--dataset", dataset] + (
+            [] if flag == "--train-count" else ["--train-count", "10"]),
+        "preview": ["--dataset", dataset, "--out", str(out_dir)],
+        "bench": ["--iterations", "10"]}[command] + rest
+    config = tmp_path / "flag.json"
+    config.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+    for given in ([f"{flag}={value}"], ["--config", str(config)]):
+        if value == "0" and flag in ("--epochs", "--eval-count"):
+            code, _, err = run(capsys, *argv, *given)
+            assert code == (3 if missing_dataset else 0), err  # it read
+            continue
+        with monkeypatch.context() as patch:
+            for name in ("read_cifar", "read_cifar_table"):
+                patch.setattr(ds, name, refuse)
+            patch.setattr(ev, "benchmark_throughput", refuse)
+            code, out, err = run(capsys, *argv, *given)
+        assert (code, out) == (1, "")
+        assert err == (f"usage error: {flag} must be "
+                       f"{_FLAG_RULE_TEXTS[flag]}, got {value}\n")
+        assert not out_dir.exists()
 
 
 # per command, the flags of a short run; each but probe writes "{out}"

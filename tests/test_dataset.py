@@ -543,10 +543,6 @@ def test_manifest_lines_tell_one_setting_apart():
         assert describe_yona(a) != describe_yona(b), (a, b)
     policy = parse_policy("Invert 0.5 0 ; Rotate 0.1 3\n")
     aug_pairs = [
-        (default_spec("erasing"), default_spec("erasing", erase_fill=9)),
-        (default_spec("cutout"), default_spec("cutout", cutout_fill=255)),
-        (default_spec("grid"),
-         default_spec("grid", grid_transform_probability=1.0)),
         (default_spec("autoaug"), default_spec("autoaug", policy=policy)),
         (default_spec("jitter", brightness=0.4),
          default_spec("jitter", brightness=0.4000001)),

@@ -34,6 +34,17 @@ def test_bytes_round_trip():
         ImageTensor.from_bytes(3, 32, 32, b"\x00" * 10)
 
 
+def test_copy_owns_its_bytes():
+    # a contiguous image's copy once shared its array
+    img = make_image(np.random.default_rng(1))
+    for source in (img, cut(img, Axis.WIDTH, 0.5)[0].image):
+        before = source.to_bytes()
+        dup = source.copy()
+        dup.array[0, 0, 0] ^= 0xFF
+        assert source.to_bytes() == before
+        assert dup.array.flags.c_contiguous
+
+
 def test_round_half_up():
     assert round_half_up(16.0) == 16
     assert round_half_up(16.5) == 17
