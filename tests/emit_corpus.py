@@ -5,7 +5,9 @@ Each case is one `augment` over a 1,100-record batch (it crosses the
 stream, never numpy's generators.  The corpus pins each case's
 `augmented.bin` SHA-256 and its full manifest text, one line each, and
 the full `yona stats` report of the cases in ``STATS`` (the same flags and
-seed), in ``tests/fixtures/emit_digests.txt``; `tests/test_emit_corpus.py`
+seed), and the ``index.txt`` of one `yona preview` with the SHA-256 of
+each PNG's decoded pixels (zlib builds may compress the same pixels to
+other bytes), in ``tests/fixtures/emit_digests.txt``; `tests/test_emit_corpus.py`
 recomputes it and diffs it line by line.  An output byte may change only
 openly, in a change that rewrites the fixture with::
 
@@ -23,6 +25,7 @@ import numpy as np
 
 from yona.augment import KINDS
 from yona.cli import main
+from yona.dataset import read_png
 from yona.rng import SeedSpec, derive_stream
 
 FIXTURE = Path(__file__).parent / "fixtures" / "emit_digests.txt"
@@ -61,6 +64,8 @@ CASES.update({
     "randaug/m0": ["--aug", "randaug", "--randaug-m", "0"],
 })
 STATS = ["cutout/gaussian"]
+PREVIEW = ("preview/count2", ["--count", "2", "--augs", "hflip", "cutout",
+                              "randaug"])
 
 
 def write_batch(path, variant: str = "cifar10") -> None:
@@ -106,7 +111,9 @@ def batches(directory) -> dict[str, Path]:
 def corpus_lines(directory) -> list[str]:
     """The fixture's lines: per case, ``NAME augmented.bin=DIGEST`` and then
     ``NAME manifest KEY=VALUE`` for each manifest line; then, per ``STATS``
-    case, ``NAME stats KEY=VALUE`` for each report line."""
+    case, ``NAME stats KEY=VALUE`` for each report line; then, for the
+    ``PREVIEW`` run, ``NAME index LINE`` per ``index.txt`` line and
+    ``NAME png FILE=sha256:HEX`` per PNG, in file name order."""
     paths = batches(directory)
     lines = []
     for name, flags in CASES.items():
@@ -118,6 +125,14 @@ def corpus_lines(directory) -> list[str]:
     for name in STATS:
         report = printed("stats", paths["cifar10"], CASES[name])
         lines += [f"{name} stats {line}" for line in report.splitlines()]
+    name, flags = PREVIEW
+    out = Path(directory) / name
+    printed("preview", paths["cifar10"], ["--out", str(out), *flags])
+    lines += [f"{name} index {line}"
+              for line in (out / "index.txt").read_text().splitlines()]
+    for png in sorted(out.glob("*.png")):
+        pixels = hashlib.sha256(read_png(png).array.tobytes()).hexdigest()
+        lines.append(f"{name} png {png.name}=sha256:{pixels}")
     return lines
 
 

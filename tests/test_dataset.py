@@ -589,6 +589,20 @@ def test_png_round_trip_grayscale(tmp_path):
     assert back.channels == 1
 
 
+@pytest.mark.parametrize("channels", [1, 3])
+def test_png_writer_emits_filter_0_scanlines(tmp_path, channels):
+    img = make_image(np.random.default_rng(9), channels, 5, 7)
+    path = tmp_path / "rows.png"
+    write_png(img, path)
+    blob = path.read_bytes()
+    # the signature, the 25-byte IHDR chunk, then the one IDAT chunk
+    length = struct.unpack(">I", blob[33:37])[0]
+    assert blob[37:41] == b"IDAT"
+    rows = img.array.transpose(1, 2, 0).reshape(5, 7 * channels)
+    assert zlib.decompress(blob[41:41 + length]) == b"".join(
+        b"\0" + row.tobytes() for row in rows)
+
+
 def test_png_rejects_four_channels(tmp_path):
     img = ImageTensor(np.zeros((4, 4, 4), dtype=np.uint8))
     with pytest.raises(FormatError):
