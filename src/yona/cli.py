@@ -8,9 +8,9 @@ non-finite parameter) or a diverged probe, 2 format, 3 I/O, 4 gate
 violation; each mapped failure prints one line on stderr.
 
 Flags may also be supplied through a JSON file (``--config``) whose keys
-mirror flag destinations; each value passes through its flag's own type,
-choices and nargs, explicit flags win over file values, and unknown keys
-are rejected.
+mirror flag destinations, required flags included; each value passes
+through its flag's own type, choices and nargs, explicit flags win over
+file values, and unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -66,6 +66,13 @@ _FLAG_RULES = {
                      "gate_masked_low", "gate_masked_high", "gate_ratio"),
                     ("finite", math.isfinite)),
 }
+
+
+def _add_input(parser, required: bool):
+    parser.add_argument("--dataset", required=required,
+                        help="CIFAR binary batch file")
+    parser.add_argument("--variant", choices=[ds.CIFAR10, ds.CIFAR100],
+                        default=ds.CIFAR10)
 
 
 def _add_common(parser):
@@ -128,9 +135,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = _sub(subs, "augment", "emit an augmented dataset")
-    p.add_argument("--dataset", required=True, help="CIFAR binary batch file")
-    p.add_argument("--variant", choices=[ds.CIFAR10, ds.CIFAR100],
-                   default=ds.CIFAR10)
+    _add_input(p, required=True)
     p.add_argument("--out", required=True, help="output directory")
     _add_aug_flags(p)
     _add_yona_flags(p, default_on=True)
@@ -140,9 +145,7 @@ def build_parser():
     p = _sub(subs, "preview", "write original/augmented/composited PNG grids")
     p.add_argument("--image", action="append", default=[],
                    help="input PNG (repeatable)")
-    p.add_argument("--dataset", help="CIFAR batch file to draw images from")
-    p.add_argument("--variant", choices=[ds.CIFAR10, ds.CIFAR100],
-                   default=ds.CIFAR10)
+    _add_input(p, required=False)
     p.add_argument("--count", type=int, default=1,
                    help="number of dataset images")
     p.add_argument("--out", required=True)
@@ -153,9 +156,7 @@ def build_parser():
     p.set_defaults(func=cmd_preview)
 
     p = _sub(subs, "stats", "empirical pipeline statistics")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--variant", choices=[ds.CIFAR10, ds.CIFAR100],
-                   default=ds.CIFAR10)
+    _add_input(p, required=True)
     p.add_argument("--n", type=int, default=10_000,
                    help="sample count")
     p.add_argument("--report", help="also write the report to this file")
@@ -182,9 +183,7 @@ def build_parser():
     p.set_defaults(func=cmd_bench, apply_probability=1.0)
 
     p = _sub(subs, "probe", "train the linear probe end to end")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--variant", choices=[ds.CIFAR10, ds.CIFAR100],
-                   default=ds.CIFAR10)
+    _add_input(p, required=True)
     p.add_argument("--train-count", type=int, default=1000)
     p.add_argument("--eval-count", type=int, default=0)
     p.add_argument("--epochs", type=int, default=20)
@@ -393,7 +392,7 @@ def _config_tokens(path, key, actions, value) -> list[str]:
     raise UsageError(f"{path}: {key} cannot be {json.dumps(value)}")
 
 
-def _merge_config_file(args, commands, argv) -> argparse.Namespace:
+def _merge_config_file(args, sub, argv) -> argparse.Namespace:
     """Re-parse ``argv`` with the config file's values placed before it as
     the flag tokens they stand for, so each passes through its flag's type,
     choices and nargs; a flag given in ``argv`` wins over its file value."""
@@ -405,7 +404,6 @@ def _merge_config_file(args, commands, argv) -> argparse.Namespace:
             raise FormatError(f"{path}: invalid JSON ({exc})")
     if not isinstance(values, dict):
         raise FormatError(f"{path}: config must be a JSON object")
-    sub = commands[args.command]
     actions = {}
     for action in sub._actions:
         actions.setdefault(action.dest, []).append(action)
@@ -427,13 +425,25 @@ def _merge_config_file(args, commands, argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
+    # argparse would check a required flag before a --config file can give
+    # it: parse with none required, and check them once the file is merged
+    required = [a for sub in commands.values() for a in sub._actions
+                if a.required]
+    for action in required:
+        action.required = False
     try:
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
             raise UsageError("a command is required "
                              "(augment|preview|stats|bench|probe)")
+        sub = commands[args.command]
         if getattr(args, "config", None):
-            args = _merge_config_file(args, commands, argv)
+            args = _merge_config_file(args, sub, argv)
+        missing = [a.option_strings[0] for a in sub._actions
+                   if a in required and getattr(args, a.dest) is None]
+        if missing:
+            raise UsageError("the following arguments are required: "
+                             + ", ".join(missing))
         for dest, (rule, holds) in _FLAG_RULES.items():
             value = getattr(args, dest, None)
             if value is not None and not holds(value):

@@ -19,12 +19,18 @@ from read to write.
 
 PNG support is a minimal self-contained codec (8-bit grayscale/RGB,
 non-interlaced) so previews round-trip losslessly without extra
-dependencies.  Manifests (format 2) are flat ``key=value`` text with a
-SHA-256 content digest over all emitted record bytes, the value
-``sha256sum`` prints for ``augmented.bin``.  Every output file is written
-under a temp name in its directory and renamed into place (`_staged`).
-`fnv1a_64` is a plain loop that no command runs, kept for perfbench and
-the golden pins of the tests.
+dependencies.  `write_png` stores each scanline under filter type 0
+(None) in one zlib stream at level 6.  `read_png` checks every chunk's
+CRC, inflates at most the bytes the header declares, and undoes all five
+standard filters in one scanline loop (`_unfilter`), so a PNG another tool
+wrote reads too.
+
+Manifests (format 2) are flat ``key=value`` text, one line per
+`DatasetManifest.KEYS` entry in that order, with a SHA-256 content digest
+over all emitted record bytes, the value ``sha256sum`` prints for
+``augmented.bin``.  Every output file is written under a temp name in its
+directory and renamed into place (`_staged`).  `fnv1a_64` is a plain loop
+that no command runs, kept for perfbench and the golden pins of the tests.
 """
 
 from __future__ import annotations
@@ -206,6 +212,9 @@ class DatasetManifest:
     """
 
     FORMAT = 2
+    # the manifest's lines in order; ``format`` is FORMAT, the rest fields
+    KEYS = ("format", "engine", "rng", "dataset", "count", "seed",
+            "augmentation", "yona", "digest")
 
     dataset: str
     count: int
@@ -217,15 +226,8 @@ class DatasetManifest:
     rng: str = RNG_SCHEME
 
     def to_text(self) -> str:
-        return (f"format={self.FORMAT}\n"
-                f"engine={self.engine}\n"
-                f"rng={self.rng}\n"
-                f"dataset={self.dataset}\n"
-                f"count={self.count}\n"
-                f"seed={self.seed}\n"
-                f"augmentation={self.augmentation}\n"
-                f"yona={self.yona}\n"
-                f"digest={self.digest}\n")
+        return "".join(f"{key}={getattr(self, key, self.FORMAT)}\n"
+                       for key in self.KEYS)
 
     @classmethod
     def from_text(cls, text: str) -> "DatasetManifest":
@@ -246,10 +248,11 @@ class DatasetManifest:
         if version != str(cls.FORMAT):
             raise FormatError(f"manifest key 'format': unknown format "
                               f"{version!r}")
-        keys = [f.name for f in fields(cls)]
-        for key in keys:
+        parsed = {}
+        for key in cls.KEYS[1:]:  # every field, in text order
             if key not in values:
                 raise FormatError(f"manifest key {key!r} is missing")
+            parsed[key] = values[key]
         noise = re.search(r"noise:GaussianNoise:[^,]*", values["yona"])
         if noise and not noise[0].endswith(":" + GAUSSIAN_SAMPLER):
             raise FormatError(
@@ -259,7 +262,6 @@ class DatasetManifest:
         if not _DIGEST_RE.fullmatch(values["digest"]):
             raise FormatError(f"manifest key 'digest': {values['digest']!r} "
                               "is not sha256:<64 lowercase hex digits>")
-        parsed = {key: values[key] for key in keys}
         for key in ("count", "seed"):
             try:
                 parsed[key] = int(values[key])
@@ -450,16 +452,12 @@ def write_png(image: ImageTensor, path) -> None:
             f"PNG export supports 1 or 3 channels, got {channels}")
     height, width = image.height, image.width
     color_type = 0 if channels == 1 else 2
-    interleaved = np.ascontiguousarray(image.array.transpose(1, 2, 0))
-    rows = bytearray()
-    stride = width * channels
-    flat = interleaved.reshape(height, stride)
-    for y in range(height):
-        rows.append(0)  # filter type None
-        rows += flat[y].tobytes()
+    # each scanline: filter type 0 (None), then the row's interleaved bytes
+    rows = np.pad(image.array.transpose(1, 2, 0).reshape(height, -1),
+                  ((0, 0), (1, 0)))
     header = struct.pack(">IIBBBBB", width, height, 8, color_type, 0, 0, 0)
     payload = (_PNG_SIGNATURE + _chunk(b"IHDR", header)
-               + _chunk(b"IDAT", zlib.compress(bytes(rows), 6))
+               + _chunk(b"IDAT", zlib.compress(rows.tobytes(), 6))
                + _chunk(b"IEND", b""))
     write_atomic(path, payload)
 
@@ -488,37 +486,29 @@ def _unfilter(raw: bytes, height: int, stride: int, bpp: int) -> bytearray:
     """Scanlines of ``height * (stride + 1)`` bytes ``raw`` (a filter type
     byte, then ``stride`` bytes, per row) as unfiltered pixel bytes."""
     out = bytearray(height * stride)
-    pos = 0
     for y in range(height):
-        ftype = raw[pos]
-        pos += 1
-        line = raw[pos:pos + stride]
-        pos += stride
-        row_start = y * stride
-        prev_start = row_start - stride
+        start, row = y * (stride + 1), y * stride
+        ftype = raw[start]
+        out[row:row + stride] = raw[start + 1:start + 1 + stride]
         if ftype == 0:
-            out[row_start:row_start + stride] = line
-        elif ftype == 1:
-            for x in range(stride):
-                left = out[row_start + x - bpp] if x >= bpp else 0
-                out[row_start + x] = (line[x] + left) & 0xFF
-        elif ftype == 2:
-            for x in range(stride):
-                up = out[prev_start + x] if y > 0 else 0
-                out[row_start + x] = (line[x] + up) & 0xFF
-        elif ftype == 3:
-            for x in range(stride):
-                left = out[row_start + x - bpp] if x >= bpp else 0
-                up = out[prev_start + x] if y > 0 else 0
-                out[row_start + x] = (line[x] + (left + up) // 2) & 0xFF
-        elif ftype == 4:
-            for x in range(stride):
-                left = out[row_start + x - bpp] if x >= bpp else 0
-                up = out[prev_start + x] if y > 0 else 0
-                diag = out[prev_start + x - bpp] if (y > 0 and x >= bpp) else 0
-                out[row_start + x] = (line[x] + _paeth(left, up, diag)) & 0xFF
-        else:
-            raise FormatError(f"unknown PNG filter type {ftype}", offset=pos)
+            continue
+        if ftype > 4:
+            raise FormatError(f"unknown PNG filter type {ftype}",
+                              offset=start + 1 + stride)
+        # left, up and up-left of each byte; 0 off the image's top or left
+        for x in range(row, row + stride):
+            left = out[x - bpp] if x - row >= bpp else 0
+            up = out[x - stride] if y else 0
+            if ftype == 1:
+                predictor = left
+            elif ftype == 2:
+                predictor = up
+            elif ftype == 3:
+                predictor = (left + up) // 2
+            else:
+                predictor = _paeth(left, up, out[x - stride - bpp]
+                                   if y and x - row >= bpp else 0)
+            out[x] = (out[x] + predictor) & 0xFF
     return out
 
 

@@ -3,12 +3,12 @@
 Each case is one `augment` over a 1,100-record batch (it crosses the
 1,024-record chunk border of `compose_batch`) built from yona's own pinned
 stream, never numpy's generators.  The corpus pins each case's
-`augmented.bin` SHA-256 and its full manifest text, one line each, and
-the full `yona stats` report of the cases in ``STATS`` (the same flags and
+`augmented.bin` SHA-256 and its full manifest text, one line each, the
+full `yona stats` report of the cases in ``STATS`` (the same flags and
 seed), and the ``index.txt`` of one `yona preview` with the SHA-256 of
 each PNG's decoded pixels (zlib builds may compress the same pixels to
-other bytes), in ``tests/fixtures/emit_digests.txt``; `tests/test_emit_corpus.py`
-recomputes it and diffs it line by line.  An output byte may change only
+other bytes), in ``tests/fixtures/emit_digests.txt``;
+`tests/test_emit_corpus.py` recomputes it and diffs it line by line.  An output byte may change only
 openly, in a change that rewrites the fixture with::
 
     PYTHONPATH=src python tests/emit_corpus.py
@@ -66,6 +66,20 @@ CASES.update({
 STATS = ["cutout/gaussian"]
 PREVIEW = ("preview/count2", ["--count", "2", "--augs", "hflip", "cutout",
                               "randaug"])
+
+
+def pinned() -> dict[str, list[str]]:
+    """The fixture's lines, each less its case name, grouped by case name."""
+    cases = {}
+    for line in FIXTURE.read_text().splitlines():
+        name, _, rest = line.partition(" ")
+        cases.setdefault(name, []).append(rest)
+    return cases
+
+
+def pinned_digest(name: str) -> str:
+    """The ``augmented.bin`` digest the fixture pins for case ``name``."""
+    return pinned()[name][0].removeprefix("augmented.bin=")
 
 
 def write_batch(path, variant: str = "cifar10") -> None:

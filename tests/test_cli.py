@@ -709,6 +709,53 @@ def test_seed_outside_64_bits_is_usage_error(tmp_path, small_batch_file,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["augment", "preview", "probe",
+                                     "stats"])
+def test_config_file_gives_required_flags(tmp_path, small_batch_file,
+                                          monkeypatch, capsys, command):
+    # argparse once checked --dataset and --out before the file was read,
+    # so neither key could take effect
+    writes = command in ("augment", "preview")
+    required = {"augment": "--dataset, --out",
+                "preview": "--out"}.get(command, "--dataset")
+    rest = {"augment": [], "preview": ["--augs", "hflip"],
+            "probe": ["--train-count", "20", "--epochs", "1"],
+            "stats": ["--n", "20"]}[command]
+    runs = {}
+    for source in ("flags", "file", "both"):
+        values = {"dataset": str(small_batch_file),
+                  **({"out": str(tmp_path / source)} if writes else {})}
+        argv = [command, *rest]
+        if source != "flags":
+            config = tmp_path / f"{source}.json"
+            config.write_text(json.dumps(
+                values if source == "file"  # else every flag wins
+                else {key: str(tmp_path / "missing") for key in values}))
+            argv += ["--config", str(config)]
+        if source != "file":
+            argv += [f"--{key}={value}" for key, value in values.items()]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        runs[source] = (out.replace(str(tmp_path / source), "OUT"),
+                        {path.name: path.read_bytes() for path in
+                         sorted((tmp_path / source).glob("*"))})
+    assert runs["file"] == runs["flags"] == runs["both"]
+    assert not (tmp_path / "missing").exists()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the required check")
+
+    for name in ("read_cifar", "read_cifar_table"):
+        monkeypatch.setattr(ds, name, refuse)
+    config = tmp_path / "other.json"
+    config.write_text(json.dumps({"seed": 1}))
+    for given in ([], ["--config", str(config)]):
+        code, out, err = run(capsys, command, *rest, *given)
+        assert (code, out) == (1, "")
+        assert err == ("usage error: the following arguments are required: "
+                       f"{required}\n")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mean, stddev, law", [
     ("0", "1e308", {0, 255}),  # every threshold is 2**31

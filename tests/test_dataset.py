@@ -706,6 +706,14 @@ def test_png_reader_boundary_is_a_format_error(tmp_path, capsys, blob):
     assert not (tmp_path / "p").exists()
 
 
+def test_png_unknown_filter_type_is_a_format_error(tmp_path):
+    path = tmp_path / "f5.png"
+    path.write_bytes(_rgb_png(2, 2, bytes(7) + b"\x05" + bytes(6)))
+    with pytest.raises(FormatError, match="unknown PNG filter type 5") as err:
+        read_png(path)
+    assert err.value.offset == 14  # the end of that row's scanline
+
+
 def test_png_reader_inflates_no_more_than_its_header_declares(tmp_path):
     # 64 MiB of zeros deflate to ~64 KiB under a header declaring 4 bytes
     deflate = zlib.compressobj()

@@ -16,25 +16,13 @@ from yona import dataset as ds
 from yona.augment import KINDS, default_spec
 from yona.compositor import YonaConfig
 
-from emit_corpus import CASES, FIXTURE, SEED, batches, corpus_lines, emit
-
-
-def _pinned() -> dict[str, list[str]]:
-    """The fixture's lines, grouped by case name."""
-    cases = {}
-    for line in FIXTURE.read_text().splitlines():
-        name, _, rest = line.partition(" ")
-        cases.setdefault(name, []).append(rest)
-    return cases
+from emit_corpus import (CASES, FIXTURE, SEED, batches, corpus_lines, emit,
+                         pinned, pinned_digest)
 
 
 @pytest.fixture(scope="module")
 def corpus_batches(tmp_path_factory):
     return batches(tmp_path_factory.mktemp("corpus"))
-
-
-def _pinned_digest(name: str) -> str:
-    return _pinned()[name][0].removeprefix("augmented.bin=")
 
 
 def test_corpus_matches_the_fixture(tmp_path):
@@ -53,7 +41,7 @@ def test_library_emit_gives_the_corpus_manifest(tmp_path, corpus_batches,
         default_spec(kind), YonaConfig(), int(SEED), tmp_path)
     assert ["augmented.bin=" + manifest.digest] + [
         "manifest " + line for line in manifest.to_text().splitlines()] \
-        == _pinned()[f"{kind}/uniform"]
+        == pinned()[f"{kind}/uniform"]
 
 
 @pytest.mark.parametrize("name", ["hflip/gaussian", "randaug/uniform"])
@@ -67,7 +55,7 @@ def test_small_chunks_give_the_corpus_bytes(tmp_path, corpus_batches,
                             CASES[name])
     assert ["augmented.bin=" + digest] + [
         "manifest " + line for line in manifest.splitlines()] \
-        == _pinned()[name]
+        == pinned()[name]
 
 
 def test_augment_reads_a_fifo(tmp_path, corpus_batches):
@@ -84,7 +72,7 @@ def test_augment_reads_a_fifo(tmp_path, corpus_batches):
     digest, _ = emit(fifo, tmp_path / "out", CASES["hflip/uniform"])
     writer.join(timeout=60)
     assert not writer.is_alive()
-    assert digest == _pinned_digest("hflip/uniform")
+    assert digest == pinned_digest("hflip/uniform")
 
 
 def test_augment_builds_no_records(tmp_path, corpus_batches, monkeypatch):
@@ -95,4 +83,4 @@ def test_augment_builds_no_records(tmp_path, corpus_batches, monkeypatch):
         monkeypatch.setattr(ds, name, refuse)
     digest, _ = emit(corpus_batches["cifar10"], tmp_path / "out",
                      CASES["hflip/uniform"])
-    assert digest == _pinned_digest("hflip/uniform")
+    assert digest == pinned_digest("hflip/uniform")

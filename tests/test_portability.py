@@ -1,8 +1,9 @@
 """Same bytes under every SIMD dispatch numpy can be told to use.
 
-Small `augment` emits run in child processes, once under numpy's default
-dispatch and once per ``NPY_DISABLE_CPU_FEATURES`` setting below (set in
-the children's environment only), and must print the same digests.  A
+Named cases of the emit corpus (`emit_corpus.py`) run in child processes
+on the corpus batch, once under numpy's default dispatch and once per
+``NPY_DISABLE_CPU_FEATURES`` setting below (set in the children's
+environment only), and must print the digests the corpus fixture pins.  A
 setting is skipped, with the reason, where the CPU lacks its features or
 numpy leaves one of them on.
 """
@@ -16,24 +17,16 @@ from pathlib import Path
 import pytest
 
 import yona
-from yona.dataset import write_cifar
 
-from conftest import make_records
+from emit_corpus import CASES, SEED, pinned_digest, write_batch
 
 SETTINGS = {
     "no-avx512": ("X86_V4", "AVX512_ICL", "AVX512_SPR"),
     "no-avx2": ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"),
 }
 
-EMITS = [
-    ["--aug", "randaug"],
-    ["--aug", "autoaug", "--apply-probability", "0.7"],
-    ["--aug", "jitter", "--apply-probability", "1"],
-    ["--aug", "hflip", "--noise", "gaussian:127.5,40"],
-    ["--aug", "randaug", "--no-yona", "--randaug-n", "3"],
-    ["--aug", "cutout", "--noise", "gaussian:10,60", "--region-reference",
-     "image"],
-]
+NAMES = ["randaug/uniform", "autoaug/p0.7", "jitter/p1-factors",
+         "hflip/gaussian", "randaug/no-yona", "cutout/region-image"]
 
 # prints {"features": ..., "digests": [...]}, or {"skip": reason} when
 # numpy refuses the setting at import
@@ -48,11 +41,11 @@ core = np._core if hasattr(np, "_core") else np.core
 features = core._multiarray_umath.__cpu_features__
 from yona.cli import main
 from yona.dataset import DatasetManifest
-dataset, out, emits = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+dataset, out, seed = sys.argv[1], sys.argv[2], sys.argv[3]
 digests = []
-for i, flags in enumerate(emits):
+for i, flags in enumerate(json.loads(sys.argv[4])):
     with contextlib.redirect_stdout(io.StringIO()) as text:
-        code = main(["augment", "--dataset", dataset, "--seed", "3",
+        code = main(["augment", "--dataset", dataset, "--seed", seed,
                      "--out", f"{out}/{i}"] + flags)
     assert code == 0, flags
     digests.append(DatasetManifest.from_text(text.getvalue()).digest)
@@ -70,7 +63,7 @@ def _emit(tmp_path, name, disabled=None):
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
     child = subprocess.run(
         [sys.executable, "-c", CHILD, str(tmp_path / "batch.bin"),
-         str(tmp_path / name), json.dumps(EMITS)],
+         str(tmp_path / name), SEED, json.dumps([CASES[n] for n in NAMES])],
         env=env, capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
     return json.loads(child.stdout.splitlines()[-1])
@@ -79,8 +72,12 @@ def _emit(tmp_path, name, disabled=None):
 @pytest.fixture(scope="module")
 def default_emit(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("portability")
-    write_cifar(make_records(96, seed=41), tmp_path / "batch.bin", "cifar10")
+    write_batch(tmp_path / "batch.bin")
     return tmp_path, _emit(tmp_path, "default")
+
+
+def test_default_dispatch_gives_the_corpus_digests(default_emit):
+    assert default_emit[1]["digests"] == [pinned_digest(n) for n in NAMES]
 
 
 @pytest.mark.parametrize("setting", sorted(SETTINGS))
@@ -97,4 +94,4 @@ def test_digests_match_under_reduced_dispatch(default_emit, setting):
     if still_on:
         pytest.skip(f"numpy left {', '.join(still_on)} on when asked to "
                     f"disable it")
-    assert reduced["digests"] == default["digests"]
+    assert reduced["digests"] == [pinned_digest(n) for n in NAMES]
