@@ -20,7 +20,8 @@ from .augment import AugmentationSpec, apply_augmentation
 from .compositor import YonaConfig, compose_batch, yona_apply
 from .errors import DivergenceError
 from .image import ImageTensor, noise_from_tape
-from .rng import NOISE_ROLE, SeedSpec, derive_stream, image_stream
+from .rng import (NOISE_ROLE, SeedSpec, derive_stream, image_stream,
+                  stream_tapes)
 
 
 # --------------------------------------------------------------------------
@@ -63,9 +64,12 @@ def collect_stats(records, aug: AugmentationSpec,
     """Compose samples ``0 .. n_samples - 1`` (sample ``i`` is record ``i mod
     len(records)``, all of one image shape) with `compose_batch` and tally
     the coin outcomes.  The masked fraction is verified independently of the
-    lane tape: each geometry group of a chunk replays its masks with one
-    `noise_from_tape` call over a stack of its samples' own noise-stream
-    tapes, and an AssertionError names the lowest sample whose mask differs.
+    lanes: each geometry group of a chunk replays its masks with one
+    `noise_from_tape` call over `stream_tapes` of its samples' own scalar
+    noise streams (`image_stream`), and an AssertionError names the lowest
+    sample whose mask differs.  The replay shares the noise law and the
+    block mix (`_tape_bytes`) with the composition, but not its seeding
+    (`lane_states`) or word step (`LaneStream`).
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -95,10 +99,9 @@ def collect_stats(records, aug: AugmentationSpec,
                 # independent check: each mask replays from its sample's
                 # own noise stream
                 replay = noise_from_tape(
-                    yona_config.noise, lambda size: np.stack([
-                        image_stream(seed, start + j, NOISE_ROLE)
-                        .fill_bytes(size) for j in sel.tolist()]),
-                    masked_bytes)
+                    yona_config.noise, lambda size: stream_tapes(
+                        [image_stream(seed, start + j, NOISE_ROLE)
+                         for j in sel.tolist()], size), masked_bytes)
                 wrong += sel[(out[(sel,) + mask_slice].reshape(len(sel), -1)
                               != replay).any(axis=1)].tolist()
             if wrong:

@@ -33,6 +33,10 @@ becomes a draw, for a stream as for lanes:
   uniform ``<= 0.5`` and a gate a uniform ``< p`` on either side;
 * tape, :meth:`RngStream.fill_bytes` on a stream that draws only tape:
   `lane_tape`, which draws its block-seed words from a `LaneStream`.
+  `stream_tapes`, the first ``fill_bytes`` of many streams at once, is no
+  lane twin: its block seed words come from each stream's own scalar
+  ``next_u64``, so it shares no seeding and no word step with the lanes,
+  only the block mix, `_tape_bytes`.
 
 The golden word fixture pins the scalar stream, and the lane differential
 tests pin the twins to it.
@@ -404,3 +408,34 @@ def lane_tape(states: np.ndarray, nbytes: int) -> np.ndarray:
         np.add(_TAPE_COUNTERS[:block.shape[1]], seeds.next_u64()[:, None],
                out=block)
     return _tape_bytes(words)[:, :nbytes]
+
+
+def stream_tapes(streams, nbytes: int) -> np.ndarray:
+    """``np.stack([s.fill_bytes(nbytes) for s in streams])``, read-only, for
+    streams that have drawn no tape yet, each left as its ``fill_bytes``
+    would leave it: every block seed word is drawn by the stream's own
+    `RngStream.next_u64`, then all blocks of all rows are mixed in one
+    `_tape_bytes` call.  ValueError for a stream that has drawn tape."""
+    if nbytes < 0:
+        raise ValueError(f"stream_tapes needs nbytes >= 0, got {nbytes}")
+    streams = list(streams)
+    if any(s._tape is not None for s in streams):
+        raise ValueError("stream_tapes needs streams that have drawn no tape")
+    nwords = -(-nbytes // 8)
+    if not nwords:  # fill_bytes(0) draws nothing
+        return np.broadcast_to(np.uint8(0), (len(streams), 0))
+    blocks = -(-nwords // _TAPE_WORDS)
+    seeds = np.array([[s.next_u64() for _ in range(blocks)]
+                      for s in streams], dtype=np.uint64).reshape(-1, blocks)
+    words = np.empty((len(streams), nwords), dtype=np.uint64)
+    for b, start in enumerate(range(0, nwords, _TAPE_WORDS)):
+        block = words[:, start:start + _TAPE_WORDS]
+        np.add(_TAPE_COUNTERS[:block.shape[1]], seeds[:, b, None], out=block)
+    tape = _tape_bytes(words)
+    tape.flags.writeable = False  # each stream keeps its last window
+    last = (blocks - 1) * _TAPE_WORDS
+    for s, window, seed in zip(streams, tape[:, 8 * last:],
+                               seeds[:, -1].tolist()):
+        s._tape, s._tape_pos, s._tape_seed, s._tape_end = \
+            window, nbytes - 8 * last, seed, nwords - last
+    return tape[:, :nbytes]

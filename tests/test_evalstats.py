@@ -18,9 +18,9 @@ from yona.evalstats import (PredictionRecord, StatsReport,
                             rms_calibration_error, train_linear_probe)
 from yona.image import (Axis, ConstantNoise, GaussianNoise, ImageTensor,
                         UniformNoise, cut_at, noise_bytes)
-from yona.rng import derive_image_streams
+from yona.rng import NOISE_ROLE, derive_image_streams
 
-from conftest import make_records
+from conftest import make_image, make_records
 
 
 # --------------------------------------------------------------------------
@@ -121,6 +121,20 @@ def test_stats_report_equals_the_per_sample_reference(small_records, spec,
     assert report.to_text() == expected.to_text()
 
 
+@pytest.mark.parametrize("n_samples", [5, 259])  # one and two chunks
+def test_stats_report_equals_the_per_sample_reference_across_tape_blocks(
+        n_samples):
+    # a 3x128x96 Gaussian mask reads 73,728 tape bytes per sample, past a
+    # 64 KiB tape block, so the replay seeds and mixes two blocks a stream
+    rng = np.random.default_rng(12)
+    records = [CifarRecord(fine_label=k, image=make_image(rng, 3, 128, 96))
+               for k in range(4)]
+    spec, config = default_spec("cutout"), YonaConfig(noise=GaussianNoise())
+    report = collect_stats(records, spec, config, -9, n_samples)
+    expected = _reference_stats(records, spec, config, -9, n_samples)
+    assert report.to_text() == expected.to_text()
+
+
 @pytest.mark.parametrize("noise", [UniformNoise(), GaussianNoise()])
 def test_stats_replay_catches_one_wrong_lane_byte(monkeypatch, small_records,
                                                   noise):
@@ -142,6 +156,43 @@ def test_stats_replay_catches_one_wrong_lane_byte(monkeypatch, small_records,
         collect_stats(small_records, default_spec("hflip"),
                       YonaConfig(noise=noise), 3, 50)
     assert calls
+
+
+@pytest.mark.parametrize("noise", [UniformNoise(), GaussianNoise()])
+def test_stats_replay_catches_a_lane_seeded_from_another_record(
+        monkeypatch, small_records, noise):
+    # the replay seeds each sample's own scalar noise stream, so a noise
+    # lane seeded with another record's state must fail it
+    law = comp.lane_states
+
+    def swapped(seed, first, lanes, role):
+        states = law(seed, first, lanes, role)
+        if role == NOISE_ROLE:
+            states[:, 7] = states[:, 8]
+        return states
+
+    monkeypatch.setattr(comp, "lane_states", swapped)
+    with pytest.raises(AssertionError, match="^sample 7: .*does not replay"):
+        collect_stats(small_records, default_spec("hflip"),
+                      YonaConfig(noise=noise), 3, 50)
+
+
+@pytest.mark.parametrize("noise", [UniformNoise(), GaussianNoise()])
+def test_stats_replay_catches_one_wrong_lane_tape_byte(monkeypatch,
+                                                       small_records, noise):
+    # the top byte of a sample's first u32: a low byte can leave a
+    # Gaussian cell as it was, a top byte flip crosses the median
+    law = comp.lane_tape
+
+    def flipped(states, nbytes):
+        tape = law(states, nbytes).copy()
+        tape[-1, 3] ^= 0xFF
+        return tape
+
+    monkeypatch.setattr(comp, "lane_tape", flipped)
+    with pytest.raises(AssertionError, match="does not replay"):
+        collect_stats(small_records, default_spec("hflip"),
+                      YonaConfig(noise=noise), 3, 50)
 
 
 @pytest.mark.parametrize("noise", [UniformNoise(), GaussianNoise()])

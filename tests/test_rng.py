@@ -11,8 +11,9 @@ import pytest
 
 from yona.image import (GaussianNoise, _cdf32_table, noise_bytes,
                         noise_from_tape)
-from yona.rng import (_TAPE_COUNTERS, RngStream, SeedSpec, _mix64_block,
-                      derive_image_streams, derive_stream, image_stream_label)
+from yona.rng import (_TAPE_COUNTERS, NOISE_ROLE, RngStream, SeedSpec,
+                      _mix64_block, derive_image_streams, derive_stream,
+                      image_stream, image_stream_label, stream_tapes)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -291,6 +292,39 @@ def test_gaussian_tables_are_built_on_first_use():
          ".currsize)"], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert child.stdout.split() == ["False", "0"]
+
+
+@pytest.mark.parametrize("nbytes", [0, 1, 7, 1536, 6144, 65536, 65537,
+                                    131073])
+@pytest.mark.parametrize("words_first", [0, 1, 5])
+def test_stream_tapes_equal_stacked_fill_bytes(nbytes, words_first):
+    # streams that drew words, but no tape, seed their blocks with later
+    # words; each stream is left as its own fill_bytes leaves it
+    batched = [image_stream(-4, i, NOISE_ROLE) for i in range(5)]
+    alone = [image_stream(-4, i, NOISE_ROLE) for i in range(5)]
+    for a, b in zip(batched, alone):
+        assert a.next_words(words_first) == b.next_words(words_first)
+    tape = stream_tapes(batched, nbytes)
+    assert not tape.flags.writeable
+    assert np.array_equal(tape, np.stack([s.fill_bytes(nbytes)
+                                          for s in alone]))
+    for a, b in zip(batched, alone):
+        assert np.array_equal(a.fill_bytes(70_000), b.fill_bytes(70_000))
+        assert a.next_words(3) == b.next_words(3)
+
+
+@pytest.mark.parametrize("drawn", [1, 65536])
+def test_stream_tapes_refuse_a_stream_that_drew_tape(drawn):
+    streams = [image_stream(8, i, NOISE_ROLE) for i in range(3)]
+    twins = [image_stream(8, i, NOISE_ROLE) for i in range(3)]
+    streams[1].fill_bytes(drawn)
+    twins[1].fill_bytes(drawn)
+    with pytest.raises(ValueError, match="drawn no tape"):
+        stream_tapes(streams, 100)
+    with pytest.raises(ValueError, match="nbytes >= 0"):
+        stream_tapes(twins[:1], -1)
+    for a, b in zip(streams, twins):  # none has moved
+        assert np.array_equal(a.fill_bytes(300), b.fill_bytes(300))
 
 
 def test_clone_replays_identically():
