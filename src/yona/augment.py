@@ -489,9 +489,11 @@ def parse_policy(text: str) -> PolicyTable:
 
 
 def format_policy(policy: PolicyTable) -> str:
+    """The policy file text of ``policy``; `parse_policy` reads it back
+    exactly (each probability is its ``repr``)."""
     lines = []
     for sub in policy.sub_policies:
-        lines.append(" ; ".join(f"{n} {p:g} {m}" for n, p, m in sub))
+        lines.append(" ; ".join(f"{n} {float(p)!r} {m}" for n, p, m in sub))
     return "\n".join(lines) + "\n"
 
 

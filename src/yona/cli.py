@@ -336,8 +336,7 @@ def cmd_bench(args) -> None:
 
 
 def cmd_probe(args) -> None:
-    spec = _build_spec(args) if args.aug != "identity" else None
-    yona_config = _build_yona(args)
+    spec, yona_config = _build_spec(args), _build_yona(args)
     records = ds.read_cifar(args.dataset, args.variant)
     if len(records) < args.train_count + args.eval_count:
         raise UsageError(

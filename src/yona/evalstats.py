@@ -20,8 +20,7 @@ from .augment import AugmentationSpec, apply_augmentation
 from .compositor import YonaConfig, compose_batch, yona_apply
 from .errors import DivergenceError
 from .image import ImageTensor, noise_from_tape
-from .rng import (NOISE_ROLE, SeedSpec, derive_stream, image_stream,
-                  stream_tapes)
+from .rng import NOISE_ROLE, SeedSpec, derive_stream, stream_tapes
 
 
 # --------------------------------------------------------------------------
@@ -65,11 +64,12 @@ def collect_stats(records, aug: AugmentationSpec,
     len(records)``, all of one image shape) with `compose_batch` and tally
     the coin outcomes.  The masked fraction is verified independently of the
     lanes: each geometry group of a chunk replays its masks with one
-    `noise_from_tape` call over `stream_tapes` of its samples' own scalar
-    noise streams (`image_stream`), and an AssertionError names the lowest
-    sample whose mask differs.  The replay shares the noise law and the
-    block mix (`_tape_bytes`) with the composition, but not its seeding
-    (`lane_states`) or word step (`LaneStream`).
+    `noise_from_tape` call over `stream_tapes` of its samples' noise
+    streams, and an AssertionError names the lowest sample whose mask
+    differs.  The replay shares the noise law and the tape assembler
+    (`rng._tapes`) with the composition; the one difference is where the
+    block seeds come from: each sample's own `image_stream` and its scalar
+    ``next_u64`` here, `lane_states` and a `LaneStream` there.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -100,8 +100,8 @@ def collect_stats(records, aug: AugmentationSpec,
                 # own noise stream
                 replay = noise_from_tape(
                     yona_config.noise, lambda size: stream_tapes(
-                        [image_stream(seed, start + j, NOISE_ROLE)
-                         for j in sel.tolist()], size), masked_bytes)
+                        seed, (start + sel).tolist(), NOISE_ROLE, size),
+                    masked_bytes)
                 wrong += sel[(out[(sel,) + mask_slice].reshape(len(sel), -1)
                               != replay).any(axis=1)].tolist()
             if wrong:
@@ -247,10 +247,11 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
             np.copyto(composed, pixels)
             compose_batch(composed, epoch * n, spec, yona_config, seed)
             np.divide(composed.reshape(n, -1), 255.0, out=epoch_features)
-        order = np.arange(n)
+        order = list(range(n))
         for i in range(n - 1, 0, -1):  # Fisher-Yates on the probe stream
             j = shuffle_rng.next_index(i + 1)
             order[i], order[j] = order[j], order[i]
+        order = np.array(order)
         # a non-finite loss raises DivergenceError, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, batch_size):

@@ -32,11 +32,11 @@ becomes a draw, for a stream as for lanes:
   for; both ``next_index`` redraw through `_index_limit`.  A coin is a
   uniform ``<= 0.5`` and a gate a uniform ``< p`` on either side;
 * tape, :meth:`RngStream.fill_bytes` on a stream that draws only tape:
-  `lane_tape`, which draws its block-seed words from a `LaneStream`.
-  `stream_tapes`, the first ``fill_bytes`` of many streams at once, is no
-  lane twin: its block seed words come from each stream's own scalar
-  ``next_u64``, so it shares no seeding and no word step with the lanes,
-  only the block mix, `_tape_bytes`.
+  `_tapes`, the one batched assembler, given one seed word per row for each
+  block.  Its two callers differ only in where those words come from:
+  `lane_tape` draws them from a `LaneStream`, `stream_tapes` from each
+  `image_stream`'s own scalar ``next_u64``, so it shares no seeding and no
+  word step with the lanes.
 
 The golden word fixture pins the scalar stream, and the lane differential
 tests pin the twins to it.
@@ -396,46 +396,34 @@ def _tape_bytes(words: np.ndarray) -> np.ndarray:
     return words.view(np.uint8)
 
 
-def lane_tape(states: np.ndarray, nbytes: int) -> np.ndarray:
-    """The first ``nbytes`` tape bytes of each lane's stream, ``(lanes,
-    nbytes)`` uint8, as `RngStream.fill_bytes` gives them on a stream that
-    draws only tape: its word ``b`` seeds tape block ``b``; ``states`` is
-    left as it is."""
-    words = np.empty((states.shape[1], -(-nbytes // 8)), dtype=np.uint64)
-    seeds = LaneStream(states)
+def _tapes(next_seeds, rows: int, nbytes: int) -> np.ndarray:
+    """The first ``nbytes`` tape bytes of ``rows`` streams that draw only
+    tape, ``(rows, nbytes)`` uint8, as `RngStream.fill_bytes` gives them:
+    call ``b`` of ``next_seeds()`` returns each row's seed word of tape
+    block ``b``, and all blocks of all rows are mixed in one `_tape_bytes`
+    call."""
+    if nbytes < 0:
+        raise ValueError(f"tape needs nbytes >= 0, got {nbytes}")
+    words = np.empty((rows, -(-nbytes // 8)), dtype=np.uint64)
     for start in range(0, words.shape[1], _TAPE_WORDS):
         block = words[:, start:start + _TAPE_WORDS]
-        np.add(_TAPE_COUNTERS[:block.shape[1]], seeds.next_u64()[:, None],
+        np.add(_TAPE_COUNTERS[:block.shape[1]], next_seeds()[:, None],
                out=block)
     return _tape_bytes(words)[:, :nbytes]
 
 
-def stream_tapes(streams, nbytes: int) -> np.ndarray:
-    """``np.stack([s.fill_bytes(nbytes) for s in streams])``, read-only, for
-    streams that have drawn no tape yet, each left as its ``fill_bytes``
-    would leave it: every block seed word is drawn by the stream's own
-    `RngStream.next_u64`, then all blocks of all rows are mixed in one
-    `_tape_bytes` call.  ValueError for a stream that has drawn tape."""
-    if nbytes < 0:
-        raise ValueError(f"stream_tapes needs nbytes >= 0, got {nbytes}")
-    streams = list(streams)
-    if any(s._tape is not None for s in streams):
-        raise ValueError("stream_tapes needs streams that have drawn no tape")
-    nwords = -(-nbytes // 8)
-    if not nwords:  # fill_bytes(0) draws nothing
-        return np.broadcast_to(np.uint8(0), (len(streams), 0))
-    blocks = -(-nwords // _TAPE_WORDS)
-    seeds = np.array([[s.next_u64() for _ in range(blocks)]
-                      for s in streams], dtype=np.uint64).reshape(-1, blocks)
-    words = np.empty((len(streams), nwords), dtype=np.uint64)
-    for b, start in enumerate(range(0, nwords, _TAPE_WORDS)):
-        block = words[:, start:start + _TAPE_WORDS]
-        np.add(_TAPE_COUNTERS[:block.shape[1]], seeds[:, b, None], out=block)
-    tape = _tape_bytes(words)
-    tape.flags.writeable = False  # each stream keeps its last window
-    last = (blocks - 1) * _TAPE_WORDS
-    for s, window, seed in zip(streams, tape[:, 8 * last:],
-                               seeds[:, -1].tolist()):
-        s._tape, s._tape_pos, s._tape_seed, s._tape_end = \
-            window, nbytes - 8 * last, seed, nwords - last
-    return tape[:, :nbytes]
+def lane_tape(states: np.ndarray, nbytes: int) -> np.ndarray:
+    """`_tapes` of each lane's stream, ``(lanes, nbytes)``, its block seeds
+    drawn by a `LaneStream` of ``states``; ``states`` is left as it is."""
+    return _tapes(LaneStream(states).next_u64, states.shape[1], nbytes)
+
+
+def stream_tapes(global_seed: int, indices, role: int,
+                 nbytes: int) -> np.ndarray:
+    """`_tapes` of ``image_stream(global_seed, i, role)`` for each ``i`` in
+    ``indices``, its block seeds drawn by that stream's own scalar
+    `RngStream.next_u64`: ``np.stack([image_stream(global_seed, i, role)
+    .fill_bytes(nbytes) for i in indices])``."""
+    streams = [image_stream(global_seed, i, role) for i in indices]
+    return _tapes(lambda: np.array([s.next_u64() for s in streams],
+                                   dtype=np.uint64), len(streams), nbytes)

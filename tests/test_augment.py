@@ -565,6 +565,12 @@ def test_policy_parse_format_round_trip(tmp_path):
     path = tmp_path / "policy.txt"
     path.write_text(text)
     assert load_policy(path) == policy
+    # probabilities that a 6-digit form would round, and the extremes
+    exact = PolicyTable(((("Rotate", 0.123456789, 3), ("Invert", 1e-17, 0)),
+                         (("Solarize", 1 / 3, 9), ("Equalize", 1.0, 0)),
+                         (("Posterize", 0.0, 2),
+                          ("Contrast", 1 - 2**-53, 6))))
+    assert parse_policy(format_policy(exact)) == exact
 
 
 def test_policy_validation():

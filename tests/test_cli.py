@@ -591,6 +591,26 @@ def test_randaug_op_count_over_100_is_usage_error(tmp_path, small_batch_file,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["augment", "stats", "probe"])
+@pytest.mark.parametrize("flags, code, error", [
+    (["--jitter-hue", "0.9"], 1, "usage error: "),
+    (["--policy-file", "nope.txt"], 3, "i/o error: ")],
+    ids=["bad-hue", "missing-policy"])
+def test_identity_runs_check_their_augmentation_flags(
+        tmp_path, small_batch_file, monkeypatch, capsys, command, flags,
+        code, error):
+    # probe once built no spec for --aug identity, so it ran on either
+    monkeypatch.chdir(tmp_path)
+    out_dir = tmp_path / "out"
+    runs = {"augment": ["--out", str(out_dir)], "stats": ["--n", "10"],
+            "probe": ["--train-count", "10", "--epochs", "1"]}[command]
+    got, out, err = run(capsys, command, "--dataset", str(small_batch_file),
+                        "--aug", "identity", *flags, *runs)
+    assert (got, out) == (code, "")
+    assert err.startswith(error) and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 # the RULE of each flag's `usage error: --FLAG must be RULE, got VALUE`
 _FLAG_RULE_TEXTS = {
     "--seed": "in [0, 2**64)",

@@ -158,6 +158,12 @@ def test_stats_replay_catches_one_wrong_lane_byte(monkeypatch, small_records,
     assert calls
 
 
+def test_stats_replay_keeps_off_the_lanes():
+    # the two mutation tests below patch the composer's lane names; a
+    # replay that drew through them would follow a patch and miss it
+    assert not {"lane_states", "LaneStream", "lane_tape"} & set(vars(ev))
+
+
 @pytest.mark.parametrize("noise", [UniformNoise(), GaussianNoise()])
 def test_stats_replay_catches_a_lane_seeded_from_another_record(
         monkeypatch, small_records, noise):

@@ -13,7 +13,8 @@ from yona.image import (GaussianNoise, _cdf32_table, noise_bytes,
                         noise_from_tape)
 from yona.rng import (_TAPE_COUNTERS, NOISE_ROLE, RngStream, SeedSpec,
                       _mix64_block, derive_image_streams, derive_stream,
-                      image_stream, image_stream_label, stream_tapes)
+                      image_stream, image_stream_label, lane_states,
+                      lane_tape, stream_tapes)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -296,35 +297,22 @@ def test_gaussian_tables_are_built_on_first_use():
 
 @pytest.mark.parametrize("nbytes", [0, 1, 7, 1536, 6144, 65536, 65537,
                                     131073])
-@pytest.mark.parametrize("words_first", [0, 1, 5])
-def test_stream_tapes_equal_stacked_fill_bytes(nbytes, words_first):
-    # streams that drew words, but no tape, seed their blocks with later
-    # words; each stream is left as its own fill_bytes leaves it
-    batched = [image_stream(-4, i, NOISE_ROLE) for i in range(5)]
-    alone = [image_stream(-4, i, NOISE_ROLE) for i in range(5)]
-    for a, b in zip(batched, alone):
-        assert a.next_words(words_first) == b.next_words(words_first)
-    tape = stream_tapes(batched, nbytes)
-    assert not tape.flags.writeable
-    assert np.array_equal(tape, np.stack([s.fill_bytes(nbytes)
-                                          for s in alone]))
-    for a, b in zip(batched, alone):
-        assert np.array_equal(a.fill_bytes(70_000), b.fill_bytes(70_000))
-        assert a.next_words(3) == b.next_words(3)
+@pytest.mark.parametrize("rows", [0, 1, 5])
+def test_stream_tapes_equal_stacked_fill_bytes(nbytes, rows):
+    # the first index's label wraps, as image_stream_label wraps it
+    indices = [2**62 + 9, 0, 7, 2**64 - 1, 3][:rows]
+    tape = stream_tapes(-4, indices, NOISE_ROLE, nbytes)
+    assert tape.shape == (rows, nbytes)
+    assert np.array_equal(tape, np.array(
+        [image_stream(-4, i, NOISE_ROLE).fill_bytes(nbytes) for i in indices],
+        dtype=np.uint8).reshape(rows, nbytes))
 
 
-@pytest.mark.parametrize("drawn", [1, 65536])
-def test_stream_tapes_refuse_a_stream_that_drew_tape(drawn):
-    streams = [image_stream(8, i, NOISE_ROLE) for i in range(3)]
-    twins = [image_stream(8, i, NOISE_ROLE) for i in range(3)]
-    streams[1].fill_bytes(drawn)
-    twins[1].fill_bytes(drawn)
-    with pytest.raises(ValueError, match="drawn no tape"):
-        stream_tapes(streams, 100)
+def test_tapes_refuse_negative_nbytes():
     with pytest.raises(ValueError, match="nbytes >= 0"):
-        stream_tapes(twins[:1], -1)
-    for a, b in zip(streams, twins):  # none has moved
-        assert np.array_equal(a.fill_bytes(300), b.fill_bytes(300))
+        stream_tapes(8, [0, 1], NOISE_ROLE, -1)
+    with pytest.raises(ValueError, match="nbytes >= 0"):
+        lane_tape(lane_states(8, 0, 2, NOISE_ROLE), -1)
 
 
 def test_clone_replays_identically():
