@@ -15,7 +15,9 @@ Every kind has one entry, ``apply_augmentation(spec, image, rng)``; its
 parameters travel as its `AugmentationSpec` (``default_spec(kind,
 apply_probability=1.0, ...)`` runs it ungated).  Past the gate,
 `_ungated_arr` returns the flips and identity as views of the buffer and
-hands any other kind's spec to its kernel in `_KIND_KERNELS`.
+hands any other kind's spec to its kernel in `_KIND_KERNELS`.  The flips
+are one table, `_FLIPS`, of index expressions that flip one image or a
+stack alike; the scalar and the lane path both read it.
 
 Every operation is a pure function of (parameters, image, rng state):
 replaying with an identical stream state reproduces identical bytes.
@@ -26,13 +28,15 @@ The primitive kernels are batch-shaped: each maps a (..., C, H, W) stack
 and gives every image the bytes it gets alone, so the scalar path and the
 batch composer share one copy.  `_augment_lanes` is the lane twin of
 `_augment_arr`: it augments many records' kept pieces on their augment
-streams as `rng.LaneStream` lanes, for every kind.  `_policy_lanes` walks
+streams as `rng.LaneStream` lanes, for every kind, in one walk over the
+pieces that keeps each piece's gated-in rows once.  `_policy_lanes` walks
 those lanes as randaug or autoaug draw them, index redraws included, and
 `_run_policy_slots` applies the ops once per (op, magnitude) group.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -285,10 +289,7 @@ def _jitter_arr(spec, arr, rng, ref_hw):
     re-quantized once at the end.
     """
     # random application order, then one sampled factor per adjustment
-    order = [0, 1, 2, 3]
-    for i in range(3, 0, -1):
-        j = rng.next_index(i + 1)
-        order[i], order[j] = order[j], order[i]
+    order = rng.permutation(4)
     x = arr.astype(np.float64)
     chromatic = arr.shape[0] == 3
     for step in order:
@@ -508,17 +509,11 @@ def load_policy(path) -> PolicyTable:
         raise FormatError(f"{path}: {exc}") from None
 
 
-_DEFAULT_POLICY: PolicyTable | None = None
-
-
+@functools.cache
 def default_cifar10_policy() -> PolicyTable:
     """The bundled 25-sub-policy table searched for CIFAR-10."""
-    global _DEFAULT_POLICY
-    if _DEFAULT_POLICY is None:
-        text = resources.files("yona").joinpath(
-            "data/autoaugment_cifar10.txt").read_text(encoding="utf-8")
-        _DEFAULT_POLICY = parse_policy(text)
-    return _DEFAULT_POLICY
+    return parse_policy(resources.files("yona").joinpath(
+        "data/autoaugment_cifar10.txt").read_text(encoding="utf-8"))
 
 
 def _randaug_arr(spec, arr, rng, ref_hw):
@@ -546,6 +541,9 @@ def _autoaug_arr(spec, arr, rng, ref_hw):
         arr = _sampled_primitive_arr(arr, name, mag_index / 9.0, rng)
     return arr
 
+
+# the flips, as views of a (..., C, H, W) buffer: one image or a stack
+_FLIPS = {"hflip": np.s_[..., ::-1], "vflip": np.s_[..., ::-1, :]}
 
 # Every kind past its gate but the flips and identity: ``(spec, arr, rng,
 # ref_hw)`` to a (C, H, W) buffer, which may be ``arr`` itself.  ``ref_hw``
@@ -665,10 +663,8 @@ def _ungated_arr(spec: AugmentationSpec, arr: np.ndarray, rng: RngStream,
                  region_ref_hw: tuple[int, int] | None) -> np.ndarray:
     """`_augment_arr` past its gate."""
     kind = spec.kind
-    if kind == "hflip":
-        return arr[:, :, ::-1]
-    if kind == "vflip":
-        return arr[:, ::-1, :]
+    if kind in _FLIPS:
+        return arr[_FLIPS[kind]]
     if kind == "identity":
         return arr
     return _KIND_KERNELS[kind](spec, arr, rng, region_ref_hw)
@@ -694,7 +690,6 @@ def apply_augmentation(spec: AugmentationSpec, image: ImageTensor,
 
 POLICY_KINDS = frozenset({"randaug", "autoaug"})
 
-_FLIPS = {"hflip": np.s_[..., ::-1], "vflip": np.s_[..., ::-1, :]}
 _SIGNED_CODES = np.array([row.signed for row in _BANK.values()])
 
 
@@ -706,27 +701,23 @@ def _augment_lanes(spec: AugmentationSpec, out: np.ndarray, pieces,
     stream.  ``pieces`` lists ``(rows, piece)`` pairs, ``piece`` the
     (C, H, W) slice of the kept piece of each of those rows.
 
-    The gate is one lane draw.  The flips are scatters.  Randaug and
-    autoaug walk each record's op sequence (`_policy_lanes`) and run each
-    op slot as one kernel call per (op, magnitude) group over the kept
-    pieces of one shape (both sides of an axis) as one stack.  Cutout
-    draws each square's center as two lane index draws, height then width,
-    and fills the squares of each ``(rows, piece)`` pair through one
-    broadcast mask compare.  Every gated-in record of the other kinds
-    (jitter, erasing, grid) augments its kept piece on an `RngStream`
-    built from its lane state.
+    The gate is one lane draw.  Randaug and autoaug walk each record's op
+    sequence (`_policy_lanes`) and run each op slot as one kernel call per
+    (op, magnitude) group over the kept pieces of one shape (both sides of
+    an axis) as one stack, so that the groups are as large as they can be.
+    Every other kind walks the pieces once, keeping each piece's gated-in
+    rows: a flip scatters its `_FLIPS` view; cutout draws each square's
+    center as two lane index draws, height then width, and fills the
+    piece's squares through one broadcast mask compare; each record of the
+    other kinds (jitter, erasing, grid) augments its kept piece on an
+    `RngStream` built from its lane state.
     """
     p = spec.apply_probability
     if p <= 0.0 or spec.kind == "identity":
         return
     live = rng.next_unit_uniform() < p if p < 1.0 \
         else np.ones(len(out), dtype=bool)
-    flip = _FLIPS.get(spec.kind)
-    if flip is not None:
-        for rows, piece in pieces:
-            kept = (rows[live[rows]],) + piece
-            out[kept] = out[kept][flip]
-    elif spec.kind in POLICY_KINDS:
+    if spec.kind in POLICY_KINDS:
         slots = _policy_lanes(spec, rng, live)
         by_shape = {}
         for rows, piece in pieces:
@@ -741,9 +732,13 @@ def _augment_lanes(spec: AugmentationSpec, out: np.ndarray, pieces,
                 out[(part_rows,) + piece] = \
                     stack[start:start + part_rows.size]
                 start += part_rows.size
-    elif spec.kind == "cutout":
-        for rows, piece in pieces:
-            rows = rows[live[rows]]
+        return
+    for rows, piece in pieces:
+        rows = rows[live[rows]]
+        kept = (rows,) + piece
+        if spec.kind in _FLIPS:
+            out[kept] = out[kept][_FLIPS[spec.kind]]
+        elif spec.kind == "cutout":
             _, h, w = out[0][piece].shape
             ys, xs = np.ogrid[:h, :w]
             side = _cutout_side(spec, h, w, region_ref_hw)
@@ -754,17 +749,14 @@ def _augment_lanes(spec: AugmentationSpec, out: np.ndarray, pieces,
             left = rng.next_index(w, where)[rows, None, None] - side // 2
             square = (top <= ys) & (ys < top + side) \
                 & (left <= xs) & (xs < left + side)
-            kept = (rows,) + piece
             out[kept] = np.where(square[:, None], np.uint8(0), out[kept])
-    else:
-        # every kernel copies before it writes, so each may read its kept
-        # piece from ``out``
-        for rows, piece in pieces:
-            rows = rows[live[rows]]
+        else:
+            # every kernel copies before it writes, so each may read its
+            # kept piece from ``out``
             for j, state in zip(rows.tolist(), rng.state[:, rows].T.tolist()):
-                kept = (j,) + piece
-                out[kept] = _ungated_arr(spec, out[kept], RngStream(*state),
-                                         region_ref_hw)
+                one = (j,) + piece
+                out[one] = _ungated_arr(spec, out[one], RngStream(*state),
+                                        region_ref_hw)
 
 
 def _policy_lanes(spec: AugmentationSpec, rng: LaneStream,

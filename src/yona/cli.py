@@ -119,12 +119,12 @@ def _add_yona_flags(parser, default_on: bool | None):
                         help="masked fraction of the cut axis")
     parser.add_argument("--noise", default="uniform",
                         help="uniform | constant:V | gaussian:MEAN,STD")
-    parser.add_argument("--axis-policy", default="random",
-                        choices=["random", "height", "width"])
-    parser.add_argument("--masked-piece", default="random",
-                        choices=["random", "first", "second"])
-    parser.add_argument("--region-reference", default="piece",
-                        choices=["piece", "image"],
+    parser.add_argument("--axis-policy", default=comp.AXIS_POLICIES[0],
+                        choices=comp.AXIS_POLICIES)
+    parser.add_argument("--masked-piece", default=comp.MASKED_POLICIES[0],
+                        choices=comp.MASKED_POLICIES)
+    parser.add_argument("--region-reference", default=comp.REGION_POLICIES[0],
+                        choices=comp.REGION_POLICIES,
                         help="dims used by region augs on a piece")
 
 
@@ -448,6 +448,12 @@ def main(argv=None) -> int:
             if value is not None and not holds(value):
                 raise UsageError(f"--{dest.replace('_', '-')} must be "
                                  f"{rule}, got {value}")
+        for gate in ("axis", "masked"):  # no value can pass an inverted pair
+            low = getattr(args, f"gate_{gate}_low", None)
+            high = getattr(args, f"gate_{gate}_high", None)
+            if low is not None and high is not None and low > high:
+                raise UsageError(f"--gate-{gate}-low {low} is above "
+                                 f"--gate-{gate}-high {high}")
         args.func(args)
         return 0
     except FormatError as exc:  # FormatError subclasses ValueError

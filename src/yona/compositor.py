@@ -34,16 +34,12 @@ from .image import (Axis, ImageTensor, NoiseKind, UniformNoise, cut,
 from .rng import (AUGMENT_ROLE, NOISE_ROLE, STRUCTURE_ROLE, LaneStream,
                   RngStream, lane_states, lane_tape)
 
-AXIS_RANDOM = "random"
-AXIS_FIXED_HEIGHT = "height"
-AXIS_FIXED_WIDTH = "width"
-
-MASKED_RANDOM = "random"
-MASKED_FIRST = "first"
-MASKED_SECOND = "second"
-
-REGION_PIECE = "piece"
-REGION_IMAGE = "image"
+# each policy's values, its default first
+AXIS_RANDOM, AXIS_FIXED_HEIGHT, AXIS_FIXED_WIDTH = AXIS_POLICIES = (
+    "random", "height", "width")
+MASKED_RANDOM, MASKED_FIRST, MASKED_SECOND = MASKED_POLICIES = (
+    "random", "first", "second")
+REGION_PIECE, REGION_IMAGE = REGION_POLICIES = ("piece", "image")
 
 
 @dataclass(frozen=True)
@@ -53,23 +49,21 @@ class YonaConfig:
     by a fair coin."""
 
     mask_fraction: float = 0.5
-    axis_policy: str = AXIS_RANDOM
+    axis_policy: str = AXIS_POLICIES[0]
     noise: NoiseKind = field(default_factory=UniformNoise)
-    masked_piece_policy: str = MASKED_RANDOM
-    region_reference: str = REGION_PIECE
+    masked_piece_policy: str = MASKED_POLICIES[0]
+    region_reference: str = REGION_POLICIES[0]
 
     def __post_init__(self):
         if not 0.0 < self.mask_fraction < 1.0:
             raise ValueError(
                 f"mask_fraction must be in (0, 1), got {self.mask_fraction}")
-        if self.axis_policy not in (AXIS_RANDOM, AXIS_FIXED_HEIGHT,
-                                    AXIS_FIXED_WIDTH):
+        if self.axis_policy not in AXIS_POLICIES:
             raise ValueError(f"unknown axis policy {self.axis_policy!r}")
-        if self.masked_piece_policy not in (MASKED_RANDOM, MASKED_FIRST,
-                                            MASKED_SECOND):
+        if self.masked_piece_policy not in MASKED_POLICIES:
             raise ValueError(
                 f"unknown masked piece policy {self.masked_piece_policy!r}")
-        if self.region_reference not in (REGION_PIECE, REGION_IMAGE):
+        if self.region_reference not in REGION_POLICIES:
             raise ValueError(
                 f"unknown region reference {self.region_reference!r}")
         # per-shape geometry memo (invisible to equality/repr)

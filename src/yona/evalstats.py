@@ -247,11 +247,7 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
             np.copyto(composed, pixels)
             compose_batch(composed, epoch * n, spec, yona_config, seed)
             np.divide(composed.reshape(n, -1), 255.0, out=epoch_features)
-        order = list(range(n))
-        for i in range(n - 1, 0, -1):  # Fisher-Yates on the probe stream
-            j = shuffle_rng.next_index(i + 1)
-            order[i], order[j] = order[j], order[i]
-        order = np.array(order)
+        order = np.array(shuffle_rng.permutation(n))
         # a non-finite loss raises DivergenceError, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, batch_size):

@@ -282,16 +282,6 @@ class Piece:
         return self.image.extent(self.axis)
 
 
-def cut_boundary(extent: int, fraction: float) -> int:
-    """Boundary index for a fractional cut (round-half-up)."""
-    boundary = round_half_up(fraction * extent)
-    if not 1 <= boundary <= extent - 1:
-        raise GeometryError(
-            f"cut at fraction {fraction} of extent {extent} gives boundary "
-            f"{boundary}, outside [1, {extent - 1}]")
-    return boundary
-
-
 def cut_at(image: ImageTensor, axis: Axis, boundary: int
            ) -> tuple[Piece, Piece]:
     """Cut at an explicit pixel boundary along ``axis``.
@@ -322,7 +312,7 @@ def cut(image: ImageTensor, axis: Axis, fraction: float
     """
     if not 0.0 < fraction < 1.0:
         raise GeometryError(f"cut fraction must be in (0, 1), got {fraction}")
-    return cut_at(image, axis, cut_boundary(image.extent(axis), fraction))
+    return cut_at(image, axis, round_half_up(fraction * image.extent(axis)))
 
 
 def mask_noise(piece: Piece, noise: NoiseKind, rng: RngStream) -> Piece:

@@ -31,6 +31,9 @@ becomes a draw, for a stream as for lanes:
   the same methods of `LaneStream`, which advance only the lanes asked
   for; both ``next_index`` redraw through `_index_limit`.  A coin is a
   uniform ``<= 0.5`` and a gate a uniform ``< p`` on either side;
+* a permutation, :meth:`RngStream.permutation`: a Fisher-Yates shuffle of
+  ``range(n)`` that swaps item ``i`` with item ``next_index(i + 1)`` for
+  ``i`` from ``n - 1`` down to 1 (it has no lane twin);
 * tape, :meth:`RngStream.fill_bytes` on a stream that draws only tape:
   `_tapes`, the one batched assembler, given one seed word per row for each
   block.  Its two callers differ only in where those words come from:
@@ -240,6 +243,15 @@ class RngStream:
             w = self.next_u64()
             if w < limit:
                 return w % n
+
+    def permutation(self, n: int) -> list[int]:
+        """``range(n)`` shuffled by Fisher-Yates: item ``i`` swaps with item
+        ``next_index(i + 1)`` for ``i`` from ``n - 1`` down to 1."""
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = self.next_index(i + 1)
+            order[i], order[j] = order[j], order[i]
+        return order
 
     # -- bulk byte tape ------------------------------------------------------
 

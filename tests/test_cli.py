@@ -368,6 +368,30 @@ def test_non_finite_gate_is_usage_error(tmp_path, small_batch_file, capsys,
         f"{float(value)}\n"
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("gate", ["axis", "masked"])
+def test_inverted_gate_pair_is_usage_error(tmp_path, capsys, gate, source):
+    # no value lies in [0.9, 0.1]: refused before the dataset is read
+    bounds = {f"gate_{gate}_low": 0.9, f"gate_{gate}_high": 0.1}
+    argv = ["stats", "--dataset", str(tmp_path / "missing.bin")]
+    if source == "flag":
+        argv += [f"--{key.replace('_', '-')}={value}"
+                 for key, value in bounds.items()]
+    else:
+        config = tmp_path / "gates.json"
+        config.write_text(json.dumps(bounds))
+        argv += ["--config", str(config)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: --gate-{gate}-low 0.9 is above " \
+        f"--gate-{gate}-high 0.1\n"
+    # equal bounds stay legal: the run goes on to read the dataset
+    code, _, err = run(capsys, "stats", "--dataset",
+                       str(tmp_path / "missing.bin"), f"--gate-{gate}-low",
+                       "0.5", f"--gate-{gate}-high", "0.5")
+    assert code == 3 and err.startswith("i/o error: ")
+
+
 def test_bench_rejects_bad_dims(capsys):
     # one usage line before any work, for negative and zero extents too
     for dims in ["not-dims", "3x32", "3x32x32x1", "3x-32x32", "3x-32x-32",
@@ -852,12 +876,13 @@ def test_truncated_dataset_is_format_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, content", [
     ("--policy-file", b"Rotate 0.5 3\nInvert 0.2 0\n"),  # one entry a line
+    ("--policy-file", b"Rotate 0.5 ; Invert 0.2 0\n"),  # an entry of two
     ("--policy-file", b"Rotate 0.5 3 ; Invert 0.2 \xff\n"),  # not UTF-8
     ("--config", b'{"seed": 3, "aug": "\xff"}'),  # not UTF-8
     ("--config", b'{"seed": 3'),  # truncated
     ("--config", b'["--seed", "3"]'),  # an array, not an object
-], ids=["policy-one-entry", "policy-not-utf8", "config-not-utf8",
-        "config-truncated", "config-array"])
+], ids=["policy-one-entry", "policy-two-fields", "policy-not-utf8",
+        "config-not-utf8", "config-truncated", "config-array"])
 def test_malformed_file_is_format_error(tmp_path, small_batch_file, capsys,
                                         flag, content):
     bad = tmp_path / "bad.txt"

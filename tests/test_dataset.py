@@ -693,6 +693,15 @@ def _rgb_png(width, height, raw, ihdr_tail=b"\x08\x02\x00\x00\x00",
     pytest.param(_rgb_png(2**30, 2**30, bytes(14)), id="2^30x2^30"),
     pytest.param(_rgb_png(0, 0, b""), id="0x0"),
     pytest.param(_rgb_png(2, 2, bytes(15)), id="pixel-data-too-long"),
+    pytest.param(_PNG_SIGNATURE + _png_chunk(b"IEND", b""), id="no-ihdr"),
+    pytest.param(_rgb_png(2, 2, bytes(14), ihdr_tail=b"\x10\x02\0\0\0"),
+                 id="depth-16"),
+    pytest.param(_rgb_png(2, 2, bytes(14), ihdr_tail=b"\x08\x02\0\0\x01"),
+                 id="interlaced"),
+    # the signature and IHDR, then an IDAT of 14 bytes that are not zlib
+    pytest.param(_rgb_png(2, 2, bytes(14))[:33]
+                 + _png_chunk(b"IDAT", bytes(14)) + _png_chunk(b"IEND", b""),
+                 id="idat-not-zlib"),
 ])
 def test_png_reader_boundary_is_a_format_error(tmp_path, capsys, blob):
     path = tmp_path / "bad.png"

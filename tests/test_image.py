@@ -89,6 +89,12 @@ def test_cut_rejects_degenerate_boundaries():
         cut_at(img, Axis.WIDTH, 2)
 
 
+def test_concat_refuses_swapped_pieces():
+    first, second = cut(make_image(np.random.default_rng(4)), Axis.WIDTH, 0.5)
+    with pytest.raises(GeometryError, match="must precede"):
+        concat(second, first, Axis.WIDTH)
+
+
 def test_cut_concat_round_trip_property():
     rng = np.random.default_rng(3)
     for _ in range(300):

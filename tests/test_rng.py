@@ -11,10 +11,10 @@ import pytest
 
 from yona.image import (GaussianNoise, _cdf32_table, noise_bytes,
                         noise_from_tape)
-from yona.rng import (_TAPE_COUNTERS, NOISE_ROLE, RngStream, SeedSpec,
-                      _mix64_block, derive_image_streams, derive_stream,
-                      image_stream, image_stream_label, lane_states,
-                      lane_tape, stream_tapes)
+from yona.rng import (_TAPE_COUNTERS, NOISE_ROLE, LaneStream, RngStream,
+                      SeedSpec, _mix64_block, derive_image_streams,
+                      derive_stream, image_stream, image_stream_label,
+                      lane_states, lane_tape, stream_tapes)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -90,6 +90,33 @@ def test_next_index_singleton_and_bounds():
 def test_next_index_rejects_zero():
     with pytest.raises(ValueError):
         derive_stream(SeedSpec(0, 0)).next_index(0)
+    with pytest.raises(ValueError):
+        LaneStream(lane_states(0, 0, 3, NOISE_ROLE)).next_index(0)
+
+
+def _inline_permutation(stream, n):
+    # the reference loop: item i swaps with item next_index(i + 1), for i
+    # from n - 1 down to 1
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = stream.next_index(i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 1000])
+@pytest.mark.parametrize("long_lived", [False, True])
+def test_permutation_is_the_fisher_yates_loop(n, long_lived):
+    stream = derive_stream(SeedSpec(11, n))
+    if long_lived:  # mid-buffer, with tape drawn
+        stream.next_words(37)
+        stream.fill_bytes(100)
+    inline = stream.clone()
+    order = stream.permutation(n)
+    assert order == _inline_permutation(inline, n)
+    assert sorted(order) == list(range(n))
+    assert stream.state == inline.state
+    assert stream.next_u64() == inline.next_u64()
 
 
 def test_fill_bytes_replay_and_chunking_independence():
