@@ -9,15 +9,16 @@ The primitive bank is one table, `_BANK`: one row per op, in draw order,
 holding its ``(arr, m)`` kernel, its declared magnitude range, whether a
 policy randomizes its sign, and its magnitude at strength ``t`` (randaug
 ``m/30``, autoaug ``index/9``) and sign ``s``.  `PRIMITIVE_OPS`,
-`MAGNITUDE_RANGES` and the lane walk's sign column are read off it.
+`MAGNITUDE_RANGES` and the lane walk's sign column are read off it.  The
+four enhance ops are one blend with a degenerate image, `_enhance`.
 
-Every kind has one entry, ``apply_augmentation(spec, image, rng)``; its
-parameters travel as its `AugmentationSpec` (``default_spec(kind,
-apply_probability=1.0, ...)`` runs it ungated).  Past the gate,
-`_ungated_arr` returns the flips and identity as views of the buffer and
-hands any other kind's spec to its kernel in `_KIND_KERNELS`.  The flips
-are one table, `_FLIPS`, of index expressions that flip one image or a
-stack alike; the scalar and the lane path both read it.
+The catalogue is one table, `_KINDS`: each kind's default apply
+probability and its kernel past the gate.  Every kind has one entry,
+``apply_augmentation(spec, image, rng)``; its parameters travel as its
+`AugmentationSpec` (``default_spec(kind, apply_probability=1.0, ...)``
+runs it ungated).  The flips are one table, `_FLIPS`, of index
+expressions that flip one image or a stack alike; the scalar and the lane
+path both read it.
 
 Every operation is a pure function of (parameters, image, rng state):
 replaying with an identical stream state reproduces identical bytes.
@@ -29,9 +30,9 @@ and gives every image the bytes it gets alone, so the scalar path and the
 batch composer share one copy.  `_augment_lanes` is the lane twin of
 `_augment_arr`: it augments many records' kept pieces on their augment
 streams as `rng.LaneStream` lanes, for every kind, in one walk over the
-pieces that keeps each piece's gated-in rows once.  `_policy_lanes` walks
-those lanes as randaug or autoaug draw them, index redraws included, and
-`_run_policy_slots` applies the ops once per (op, magnitude) group.
+pieces that keeps each piece's gated-in rows once.  `_policy_lanes` draws
+what `_policy_arr` draws in code of its own, and `_run_policy_slots` runs
+each (op, magnitude) group once; both walks decode ops with `_policy_op`.
 """
 
 from __future__ import annotations
@@ -123,18 +124,21 @@ def _translate_y_arr(arr, fraction, reflect=False):
 # --------------------------------------------------------------------------
 # Photometric primitives
 
-def _autocontrast_arr(arr):
+def _per_plane(arr, lut_of):
+    """Each (H, W) plane of ``arr`` through its own row of ``lut_of``."""
     planes = arr.reshape(-1, arr.shape[-2] * arr.shape[-1])
+    return np.take_along_axis(lut_of(planes), planes, 1).reshape(arr.shape)
+
+
+def _autocontrast_lut(planes):
     lo = planes.min(axis=1).astype(np.int64)[:, None]
     span = planes.max(axis=1).astype(np.int64)[:, None] - lo
     ramp = np.arange(256, dtype=np.float64)
     lut = _to_u8((ramp - lo) * (255.0 / np.maximum(span, 1)))
-    lut = np.where(span > 0, lut, _IDENTITY_LUT)  # a flat plane is kept
-    return np.take_along_axis(lut, planes, axis=1).reshape(arr.shape)
+    return np.where(span > 0, lut, _IDENTITY_LUT)  # a flat plane is kept
 
 
-def _equalize_arr(arr):
-    planes = arr.reshape(-1, arr.shape[-2] * arr.shape[-1])
+def _equalize_lut(planes):
     count = planes.shape[0]
     offsets = np.arange(0, 256 * count, 256)[:, None]
     histo = np.bincount((planes + offsets).ravel(),
@@ -143,30 +147,22 @@ def _equalize_arr(arr):
     cumulative = np.cumsum(histo, axis=1) - histo
     lut = np.minimum((step // 2 + cumulative) // np.maximum(step, 1), 255)
     # a plane with fewer than 255 bytes below 255 (step 0) keeps its bytes
-    lut = np.where(step > 0, lut, _IDENTITY_LUT).astype(np.uint8)
-    return np.take_along_axis(lut, planes, axis=1).reshape(arr.shape)
+    return np.where(step > 0, lut, _IDENTITY_LUT).astype(np.uint8)
 
 
-def _enhance(x, degenerate, factor):
-    return _to_u8(degenerate + (x - degenerate) * factor)
-
-
-def _brightness_arr(arr, factor):
-    return _to_u8(arr.astype(np.float64) * factor)
-
-
-def _color_arr(arr, factor):
+def _enhance(arr, factor, degenerate):
+    """PIL ``ImageEnhance``'s blend: each image moved by ``factor`` from its
+    degenerate image, ``degenerate(x)`` of its float copy ``x``."""
     x = arr.astype(np.float64)
-    return _enhance(x, _gray(x), factor)
+    base = degenerate(x)
+    return _to_u8(base + (x - base) * factor)
 
 
-def _contrast_arr(arr, factor):
-    x = arr.astype(np.float64)
-    gray = _gray(x)
-    # each image's mean over its flattened plane: the summation order of
-    # that image's mean alone
-    mean = gray.reshape(gray.shape[:-3] + (-1,)).mean(axis=-1)
-    return _enhance(x, mean[..., None, None, None], factor)
+def _gray_mean(x: np.ndarray) -> np.ndarray:
+    """Each image's mean over its flattened gray plane, in the summation
+    order of that image's mean alone; shape (..., 1, 1, 1)."""
+    mean = _gray(x).reshape(x.shape[:-3] + (-1,)).mean(axis=-1)
+    return mean[..., None, None, None]
 
 
 def _smooth_arr(x: np.ndarray) -> np.ndarray:
@@ -180,11 +176,6 @@ def _smooth_arr(x: np.ndarray) -> np.ndarray:
            + x[..., 2:, :-2] + x[..., 2:, 1:-1] + x[..., 2:, 2:])
     out[..., 1:-1, 1:-1] = acc / 13.0
     return out
-
-
-def _sharpness_arr(arr, factor):
-    x = arr.astype(np.float64)
-    return _enhance(x, _smooth_arr(x), factor)
 
 
 # --------------------------------------------------------------------------
@@ -214,26 +205,26 @@ _BANK = {
                       lambda t, s: s * t * 0.3),
     "Rotate": _Op(_rotate_arr, (-30.0, 30.0), True,  # degrees
                   lambda t, s: s * t * 30.0),
-    "AutoContrast": _Op(lambda arr, m: _autocontrast_arr(arr), None, False,
-                        lambda t, s: None),
+    "AutoContrast": _Op(lambda arr, m: _per_plane(arr, _autocontrast_lut),
+                        None, False, lambda t, s: None),
     "Invert": _Op(lambda arr, m: np.uint8(255) - arr, None, False,
                   lambda t, s: None),
-    "Equalize": _Op(lambda arr, m: _equalize_arr(arr), None, False,
-                    lambda t, s: None),
+    "Equalize": _Op(lambda arr, m: _per_plane(arr, _equalize_lut), None,
+                    False, lambda t, s: None),
     "Solarize": _Op(  # invert bytes >= threshold
         lambda arr, m: np.where(arr >= int(m), np.uint8(255) - arr, arr),
         (0, 255), False, lambda t, s: round_half_up(255.0 * (1.0 - t))),
     "Posterize": _Op(  # bits kept
         lambda arr, m: arr & np.uint8((0xFF << (8 - int(m))) & 0xFF),
         (4, 8), False, lambda t, s: 8 - round_half_up(4.0 * t)),
-    "Contrast": _Op(_contrast_arr, (0.1, 1.9), True,
-                    lambda t, s: 1.0 + s * t * 0.9),
-    "Color": _Op(_color_arr, (0.1, 1.9), True,
+    "Contrast": _Op(lambda arr, m: _enhance(arr, m, _gray_mean),
+                    (0.1, 1.9), True, lambda t, s: 1.0 + s * t * 0.9),
+    "Color": _Op(lambda arr, m: _enhance(arr, m, _gray), (0.1, 1.9), True,
                  lambda t, s: 1.0 + s * t * 0.9),
-    "Brightness": _Op(_brightness_arr, (0.1, 1.9), True,
-                      lambda t, s: 1.0 + s * t * 0.9),
-    "Sharpness": _Op(_sharpness_arr, (0.1, 1.9), True,
-                     lambda t, s: 1.0 + s * t * 0.9),
+    "Brightness": _Op(lambda arr, m: _enhance(arr, m, lambda x: 0.0),
+                      (0.1, 1.9), True, lambda t, s: 1.0 + s * t * 0.9),
+    "Sharpness": _Op(lambda arr, m: _enhance(arr, m, _smooth_arr),
+                     (0.1, 1.9), True, lambda t, s: 1.0 + s * t * 0.9),
 }
 
 PRIMITIVE_OPS = tuple(_BANK)
@@ -271,11 +262,13 @@ def apply_primitive(op: PrimitiveOp, image: ImageTensor) -> ImageTensor:
     return ImageTensor(np.ascontiguousarray(out))
 
 
-def _sampled_primitive_arr(arr: np.ndarray, name: str, t: float,
-                           rng: RngStream) -> np.ndarray:
-    kernel, _, signed, magnitude = _BANK[name]
-    sign = -1.0 if signed and rng.next_unit_uniform() >= 0.5 else 1.0
-    return kernel(arr, magnitude(t, sign))
+def _policy_op(spec, code: int) -> tuple[Callable, float | None]:
+    """The kernel and magnitude of an op coded as `_policy_lanes` codes it,
+    at strength ``randaug_magnitude / 30`` or its autoaug entry's ``/ 9``."""
+    kernel, _, _, magnitude = _BANK[PRIMITIVE_OPS[code // 20]]
+    t = spec.randaug_magnitude / 30.0 if spec.kind == "randaug" \
+        else code // 2 % 10 / 9.0
+    return kernel, magnitude(t, -1.0 if code & 1 else 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -516,52 +509,58 @@ def default_cifar10_policy() -> PolicyTable:
         "data/autoaugment_cifar10.txt").read_text(encoding="utf-8"))
 
 
-def _randaug_arr(spec, arr, rng, ref_hw):
-    """Apply ``randaug_num_ops`` primitives drawn uniformly (with
-    replacement) from the 14-op bank, each at the shared
-    ``randaug_magnitude`` on a 0-30 scale."""
-    t = spec.randaug_magnitude / 30.0
-    for _ in range(spec.randaug_num_ops):
-        name = PRIMITIVE_OPS[rng.next_index(len(PRIMITIVE_OPS))]
-        arr = _sampled_primitive_arr(arr, name, t, rng)
-    return arr
-
-
-def _autoaug_arr(spec, arr, rng, ref_hw):
-    """Pick one sub-policy of ``policy`` (None: the bundled table)
-    uniformly and run its two gated ops in order."""
-    policy = spec.policy if spec.policy is not None \
-        else default_cifar10_policy()
-    sub = policy.sub_policies[rng.next_index(len(policy))]
-    for name, prob, mag_index in sub:
-        if prob <= 0.0:
+def _policy_arr(spec, arr, rng, ref_hw):
+    """Run randaug's ops drawn from the bank, or those of one drawn autoaug
+    sub-policy that pass their coins; a signed op then draws its sign."""
+    if spec.kind == "randaug":
+        # a generator, so that each op's index is drawn before its sign
+        entries = ((PRIMITIVE_OPS[rng.next_index(len(PRIMITIVE_OPS))], 1.0, 0)
+                   for _ in range(spec.randaug_num_ops))
+    else:
+        entries = spec.policy.sub_policies[rng.next_index(len(spec.policy))]
+    for name, prob, level in entries:
+        if prob <= 0.0 or prob < 1.0 and rng.next_unit_uniform() >= prob:
             continue
-        if prob < 1.0 and rng.next_unit_uniform() >= prob:
-            continue
-        arr = _sampled_primitive_arr(arr, name, mag_index / 9.0, rng)
+        negative = _BANK[name].signed and rng.next_unit_uniform() >= 0.5
+        code = (PRIMITIVE_OPS.index(name) * 10 + level) * 2 + negative
+        kernel, magnitude = _policy_op(spec, code)
+        arr = kernel(arr, magnitude)
     return arr
 
 
 # the flips, as views of a (..., C, H, W) buffer: one image or a stack
 _FLIPS = {"hflip": np.s_[..., ::-1], "vflip": np.s_[..., ::-1, :]}
 
-# Every kind past its gate but the flips and identity: ``(spec, arr, rng,
-# ref_hw)`` to a (C, H, W) buffer, which may be ``arr`` itself.  ``ref_hw``
-# (None: the buffer's own) sizes the region kinds; the others ignore it.
-_KIND_KERNELS = {"jitter": _jitter_arr, "erasing": _erasing_arr,
-                 "cutout": _cutout_arr, "grid": _grid_arr,
-                 "randaug": _randaug_arr, "autoaug": _autoaug_arr}
+
+def _flip_arr(spec, arr, rng, ref_hw):
+    return arr[_FLIPS[spec.kind]]
 
 
 # --------------------------------------------------------------------------
 # The augmentation catalogue
 
-KINDS = ("identity", "hflip", "vflip", "jitter", "erasing", "cutout",
-         "grid", "randaug", "autoaug")
+class _Kind(NamedTuple):
+    """One row of the catalogue.  A kernel may return ``arr`` itself;
+    ``ref_hw`` (None: the buffer's own) sizes the region kinds."""
 
-# kinds the appendix gates with a coin; the rest always run
-_COIN_GATED = frozenset({"hflip", "vflip", "jitter", "erasing", "cutout",
-                         "grid"})
+    apply_probability: float  # the default: 0.5 behind the appendix's coin
+    kernel: Callable  # past the gate: (spec, arr, rng, ref_hw) -> buffer
+
+
+# one row per kind, in catalogue order
+_KINDS = {
+    "identity": _Kind(1.0, lambda spec, arr, rng, ref_hw: arr),
+    "hflip": _Kind(0.5, _flip_arr),
+    "vflip": _Kind(0.5, _flip_arr),
+    "jitter": _Kind(0.5, _jitter_arr),
+    "erasing": _Kind(0.5, _erasing_arr),
+    "cutout": _Kind(0.5, _cutout_arr),
+    "grid": _Kind(0.5, _grid_arr),
+    "randaug": _Kind(1.0, _policy_arr),
+    "autoaug": _Kind(1.0, _policy_arr),
+}
+
+KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -569,8 +568,9 @@ class AugmentationSpec:
     """One named augmentation plus its parameters.
 
     ``apply_probability`` defaults to 0.5 for the coin-gated kinds and 1.0
-    for identity/randaug/autoaug.  All other defaults are the standard
-    training values for 32x32 classification.
+    for identity/randaug/autoaug, and an autoaug ``policy`` to the bundled
+    table.  All other defaults are the standard training values for 32x32
+    classification.
     """
 
     kind: str
@@ -589,12 +589,14 @@ class AugmentationSpec:
     policy: PolicyTable | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _KINDS:
             raise UnsupportedAugmentationError(
                 f"unknown augmentation kind {self.kind!r}")
         if self.apply_probability is None:
             object.__setattr__(self, "apply_probability",
-                               0.5 if self.kind in _COIN_GATED else 1.0)
+                               _KINDS[self.kind].apply_probability)
+        if self.kind == "autoaug" and self.policy is None:
+            object.__setattr__(self, "policy", default_cifar10_policy())
         if not 0.0 <= self.apply_probability <= 1.0:
             raise ValueError(
                 f"apply_probability {self.apply_probability} outside [0, 1]")
@@ -662,12 +664,7 @@ def _augment_arr(spec: AugmentationSpec, arr: np.ndarray, rng: RngStream,
 def _ungated_arr(spec: AugmentationSpec, arr: np.ndarray, rng: RngStream,
                  region_ref_hw: tuple[int, int] | None) -> np.ndarray:
     """`_augment_arr` past its gate."""
-    kind = spec.kind
-    if kind in _FLIPS:
-        return arr[_FLIPS[kind]]
-    if kind == "identity":
-        return arr
-    return _KIND_KERNELS[kind](spec, arr, rng, region_ref_hw)
+    return _KINDS[spec.kind].kernel(spec, arr, rng, region_ref_hw)
 
 
 def apply_augmentation(spec: AugmentationSpec, image: ImageTensor,
@@ -687,8 +684,6 @@ def apply_augmentation(spec: AugmentationSpec, image: ImageTensor,
 
 # --------------------------------------------------------------------------
 # Every kind over lanes
-
-POLICY_KINDS = frozenset({"randaug", "autoaug"})
 
 _SIGNED_CODES = np.array([row.signed for row in _BANK.values()])
 
@@ -717,7 +712,7 @@ def _augment_lanes(spec: AugmentationSpec, out: np.ndarray, pieces,
         return
     live = rng.next_unit_uniform() < p if p < 1.0 \
         else np.ones(len(out), dtype=bool)
-    if spec.kind in POLICY_KINDS:
+    if _KINDS[spec.kind].kernel is _policy_arr:
         slots = _policy_lanes(spec, rng, live)
         by_shape = {}
         for rows, piece in pieces:
@@ -762,11 +757,11 @@ def _augment_lanes(spec: AugmentationSpec, out: np.ndarray, pieces,
 def _policy_lanes(spec: AugmentationSpec, rng: LaneStream,
                   live: np.ndarray) -> list:
     """Walk the lanes of ``rng`` in ``live`` (the lanes past the gate) as
-    `_ungated_arr` draws a randaug or autoaug spec, redraws included.
+    `_policy_arr` draws a randaug or autoaug spec, redraws included.
 
     ``slots[k][i]`` codes lane ``i``'s ``k``-th op as ``(op * 10 +
-    magnitude index) * 2 + negative``, or -1 for none; `_run_policy_slots`
-    decodes it.
+    magnitude index) * 2 + negative``, or -1 for none; `_policy_op` decodes
+    it.
     """
     def code(op, level, where):
         # the sign coin: negative when its uniform is >= 0.5
@@ -780,11 +775,9 @@ def _policy_lanes(spec: AugmentationSpec, rng: LaneStream,
             slots.append(code(rng.next_index(len(PRIMITIVE_OPS), live), 0,
                               live))
     else:
-        policy = spec.policy if spec.policy is not None \
-            else default_cifar10_policy()
-        sub = rng.next_index(len(policy), live)
+        sub = rng.next_index(len(spec.policy), live)
         for slot in range(2):
-            entries = [entry[slot] for entry in policy.sub_policies]
+            entries = [entry[slot] for entry in spec.policy.sub_policies]
             op = np.array([PRIMITIVE_OPS.index(name)
                            for name, _, _ in entries])[sub]
             prob = np.array([prob for _, prob, _ in entries])[sub]
@@ -803,9 +796,6 @@ def _run_policy_slots(spec: AugmentationSpec, stack: np.ndarray,
     per (op, magnitude) group."""
     for codes in slots:
         for c in np.unique(codes[codes >= 0]).tolist():
-            kernel, _, _, magnitude = _BANK[PRIMITIVE_OPS[c // 20]]
-            t = spec.randaug_magnitude / 30.0 if spec.kind == "randaug" \
-                else c // 2 % 10 / 9.0
+            kernel, magnitude = _policy_op(spec, c)
             sel = np.flatnonzero(codes == c)
-            stack[sel] = kernel(stack[sel],
-                                magnitude(t, -1.0 if c & 1 else 1.0))
+            stack[sel] = kernel(stack[sel], magnitude)

@@ -225,12 +225,19 @@ def _build_spec(args) -> aug_mod.AugmentationSpec:
 def _parse_noise(text: str):
     if text == "uniform":
         return UniformNoise()
-    if text.startswith("constant:"):
-        return ConstantNoise(int(text.split(":", 1)[1]))
-    if text.startswith("gaussian:"):
-        mean, _, std = text.split(":", 1)[1].partition(",")
-        return GaussianNoise(float(mean), float(std))
-    raise UsageError(f"cannot parse noise spec {text!r}")
+    kind, _, numbers = text.partition(":")
+    try:
+        if kind == "constant":
+            byte = int(numbers)
+        elif kind == "gaussian":
+            mean, std = (float(x) for x in numbers.split(","))
+        else:
+            raise ValueError(kind)
+    except ValueError:
+        raise UsageError(f"cannot parse noise spec {text!r}") from None
+    # past the try: a range error keeps its kind's own message
+    return ConstantNoise(byte) if kind == "constant" \
+        else GaussianNoise(mean, std)
 
 
 def _build_yona(args) -> comp.YonaConfig | None:

@@ -299,9 +299,7 @@ def describe_augmentation(spec: AugmentationSpec) -> str:
     elif spec.kind == "randaug":
         parts.append(f"n:{spec.randaug_num_ops}")
         parts.append(f"m:{_num(spec.randaug_magnitude)}")
-    elif spec.kind == "autoaug" and spec.policy is not None \
-            and spec.policy != default_cifar10_policy():
-        # exact: float reprs round-trip, unlike the :g policy file format
+    elif spec.kind == "autoaug" and spec.policy != default_cifar10_policy():
         table = repr(spec.policy.sub_policies).encode()
         parts.append(f"policy:{content_digest(table)}")
     return ",".join(parts)
@@ -334,7 +332,11 @@ def _staged(out_dir):
     with contextlib.ExitStack() as cleanup:
         def stage(name):
             temp = os.path.join(out_dir, f".{name}.{token}")
-            handle = open(temp, "wb")
+            try:
+                handle = open(temp, "wb")
+            except OSError as exc:  # name the file, not its random temp
+                exc.filename = os.path.join(out_dir, name)
+                raise
             cleanup.callback(pathlib.Path(temp).unlink, missing_ok=True)
             return cleanup.enter_context(handle)  # closed before removed
 

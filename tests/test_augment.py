@@ -10,11 +10,10 @@ from yona.augment import (KINDS, MAGNITUDE_RANGES, PRIMITIVE_OPS,
                           AugmentationSpec, PolicyTable, PrimitiveOp,
                           apply_augmentation, apply_primitive,
                           default_cifar10_policy, default_spec, format_policy,
-                          load_policy, parse_policy, _BANK, _brightness_arr,
-                          _ungated_arr)
+                          load_policy, parse_policy, _BANK, _ungated_arr)
 from yona.dataset import fnv1a_64
 from yona.errors import UnsupportedAugmentationError
-from yona.image import ImageTensor
+from yona.image import ImageTensor, _to_u8
 from yona.rng import SeedSpec, derive_stream
 
 from conftest import make_image
@@ -130,7 +129,15 @@ def test_jitter_all_zero_factors_is_neutral():
 
 def test_brightness_kernel_doubles_gray():
     gray = np.full((3, 8, 8), 100, dtype=np.uint8)
-    assert np.all(_brightness_arr(gray, 2.0) == 200)
+    assert np.all(_BANK["Brightness"].kernel(gray, 2.0) == 200)
+
+
+@pytest.mark.parametrize("factor", [0.1, 0.55, 1.0, 1.9])
+def test_brightness_blend_with_black_is_a_scale(factor):
+    # 0 + (x - 0) * f is x * f for every byte: the blend keeps the bytes
+    x = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
+    assert np.array_equal(_BANK["Brightness"].kernel(x, factor),
+                          _to_u8(x.astype(np.float64) * factor))
 
 
 def test_jitter_brightness_only_matches_replayed_factor():
@@ -587,6 +594,13 @@ def test_policy_validation():
         PolicyTable(((("Swirl", 0.5, 3), ("Invert", 0.5, 0)),))
     with pytest.raises(ValueError):
         PolicyTable(())
+
+
+@pytest.mark.parametrize("ops", [["Rotate"], ["Rotate", "Invert", "Equalize"]])
+def test_policy_table_refuses_a_sub_policy_without_two_ops(ops):
+    # parse_policy cannot build these: each line holds exactly two entries
+    with pytest.raises(ValueError, match="exactly two ops"):
+        PolicyTable((tuple((op, 0.5, 3) for op in ops),))
 
 
 # --------------------------------------------------------------------------

@@ -580,6 +580,34 @@ def test_noise_flag_parsing(tmp_path, small_batch_file, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("value", ["gaussian:1", "constant:", "gaussian:1,2,3",
+                                   "gaussian:a,b", "constant:1.5"])
+def test_malformed_noise_numbers_are_a_parse_error(tmp_path, small_batch_file,
+                                                   capsys, value):
+    # int() and float() once printed their own message, not the flag's
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "augment", "--dataset", str(small_batch_file),
+                         "--noise", value, "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err == f"usage error: cannot parse noise spec {value!r}\n"
+    assert not out_dir.exists()
+
+
+def test_unwritable_report_names_the_report(tmp_path, small_batch_file,
+                                            monkeypatch, capsys):
+    # the error once named the staged temp file, with a token new each run
+    monkeypatch.chdir(tmp_path)
+    errors = []
+    for _ in range(2):
+        code, _, err = run(capsys, "stats", "--dataset", str(small_batch_file),
+                           "--n", "20", "--report", "missing/r.txt")
+        assert code == 3 and err.count("\n") == 1
+        assert "'missing/r.txt'" in err and ".tmp" not in err
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("flags", [
     ["--aug", "jitter", "--apply-probability", "1",
      "--jitter-brightness", "nan"],
@@ -1002,6 +1030,11 @@ def test_config_list_repeats_an_append_flag(tmp_path, capsys):
 
 
 def test_help_lists_defaults(capsys):
+    for command in ("preview", "stats", "bench", "probe"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0, command
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exit_info:
         main(["augment", "--help"])
     assert exit_info.value.code == 0

@@ -330,6 +330,13 @@ def test_config_validation():
 # --------------------------------------------------------------------------
 # Comparison compositor
 
+def test_yoco_rejects_an_image_it_cannot_cut_both_ways():
+    img = ImageTensor(np.zeros((3, 1, 8), dtype=np.uint8))
+    st, au, _ = streams(36)
+    with pytest.raises(GeometryError):
+        yoco_apply(img, default_spec("identity"), st, au)
+
+
 def test_yoco_identity_is_identity():
     rng = np.random.default_rng(13)
     img = make_image(rng)

@@ -8,7 +8,7 @@ import pytest
 from yona.errors import GeometryError
 from yona.image import (Axis, ConstantNoise, GaussianNoise, ImageTensor,
                         UniformNoise, concat, cut, cut_at, mask_noise,
-                        round_half_up)
+                        noise_from_tape, round_half_up)
 from yona.rng import SeedSpec, derive_stream
 
 from conftest import make_image
@@ -32,6 +32,10 @@ def test_bytes_round_trip():
     assert back == img
     with pytest.raises(GeometryError):
         ImageTensor.from_bytes(3, 32, 32, b"\x00" * 10)
+
+
+def test_image_never_equals_a_non_image():
+    assert (make_image(np.random.default_rng(0)) == 5) is False
 
 
 def test_copy_owns_its_bytes():
@@ -179,6 +183,11 @@ def test_noise_kind_validation():
         with pytest.raises(ValueError, match="mean" if stddev == 32.0
                            else "stddev"):
             GaussianNoise(mean, stddev)
+
+
+def test_noise_from_tape_refuses_an_unknown_kind():
+    with pytest.raises(TypeError, match="unknown noise kind"):
+        noise_from_tape("uniform", lambda n: np.zeros(n, np.uint8), 4)
 
 
 def test_pieces_may_be_thin():
