@@ -702,10 +702,10 @@ def _augment_lanes(spec: AugmentationSpec, out: np.ndarray, pieces,
     an axis) as one stack, so that the groups are as large as they can be.
     Every other kind walks the pieces once, keeping each piece's gated-in
     rows: a flip scatters its `_FLIPS` view; cutout draws each square's
-    center as two lane index draws, height then width, and fills the
-    piece's squares through one broadcast mask compare; each record of the
-    other kinds (jitter, erasing, grid) augments its kept piece on an
-    `RngStream` built from its lane state.
+    center as two lane index draws, height then width, and zeroes the
+    squares in place on one gather of the piece's rows, scattered back;
+    each record of the other kinds (jitter, erasing, grid) augments its
+    kept piece on an `RngStream` built from its lane state.
     """
     p = spec.apply_probability
     if p <= 0.0 or spec.kind == "identity":
@@ -744,7 +744,9 @@ def _augment_lanes(spec: AugmentationSpec, out: np.ndarray, pieces,
             left = rng.next_index(w, where)[rows, None, None] - side // 2
             square = (top <= ys) & (ys < top + side) \
                 & (left <= xs) & (xs < left + side)
-            out[kept] = np.where(square[:, None], np.uint8(0), out[kept])
+            block = out[kept]
+            np.copyto(block, 0, where=square[:, None])
+            out[kept] = block
         else:
             # every kernel copies before it writes, so each may read its
             # kept piece from ``out``

@@ -301,8 +301,11 @@ def cmd_preview(args) -> None:
 
 def cmd_stats(args) -> None:
     spec, yona_config = _build_spec(args), _build_yona(args)
-    report = ev.collect_stats(ds.read_cifar(args.dataset, args.variant), spec,
-                              yona_config, args.seed, args.n)
+    table = ds.read_cifar_table(args.dataset, args.variant)
+    if not len(table):
+        raise UsageError("dataset holds 0 records, need at least 1")
+    report = ev.collect_stats(ds.table_pixels(table), spec, yona_config,
+                              args.seed, args.n)
     sys.stdout.write(report.to_text())
     if args.report:
         ds.write_atomic(args.report, report.to_text().encode())

@@ -121,6 +121,11 @@ def read_cifar_table(path, variant: str) -> np.ndarray:
     return table
 
 
+def table_pixels(table: np.ndarray) -> np.ndarray:
+    """The ``(N, 3, 32, 32)`` pixel view of a CIFAR table."""
+    return table[:, -_PIXELS:].reshape(-1, *_SHAPE)
+
+
 def read_cifar(path, variant: str) -> list[CifarRecord]:
     """Parse a CIFAR binary batch file into records, validating labels.
 
@@ -132,7 +137,7 @@ def read_cifar(path, variant: str) -> list[CifarRecord]:
     table.flags.writeable = False
     fine = table[:, -_PIXELS - 1].tolist()
     coarse = table[:, 0].tolist() if variant != CIFAR10 else [None] * len(fine)
-    pixels = table[:, -_PIXELS:].reshape(-1, *_SHAPE)
+    pixels = table_pixels(table)
     return [CifarRecord(label, ImageTensor(image), coarse_label)
             for label, coarse_label, image in zip(fine, coarse, pixels)]
 
@@ -179,7 +184,7 @@ def _cifar_table(records: list, variant: str) -> np.ndarray:
     _check_labels(labels, variant)
     table = np.empty((len(records), record_size), dtype=np.uint8)
     table[:, :label_bytes] = labels
-    pixels = table[:, label_bytes:].reshape(-1, *_SHAPE)
+    pixels = table_pixels(table)
     for i, record in enumerate(records):
         pixels[i] = record.image.array
     return table
@@ -401,7 +406,7 @@ def write_augmented_table(table: np.ndarray, variant: str,
     unread future is dropped): a failed run leaves no temp file, and a new
     ``augmented.bin`` never sits next to an old manifest.
     """
-    pixels = table[:, -_PIXELS:].reshape(-1, *_SHAPE)
+    pixels = table_pixels(table)
     lanes = compositor._LANES
     digest = hashlib.sha256()
     manifest_path = os.path.join(out_dir, "manifest.txt")

@@ -48,43 +48,47 @@ class StatsReport:
                 f"mean_abs_pixel_delta={self.mean_abs_pixel_delta:.6f}\n")
 
 
-def _one_shape(records: list) -> tuple[int, int, int]:
-    """Record 0's image shape; ValueError names the first record unlike it."""
+def _stack(records: list) -> np.ndarray:
+    """The images of ``records`` as one (N, C, H, W) array; ValueError names
+    the first record whose shape is not record 0's."""
     for i, record in enumerate(records):
         if record.image.shape != records[0].image.shape:
             raise ValueError(f"record {i} has image shape {record.image.shape}"
                              f", record 0 has {records[0].image.shape}")
-    return records[0].image.shape
+    return np.stack([r.image.array for r in records])
 
 
-def collect_stats(records, aug: AugmentationSpec,
+def collect_stats(images, aug: AugmentationSpec,
                   yona_config: YonaConfig | None, seed: int,
                   n_samples: int) -> StatsReport:
-    """Compose samples ``0 .. n_samples - 1`` (sample ``i`` is record ``i mod
-    len(records)``, all of one image shape) with `compose_batch` and tally
-    the coin outcomes.  The masked fraction is verified independently of the
-    lanes: each geometry group of a chunk replays its masks with one
-    `noise_from_tape` call over `stream_tapes` of its samples' noise
-    streams, and an AssertionError names the lowest sample whose mask
-    differs.  The replay shares the noise law and the tape assembler
-    (`rng._tapes`) with the composition; the one difference is where the
-    block seeds come from: each sample's own `image_stream` and its scalar
-    ``next_u64`` here, `lane_states` and a `LaneStream` there.
+    """Compose samples ``0 .. n_samples - 1`` (sample ``i`` is image ``i mod
+    N``) with `compose_batch` and tally the coin outcomes.  ``images`` is
+    an (N, C, H, W) uint8 array, such as `dataset.table_pixels` of a table,
+    or a list of records of one image shape, stacked once.  Each chunk of
+    samples is one gather of its images.  The masked fraction is verified
+    independently of the lanes: each geometry group of a chunk replays its
+    masks with one `noise_from_tape` call over `stream_tapes` of its
+    samples' noise streams, and an AssertionError names the lowest sample
+    whose mask differs.  The replay shares the noise law and the tape
+    assembler (`rng._tapes`) with the composition; the one difference is
+    where the block seeds come from: each sample's own `image_stream` and
+    its scalar ``next_u64`` here, `lane_states` and a `LaneStream` there.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    records = list(records)
-    if not records:
+    if not isinstance(images, np.ndarray):  # records, stacked once
+        images = list(images)
+        if images:
+            images = _stack(images)
+    if not len(images):
         raise ValueError("collect_stats needs at least one record")
-    shape = _one_shape(records)
     if yona_config is not None:
-        entries, _ = yona_config._geometry(shape)
+        entries, _ = yona_config._geometry(images.shape[1:])
     height_hits = first_hits = 0
     masked_total = delta_total = 0.0
     for start in range(0, n_samples, _STATS_CHUNK):
-        clean = np.stack([records[i % len(records)].image.array
-                          for i in range(start, min(start + _STATS_CHUNK,
-                                                    n_samples))])
+        clean = images[np.arange(start, min(start + _STATS_CHUNK, n_samples))
+                       % len(images)]
         out = clean.copy()
         groups = compose_batch(out, start, aug, yona_config, seed)
         if yona_config is not None:
@@ -216,14 +220,13 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
     records = list(train_records)
     if not records:
         raise ValueError("training needs at least one record")
-    _one_shape(records)
+    pixels = _stack(records)
     labels = np.array([r.fine_label for r in records], dtype=np.int64)
     classes = np.unique(labels)
     if classes.size < 2:
         raise ValueError("training needs at least two classes present")
     num_classes = int(classes.max()) + 1
     n = len(records)
-    pixels = np.stack([r.image.array for r in records])
     clean = pixels.reshape(n, -1) / 255.0
     dim = clean.shape[1]
 

@@ -201,14 +201,14 @@ def _cdf32_threshold(num: int, den: int) -> int:
 
 @functools.lru_cache(maxsize=16)
 def _cdf32_table(kind: GaussianNoise):
-    """``(thresholds, cells, split)`` of ``kind``.
+    """``(thresholds, code)`` of ``kind``.
 
     ``thresholds`` holds ``t_k = floor(Phi((k + 1/2 - mean) / stddev) *
     2**32)`` for ``k`` in 0..254 as uint64, each from the exact binary
     values of ``mean`` and ``stddev``.  For each top half ``h`` of a tape
-    word ``u``, ``cells[h]`` is the byte ``#{t_k <= h << 16}`` and
-    ``split[h]`` says whether a threshold falls strictly inside the 2**16
-    words from there, where the byte also depends on the low half.
+    word ``u``, the uint16 ``code[h]`` holds the byte ``#{t_k <= h << 16}``
+    in its low byte, and sets bit 8 where a threshold falls strictly inside
+    the 2**16 words from there, where the byte also depends on the low half.
     """
     a, b = float(kind.mean).as_integer_ratio()
     c, d = float(kind.stddev).as_integer_ratio()
@@ -216,13 +216,12 @@ def _cdf32_table(kind: GaussianNoise):
                                             2 * b * c) for k in range(255)],
                           dtype=np.uint64)
     starts = np.arange(1 << 16, dtype=np.uint64) << np.uint64(16)
-    cells = np.searchsorted(thresholds, starts, side="right").astype(np.uint8)
+    code = np.searchsorted(thresholds, starts, side="right").astype(np.uint16)
     inside = thresholds[thresholds & np.uint64(0xFFFF) != 0]
-    split = np.zeros(1 << 16, dtype=bool)
-    split[inside >> np.uint64(16)] = True
-    for table in (thresholds, cells, split):
+    code[inside >> np.uint64(16)] |= 1 << 8
+    for table in (thresholds, code):
         table.flags.writeable = False
-    return thresholds, cells, split
+    return thresholds, code
 
 
 def noise_from_tape(kind: NoiseKind, take, count: int) -> np.ndarray:
@@ -235,10 +234,11 @@ def noise_from_tape(kind: NoiseKind, take, count: int) -> np.ndarray:
     uint32 ``u`` and gives the byte ``#{k in 0..254 : t_k <= u}`` over the
     thresholds of `_cdf32_table`, so byte ``k`` has the probability of a
     normal draw rounding half up to ``k``, the clipped tails folded into 0
-    and 255, to a resolution of 2**-32.  A lookup on the top 16 bits of
-    ``u`` answers every sample but those in the at most 255 cells a
-    threshold splits, which search the thresholds.  No float arithmetic
-    touches the bytes.
+    and 255, to a resolution of 2**-32.  One gather of the uint16 ``code``
+    table on the top 16 bits of ``u`` answers every sample by its low byte
+    but those in the at most 255 cells a threshold splits, flagged by bit
+    8, which search the thresholds.  No float arithmetic touches the
+    bytes.
     """
     if type(kind) is UniformNoise:
         return take(count)
@@ -246,12 +246,13 @@ def noise_from_tape(kind: NoiseKind, take, count: int) -> np.ndarray:
         return np.full(count, kind.value, dtype=np.uint8)
     if type(kind) is not GaussianNoise:
         raise TypeError(f"unknown noise kind: {kind!r}")
-    thresholds, cells, split = _cdf32_table(kind)
-    u = take(4 * count).view("<u4")
-    top = np.right_shift(u, 16, dtype=np.intp)
-    out = cells[top]
-    at = np.unravel_index(np.flatnonzero(split[top]), u.shape)
-    out[at] = np.searchsorted(thresholds, u[at], side="right")
+    thresholds, code = _cdf32_table(kind)
+    tape = take(4 * count)
+    # the high half of each little-endian word, on any host
+    entries = np.take(code, tape.view("<u2")[..., 1::2])
+    out = entries.astype(np.uint8)
+    at = np.unravel_index(np.flatnonzero(entries > 255), entries.shape)
+    out[at] = np.searchsorted(thresholds, tape.view("<u4")[at], side="right")
     return out
 
 

@@ -327,6 +327,36 @@ def test_stats_reports_and_gates(small_batch_file, capsys):
         and "above bound 0.01" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_stats_of_an_empty_batch_is_one_usage_line(tmp_path, capsys, source):
+    # the library's own message once named `collect_stats`
+    path = tmp_path / "empty.bin"
+    if source == "file":
+        path.write_bytes(b"")
+    else:
+        os.mkfifo(path)
+        writer = threading.Thread(target=lambda: open(path, "wb").close(),
+                                  daemon=True)
+        writer.start()
+    code, out, err = run(capsys, "stats", "--dataset", str(path), "--n", "5")
+    assert (code, out) == (1, "")
+    assert err == "usage error: dataset holds 0 records, need at least 1\n"
+
+
+def test_stats_builds_no_records(small_batch_file, monkeypatch, capsys):
+    # `stats` composes from the pixel view of the table it read
+    argv = ["stats", "--dataset", str(small_batch_file), "--n", "300",
+            "--aug", "cutout", "--noise", "gaussian:127.5,32"]
+    code, report, _ = run(capsys, *argv)
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stats built a record list")
+
+    monkeypatch.setattr(ds, "read_cifar", refuse)
+    assert run(capsys, *argv) == (0, report, "")
+
+
 def test_bench_gate_pass_and_fail(capsys):
     code, out, _ = run(capsys, "bench", "--aug", "hflip",
                        "--iterations", "300", "--gate-ratio", "1000")

@@ -10,7 +10,8 @@ import yona.compositor as comp
 import yona.evalstats as ev
 from yona.augment import apply_augmentation, default_spec
 from yona.compositor import YonaConfig, yona_apply_traced
-from yona.dataset import CifarRecord
+from yona.dataset import (CifarRecord, read_cifar, read_cifar_table,
+                          table_pixels, write_cifar)
 from yona.errors import DivergenceError
 from yona.evalstats import (PredictionRecord, StatsReport,
                             benchmark_throughput, collect_stats,
@@ -249,6 +250,65 @@ def test_stats_and_probe_need_one_image_shape(monkeypatch, config):
     with pytest.raises(ValueError, match=message):
         train_linear_probe(records, default_spec("hflip"), config, epochs=1,
                            lr=0.01, momentum=0.9, batch_size=4, seed=0)
+
+
+@pytest.fixture(scope="module")
+def batch_files_300(tmp_path_factory):
+    """A 300-record CIFAR-10 and CIFAR-100 batch file, by variant."""
+    root = tmp_path_factory.mktemp("batches300")
+    records = make_records(300, seed=41)
+    coarse = [CifarRecord(fine_label=7 * r.fine_label + k % 3,
+                          image=r.image, coarse_label=k % 20)
+              for k, r in enumerate(make_records(300, seed=42))]
+    paths = {}
+    for variant, batch in (("cifar10", records), ("cifar100", coarse)):
+        paths[variant] = root / f"{variant}.bin"
+        write_cifar(batch, paths[variant], variant)
+    return paths
+
+
+@pytest.mark.parametrize("n_samples", [1, 255, 256, 257, 300, 603])
+@pytest.mark.parametrize("config", [None, YonaConfig(),
+                                    YonaConfig(noise=GaussianNoise())])
+@pytest.mark.parametrize("kind", ["cutout", "hflip"])
+@pytest.mark.parametrize("variant", ["cifar10", "cifar100"])
+def test_stats_of_a_table_equals_the_stats_of_its_records(
+        batch_files_300, variant, kind, config, n_samples):
+    # `yona stats` passes the pixel view of the table it read; the records
+    # of the same file must give the same report, to the last float bit
+    path = batch_files_300[variant]
+    args = (default_spec(kind), config, 5, n_samples)
+    from_table = collect_stats(table_pixels(read_cifar_table(path, variant)),
+                               *args)
+    assert from_table == collect_stats(read_cifar(path, variant), *args)
+
+
+@pytest.mark.parametrize("noise", [UniformNoise(), GaussianNoise()])
+@pytest.mark.parametrize("mutation", ["lane_states", "lane_tape"])
+def test_stats_replay_catches_lane_mutations_on_a_table(
+        monkeypatch, small_batch_file, mutation, noise):
+    # the two lane mutations above, on the pixel view `yona stats` passes
+    if mutation == "lane_states":
+        law = comp.lane_states
+
+        def mutated(seed, first, lanes, role):
+            states = law(seed, first, lanes, role)
+            if role == NOISE_ROLE:
+                states[:, 7] = states[:, 8]
+            return states
+    else:
+        law = comp.lane_tape
+
+        def mutated(states, nbytes):
+            tape = law(states, nbytes).copy()
+            tape[-1, 3] ^= 0xFF
+            return tape
+
+    monkeypatch.setattr(comp, mutation, mutated)
+    images = table_pixels(read_cifar_table(small_batch_file, "cifar10"))
+    with pytest.raises(AssertionError, match="does not replay"):
+        collect_stats(images, default_spec("hflip"),
+                      YonaConfig(noise=noise), 3, 50)
 
 
 # --------------------------------------------------------------------------
