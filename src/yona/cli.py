@@ -26,7 +26,7 @@ from . import compositor as comp
 from . import dataset as ds
 from . import evalstats as ev
 from .errors import DivergenceError, FormatError
-from .image import ConstantNoise, GaussianNoise, UniformNoise
+from .image import ConstantNoise, GaussianNoise, ImageTensor, UniformNoise
 
 
 class UsageError(Exception):
@@ -62,6 +62,7 @@ _FLAG_RULES = {
     **dict.fromkeys(("n", "count", "train_count", "batch_size",
                      "calibration_bins"), (">= 1", lambda v: v >= 1)),
     **dict.fromkeys(("eval_count", "epochs"), (">= 0", lambda v: v >= 0)),
+    "iterations": (">= 100", lambda v: v >= 100),
     **dict.fromkeys(("lr", "momentum", "gate_axis_low", "gate_axis_high",
                      "gate_masked_low", "gate_masked_high", "gate_ratio"),
                     ("finite", math.isfinite)),
@@ -268,11 +269,11 @@ def cmd_preview(args) -> None:
     yona_config = _build_yona(args)
     images = [ds.read_png(path) for path in args.image]
     if args.dataset:
-        records = ds.read_cifar(args.dataset, args.variant)
-        if len(records) < args.count:
+        table = ds.read_cifar_table(args.dataset, args.variant)
+        if len(table) < args.count:
             raise UsageError(
-                f"dataset holds {len(records)} records, need {args.count}")
-        images.extend(r.image for r in records[:args.count])
+                f"dataset holds {len(table)} records, need {args.count}")
+        images.extend(map(ImageTensor, ds.table_pixels(table)[:args.count]))
     if not images:
         raise UsageError("preview needs --image and/or --dataset")
     files, index_lines = {}, []

@@ -273,9 +273,20 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
 
 
 def evaluate_probe(model: ProbeModel, records) -> list[PredictionRecord]:
-    """Score records into (confidence, correct) prediction pairs."""
+    """Score records into (confidence, correct) prediction pairs, none for
+    no records.
+
+    Records of mixed image shapes raise the ValueError of
+    `train_linear_probe`, and images whose size is not ``model.input_dim``
+    raise a ValueError naming both sizes.
+    """
     records = list(records)
-    features = np.stack([r.image.array.reshape(-1) for r in records]) / 255.0
+    if not records:
+        return []
+    features = _stack(records).reshape(len(records), -1) / 255.0
+    if features.shape[1] != model.input_dim:
+        raise ValueError(f"record images hold {features.shape[1]} values, "
+                         f"the model takes {model.input_dim}")
     labels = np.array([r.fine_label for r in records])
     probs = model.predict_proba(features)
     predicted = probs.argmax(axis=1)

@@ -14,11 +14,8 @@ Python versions, and process/thread scheduling:
   word ``w`` from the stream and expands it as the little-endian bytes of
   ``splitmix64_mix(w + i * GOLDEN)`` for ``i = 1 .. 8192``.  Byte output is
   therefore a pure function of the stream state and the number of bytes
-  consumed so far, independent of how reads are chunked.  Since tape word
-  ``i`` depends only on ``w`` and ``i`` (a counter-based generator), blocks
-  are materialised on demand: the first read of a block makes only the
-  prefix it needs, the next makes the rest of the block.  The word ``w``
-  is still consumed when the block's first byte is.
+  consumed so far, independent of how reads are chunked.  A block is made
+  whole when its first byte is read, and ``w`` is consumed then.
 
 Each rule has a lane twin over numpy uint64 lanes, one lane per stream of
 a run of image indices.  This module is the only place where a stream word
@@ -34,12 +31,12 @@ becomes a draw, for a stream as for lanes:
 * a permutation, :meth:`RngStream.permutation`: a Fisher-Yates shuffle of
   ``range(n)`` that swaps item ``i`` with item ``next_index(i + 1)`` for
   ``i`` from ``n - 1`` down to 1 (it has no lane twin);
-* tape, :meth:`RngStream.fill_bytes` on a stream that draws only tape:
-  `_tapes`, the one batched assembler, given one seed word per row for each
-  block.  Its two callers differ only in where those words come from:
-  `lane_tape` draws them from a `LaneStream`, `stream_tapes` from each
-  `image_stream`'s own scalar ``next_u64``, so it shares no seeding and no
-  word step with the lanes.
+* tape, :meth:`RngStream.fill_bytes`: `_tapes`, the one tape maker, given
+  one seed word per row for each block.  Its three callers differ only in
+  where those words come from: `RngStream.fill_bytes` draws one block at a
+  time from its own ``next_u64``, `lane_tape` draws every block from a
+  `LaneStream`, and `stream_tapes` from each `image_stream`'s own scalar
+  ``next_u64``, so it shares no seeding and no word step with the lanes.
 
 The golden word fixture pins the scalar stream, and the lane differential
 tests pin the twins to it.
@@ -132,10 +129,14 @@ class RngStream:
     of the 3x32x32 hflip benchmark (gate 2.0) rose from 1.85-1.97 to
     2.36-2.47 in 4 of 4 runs on a 2-vCPU VM, while fresh-stream
     composition was only a few µs faster.
+
+    Bulk bytes come from one read-only 64 KiB tape block at a time, made
+    whole by `_tapes` from one word of this stream when its first byte is
+    read; a clone shares the block.
     """
 
     __slots__ = ("_s0", "_s1", "_s2", "_s3", "_words", "_word_pos",
-                 "_tape", "_tape_pos", "_tape_seed", "_tape_end")
+                 "_tape", "_tape_pos")
 
     def __init__(self, s0: int, s1: int, s2: int, s3: int):
         self._s0 = s0
@@ -144,10 +145,8 @@ class RngStream:
         self._s3 = s3
         self._words = None
         self._word_pos = 0
-        self._tape = None  # materialised window of the current tape block
-        self._tape_pos = 0  # read position within the window
-        self._tape_seed = 0  # seed word w of the current block
-        self._tape_end = _TAPE_WORDS  # block words made so far
+        self._tape = None  # current tape block
+        self._tape_pos = 0  # read position within the block
 
     # -- state -------------------------------------------------------------
 
@@ -168,8 +167,6 @@ class RngStream:
         c._word_pos = self._word_pos
         c._tape = self._tape  # read-only, so shared
         c._tape_pos = self._tape_pos
-        c._tape_seed = self._tape_seed
-        c._tape_end = self._tape_end
         return c
 
     def split(self, label: int) -> "RngStream":
@@ -255,25 +252,6 @@ class RngStream:
 
     # -- bulk byte tape ------------------------------------------------------
 
-    def _refill_tape(self, need: int) -> None:
-        """Make the next tape window, ``need`` > 0 bytes being wanted.
-
-        The first window of a block holds ``ceil(need / 8)`` words, the
-        second the rest of the block.
-        """
-        if self._tape_end == _TAPE_WORDS:
-            self._tape_seed = self.next_u64()
-            start = 0
-            stop = min(-(-need // 8), _TAPE_WORDS)
-        else:
-            start = self._tape_end
-            stop = _TAPE_WORDS
-        tape = _tape_bytes(_TAPE_COUNTERS[start:stop] + _U64(self._tape_seed))
-        tape.flags.writeable = False  # blocks are published immutable
-        self._tape = tape
-        self._tape_pos = 0
-        self._tape_end = stop
-
     def fill_bytes(self, n: int) -> np.ndarray:
         """The next ``n`` bytes of the stream's byte tape as a uint8 array.
 
@@ -284,14 +262,19 @@ class RngStream:
             raise ValueError(f"fill_bytes needs n >= 0, got {n}")
         tape, pos = self._tape, self._tape_pos
         if tape is not None and n <= tape.shape[0] - pos:
-            # fast path: a zero-copy view of the current window
+            # fast path: a zero-copy view of the current block
             self._tape_pos = pos + n
             return tape[pos:pos + n]
         out = np.empty(n, dtype=np.uint8)
         filled = 0
         while filled < n:
             if self._tape is None or self._tape_pos >= self._tape.shape[0]:
-                self._refill_tape(n - filled)
+                # a default, not a closure: a cell for ``self`` slowed the
+                # fast path above by ~30 ns a call (Python 3.11)
+                tape = _tapes(lambda next_u64=self.next_u64: np.array(
+                    [next_u64()], dtype=np.uint64), 1, 8 * _TAPE_WORDS)[0]
+                tape.flags.writeable = False  # blocks are published immutable
+                self._tape, self._tape_pos = tape, 0
             take = min(n - filled, self._tape.shape[0] - self._tape_pos)
             out[filled:filled + take] = \
                 self._tape[self._tape_pos:self._tape_pos + take]
@@ -400,20 +383,11 @@ class LaneStream:
         return picked
 
 
-def _tape_bytes(words: np.ndarray) -> np.ndarray:
-    """Tape bytes of seed-plus-counter words, mixed in place, row by row."""
-    _mix64_block(words)
-    if not np.little_endian:
-        words = words.astype("<u8")
-    return words.view(np.uint8)
-
-
 def _tapes(next_seeds, rows: int, nbytes: int) -> np.ndarray:
     """The first ``nbytes`` tape bytes of ``rows`` streams that draw only
     tape, ``(rows, nbytes)`` uint8, as `RngStream.fill_bytes` gives them:
     call ``b`` of ``next_seeds()`` returns each row's seed word of tape
-    block ``b``, and all blocks of all rows are mixed in one `_tape_bytes`
-    call."""
+    block ``b``, and all blocks of all rows are mixed at once."""
     if nbytes < 0:
         raise ValueError(f"tape needs nbytes >= 0, got {nbytes}")
     words = np.empty((rows, -(-nbytes // 8)), dtype=np.uint64)
@@ -421,7 +395,10 @@ def _tapes(next_seeds, rows: int, nbytes: int) -> np.ndarray:
         block = words[:, start:start + _TAPE_WORDS]
         np.add(_TAPE_COUNTERS[:block.shape[1]], next_seeds()[:, None],
                out=block)
-    return _tape_bytes(words)[:, :nbytes]
+    _mix64_block(words)
+    if not np.little_endian:
+        words = words.astype("<u8")
+    return words.view(np.uint8)[:, :nbytes]
 
 
 def lane_tape(states: np.ndarray, nbytes: int) -> np.ndarray:

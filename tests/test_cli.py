@@ -357,6 +357,28 @@ def test_stats_builds_no_records(small_batch_file, monkeypatch, capsys):
     assert run(capsys, *argv) == (0, report, "")
 
 
+def test_preview_builds_no_records(tmp_path, small_batch_file, monkeypatch,
+                                   capsys):
+    # `preview` wraps the pixel rows of the table it read
+    argv = ["preview", "--dataset", str(small_batch_file), "--count", "3",
+            "--augs", "hflip", "cutout", "--seed", "5"]
+    code, out, _ = run(capsys, *argv, "--out", str(tmp_path / "records"))
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("preview built a record list")
+
+    monkeypatch.setattr(ds, "read_cifar", refuse)
+    table_dir = tmp_path / "table"
+    assert run(capsys, *argv, "--out", str(table_dir)) == (
+        0, out.replace(str(tmp_path / "records"), str(table_dir)), "")
+    names = sorted(p.name for p in (tmp_path / "records").iterdir())
+    assert names == sorted(p.name for p in table_dir.iterdir())
+    for name in names:
+        assert (table_dir / name).read_bytes() == \
+            (tmp_path / "records" / name).read_bytes()
+
+
 def test_bench_gate_pass_and_fail(capsys):
     code, out, _ = run(capsys, "bench", "--aug", "hflip",
                        "--iterations", "300", "--gate-ratio", "1000")
@@ -699,6 +721,7 @@ _FLAG_RULE_TEXTS = {
     **dict.fromkeys(["--n", "--count", "--train-count", "--batch-size",
                      "--calibration-bins"], ">= 1"),
     **dict.fromkeys(["--eval-count", "--epochs"], ">= 0"),
+    "--iterations": ">= 100",
     **dict.fromkeys(["--lr", "--momentum", "--gate-axis-low",
                      "--gate-axis-high", "--gate-masked-low",
                      "--gate-masked-high", "--gate-ratio"], "finite"),
@@ -723,6 +746,7 @@ _FLAG_RULE_TEXTS = {
     ("stats", ["--gate-masked-low", "-inf"]),
     ("stats", ["--gate-masked-high", "nan"]),
     ("bench", ["--gate-ratio", "inf"]),
+    ("bench", ["--iterations", "99"]),
     # the least values their rules allow
     ("probe", ["--epochs", "0"]),
     ("probe", ["--eval-count", "0"])])
@@ -746,7 +770,8 @@ def test_numeric_flags_are_checked_before_reading(tmp_path, small_batch_file,
         "probe": ["--dataset", dataset] + (
             [] if flag == "--train-count" else ["--train-count", "10"]),
         "preview": ["--dataset", dataset, "--out", str(out_dir)],
-        "bench": ["--iterations", "10"]}[command] + rest
+        "bench": [] if flag == "--iterations" else ["--iterations", "100"]
+    }[command] + rest
     config = tmp_path / "flag.json"
     config.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
     for given in ([f"{flag}={value}"], ["--config", str(config)]):

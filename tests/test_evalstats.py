@@ -333,6 +333,32 @@ def test_probe_fits_separable_toy_set():
     assert losses[-1] < losses[0]
 
 
+def _probe_of(dim):
+    return ev.ProbeModel(np.zeros((2, dim)), np.zeros(2))
+
+
+def test_evaluate_probe_refuses_mixed_shapes_as_training_does():
+    records = [CifarRecord(0, ImageTensor(np.zeros((3, 2, 2), np.uint8))),
+               CifarRecord(1, ImageTensor(np.zeros((3, 1, 4), np.uint8)))]
+    message = r"record 1 has image shape \(3, 1, 4\), record 0 has \(3, 2, 2\)"
+    with pytest.raises(ValueError, match=message):
+        train_linear_probe(records, None, None, epochs=1, lr=0.1,
+                           momentum=0.0, batch_size=2, seed=0)
+    with pytest.raises(ValueError, match=message):
+        evaluate_probe(_probe_of(12), records)
+
+
+def test_evaluate_probe_of_no_records_is_empty():
+    assert evaluate_probe(_probe_of(12), []) == []
+    assert evaluate_probe(_probe_of(12), iter([])) == []
+
+
+def test_evaluate_probe_refuses_a_size_the_model_does_not_take():
+    records = [CifarRecord(0, ImageTensor(np.zeros((3, 4, 4), np.uint8)))]
+    with pytest.raises(ValueError, match="hold 48 values, the model takes 12"):
+        evaluate_probe(_probe_of(12), records)
+
+
 def test_probe_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
     epsilon = 1e-4

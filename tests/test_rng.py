@@ -343,6 +343,17 @@ def test_tapes_refuse_negative_nbytes():
         lane_tape(lane_states(8, 0, 2, NOISE_ROLE), -1)
 
 
+def test_tape_blocks_are_read_only_and_shared_by_clones():
+    s = derive_stream(SeedSpec(3, 4))
+    s.fill_bytes(1)
+    twin = s.clone()
+    view = s.fill_bytes(8)
+    assert not view.flags.writeable
+    with pytest.raises(ValueError):
+        view[0] = 0
+    assert np.array_equal(twin.fill_bytes(8), view)
+
+
 def test_clone_replays_identically():
     s = derive_stream(SeedSpec(11, 4))
     s.fill_bytes(100)
