@@ -18,7 +18,8 @@ from .dataset import (CifarRecord, DatasetManifest, fnv1a_64, read_cifar,
                       read_png, write_augmented_dataset, write_cifar,
                       write_png)
 from .errors import (CorruptRecordError, DivergenceError, FormatError,
-                     GeometryError, UnsupportedAugmentationError)
+                     GeometryError, ReplayMismatch,
+                     UnsupportedAugmentationError)
 from .evalstats import (BenchmarkResult, PredictionRecord, ProbeModel,
                         StatsReport, benchmark_throughput, collect_stats,
                         evaluate_probe, rms_calibration_error,

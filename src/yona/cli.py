@@ -5,7 +5,8 @@ function of (input files, flags, seed): rerunning reproduces byte-identical
 outputs, and every output file (reports included) is renamed into place
 whole.  Exit codes: 0 success, 1 usage (a bad flag value, such as a
 non-finite parameter) or a diverged probe, 2 format, 3 I/O, 4 gate
-violation; each mapped failure prints one line on stderr.
+violation or a `stats` mask that does not replay from its sample's noise
+stream; each mapped failure prints one line on stderr.
 
 Flags may also be supplied through a JSON file (``--config``) whose keys
 mirror flag destinations, required flags included; each value passes
@@ -25,7 +26,7 @@ from . import augment as aug_mod
 from . import compositor as comp
 from . import dataset as ds
 from . import evalstats as ev
-from .errors import DivergenceError, FormatError
+from .errors import DivergenceError, FormatError, ReplayMismatch
 from .image import ConstantNoise, GaussianNoise, ImageTensor, UniformNoise
 
 
@@ -481,6 +482,9 @@ def main(argv=None) -> int:
         return 3
     except GateViolation as exc:
         print(f"gate violated: {exc}", file=sys.stderr)
+        return 4
+    except ReplayMismatch as exc:
+        print(f"replay mismatch: {exc}", file=sys.stderr)
         return 4
 
 

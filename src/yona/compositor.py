@@ -29,7 +29,7 @@ import numpy as np
 from .augment import (AugmentationSpec, _augment_arr, _augment_lanes,
                       check_piece_shapes)
 from .errors import GeometryError
-from .image import (Axis, ImageTensor, NoiseKind, UniformNoise, cut,
+from .image import (Axis, ImageTensor, NoiseKind, UniformNoise, _wrap, cut,
                     noise_bytes, noise_from_tape, round_half_up)
 from .rng import (AUGMENT_ROLE, NOISE_ROLE, STRUCTURE_ROLE, LaneStream,
                   RngStream, lane_states, lane_tape)
@@ -151,15 +151,20 @@ def _compose(image: ImageTensor, aug: AugmentationSpec, config: YonaConfig,
         else:
             masked_first = side_policy == MASKED_FIRST
 
-    entries, ref_hw = config._geometry(shape)
+    entries, ref_hw = config._geometry_memo.get(shape) \
+        or config._geometry(shape)
     masked_bytes, mask_shape, aug_slice, mask_slice, boundary, \
         masked_extent = entries[(height_cut << 1) | masked_first]
 
     out = np.empty(shape, dtype=np.uint8)
-    out[mask_slice] = noise_bytes(config.noise, masked_bytes,
-                                  noise_rng).reshape(mask_shape)
+    noise = config.noise
+    # uniform noise is the tape itself: read it without the kind dispatch
+    out[mask_slice] = (noise_rng.fill_bytes(masked_bytes)
+                       if type(noise) is UniformNoise
+                       else noise_bytes(noise, masked_bytes, noise_rng)
+                       ).reshape(mask_shape)
     out[aug_slice] = _augment_arr(aug, arr[aug_slice], augment_rng, ref_hw)
-    result = ImageTensor(out)
+    result = _wrap(out)
     if not want_trace:
         return result
     axis = Axis.HEIGHT if height_cut else Axis.WIDTH

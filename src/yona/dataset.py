@@ -104,19 +104,25 @@ def read_cifar_table(path, variant: str) -> np.ndarray:
     if variant not in _RECORD_BYTES:
         raise ValueError(f"unknown dataset variant {variant!r}")
     record_size = _RECORD_BYTES[variant]
-    # grown in place, 256 KiB at a time, so the file is held once (1 MiB
-    # reads raised the stats-gauss peak RSS by ~2 MiB)
-    blob = bytearray()
     with open(path, "rb") as fh:
+        # a regular file: one read into an unfilled buffer of its size
+        blob = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        blob = blob[:fh.readinto(blob)]
+        # then all of a pipe (its size reads 0) or what a growing file
+        # added, 256 KiB at a time
+        rest = bytearray()
         while chunk := fh.read(1 << 18):
-            blob += chunk
-    complete = len(blob) // record_size
-    if len(blob) % record_size != 0:
+            rest += chunk
+    if rest:
+        rest = np.frombuffer(rest, dtype=np.uint8)
+        blob = np.concatenate((blob, rest)) if blob.size else rest
+    complete = blob.size // record_size
+    if blob.size % record_size != 0:
         raise FormatError(
-            f"{path}: file length {len(blob)} is not a multiple of the "
+            f"{path}: file length {blob.size} is not a multiple of the "
             f"{record_size}-byte record size",
             offset=complete * record_size)
-    table = np.frombuffer(blob, dtype=np.uint8).reshape(complete, record_size)
+    table = blob.reshape(complete, record_size)
     _check_labels(table[:, :record_size - _PIXELS], variant, f"{path}: ")
     return table
 

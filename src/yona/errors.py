@@ -27,3 +27,7 @@ class CorruptRecordError(FormatError):
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
+
+
+class ReplayMismatch(AssertionError):
+    """A composed mask does not replay from its sample's own noise stream."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .augment import AugmentationSpec, apply_augmentation
 from .compositor import YonaConfig, compose_batch, yona_apply
-from .errors import DivergenceError
+from .errors import DivergenceError, ReplayMismatch
 from .image import ImageTensor, noise_from_tape
 from .rng import NOISE_ROLE, SeedSpec, derive_stream, stream_tapes
 
@@ -58,6 +58,17 @@ def _stack(records: list) -> np.ndarray:
     return np.stack([r.image.array for r in records])
 
 
+def _mean_abs_deltas(out: np.ndarray, clean: np.ndarray) -> list[float]:
+    """Each row's mean absolute byte difference, bit for bit the np.mean of
+    its int16 difference: ``|out - clean|`` in uint8 and exact integer row
+    sums, in uint32 while an image has fewer than 2**24 bytes."""
+    delta = np.maximum(out, clean)
+    delta -= np.minimum(out, clean)
+    size = delta[0].size
+    return (delta.reshape(len(delta), -1).sum(
+        axis=1, dtype=np.uint32 if size < 2**24 else np.int64) / size).tolist()
+
+
 def collect_stats(images, aug: AugmentationSpec,
                   yona_config: YonaConfig | None, seed: int,
                   n_samples: int) -> StatsReport:
@@ -68,11 +79,13 @@ def collect_stats(images, aug: AugmentationSpec,
     samples is one gather of its images.  The masked fraction is verified
     independently of the lanes: each geometry group of a chunk replays its
     masks with one `noise_from_tape` call over `stream_tapes` of its
-    samples' noise streams, and an AssertionError names the lowest sample
-    whose mask differs.  The replay shares the noise law and the tape
-    assembler (`rng._tapes`) with the composition; the one difference is
-    where the block seeds come from: each sample's own `image_stream` and
-    its scalar ``next_u64`` here, `lane_states` and a `LaneStream` there.
+    samples' noise streams, and a `ReplayMismatch` (an AssertionError) names
+    the lowest sample whose mask differs.  The replay shares the noise law
+    and the tape assembler (`rng._tapes`) with the composition; the one
+    difference is where the block seeds come from: scalar Python ints here
+    (a one-block tape is seeded from each sample's first noise word, with
+    no stream object, a longer one from its own `image_stream`),
+    `lane_states` and a `LaneStream` there.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -109,16 +122,12 @@ def collect_stats(images, aug: AugmentationSpec,
                 wrong += sel[(out[(sel,) + mask_slice].reshape(len(sel), -1)
                               != replay).any(axis=1)].tolist()
             if wrong:
-                raise AssertionError(
+                raise ReplayMismatch(
                     f"sample {start + min(wrong)}: masked region does not "
                     f"replay from the noise stream")
             for g in groups.tolist():
                 masked_total += entries[g][0] / clean[0].size
-        # exact int64 row sums: each quotient is the record's np.mean
-        delta = out.astype(np.int16)
-        delta -= clean
-        for mean in (np.abs(delta, out=delta).reshape(len(out), -1).sum(
-                axis=1, dtype=np.int64) / delta[0].size).tolist():
+        for mean in _mean_abs_deltas(out, clean):
             delta_total += mean
     return StatsReport(masked_total / n_samples, height_hits / n_samples,
                        first_hits / n_samples, delta_total / n_samples,

@@ -19,6 +19,7 @@ from yona.cli import main
 from yona.dataset import (CifarRecord, DatasetManifest, read_png,
                           write_cifar, write_png)
 from yona.image import ImageTensor
+from yona.rng import NOISE_ROLE
 
 from conftest import make_image, make_records
 
@@ -341,6 +342,27 @@ def test_stats_of_an_empty_batch_is_one_usage_line(tmp_path, capsys, source):
     code, out, err = run(capsys, "stats", "--dataset", str(path), "--n", "5")
     assert (code, out) == (1, "")
     assert err == "usage error: dataset holds 0 records, need at least 1\n"
+
+
+def test_stats_replay_mismatch_is_one_line_and_no_report(
+        tmp_path, small_batch_file, monkeypatch, capsys):
+    # noise lane 7 seeded with lane 8's state: its mask does not replay
+    law = comp.lane_states
+
+    def swapped(seed, first, lanes, role):
+        states = law(seed, first, lanes, role)
+        if role == NOISE_ROLE:
+            states[:, 7] = states[:, 8]
+        return states
+
+    monkeypatch.setattr(comp, "lane_states", swapped)
+    report = tmp_path / "report.txt"
+    code, out, err = run(capsys, "stats", "--dataset", str(small_batch_file),
+                         "--n", "50", "--seed", "3", "--report", str(report))
+    assert (code, out) == (4, "")
+    assert err == ("replay mismatch: sample 7: masked region does not "
+                   "replay from the noise stream\n")
+    assert not report.exists()
 
 
 def test_stats_builds_no_records(small_batch_file, monkeypatch, capsys):

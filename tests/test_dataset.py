@@ -101,6 +101,49 @@ def test_truncation_offset_mid_file(tmp_path):
     assert err.value.offset == 2 * 3073
 
 
+def _read_table_as(source, path, blob, monkeypatch):
+    """`read_cifar_table` of ``blob`` written to ``path`` as a regular file,
+    a FIFO, or a file that grew after its size was read (``fstat`` reads
+    1,000 bytes)."""
+    if source == "fifo":
+        os.mkfifo(path)
+
+        def feed():
+            with open(path, "wb") as fh:
+                fh.write(blob)
+
+        threading.Thread(target=feed, daemon=True).start()
+    else:
+        path.write_bytes(blob)
+    with monkeypatch.context() as patch:
+        if source == "grown":
+            patch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
+                st_size=1000))
+        return ds.read_cifar_table(path, CIFAR10)
+
+
+@pytest.mark.parametrize("source", ["fifo", "grown"])
+def test_read_cifar_table_same_from_a_file_and_a_stream(tmp_path, source,
+                                                         monkeypatch):
+    # 100 records: past one 256 KiB read of the stream loop
+    path = tmp_path / "batch.bin"
+    write_cifar(make_records(100, seed=4), path, CIFAR10)
+    blob = path.read_bytes()
+    table = _read_table_as("file", tmp_path / "file.bin", blob, monkeypatch)
+    other = _read_table_as(source, tmp_path / "other.bin", blob, monkeypatch)
+    assert table.shape == (100, 3073) and table.flags.writeable
+    assert np.array_equal(other, table) and other.flags.writeable
+    assert table.tobytes() == blob
+    errors = []
+    for where in ("file", source):
+        with pytest.raises(FormatError) as err:
+            _read_table_as(where, tmp_path / f"short_{where}.bin",
+                           blob[:-10], monkeypatch)
+        errors.append((err.value.offset, str(err.value).split(": ", 1)[1]))
+    assert errors[0] == errors[1] == (99 * 3073, (
+        "file length 307290 is not a multiple of the 3073-byte record size"))
+
+
 def test_bad_label_rejected(tmp_path):
     records = make_records(2, seed=2)
     path = tmp_path / "bad.bin"

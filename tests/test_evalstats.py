@@ -159,6 +159,20 @@ def test_stats_replay_catches_one_wrong_lane_byte(monkeypatch, small_records,
     assert calls
 
 
+@pytest.mark.parametrize("shape", [(64, 3, 32, 32), (5, 1, 7, 3)])
+def test_mean_abs_deltas_are_each_records_np_mean(shape):
+    rng = np.random.default_rng(31)
+    pairs = [rng.integers(0, 256, (2,) + shape, dtype=np.uint8),
+             np.stack([np.zeros(shape, np.uint8), np.full(shape, 255,
+                                                         np.uint8)])]
+    for out, clean in pairs + [pair[::-1] for pair in pairs]:
+        means = ev._mean_abs_deltas(out, clean)
+        assert len(means) == len(out)
+        for mean, o, c in zip(means, out, clean):
+            expected = np.mean(np.abs(o.astype(np.int16) - c))
+            assert mean.hex() == float(expected).hex()
+
+
 def test_stats_replay_keeps_off_the_lanes():
     # the two mutation tests below patch the composer's lane names; a
     # replay that drew through them would follow a patch and miss it

@@ -11,8 +11,10 @@ import pytest
 
 from yona.image import (GaussianNoise, _cdf32_table, noise_bytes,
                         noise_from_tape)
-from yona.rng import (_TAPE_COUNTERS, NOISE_ROLE, LaneStream, RngStream,
-                      SeedSpec, _mix64_block, derive_image_streams,
+import yona.rng as rng
+from yona.rng import (_TAPE_COUNTERS, AUGMENT_ROLE, NOISE_ROLE,
+                      STRUCTURE_ROLE, LaneStream, RngStream, SeedSpec,
+                      _first_word, _mix64_block, derive_image_streams,
                       derive_stream, image_stream, image_stream_label,
                       lane_states, lane_tape, stream_tapes)
 
@@ -50,6 +52,19 @@ def test_golden_fixture():
     expected = [int(line) for line in
                 (FIXTURES / "rng_golden_words.txt").read_text().split()]
     assert derive_stream(SeedSpec(7, 3)).next_words(5) == expected
+
+
+@pytest.mark.parametrize("role", [STRUCTURE_ROLE, AUGMENT_ROLE, NOISE_ROLE])
+@pytest.mark.parametrize("seed", [0, 1, -4, 2**64 - 1])
+def test_first_word_is_the_streams_first_word(seed, role):
+    for index in [0, 1, 2**62 - 1, 2**62 + 9, 2**64 - 1]:
+        assert _first_word(seed, image_stream_label(index, role)) == \
+            image_stream(seed, index, role).next_u64()
+
+
+def test_first_word_of_the_golden_stream():
+    golden = (FIXTURES / "rng_golden_words.txt").read_text().split()
+    assert _first_word(7, 3) == int(golden[0])
 
 
 def test_unit_uniform_range_and_word_rate():
@@ -326,14 +341,28 @@ def test_gaussian_tables_are_built_on_first_use():
 @pytest.mark.parametrize("nbytes", [0, 1, 7, 1536, 6144, 65536, 65537,
                                     131073])
 @pytest.mark.parametrize("rows", [0, 1, 5])
-def test_stream_tapes_equal_stacked_fill_bytes(nbytes, rows):
+@pytest.mark.parametrize("role", [STRUCTURE_ROLE, AUGMENT_ROLE, NOISE_ROLE])
+def test_stream_tapes_equal_stacked_fill_bytes(nbytes, rows, role):
     # the first index's label wraps, as image_stream_label wraps it
     indices = [2**62 + 9, 0, 7, 2**64 - 1, 3][:rows]
-    tape = stream_tapes(-4, indices, NOISE_ROLE, nbytes)
+    tape = stream_tapes(-4, indices, role, nbytes)
     assert tape.shape == (rows, nbytes)
     assert np.array_equal(tape, np.array(
-        [image_stream(-4, i, NOISE_ROLE).fill_bytes(nbytes) for i in indices],
+        [image_stream(-4, i, role).fill_bytes(nbytes) for i in indices],
         dtype=np.uint8).reshape(rows, nbytes))
+
+
+def test_one_block_stream_tapes_build_no_stream(monkeypatch):
+    expected = stream_tapes(5, [0, 9], NOISE_ROLE, 6144)
+
+    def refuse(*args):
+        raise AssertionError("built a stream")
+
+    monkeypatch.setattr(rng, "RngStream", refuse)
+    assert np.array_equal(stream_tapes(5, [0, 9], NOISE_ROLE, 6144),
+                          expected)
+    with pytest.raises(AssertionError, match="built a stream"):
+        stream_tapes(5, [0, 9], NOISE_ROLE, 65537)
 
 
 def test_tapes_refuse_negative_nbytes():
