@@ -10,7 +10,9 @@ holding its ``(arr, m)`` kernel, its declared magnitude range, whether a
 policy randomizes its sign, and its magnitude at strength ``t`` (randaug
 ``m/30``, autoaug ``index/9``) and sign ``s``.  `PRIMITIVE_OPS`,
 `MAGNITUDE_RANGES` and the lane walk's sign column are read off it.  The
-four enhance ops are one blend with a degenerate image, `_enhance`.
+four enhance ops are one float blend with a degenerate image, `_blend`,
+quantized by `_enhance`; jitter's brightness, contrast and saturation
+steps are three of those blends, quantized once.
 
 The catalogue is one table, `_KINDS`: each kind's default apply
 probability and its kernel past the gate.  Every kind has one entry,
@@ -150,12 +152,21 @@ def _equalize_lut(planes):
     return np.where(step > 0, lut, _IDENTITY_LUT).astype(np.uint8)
 
 
-def _enhance(arr, factor, degenerate):
-    """PIL ``ImageEnhance``'s blend: each image moved by ``factor`` from its
-    degenerate image, ``degenerate(x)`` of its float copy ``x``."""
-    x = arr.astype(np.float64)
+def _blend(x, factor, degenerate):
+    """PIL ``ImageEnhance``'s blend in float: each image of ``x`` moved by
+    ``factor`` from its degenerate image ``degenerate(x)``."""
     base = degenerate(x)
-    return _to_u8(base + (x - base) * factor)
+    return base + (x - base) * factor
+
+
+def _enhance(arr, factor, degenerate):
+    """`_blend` of the float copy of a uint8 buffer, quantized."""
+    return _to_u8(_blend(arr.astype(np.float64), factor, degenerate))
+
+
+def _black(x):
+    """Brightness's degenerate image."""
+    return 0.0
 
 
 def _gray_mean(x: np.ndarray) -> np.ndarray:
@@ -221,7 +232,7 @@ _BANK = {
                     (0.1, 1.9), True, lambda t, s: 1.0 + s * t * 0.9),
     "Color": _Op(lambda arr, m: _enhance(arr, m, _gray), (0.1, 1.9), True,
                  lambda t, s: 1.0 + s * t * 0.9),
-    "Brightness": _Op(lambda arr, m: _enhance(arr, m, lambda x: 0.0),
+    "Brightness": _Op(lambda arr, m: _enhance(arr, m, _black),
                       (0.1, 1.9), True, lambda t, s: 1.0 + s * t * 0.9),
     "Sharpness": _Op(lambda arr, m: _enhance(arr, m, _smooth_arr),
                      (0.1, 1.9), True, lambda t, s: 1.0 + s * t * 0.9),
@@ -278,8 +289,10 @@ def _jitter_arr(spec, arr, rng, ref_hw):
     """Perturb brightness/contrast/saturation/hue in a random order.
 
     Each multiplicative factor is sampled from [max(0, 1-f), 1+f]; the hue
-    shift is sampled from [-hue, hue] turns.  Arithmetic runs in float and is
-    re-quantized once at the end.
+    shift is sampled from [-hue, hue] turns.  Brightness, contrast and
+    saturation are the bank's Brightness, Contrast and Color blends
+    (`_blend`); saturation and hue touch 3-channel images only.  Arithmetic
+    runs in float and is re-quantized once at the end.
     """
     # random application order, then one sampled factor per adjustment
     order = rng.permutation(4)
@@ -293,14 +306,8 @@ def _jitter_arr(spec, arr, rng, ref_hw):
             continue
         spread = (spec.brightness, spec.contrast, spec.saturation)[step]
         f = _uniform_in(rng, max(0.0, 1.0 - spread), 1.0 + spread)
-        if step == 0:
-            x = x * f
-        elif step == 1:
-            mean = float(_gray(x).mean())
-            x = mean + (x - mean) * f
-        elif chromatic:
-            g = _gray(x)
-            x = g + (x - g) * f
+        if step < 2 or chromatic:
+            x = _blend(x, f, (_black, _gray_mean, _gray)[step])
     return _to_u8(x)
 
 
@@ -585,7 +592,7 @@ class AugmentationSpec:
     grid_rows: int = 4
     grid_cols: int = 4
     randaug_num_ops: int = 2
-    randaug_magnitude: float = 9.0
+    randaug_magnitude: float = 9
     policy: PolicyTable | None = field(default=None, repr=False)
 
     def __post_init__(self):

@@ -6,7 +6,9 @@ outputs, and every output file (reports included) is renamed into place
 whole.  Exit codes: 0 success, 1 usage (a bad flag value, such as a
 non-finite parameter) or a diverged probe, 2 format, 3 I/O, 4 gate
 violation or a `stats` mask that does not replay from its sample's noise
-stream; each mapped failure prints one line on stderr.
+stream; each failure the one table `_EXITS` maps prints one line on
+stderr.  The augmentation and compositor flags default to the fields of a
+default `AugmentationSpec` and `YonaConfig`.
 
 Flags may also be supplied through a JSON file (``--config``) whose keys
 mirror flag destinations, required flags included; each value passes
@@ -52,6 +54,8 @@ def _sub(subparsers, name, help_text):
 AUG_CHOICES = list(aug_mod.KINDS)
 BENCH_BYTES = 2**24  # the largest `bench --dims` image, in bytes
 PREVIEW_AUGS = [kind for kind in AUG_CHOICES if kind != "identity"]
+# every augmentation and compositor flag defaults to its field here
+_SPEC, _YONA = aug_mod.default_spec("hflip"), comp.YonaConfig()
 
 # The rule of each flag that only a command reads, as (text, test); `main`
 # checks every one before any command runs.  The library checks some of
@@ -59,7 +63,7 @@ PREVIEW_AUGS = [kind for kind in AUG_CHOICES if kind != "identity"]
 # a seed mod 2**64, so 2**64 would emit seed 0's bytes under a manifest that
 # names another seed.  A NaN gate bound would never fire.
 _FLAG_RULES = {
-    "seed": ("in [0, 2**64)", lambda v: 0 <= v < 2**64),
+    "seed": ds._MANIFEST_RULES["seed"],  # the seeds a manifest may name
     **dict.fromkeys(("n", "count", "train_count", "batch_size",
                      "calibration_bins"), (">= 1", lambda v: v >= 1)),
     **dict.fromkeys(("eval_count", "epochs"), (">= 0", lambda v: v >= 0)),
@@ -68,6 +72,17 @@ _FLAG_RULES = {
                      "gate_masked_low", "gate_masked_high", "gate_ratio"),
                     ("finite", math.isfinite)),
 }
+
+# each failure `main` maps to one stderr line, as (types, prefix, exit code);
+# the first entry that matches wins, so a FormatError (a ValueError) exits 2
+_EXITS = (
+    (FormatError, "format error", 2),
+    ((UsageError, ValueError), "usage error", 1),
+    (DivergenceError, "training diverged", 1),
+    (OSError, "i/o error", 3),
+    (GateViolation, "gate violated", 4),
+    (ReplayMismatch, "replay mismatch", 4),
+)
 
 
 def _add_input(parser, required: bool):
@@ -84,25 +99,26 @@ def _add_common(parser):
 
 
 def _add_aug_flags(parser):
-    parser.add_argument("--aug", choices=AUG_CHOICES, default="hflip",
+    parser.add_argument("--aug", choices=AUG_CHOICES, default=_SPEC.kind,
                         help="augmentation kind")
     parser.add_argument("--apply-probability", type=float, default=None,
                         help="override the kind's default apply probability")
-    parser.add_argument("--jitter-brightness", type=float, default=0.4)
-    parser.add_argument("--jitter-contrast", type=float, default=0.4)
-    parser.add_argument("--jitter-saturation", type=float, default=0.4)
-    parser.add_argument("--jitter-hue", type=float, default=0.1)
+    for name in ("brightness", "contrast", "saturation", "hue"):
+        parser.add_argument(f"--jitter-{name}", type=float,
+                            default=getattr(_SPEC, name))
     parser.add_argument("--erase-scale", type=float, nargs=2,
-                        default=[0.02, 0.4], metavar=("LO", "HI"))
+                        default=list(_SPEC.erase_scale), metavar=("LO", "HI"))
     parser.add_argument("--erase-ratio", type=float, nargs=2,
-                        default=[0.3, 3.3], metavar=("LO", "HI"))
-    parser.add_argument("--cutout-area", type=float, default=0.25,
+                        default=list(_SPEC.erase_ratio), metavar=("LO", "HI"))
+    parser.add_argument("--cutout-area", type=float,
+                        default=_SPEC.cutout_area_fraction,
                         help="cutout mask area fraction")
-    parser.add_argument("--grid-rows", type=int, default=4)
-    parser.add_argument("--grid-cols", type=int, default=4)
-    parser.add_argument("--randaug-n", type=int, default=2,
+    parser.add_argument("--grid-rows", type=int, default=_SPEC.grid_rows)
+    parser.add_argument("--grid-cols", type=int, default=_SPEC.grid_cols)
+    parser.add_argument("--randaug-n", type=int, default=_SPEC.randaug_num_ops,
                         help="randaug op count, 0-100")
-    parser.add_argument("--randaug-m", type=float, default=9,
+    parser.add_argument("--randaug-m", type=float,
+                        default=_SPEC.randaug_magnitude,
                         help="randaug magnitude on 0-30")
     parser.add_argument("--policy-file",
                         help="auto-augmentation policy table file "
@@ -117,15 +133,16 @@ def _add_yona_flags(parser, default_on: bool | None):
                            help="compose through the half-masking pipeline")
         group.add_argument("--no-yona", dest="yona", action="store_false")
         parser.set_defaults(yona=default_on)
-    parser.add_argument("--mask-fraction", type=float, default=0.5,
+    parser.add_argument("--mask-fraction", type=float,
+                        default=_YONA.mask_fraction,
                         help="masked fraction of the cut axis")
     parser.add_argument("--noise", default="uniform",
                         help="uniform | constant:V | gaussian:MEAN,STD")
-    parser.add_argument("--axis-policy", default=comp.AXIS_POLICIES[0],
+    parser.add_argument("--axis-policy", default=_YONA.axis_policy,
                         choices=comp.AXIS_POLICIES)
-    parser.add_argument("--masked-piece", default=comp.MASKED_POLICIES[0],
+    parser.add_argument("--masked-piece", default=_YONA.masked_piece_policy,
                         choices=comp.MASKED_POLICIES)
-    parser.add_argument("--region-reference", default=comp.REGION_POLICIES[0],
+    parser.add_argument("--region-reference", default=_YONA.region_reference,
                         choices=comp.REGION_POLICIES,
                         help="dims used by region augs on a piece")
 
@@ -285,19 +302,18 @@ def cmd_preview(args) -> None:
             augmented = comp.compose_record(image, spec, None, args.seed, row)
             composed = comp.compose_record(image, spec, yona_config,
                                            args.seed, row)
-            columns = {f"img{i:03d}_{kind}_{column}.png": img
+            columns = {f"img{i:03d}_{kind}_{column}.png": ds.encode_png(img)
                        for column, img in (("original", image),
                                            ("augmented", augmented),
                                            ("yona", composed))}
             files.update(columns)
             index_lines.append(
                 f"image {i} aug {kind} seed {args.seed}: " + " ".join(columns))
-    # every pair has composed: a failure above wrote nothing
+    files["index.txt"] = ("\n".join(index_lines) + "\n").encode()
+    # every pair has composed: a failure above wrote nothing, and a failed
+    # write leaves no file (every temp is written before any rename)
     os.makedirs(args.out, exist_ok=True)
-    for name, img in files.items():
-        ds.write_png(img, os.path.join(args.out, name))
-    ds.write_atomic(os.path.join(args.out, "index.txt"),
-                    ("\n".join(index_lines) + "\n").encode())
+    ds.write_files(args.out, files)
     print(f"wrote {len(images) * len(args.augs) * 3} PNG files to {args.out}")
 
 
@@ -468,24 +484,12 @@ def main(argv=None) -> int:
                                  f"--gate-{gate}-high {high}")
         args.func(args)
         return 0
-    except FormatError as exc:  # FormatError subclasses ValueError
-        print(f"format error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    except GateViolation as exc:
-        print(f"gate violated: {exc}", file=sys.stderr)
-        return 4
-    except ReplayMismatch as exc:
-        print(f"replay mismatch: {exc}", file=sys.stderr)
-        return 4
+    except Exception as exc:
+        for types, prefix, code in _EXITS:
+            if isinstance(exc, types):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def entrypoint() -> None:

@@ -29,8 +29,9 @@ import numpy as np
 from .augment import (AugmentationSpec, _augment_arr, _augment_lanes,
                       check_piece_shapes)
 from .errors import GeometryError
-from .image import (Axis, ImageTensor, NoiseKind, UniformNoise, _wrap, cut,
-                    noise_bytes, noise_from_tape, round_half_up)
+from .image import (Axis, ImageTensor, NoiseKind, UniformNoise, _wrap,
+                    check_pixels, cut, noise_bytes, noise_from_tape,
+                    round_half_up)
 from .rng import (AUGMENT_ROLE, NOISE_ROLE, STRUCTURE_ROLE, LaneStream,
                   RngStream, lane_states, lane_tape)
 
@@ -76,17 +77,15 @@ class YonaConfig:
         mask_shape, aug_slice, mask_slice, boundary, masked_extent)`` for
         each axis the axis policy can cut, and is None for the other axis.
         The slices index the kept and the masked piece of a (C, H, W) array.
-        Raises GeometryError if the image is too small to cut, or if an axis
-        the policy can cut cannot host the mask fraction.
+        One rule sizes every cut: raises GeometryError unless the mask
+        fraction of each axis the policy can cut rounds to between 1 and
+        that extent less 1, so an axis the policy never cuts may be 1 pixel.
         """
         try:
             return self._geometry_memo[shape]
         except KeyError:
             pass
         channels, height, width = shape
-        if height < 2 or width < 2:
-            raise GeometryError(
-                f"image {shape} is too small to cut along both axes")
         entries = [None] * 4
         cuts = (False, True) if self.axis_policy == AXIS_RANDOM \
             else (self.axis_policy == AXIS_FIXED_HEIGHT,)
@@ -213,11 +212,13 @@ def compose_batch(out: np.ndarray, first_index: int, aug: AugmentationSpec,
     order, fills every mask of one geometry group with `noise_from_tape`
     over those records' `lane_tape`, whatever the noise kind and length,
     and augments the kept pieces with one `_augment_lanes` call on their
-    augment lanes.  Before any work, a non-empty batch reads its geometry
-    off ``config._geometry``, which raises GeometryError for a shape the
-    config cannot cut whatever the seed, and `check_piece_shapes` checks
-    ``aug`` on every kept piece the run may cut.
+    augment lanes.  Before any work, `check_pixels` refuses an ``out``
+    that is not a uint8 batch, a non-empty batch reads its geometry off
+    ``config._geometry``, which raises GeometryError for a shape the config
+    cannot cut whatever the seed, and `check_piece_shapes` checks ``aug``
+    on every kept piece the run may cut.
     """
+    check_pixels(out, batch=True)
     ref_hw = None
     groups = None if config is None else np.empty(len(out), dtype=np.intp)
     if len(out):

@@ -29,8 +29,12 @@ Manifests (format 2) are flat ``key=value`` text, one line per
 `DatasetManifest.KEYS` entry in that order, with a SHA-256 content digest
 over all emitted record bytes, the value ``sha256sum`` prints for
 ``augmented.bin``.  Every output file is written under a temp name in its
-directory and renamed into place (`_staged`).  `fnv1a_64` is a plain loop
-that no command runs, kept for perfbench and the golden pins of the tests.
+directory and renamed into place (`_staged`).  `write_files` renames a
+set of files only once every one of their temps is written, so a failed
+write leaves none; `write_atomic` is its one-file case, and only
+`write_augmented_table` stages on its own, since it streams
+``augmented.bin``.  `fnv1a_64` is a plain loop that no command runs, kept
+for perfbench and the golden pins of the tests.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from __future__ import annotations
 import array
 import contextlib
 import hashlib
-import itertools
 import os
 import pathlib
 import re
@@ -168,11 +171,15 @@ def _check_labels(labels: np.ndarray, variant: str, where: str = "") -> None:
 
 def _cifar_table(records: list, variant: str) -> np.ndarray:
     """``records`` as a writable ``variant`` table, labels and pixels in
-    place (see `read_cifar_table`).  Raises FormatError at the first record
-    that is not 3x32x32 and CorruptRecordError at the first CIFAR-100
-    record without a coarse label, then at the first label `read_cifar`
-    would reject."""
+    place (see `read_cifar_table`), in one walk over the records.  Raises
+    FormatError at the first record that is not 3x32x32 and
+    CorruptRecordError at the first CIFAR-100 record without a coarse
+    label, then at the first label `read_cifar` would reject."""
     record_size = _RECORD_BYTES[variant]
+    label_bytes = record_size - _PIXELS
+    table = np.empty((len(records), record_size), dtype=np.uint8)
+    pixels = table_pixels(table)
+    labels = []
     for i, record in enumerate(records):
         if record.image.shape != _SHAPE:
             raise FormatError(f"record {i} has image shape "
@@ -181,18 +188,14 @@ def _cifar_table(records: list, variant: str) -> np.ndarray:
         if variant == CIFAR100 and record.coarse_label is None:
             raise CorruptRecordError(f"record {i} has no coarse label",
                                      offset=i * record_size)
-    label_bytes = record_size - _PIXELS
-    # array("q") takes ints only, as bytes() did: no float or str coerced
-    labels = np.frombuffer(array.array("q", itertools.chain.from_iterable(
-        (r.coarse_label, r.fine_label) if variant == CIFAR100
-        else (r.fine_label,) for r in records)), dtype=np.int64).reshape(
-            -1, label_bytes)
-    _check_labels(labels, variant)
-    table = np.empty((len(records), record_size), dtype=np.uint8)
-    table[:, :label_bytes] = labels
-    pixels = table_pixels(table)
-    for i, record in enumerate(records):
+        labels += (record.coarse_label, record.fine_label) \
+            if variant == CIFAR100 else (record.fine_label,)
         pixels[i] = record.image.array
+    # array("q") takes ints only, as bytes() did: no float or str coerced
+    labels = np.frombuffer(array.array("q", labels), dtype=np.int64).reshape(
+        -1, label_bytes)
+    _check_labels(labels, variant)
+    table[:, :label_bytes] = labels
     return table
 
 
@@ -207,6 +210,9 @@ def write_cifar(records, path, variant: str) -> None:
 # Manifests
 
 _DIGEST_RE = re.compile(r"sha256:[0-9a-f]{64}")
+# the integer fields of a manifest, as (text, test) of what a run writes
+_MANIFEST_RULES = {"count": (">= 0", lambda v: v >= 0),
+                   "seed": ("in [0, 2**64)", lambda v: 0 <= v < 2**64)}
 
 
 def content_digest(data) -> str:
@@ -243,8 +249,10 @@ class DatasetManifest:
     @classmethod
     def from_text(cls, text: str) -> "DatasetManifest":
         """Parse `to_text` output; raise FormatError on a format-1 manifest,
-        a Gaussian ``yona`` value without the sampler tag, a missing key, or
-        a count, seed or digest that does not parse."""
+        a Gaussian ``yona`` value without the sampler tag, a missing key, a
+        count, seed or digest that does not parse, or a value no run could
+        write: a dataset other than cifar10 or cifar100, a negative count or
+        a seed outside [0, 2**64)."""
         values = {}
         for line in text.splitlines():
             key, _, value = line.strip().partition("=")
@@ -273,13 +281,20 @@ class DatasetManifest:
         if not _DIGEST_RE.fullmatch(values["digest"]):
             raise FormatError(f"manifest key 'digest': {values['digest']!r} "
                               "is not sha256:<64 lowercase hex digits>")
-        for key in ("count", "seed"):
+        if values["dataset"] not in _RECORD_BYTES:
+            raise FormatError(f"manifest key 'dataset': "
+                              f"{values['dataset']!r} is not "
+                              f"{' or '.join(_RECORD_BYTES)}")
+        for key, (rule, holds) in _MANIFEST_RULES.items():
             try:
                 parsed[key] = int(values[key])
             except ValueError:
                 raise FormatError(f"manifest key {key!r}: "
                                   f"{values[key]!r} is not an integer"
                                   ) from None
+            if not holds(parsed[key]):
+                raise FormatError(f"manifest key {key!r} must be {rule}, "
+                                  f"got {parsed[key]}")
         return cls(**parsed)
 
 
@@ -456,9 +471,9 @@ def _chunk(tag: bytes, body: bytes) -> bytes:
             + struct.pack(">I", zlib.crc32(tag + body) & 0xFFFFFFFF))
 
 
-def write_png(image: ImageTensor, path) -> None:
-    """Encode losslessly; 1-channel images become grayscale PNGs.  The file
-    is written atomically (`write_atomic`)."""
+def encode_png(image: ImageTensor) -> bytes:
+    """The lossless PNG file of ``image``; 1-channel images become grayscale
+    PNGs."""
     channels = image.channels
     if channels not in (1, 3):
         raise FormatError(
@@ -469,20 +484,35 @@ def write_png(image: ImageTensor, path) -> None:
     rows = np.pad(image.array.transpose(1, 2, 0).reshape(height, -1),
                   ((0, 0), (1, 0)))
     header = struct.pack(">IIBBBBB", width, height, 8, color_type, 0, 0, 0)
-    payload = (_PNG_SIGNATURE + _chunk(b"IHDR", header)
-               + _chunk(b"IDAT", zlib.compress(rows.tobytes(), 6))
-               + _chunk(b"IEND", b""))
-    write_atomic(path, payload)
+    return (_PNG_SIGNATURE + _chunk(b"IHDR", header)
+            + _chunk(b"IDAT", zlib.compress(rows.tobytes(), 6))
+            + _chunk(b"IEND", b""))
+
+
+def write_png(image: ImageTensor, path) -> None:
+    """`encode_png` of ``image``, written atomically (`write_atomic`)."""
+    write_atomic(path, encode_png(image))
+
+
+def write_files(out_dir, files: dict) -> None:
+    """Write each ``name: data`` of ``files`` into ``out_dir`` whole: every
+    file goes to a temp name first (`_staged`), and only once all are
+    written are they renamed into place, in order.  A failed write leaves
+    none of them and no temp; a failed rename leaves those before it."""
+    with _staged(out_dir) as stage:
+        temps = []
+        for name, data in files.items():
+            with stage(name) as fh:
+                fh.write(data)
+            temps.append(fh.name)
+        for temp, name in zip(temps, files):
+            os.replace(temp, os.path.join(out_dir, name))
 
 
 def write_atomic(path, data) -> None:
-    """Write ``data`` to a temp name next to ``path``, then rename it into
-    place: ``path`` never holds a partial file."""
+    """`write_files` of one file: ``path`` never holds a partial file."""
     directory, name = os.path.split(os.fspath(path))
-    with _staged(directory or ".") as stage:
-        with stage(name) as fh:
-            fh.write(data)
-        os.replace(fh.name, path)
+    write_files(directory or ".", {name: data})
 
 
 def _paeth(a: int, b: int, c: int) -> int:

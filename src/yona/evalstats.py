@@ -19,7 +19,7 @@ import numpy as np
 from .augment import AugmentationSpec, apply_augmentation
 from .compositor import YonaConfig, compose_batch, yona_apply
 from .errors import DivergenceError, ReplayMismatch
-from .image import ImageTensor, noise_from_tape
+from .image import ImageTensor, check_pixels, noise_from_tape
 from .rng import NOISE_ROLE, SeedSpec, derive_stream, stream_tapes
 
 
@@ -74,13 +74,14 @@ def collect_stats(images, aug: AugmentationSpec,
                   n_samples: int) -> StatsReport:
     """Compose samples ``0 .. n_samples - 1`` (sample ``i`` is image ``i mod
     N``) with `compose_batch` and tally the coin outcomes.  ``images`` is
-    an (N, C, H, W) uint8 array, such as `dataset.table_pixels` of a table,
-    or a list of records of one image shape, stacked once.  Each chunk of
-    samples is one gather of its images.  The masked fraction is verified
-    independently of the lanes: each geometry group of a chunk replays its
-    masks with one `noise_from_tape` call over `stream_tapes` of its
-    samples' noise streams, and a `ReplayMismatch` (an AssertionError) names
-    the lowest sample whose mask differs.  The replay shares the noise law
+    an (N, C, H, W) uint8 array (`check_pixels`), such as
+    `dataset.table_pixels` of a table, or a list of records of one image
+    shape, stacked once.  Each chunk of samples is one gather of its
+    images.  The masked fraction is verified independently of the lanes:
+    each geometry group of a chunk replays its masks with one
+    `noise_from_tape` call over `stream_tapes` of its samples' noise
+    streams, and a `ReplayMismatch` (an AssertionError) names the lowest
+    sample whose mask differs.  The replay shares the noise law
     and the tape assembler (`rng._tapes`) with the composition; the one
     difference is where the block seeds come from: scalar Python ints here
     (a one-block tape is seeded from each sample's first noise word, with
@@ -95,6 +96,7 @@ def collect_stats(images, aug: AugmentationSpec,
             images = _stack(images)
     if not len(images):
         raise ValueError("collect_stats needs at least one record")
+    check_pixels(images, batch=True)
     if yona_config is not None:
         entries, _ = yona_config._geometry(images.shape[1:])
     height_hits = first_hits = 0

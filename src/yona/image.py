@@ -40,6 +40,24 @@ def _to_u8(x: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(y, out=y), 0, 255, out=y).astype(np.uint8)
 
 
+def check_pixels(array, batch: bool = False) -> None:
+    """Raise GeometryError unless ``array`` is uint8 pixels of shape (C, H,
+    W), or (N, C, H, W) with ``batch``, with C, H and W at least 1 (N may be
+    0); TypeError if it is not a numpy array.  The one rule for an image
+    and for a batch of them."""
+    if not isinstance(array, np.ndarray):
+        raise TypeError(f"pixels must be a numpy array, got "
+                        f"{type(array).__name__}")
+    if array.dtype != np.uint8:
+        raise GeometryError(f"pixel dtype must be uint8, got {array.dtype}")
+    shape = "(N, C, H, W)" if batch else "(C, H, W)"
+    if array.ndim != 3 + batch:
+        raise GeometryError(
+            f"pixels must have shape {shape}, got {array.shape}")
+    if min(array.shape[-3:]) < 1:
+        raise GeometryError(f"degenerate image shape {array.shape}")
+
+
 class ImageTensor:
     """Channel-planar 8-bit image of shape (C, H, W).
 
@@ -50,16 +68,7 @@ class ImageTensor:
     __slots__ = ("array",)
 
     def __init__(self, array: np.ndarray):
-        if not isinstance(array, np.ndarray):
-            raise TypeError("ImageTensor expects a numpy array")
-        if array.dtype != np.uint8:
-            raise GeometryError(f"pixel dtype must be uint8, got {array.dtype}")
-        if array.ndim != 3:
-            raise GeometryError(
-                f"image must have shape (C, H, W), got {array.shape}")
-        c, h, w = array.shape
-        if c < 1 or h < 1 or w < 1:
-            raise GeometryError(f"degenerate image shape {array.shape}")
+        check_pixels(array)
         self.array = array
 
     @property

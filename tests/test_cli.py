@@ -12,12 +12,16 @@ import numpy as np
 import pytest
 
 import yona
+import yona.cli as cli
 import yona.compositor as comp
 import yona.dataset as ds
 from yona.augment import default_spec, parse_policy
-from yona.cli import main
+from yona.cli import build_parser, main
 from yona.dataset import (CifarRecord, DatasetManifest, read_png,
                           write_cifar, write_png)
+from yona.errors import (CorruptRecordError, DivergenceError, FormatError,
+                         GeometryError, ReplayMismatch,
+                         UnsupportedAugmentationError)
 from yona.image import ImageTensor
 from yona.rng import NOISE_ROLE
 
@@ -1120,3 +1124,94 @@ def test_help_lists_defaults(capsys):
     assert "(default: 0.5)" in out    # mask fraction
     assert "(default: 2)" in out      # randaug op count
     assert "(default: 9)" in out      # randaug magnitude
+
+
+def test_flag_defaults_are_the_dataclass_defaults():
+    # the flags a command leaves unset build the default spec and config
+    _, commands = build_parser()
+    required = {"augment": ["--dataset", "d", "--out", "o"],
+                "preview": ["--out", "o"], "stats": ["--dataset", "d"],
+                "bench": [], "probe": ["--dataset", "d"]}
+    for command, argv in required.items():
+        args = commands[command].parse_args(argv)
+        if command != "preview":  # bench applies every draw
+            assert cli._build_spec(args) == default_spec(
+                args.aug, apply_probability=args.apply_probability), command
+        args.yona = True
+        assert cli._build_yona(args) == comp.YonaConfig(), command
+
+
+@pytest.mark.parametrize("error, line, code", [
+    (FormatError("f"), "format error: f", 2),
+    (CorruptRecordError("c"), "format error: c", 2),
+    (cli.UsageError("u"), "usage error: u", 1),
+    (ValueError("v"), "usage error: v", 1),
+    (GeometryError("g"), "usage error: g", 1),
+    (UnsupportedAugmentationError("k"), "usage error: k", 1),
+    (DivergenceError("d"), "training diverged: d", 1),
+    (OSError("o"), "i/o error: o", 3),
+    (FileNotFoundError("n"), "i/o error: n", 3),
+    (cli.GateViolation("b"), "gate violated: b", 4),
+    (ReplayMismatch("r"), "replay mismatch: r", 4)])
+def test_exit_code_table(capsys, monkeypatch, error, line, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_bench", fail)
+    assert run(capsys, "bench") == (code, "", line + "\n")
+
+
+@pytest.mark.parametrize("error", [RuntimeError("x"), KeyError("k"),
+                                   AssertionError("a")])
+def test_unmapped_exception_propagates(capsys, monkeypatch, error):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_bench", fail)
+    with pytest.raises(type(error)):
+        main(["bench"])
+    assert capsys.readouterr().err == ""
+
+
+def test_failed_preview_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # the third staged file hits a full disk: nothing was renamed yet
+    source = tmp_path / "sq.png"
+    write_png(make_image(np.random.default_rng(2), height=8, width=8), source)
+    opened = []
+
+    def open_full(path, mode="r", *args, **kwargs):
+        if mode == "wb":
+            opened.append(path)
+            if len(opened) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(ds, "open", open_full, raising=False)
+    out_dir = tmp_path / "pv"
+    code, out, err = run(capsys, "preview", "--image", str(source),
+                         "--augs", "hflip", "cutout", "--out", str(out_dir))
+    assert len(opened) == 3
+    assert code == 3 and out == ""
+    assert err.startswith("i/o error: [Errno 28]") and err.count("\n") == 1
+    assert list(out_dir.iterdir()) == []  # no PNG, temp or index.txt
+
+
+def test_preview_of_a_one_pixel_wide_image(tmp_path, capsys):
+    # the height policy never cuts the 1-pixel width, so the image composes;
+    # the random policy may cut it, so it fails at every seed
+    source = tmp_path / "thin.png"
+    write_png(make_image(np.random.default_rng(8), height=40, width=1),
+              source)
+    argv = ["preview", "--image", str(source), "--augs", "hflip", "cutout"]
+    for seed in range(8):
+        out_dir = tmp_path / f"pv{seed}"
+        code, out, err = run(capsys, *argv, "--seed", str(seed),
+                             "--out", str(out_dir))
+        assert (code, out) == (1, ""), seed
+        assert err == "usage error: mask fraction 0.5 of extent 1 leaves " \
+            "no pixels on one side\n"
+        assert not out_dir.exists()
+        code, out, _ = run(capsys, *argv, "--seed", str(seed),
+                           "--axis-policy", "height", "--out", str(out_dir))
+        assert code == 0 and out.startswith("wrote 6 PNG files"), seed
+        assert read_png(out_dir / "img000_hflip_yona.png").shape == (3, 40, 1)

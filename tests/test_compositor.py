@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yona.augment import KINDS, apply_augmentation, default_spec
-from yona.compositor import (YonaConfig, compose_record, yoco_apply,
-                             yona_apply, yona_apply_traced)
+from yona.compositor import (YonaConfig, compose_batch, compose_record,
+                             yoco_apply, yona_apply, yona_apply_traced)
 from yona.errors import GeometryError
+from yona.evalstats import collect_stats
 from yona.image import (Axis, ConstantNoise, GaussianNoise, ImageTensor,
                         UniformNoise, concat, cut_at, mask_noise, noise_bytes,
                         round_half_up)
@@ -312,6 +313,35 @@ def test_rejects_tiny_images():
     st, au, nz = streams(35)
     with pytest.raises(GeometryError):
         yona_apply(img, default_spec("identity"), YonaConfig(), st, au, nz)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_fixed_axis_needs_only_its_own_extent(kind):
+    # a 3x40x1 image: the height policy never cuts the 1-pixel width
+    img = make_image(np.random.default_rng(9), height=40, width=1)
+    spec = default_spec(kind, apply_probability=1.0, grid_cols=1)
+    config = YonaConfig(axis_policy="height")
+    for index in range(8):
+        assert compose_record(img, spec, config, 12, index) == yona_apply(
+            img, spec, config, *streams(12, index)), index
+    for axis in ("random", "width"):
+        with pytest.raises(GeometryError, match="^mask fraction 0.5 of "
+                                                "extent 1 leaves no pixels"):
+            compose_record(img, spec, YonaConfig(axis_policy=axis), 12, 0)
+
+
+@pytest.mark.parametrize("pixels", [
+    np.zeros((8, 3, 32, 32)), np.zeros((8, 3, 32, 32), dtype=np.int16),
+    np.zeros((3, 32, 32), dtype=np.uint8),
+    np.zeros((1, 8, 3, 32, 32), dtype=np.uint8)])
+@pytest.mark.parametrize("config", [YonaConfig(), None])
+def test_batches_must_be_pixels(pixels, config):
+    # the rule `ImageTensor` states for one image, for an (N, C, H, W) batch
+    spec = default_spec("hflip")
+    with pytest.raises(GeometryError):
+        compose_batch(pixels.copy(), 0, spec, config, 0)
+    with pytest.raises(GeometryError):
+        collect_stats(pixels, spec, config, 0, 8)
 
 
 def test_config_validation():

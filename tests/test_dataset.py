@@ -526,6 +526,38 @@ def test_manifest_rejects_old_incomplete_and_malformed_text(
                 DatasetManifest.from_text(changed)
 
 
+def test_manifest_refuses_values_no_run_writes(tmp_path, small_records):
+    text = write_augmented_dataset(small_records, default_spec("hflip"),
+                                   None, 4, tmp_path / "m").to_text()
+
+    def changed(key, value):
+        return "".join(f"{key}={value}\n" if line.startswith(key + "=")
+                       else line for line in text.splitlines(keepends=True))
+
+    for key, value in (("count", "-3"), ("seed", "-1"),
+                       ("seed", str(2**64)), ("dataset", "imagenet")):
+        with pytest.raises(FormatError, match=f"^manifest key '{key}'"):
+            DatasetManifest.from_text(changed(key, value))
+    # the bounds themselves parse
+    for key, value in (("count", "0"), ("seed", str(2**64 - 1)),
+                       ("dataset", "cifar100")):
+        assert str(getattr(DatasetManifest.from_text(changed(key, value)),
+                           key)) == value
+
+
+def test_every_pinned_manifest_parses_and_round_trips():
+    from emit_corpus import pinned
+    texts = {name: "".join(line.removeprefix("manifest ") + "\n"
+                           for line in lines if line.startswith("manifest "))
+             for name, lines in pinned().items()}
+    texts = {name: text for name, text in texts.items() if text}
+    assert len(texts) > 20
+    for name, text in texts.items():
+        manifest = DatasetManifest.from_text(text)
+        assert manifest.to_text() == text, name
+        assert DatasetManifest.from_text(manifest.to_text()) == manifest
+
+
 def test_gaussian_manifest_names_its_sampler(tmp_path, small_records):
     manifest = write_augmented_dataset(
         small_records, default_spec("hflip"),
