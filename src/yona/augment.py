@@ -99,10 +99,10 @@ def _affine_nearest(arr: np.ndarray, a: float, b: float, c: float, d: float,
     sx = np.floor(c * dy + d * dx + (cx + ox) + 0.5).astype(np.int64)
     planes = arr.reshape(arr.shape[:-2] + (h * w,))
     if reflect:
-        return planes[..., _reflect_indices(sy, h) * w
-                      + _reflect_indices(sx, w)]
+        return np.take(planes, _reflect_indices(sy, h) * w
+                       + _reflect_indices(sx, w), axis=-1)
     valid = (sy >= 0) & (sy < h) & (sx >= 0) & (sx < w)
-    out = planes[..., np.clip(sy, 0, h - 1) * w + np.clip(sx, 0, w - 1)]
+    out = np.take(planes, np.where(valid, sy * w + sx, 0), axis=-1)
     out *= valid
     return out
 
@@ -127,9 +127,11 @@ def _translate_y_arr(arr, fraction, reflect=False):
 # Photometric primitives
 
 def _per_plane(arr, lut_of):
-    """Each (H, W) plane of ``arr`` through its own row of ``lut_of``."""
+    """Each (H, W) plane of ``arr`` through its own row of ``lut_of``, as
+    one gather from the flat table."""
     planes = arr.reshape(-1, arr.shape[-2] * arr.shape[-1])
-    return np.take_along_axis(lut_of(planes), planes, 1).reshape(arr.shape)
+    rows = np.arange(0, 256 * len(planes), 256)[:, None]
+    return lut_of(planes).ravel()[planes + rows].reshape(arr.shape)
 
 
 def _autocontrast_lut(planes):
@@ -178,14 +180,22 @@ def _gray_mean(x: np.ndarray) -> np.ndarray:
 
 def _smooth_arr(x: np.ndarray) -> np.ndarray:
     """3x3 [[1,1,1],[1,5,1],[1,1,1]]/13 smoothing of the interior; borders
-    keep their original values."""
+    keep their original values.
+
+    The kernel is a separable 3x3 box plus 4 times the centre.  Its sums
+    are exact, and so equal the nine-term sum in any order, while ``x``
+    holds integers (Sharpness passes a uint8 image cast to float): every
+    partial sum is an integer below 2**53."""
     out = x.copy()
     if x.shape[-2] < 3 or x.shape[-1] < 3:
         return out
-    acc = (x[..., :-2, :-2] + x[..., :-2, 1:-1] + x[..., :-2, 2:]
-           + x[..., 1:-1, :-2] + 5.0 * x[..., 1:-1, 1:-1] + x[..., 1:-1, 2:]
-           + x[..., 2:, :-2] + x[..., 2:, 1:-1] + x[..., 2:, 2:])
-    out[..., 1:-1, 1:-1] = acc / 13.0
+    # column sums first: each shifted slice keeps whole rows contiguous
+    cols = x[..., :-2, :] + x[..., 1:-1, :]
+    cols += x[..., 2:, :]
+    acc = cols[..., :-2] + cols[..., 1:-1]
+    acc += cols[..., 2:]
+    acc += 4.0 * x[..., 1:-1, 1:-1]
+    np.divide(acc, 13.0, out=out[..., 1:-1, 1:-1])
     return out
 
 

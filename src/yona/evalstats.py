@@ -190,15 +190,17 @@ def probe_loss(weights: np.ndarray, bias: np.ndarray, features: np.ndarray,
 
 
 def _probe_step(weights: np.ndarray, bias: np.ndarray, features: np.ndarray,
-                labels: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+                labels: np.ndarray, grad_w: np.ndarray | None = None
+                ) -> tuple[float, np.ndarray, np.ndarray]:
     """:func:`probe_loss` and :func:`probe_gradients` of a batch from one
-    logits product."""
+    logits product; the weight gradient is written into ``grad_w`` when
+    given."""
     logits = features @ weights.T + bias
     probs = _softmax(logits)
     probs[np.arange(len(labels)), labels] -= 1.0
     probs /= len(labels)
-    return (_cross_entropy(logits, labels), probs.T @ features,
-            probs.sum(axis=0))
+    return (_cross_entropy(logits, labels),
+            np.matmul(probs.T, features, out=grad_w), probs.sum(axis=0))
 
 
 def probe_gradients(weights: np.ndarray, bias: np.ndarray,
@@ -206,6 +208,27 @@ def probe_gradients(weights: np.ndarray, bias: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of :func:`probe_loss` w.r.t. weights and bias."""
     return _probe_step(weights, bias, features, labels)[1:]
+
+
+# values per slice of the momentum update, whose four passes then stay in
+# cache: on (100, 3072) weights the update took 0.5 ms a step in 256 KiB
+# slices and 0.7 ms in whole-array passes (2 vCPU, numpy 2.4)
+_UPDATE_CHUNK = 32768
+
+
+def _momentum_step(vel: np.ndarray, grad: np.ndarray, param: np.ndarray,
+                   momentum: float, lr: float, scratch: np.ndarray) -> None:
+    """``vel = momentum * vel + grad``, then ``param = param - lr * vel``,
+    in place on C-contiguous arrays: bit for bit the allocating form, as
+    the same elementwise operations in the same order, a slice of
+    ``_UPDATE_CHUNK`` values at a time through ``scratch``."""
+    vel, grad, param = vel.reshape(-1), grad.reshape(-1), param.reshape(-1)
+    for lo in range(0, vel.size, _UPDATE_CHUNK):
+        v = vel[lo:lo + _UPDATE_CHUNK]
+        v *= momentum
+        v += grad[lo:lo + _UPDATE_CHUNK]
+        param[lo:lo + _UPDATE_CHUNK] -= np.multiply(lr, v,
+                                                    out=scratch[:v.size])
 
 
 def train_linear_probe(train_records, aug: AugmentationSpec | None,
@@ -216,15 +239,24 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
 
     The augmentation (plain or composited) is re-applied fresh to every
     image on every epoch, as one `compose_batch` of records ``e * n ..
-    e * n + n - 1`` in epoch ``e`` (of one image shape).  Returns the model
-    plus the loss history: entry 0 is the pre-training loss and entry e the
-    loss after epoch e, both measured on the un-augmented training set.
-    Raises ValueError before any work for ``batch_size < 1`` or a
+    e * n + n - 1`` in epoch ``e`` (of one image shape), then scaled into
+    one reused feature buffer in the epoch's shuffle order, so that each
+    batch is a slice of it.  Plain identity gathers each batch from the
+    clean features.  Each step writes its weight gradient into one reused
+    buffer and updates the velocities, weights and bias in place
+    (`_momentum_step`), bit for bit as the allocating update.  Returns the
+    model plus the loss history: entry 0 is the pre-training loss and
+    entry e the loss after epoch e, both measured on the un-augmented
+    training set.  Raises ValueError before any work for an ``epochs``
+    that is not an int >= 0, a ``batch_size`` that is not an int >= 1 or a
     non-finite ``lr`` or ``momentum``, and DivergenceError if any batch or
     epoch produces a non-finite loss.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    for name, value, least in (("epochs", epochs, 0),
+                               ("batch_size", batch_size, 1)):
+        if not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(
+                f"{name} must be an int >= {least}, got {value!r}")
     for name, value in (("lr", lr), ("momentum", momentum)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -245,37 +277,40 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
     bias = np.zeros(num_classes)
     vel_w = np.zeros_like(weights)
     vel_b = np.zeros_like(bias)
+    grad_w = np.empty_like(weights)
+    scratch = np.empty(_UPDATE_CHUNK)
     shuffle_rng = derive_stream(SeedSpec(seed, 0xB07C4))
 
     losses = [probe_loss(weights, bias, clean, labels)]
     spec = aug if aug is not None else AugmentationSpec(kind="identity")
-    # plain identity feeds the clean features every epoch
+    # plain identity feeds the clean features: no second (n, dim) buffer
     fresh = spec.kind != "identity" or yona_config is not None
     if fresh:
-        epoch_features = np.empty_like(clean)
         composed = np.empty_like(pixels)
-    else:
-        epoch_features = clean
+        features = np.empty_like(clean)
     for epoch in range(epochs):
+        order = np.array(shuffle_rng.permutation(n))
         if fresh:
             np.copyto(composed, pixels)
             compose_batch(composed, epoch * n, spec, yona_config, seed)
-            np.divide(composed.reshape(n, -1), 255.0, out=epoch_features)
-        order = np.array(shuffle_rng.permutation(n))
+            np.divide(composed.reshape(n, -1)[order], 255.0, out=features)
+        epoch_labels = labels[order]
         # a non-finite loss raises DivergenceError, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, batch_size):
-                batch = order[start:start + batch_size]
-                x, y = epoch_features[batch], labels[batch]
-                loss, grad_w, grad_b = _probe_step(weights, bias, x, y)
+                stop = start + batch_size
+                x = features[start:stop] if fresh \
+                    else clean[order[start:stop]]
+                loss, _, grad_b = _probe_step(weights, bias, x,
+                                              epoch_labels[start:stop],
+                                              grad_w)
                 if not np.isfinite(loss):
                     raise DivergenceError(
                         f"non-finite loss in epoch {epoch}, batch starting "
                         f"at {start}")
-                vel_w = momentum * vel_w + grad_w
-                vel_b = momentum * vel_b + grad_b
-                weights = weights - lr * vel_w
-                bias = bias - lr * vel_b
+                _momentum_step(vel_w, grad_w, weights, momentum, lr,
+                               scratch)
+                _momentum_step(vel_b, grad_b, bias, momentum, lr, scratch)
             loss = probe_loss(weights, bias, clean, labels)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss after epoch {epoch}")

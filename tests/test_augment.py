@@ -10,7 +10,9 @@ from yona.augment import (KINDS, MAGNITUDE_RANGES, PRIMITIVE_OPS,
                           AugmentationSpec, PolicyTable, PrimitiveOp,
                           apply_augmentation, apply_primitive,
                           default_cifar10_policy, default_spec, format_policy,
-                          load_policy, parse_policy, _BANK, _ungated_arr)
+                          load_policy, parse_policy, _BANK, _affine_nearest,
+                          _autocontrast_lut, _equalize_lut, _per_plane,
+                          _reflect_indices, _smooth_arr, _ungated_arr)
 from yona.dataset import fnv1a_64
 from yona.errors import UnsupportedAugmentationError
 from yona.image import ImageTensor, _to_u8
@@ -481,6 +483,77 @@ def test_batched_kernels_match_per_image_application(name, shape):
         deeper = kernel(batch[:6].reshape((2, 3) + shape), magnitude)
         assert np.array_equal(deeper.reshape((6,) + shape),
                               np.stack(alone[:6])), (level, sign)
+
+
+# --------------------------------------------------------------------------
+# Kernels against their reference forms
+
+@pytest.mark.parametrize("shape", [(3, 32, 32), (3, 16, 32), (1, 9, 30)])
+@pytest.mark.parametrize("lut_of", [_equalize_lut, _autocontrast_lut])
+def test_per_plane_gathers_what_take_along_axis_gathers(lut_of, shape):
+    batch = _kernel_batch(shape)
+    planes = batch.reshape(-1, shape[1] * shape[2])
+    # the stack holds a constant plane and an equalize step-0 plane
+    assert (planes.min(axis=1) == planes.max(axis=1)).any()
+    assert ((planes < 255).sum(axis=1) < 255).any()
+    for arr in (batch, batch[1], batch[5]):
+        planes = arr.reshape(-1, shape[1] * shape[2])
+        expected = np.take_along_axis(lut_of(planes), planes, 1)
+        assert np.array_equal(_per_plane(arr, lut_of),
+                              expected.reshape(arr.shape))
+
+
+def _smooth_nine_terms(x):
+    out = x.copy()
+    if x.shape[-2] < 3 or x.shape[-1] < 3:
+        return out
+    acc = (x[..., :-2, :-2] + x[..., :-2, 1:-1] + x[..., :-2, 2:]
+           + x[..., 1:-1, :-2] + 5.0 * x[..., 1:-1, 1:-1] + x[..., 1:-1, 2:]
+           + x[..., 2:, :-2] + x[..., 2:, 1:-1] + x[..., 2:, 2:])
+    out[..., 1:-1, 1:-1] = acc / 13.0
+    return out
+
+
+@pytest.mark.parametrize("h, w", itertools.product((1, 2, 3, 32), repeat=2))
+def test_smooth_equals_the_nine_term_sum_on_integer_stacks(h, w):
+    rng = np.random.default_rng(33 * h + w)
+    stack = rng.integers(0, 256, (4, 3, h, w)).astype(np.float64)
+    stack[0] = 255.0  # the largest sums
+    for x in (stack, stack[1]):
+        assert np.array_equal(_smooth_arr(x), _smooth_nine_terms(x))
+
+
+def _affine_fancy_index(arr, a, b, c, d, oy=0.0, ox=0.0, reflect=False):
+    h, w = arr.shape[-2:]
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    dy = (np.arange(h, dtype=np.float64) - cy)[:, None]
+    dx = (np.arange(w, dtype=np.float64) - cx)[None, :]
+    sy = np.floor(a * dy + b * dx + (cy + oy) + 0.5).astype(np.int64)
+    sx = np.floor(c * dy + d * dx + (cx + ox) + 0.5).astype(np.int64)
+    planes = arr.reshape(arr.shape[:-2] + (h * w,))
+    if reflect:
+        return planes[..., _reflect_indices(sy, h) * w
+                      + _reflect_indices(sx, w)]
+    valid = (sy >= 0) & (sy < h) & (sx >= 0) & (sx < w)
+    out = planes[..., np.clip(sy, 0, h - 1) * w + np.clip(sx, 0, w - 1)]
+    out *= valid
+    return out
+
+
+@pytest.mark.parametrize("shape", [(3, 32, 32), (3, 16, 32), (1, 9, 30),
+                                   (3, 1, 1)])
+def test_affine_nearest_gathers_what_fancy_indexing_gathers(shape):
+    batch = _kernel_batch(shape)
+    rad = math.radians(23.0)
+    maps = [(1.0, 0.0, 0.3, 1.0), (1.0, -0.3, 0.0, 1.0),
+            (math.cos(rad), -math.sin(rad), math.sin(rad), math.cos(rad)),
+            (1.0, 0.0, 0.0, 1.0, 0.0, -0.3 * shape[2]),
+            (1.0, 0.0, 0.0, 1.0, 0.1 * shape[1], 0.0)]
+    for args, reflect, arr in itertools.product(maps, (False, True),
+                                                (batch, batch[0])):
+        assert np.array_equal(
+            _affine_nearest(arr, *args, reflect=reflect),
+            _affine_fancy_index(arr, *args, reflect=reflect)), (args, reflect)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from yona.evalstats import (PredictionRecord, StatsReport,
                             rms_calibration_error, train_linear_probe)
 from yona.image import (Axis, ConstantNoise, GaussianNoise, ImageTensor,
                         UniformNoise, cut_at, noise_bytes)
-from yona.rng import NOISE_ROLE, derive_image_streams
+from yona.rng import NOISE_ROLE, SeedSpec, derive_image_streams, derive_stream
 
 from conftest import make_image, make_records
 
@@ -476,6 +476,62 @@ def test_probe_loss_history_is_pinned():
         assert [loss.hex() for loss in losses] == pinned[kind], kind
 
 
+def _allocating_probe(records, aug, yona_config, epochs, lr, momentum,
+                      batch_size, seed):
+    """The SGD loop as it allocated every step: a gathered float batch, a
+    fresh gradient, fresh velocities and fresh weights."""
+    pixels = np.stack([r.image.array for r in records])
+    labels = np.array([r.fine_label for r in records], dtype=np.int64)
+    n = len(records)
+    clean = pixels.reshape(n, -1) / 255.0
+    weights = np.zeros((int(labels.max()) + 1, clean.shape[1]))
+    bias = np.zeros(len(weights))
+    vel_w, vel_b = np.zeros_like(weights), np.zeros_like(bias)
+    shuffle_rng = derive_stream(SeedSpec(seed, 0xB07C4))
+    losses = [probe_loss(weights, bias, clean, labels)]
+    spec = aug if aug is not None else default_spec("identity")
+    for epoch in range(epochs):
+        features = clean
+        if spec.kind != "identity" or yona_config is not None:
+            composed = pixels.copy()
+            comp.compose_batch(composed, epoch * n, spec, yona_config, seed)
+            features = composed.reshape(n, -1) / 255.0
+        order = np.array(shuffle_rng.permutation(n))
+        for start in range(0, n, batch_size):
+            batch = order[start:start + batch_size]
+            x, y = features[batch], labels[batch]
+            logits = x @ weights.T + bias
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            probs = e / e.sum(axis=1, keepdims=True)
+            probs[np.arange(len(y)), y] -= 1.0
+            probs /= len(y)
+            vel_w = momentum * vel_w + probs.T @ x
+            vel_b = momentum * vel_b + probs.sum(axis=0)
+            weights = weights - lr * vel_w
+            bias = bias - lr * vel_b
+        losses.append(probe_loss(weights, bias, clean, labels))
+    return weights, bias, losses
+
+
+@pytest.mark.parametrize("kind, config", [(None, None), ("hflip", None),
+                                          ("randaug", YonaConfig())])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("batch_size", [1, 7, 30])
+def test_probe_trains_bit_for_bit_as_the_allocating_loop(kind, config,
+                                                         momentum,
+                                                         batch_size):
+    # 30 records: batch size 7 leaves a partial last batch, 30 is one batch
+    records = make_records(30, seed=27, num_classes=4)
+    aug = default_spec(kind) if kind else None
+    args = (records, aug, config, 2, 0.01, momentum, batch_size, 8)
+    model, losses = train_linear_probe(*args)
+    weights, bias, expected = _allocating_probe(*args)
+    assert [loss.hex() for loss in losses] == \
+        [loss.hex() for loss in expected]
+    assert np.array_equal(model.weights, weights)
+    assert np.array_equal(model.bias, bias)
+
+
 def test_probe_divergence_raises():
     with pytest.raises(DivergenceError):
         with np.errstate(all="ignore"):
@@ -491,7 +547,8 @@ def test_probe_divergence_in_the_last_step_raises():
 
 
 @pytest.mark.parametrize("name, value", [
-    ("batch_size", 0), ("batch_size", -5), ("lr", math.nan),
+    ("epochs", -1), ("epochs", 2.0), ("epochs", "3"), ("batch_size", 0),
+    ("batch_size", -5), ("batch_size", 2.5), ("lr", math.nan),
     ("lr", math.inf), ("momentum", math.nan), ("momentum", -math.inf)])
 def test_probe_rejects_bad_hyperparameters(name, value):
     args = dict(epochs=1, lr=0.1, momentum=0.9, batch_size=4, seed=0)
@@ -528,6 +585,59 @@ def test_identity_probe_allocates_no_composition_buffer(monkeypatch):
     finally:
         tracemalloc.stop()
     assert live == [False, True]
+
+
+def test_identity_probe_holds_one_feature_array(monkeypatch):
+    # plain identity gathers its batches from the clean features; a probe
+    # that composes holds one more (n, dim) float array, in shuffle order
+    records = toy_records()
+    features = len(records) * 3 * 32 * 32 * 8
+    step = ev._probe_step
+    counts = []
+
+    def spy(*args):
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, ev.__file__)])
+        counts.append([t.size for t in snapshot.traces].count(features))
+        return step(*args)
+
+    monkeypatch.setattr(ev, "_probe_step", spy)
+    tracemalloc.start()
+    try:
+        for spec in (None, default_spec("hflip")):
+            train_linear_probe(records, spec, None, epochs=1, lr=0.1,
+                               momentum=0.9, batch_size=10, seed=0)
+    finally:
+        tracemalloc.stop()
+    assert counts == [1, 1, 2, 2]
+
+
+def test_composing_probe_steps_allocate_no_weight_sized_array(monkeypatch):
+    # between two steps of one epoch the traced memory never rises by a
+    # (classes, dim) array: no gradient, velocity, weights or batch copy
+    records = toy_records(40)
+    weight_bytes = 2 * 3 * 32 * 32 * 8
+    step = ev._probe_step
+    rises = []
+    last = []
+
+    def spy(*args):
+        current, peak = tracemalloc.get_traced_memory()
+        if last:
+            rises.append(peak - last[-1])
+        last.append(current)
+        tracemalloc.reset_peak()
+        return step(*args)
+
+    monkeypatch.setattr(ev, "_probe_step", spy)
+    tracemalloc.start()
+    try:
+        train_linear_probe(records, default_spec("hflip"), None, epochs=1,
+                           lr=0.1, momentum=0.9, batch_size=10, seed=0)
+    finally:
+        tracemalloc.stop()
+    assert len(rises) == 3
+    assert max(rises) < weight_bytes, rises
 
 
 def test_probe_validation():
