@@ -275,7 +275,7 @@ def _build_yona(args) -> comp.YonaConfig | None:
 def cmd_augment(args) -> None:
     spec, yona_config = _build_spec(args), _build_yona(args)
     manifest = ds.write_augmented_table(
-        ds.read_cifar_table(args.dataset, args.variant), args.variant, spec,
+        ds.read_cifar_chunks(args.dataset, args.variant), args.variant, spec,
         yona_config, args.seed, args.out)
     sys.stdout.write(manifest.to_text())
 

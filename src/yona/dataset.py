@@ -6,16 +6,18 @@ augmented datasets feed any external trainer unchanged:
 * CIFAR-10 record: ``[label u8][1024 R][1024 G][1024 B]``, row-major planes;
 * CIFAR-100 record: ``[coarse u8][fine u8][3072 pixel bytes]``.
 
-A batch is one table: a uint8 array with one row per record.
-`read_cifar_table` reads and checks it (through `open`, so a pipe works),
-`read_cifar` splits it into records whose images are read-only views of
-it, and both writers lay records out as one with `_cifar_table`.
-`write_augmented_table` composes a table's pixels in place with
-`compositor.compose_batch`, knowing nothing of composition itself, one
-chunk of records at a time, while the one worker of a per-run
-``ThreadPoolExecutor(1)`` hashes and writes the chunk composed before;
-`yona augment` runs it on the table it read, so the batch is held once
-from read to write.
+A batch is one table: a uint8 array with one row per record.  One reader,
+`_read_chunks`, reads a batch file through `open` until it ends (so a
+pipe works) into tables it is given, checking each chunk's labels and, at
+the end, the length.  `read_cifar_chunks` reads it into two reused
+``compositor._LANES``-row tables, `read_cifar_table` into one table of
+the whole batch, and `read_cifar` splits that into records whose images
+are read-only views of it; both writers lay records out as one table with
+`_cifar_table`.  `write_augmented_table` composes chunks of a table in
+place with `compositor.compose_batch`, knowing nothing of composition
+itself, while the one worker of a per-run ``ThreadPoolExecutor(1)``
+hashes and writes the chunk composed before; `yona augment` runs it on
+`read_cifar_chunks`, so it never holds the whole batch.
 
 PNG support is a minimal self-contained codec (8-bit grayscale/RGB,
 non-interlaced) so previews round-trip losslessly without extra
@@ -42,6 +44,7 @@ from __future__ import annotations
 import array
 import contextlib
 import hashlib
+import itertools
 import os
 import pathlib
 import re
@@ -96,38 +99,75 @@ class CifarRecord:
     coarse_label: int | None = None
 
 
-def read_cifar_table(path, variant: str) -> np.ndarray:
-    """The ``variant`` batch file at ``path`` as a writable ``(N, record
-    size)`` uint8 table, one row per record, its labels checked.
+def _read_chunks(path, variant: str, tables):
+    """Yield the records of the ``variant`` batch file at ``path`` in file
+    order, each chunk the leading rows of the next of ``tables(fh)``, a
+    C-contiguous ``(rows, record size)`` uint8 table filled through `open`
+    (so ``path`` may name a pipe, or a file that grows) until it is full or
+    the file ends.
 
-    Raises FormatError (with the byte offset of the first incomplete record)
-    on truncation and CorruptRecordError on out-of-range labels.  The file
-    is read through `open`, so ``path`` may name a pipe.
+    Every chunk's labels are checked before it is yielded, with the
+    absolute record index and byte offset in the error (CorruptRecordError);
+    at the end, a byte count that is not a multiple of the record size
+    raises FormatError with the offset of the first incomplete record.
     """
     if variant not in _RECORD_BYTES:
         raise ValueError(f"unknown dataset variant {variant!r}")
     record_size = _RECORD_BYTES[variant]
     with open(path, "rb") as fh:
-        # a regular file: one read into an unfilled buffer of its size
-        blob = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
-        blob = blob[:fh.readinto(blob)]
-        # then all of a pipe (its size reads 0) or what a growing file
-        # added, 256 KiB at a time
-        rest = bytearray()
-        while chunk := fh.read(1 << 18):
-            rest += chunk
-    if rest:
-        rest = np.frombuffer(rest, dtype=np.uint8)
-        blob = np.concatenate((blob, rest)) if blob.size else rest
-    complete = blob.size // record_size
-    if blob.size % record_size != 0:
-        raise FormatError(
-            f"{path}: file length {blob.size} is not a multiple of the "
-            f"{record_size}-byte record size",
-            offset=complete * record_size)
-    table = blob.reshape(complete, record_size)
-    _check_labels(table[:, :record_size - _PIXELS], variant, f"{path}: ")
-    return table
+        first = 0  # records read before this chunk
+        for table in tables(fh):
+            flat = table.reshape(-1)
+            got = 0
+            while got < flat.size and (n := fh.readinto(flat[got:])):
+                got += n
+            chunk = table[:got // record_size]
+            _check_labels(chunk[:, :record_size - _PIXELS], variant,
+                          f"{path}: ", first)
+            if got % record_size:
+                raise FormatError(
+                    f"{path}: file length {first * record_size + got} is "
+                    f"not a multiple of the {record_size}-byte record size",
+                    offset=(first + len(chunk)) * record_size)
+            if len(chunk):
+                yield chunk
+            if got < flat.size:  # the end of the file
+                return
+            first += len(chunk)
+
+
+def read_cifar_chunks(path, variant: str):
+    """The records of the ``variant`` batch file at ``path`` as consecutive
+    writable chunks of up to ``compositor._LANES`` rows, read and checked as
+    `_read_chunks` does into two reused tables taken in turn: a chunk's rows
+    are overwritten when the chunk after next is read."""
+    def tables(fh):
+        shape = (compositor._LANES, _RECORD_BYTES[variant])
+        return itertools.cycle([np.empty(shape, dtype=np.uint8),
+                                np.empty(shape, dtype=np.uint8)])
+
+    return _read_chunks(path, variant, tables)
+
+
+def read_cifar_table(path, variant: str) -> np.ndarray:
+    """The ``variant`` batch file at ``path`` as a writable ``(N, record
+    size)`` uint8 table, one row per record, read and checked as
+    `_read_chunks` does.
+
+    A regular file is read into one table of the size ``fstat`` gives; a
+    pipe (its size reads 0), or what a file added since, ``_LANES``
+    records at a time, and the chunks are joined.
+    """
+    def tables(fh):
+        record_size = _RECORD_BYTES[variant]
+        yield np.empty((os.fstat(fh.fileno()).st_size // record_size,
+                        record_size), dtype=np.uint8)
+        while True:
+            yield np.empty((compositor._LANES, record_size), dtype=np.uint8)
+
+    chunks = list(_read_chunks(path, variant, tables)) or [
+        np.empty((0, _RECORD_BYTES[variant]), dtype=np.uint8)]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def table_pixels(table: np.ndarray) -> np.ndarray:
@@ -151,11 +191,13 @@ def read_cifar(path, variant: str) -> list[CifarRecord]:
             for label, coarse_label, image in zip(fine, coarse, pixels)]
 
 
-def _check_labels(labels: np.ndarray, variant: str, where: str = "") -> None:
+def _check_labels(labels: np.ndarray, variant: str, where: str = "",
+                  first: int = 0) -> None:
     """Raise CorruptRecordError naming the first record whose fine label,
     then the first whose coarse label, lies outside the range ``variant``
-    allows.  ``labels`` holds each record's label bytes as integers, one row
-    per record; the error's offset is that record's byte offset."""
+    allows.  ``labels`` holds the label bytes of records ``first, first +
+    1, ...`` as integers, one row per record; the error names that record's
+    index and its byte offset."""
     checks = [("fine", labels[:, -1], _LABEL_LIMIT[variant])]
     if variant == CIFAR100:
         checks.append(("coarse", labels[:, 0], _COARSE_LIMIT))
@@ -164,9 +206,9 @@ def _check_labels(labels: np.ndarray, variant: str, where: str = "") -> None:
         if bad.size:
             i = int(bad[0])
             raise CorruptRecordError(
-                f"{where}record {i} has {name} label {int(column[i])}, "
-                f"valid range is [0, {limit - 1}]",
-                offset=i * _RECORD_BYTES[variant])
+                f"{where}record {first + i} has {name} label "
+                f"{int(column[i])}, valid range is [0, {limit - 1}]",
+                offset=(first + i) * _RECORD_BYTES[variant])
 
 
 def _cifar_table(records: list, variant: str) -> np.ndarray:
@@ -397,66 +439,95 @@ def _append(data, digest, rows) -> None:
     data.write(rows)
 
 
-def write_augmented_table(table: np.ndarray, variant: str,
-                          aug: AugmentationSpec,
+def _missing_dirs(path) -> list[str]:
+    """``path`` and those of its ancestors that do not exist, deepest
+    first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
+def write_augmented_table(tables, variant: str, aug: AugmentationSpec,
                           yona_config: YonaConfig | None, seed: int,
                           out_dir) -> DatasetManifest:
     """Augment the records of a writable ``variant`` table (as
-    `read_cifar_table` returns) in place and emit it as ``augmented.bin``
-    plus a manifest.
+    `read_cifar_table` returns), or of the consecutive chunks of one that
+    the iterable ``tables`` yields (as `read_cifar_chunks` does), in place
+    and emit them as ``augmented.bin`` plus a manifest.
 
     Labels pass through untouched; `compose_batch` composes the pixels from
     per-record streams derived from (seed, record index), so no record's
     bytes depend on any other record: record ``i`` equals `compose_record`
     on it alone.
 
-    The table goes through in chunks of ``compositor._LANES`` records: the
-    caller's thread composes chunk k while the one worker of a
-    ``ThreadPoolExecutor(1)`` feeds chunk k-1 to the SHA-256 digest and
-    appends it to the staged ``augmented.bin`` (both release the GIL on
-    large buffers).  The caller waits for chunk k-1 before it submits
-    chunk k, so the bytes reach the file and the digest in record order.
-    Nothing is created before the first chunk has composed: a
-    GeometryError leaves no directory.
+    A table goes through in chunks of ``compositor._LANES`` records: the
+    caller's thread takes chunk k and composes it, then waits until the
+    one worker of a ``ThreadPoolExecutor(1)`` has fed chunk k-1 to the
+    SHA-256 digest and appended it to the staged ``augmented.bin`` (both
+    release the GIL on large buffers), and submits chunk k.  So the bytes
+    reach the file and the digest in record order, and a source may refill
+    chunk k-1's rows once chunk k+1 is taken.  Nothing is created before
+    the first chunk has composed.
 
     Returns the manifest.  Both files are written under temp names in
     ``out_dir`` and renamed into place, ``augmented.bin`` first and
     ``manifest.txt`` last, after any old manifest is removed.  An
-    exception in either thread joins the worker, removes the temps and is
-    raised in the caller's thread (the caller's own when both fail: an
-    unread future is dropped): a failed run leaves no temp file, and a new
+    exception in either thread (a GeometryError, or a bad label or short
+    record that a later chunk of the source raises) joins the worker,
+    removes the temps and any directory this run created, and is raised in
+    the caller's thread (the caller's own when both fail: an unread future
+    is dropped): a failed run leaves nothing behind, and a new
     ``augmented.bin`` never sits next to an old manifest.
     """
-    pixels = table_pixels(table)
     lanes = compositor._LANES
+    if isinstance(tables, np.ndarray):
+        table = tables
+        tables = (table[start:start + lanes]
+                  for start in range(0, len(table), lanes))
     digest = hashlib.sha256()
     manifest_path = os.path.join(out_dir, "manifest.txt")
-    # the helper is joined before `_staged` closes and removes the temps
-    with _staged(out_dir) as stage, ThreadPoolExecutor(1) as helper:
-        # an empty table still composes (and emits) one empty chunk
-        for start in range(0, len(table), lanes) or [0]:
-            compose_batch(pixels[start:start + lanes], start, aug,
-                          yona_config, seed)
-            if start == 0:
+    created = _missing_dirs(out_dir)
+    try:
+        # the helper is joined before `_staged` closes and removes the temps
+        with _staged(out_dir) as stage, ThreadPoolExecutor(1) as helper:
+            def staged_data():  # called once a chunk has composed, or none
                 os.makedirs(out_dir, exist_ok=True)
-                data = stage("augmented.bin")
+                return stage("augmented.bin")
+
+            count, appended = 0, None
+            for chunk in tables:
+                compose_batch(table_pixels(chunk), count, aug, yona_config,
+                              seed)
+                if appended is None:
+                    data = staged_data()
+                else:
+                    appended.result()
+                appended = helper.submit(_append, data, digest, chunk)
+                count += len(chunk)
+            if appended is None:  # no records: an empty file
+                data = staged_data()
             else:
                 appended.result()
-            appended = helper.submit(_append, data, digest,
-                                     table[start:start + lanes])
-        appended.result()
-        data.close()
-        manifest = DatasetManifest(
-            dataset=variant, count=len(table), seed=seed,
-            augmentation=describe_augmentation(aug),
-            yona=describe_yona(yona_config),
-            digest="sha256:" + digest.hexdigest())
-        with stage("manifest.txt") as fh:
-            fh.write(manifest.to_text().encode())
-        if os.path.lexists(manifest_path):
-            os.remove(manifest_path)
-        os.replace(data.name, os.path.join(out_dir, "augmented.bin"))
-        os.replace(fh.name, manifest_path)
+            data.close()
+            manifest = DatasetManifest(
+                dataset=variant, count=count, seed=seed,
+                augmentation=describe_augmentation(aug),
+                yona=describe_yona(yona_config),
+                digest="sha256:" + digest.hexdigest())
+            with stage("manifest.txt") as fh:
+                fh.write(manifest.to_text().encode())
+            if os.path.lexists(manifest_path):
+                os.remove(manifest_path)
+            os.replace(data.name, os.path.join(out_dir, "augmented.bin"))
+            os.replace(fh.name, manifest_path)
+    except BaseException:
+        for path in created:  # empty once the temps are gone
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
     return manifest
 
 

@@ -239,18 +239,19 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
 
     The augmentation (plain or composited) is re-applied fresh to every
     image on every epoch, as one `compose_batch` of records ``e * n ..
-    e * n + n - 1`` in epoch ``e`` (of one image shape), then scaled into
-    one reused feature buffer in the epoch's shuffle order, so that each
-    batch is a slice of it.  Plain identity gathers each batch from the
-    clean features.  Each step writes its weight gradient into one reused
-    buffer and updates the velocities, weights and bias in place
-    (`_momentum_step`), bit for bit as the allocating update.  Returns the
-    model plus the loss history: entry 0 is the pre-training loss and
-    entry e the loss after epoch e, both measured on the un-augmented
-    training set.  Raises ValueError before any work for an ``epochs``
-    that is not an int >= 0, a ``batch_size`` that is not an int >= 1 or a
-    non-finite ``lr`` or ``momentum``, and DivergenceError if any batch or
-    epoch produces a non-finite loss.
+    e * n + n - 1`` in epoch ``e`` (of one image shape); plain identity
+    composes nothing.  Each batch gathers its rows of the epoch's pixels in
+    shuffle order and scales them into one reused ``(batch_size, dim)``
+    float buffer, by the division that makes the clean features, so those
+    are the one ``(n, dim)`` float array.  Each step writes its weight
+    gradient into one reused buffer and updates the velocities, weights
+    and bias in place (`_momentum_step`), bit for bit as the allocating
+    update.  Returns the model plus the loss history: entry 0 is the
+    pre-training loss and entry e the loss after epoch e, both measured on
+    the un-augmented training set.  Raises ValueError before any work for
+    an ``epochs`` that is not an int >= 0, a ``batch_size`` that is not an
+    int >= 1 or a non-finite ``lr`` or ``momentum``, and DivergenceError if
+    any batch or epoch produces a non-finite loss.
     """
     for name, value, least in (("epochs", epochs, 0),
                                ("batch_size", batch_size, 1)):
@@ -283,24 +284,29 @@ def train_linear_probe(train_records, aug: AugmentationSpec | None,
 
     losses = [probe_loss(weights, bias, clean, labels)]
     spec = aug if aug is not None else AugmentationSpec(kind="identity")
-    # plain identity feeds the clean features: no second (n, dim) buffer
+    # plain identity feeds the clean pixels: nothing to compose
     fresh = spec.kind != "identity" or yona_config is not None
+    feed = pixels.reshape(n, -1)
     if fresh:
         composed = np.empty_like(pixels)
-        features = np.empty_like(clean)
+        feed = composed.reshape(n, -1)
+    features = np.empty((min(batch_size, n), dim))
     for epoch in range(epochs):
         order = np.array(shuffle_rng.permutation(n))
         if fresh:
             np.copyto(composed, pixels)
             compose_batch(composed, epoch * n, spec, yona_config, seed)
-            np.divide(composed.reshape(n, -1)[order], 255.0, out=features)
         epoch_labels = labels[order]
         # a non-finite loss raises DivergenceError, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, batch_size):
                 stop = start + batch_size
-                x = features[start:stop] if fresh \
-                    else clean[order[start:stop]]
+                rows = order[start:stop]
+                x = features[:len(rows)]
+                # the cast, then the division that made `clean`: the same
+                # bits, with no cast buffer
+                np.copyto(x, feed[rows])
+                x /= 255.0
                 loss, _, grad_b = _probe_step(weights, bias, x,
                                               epoch_labels[start:stop],
                                               grad_w)

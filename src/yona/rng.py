@@ -256,8 +256,14 @@ class RngStream:
         """``range(n)`` shuffled by Fisher-Yates: item ``i`` swaps with item
         ``next_index(i + 1)`` for ``i`` from ``n - 1`` down to 1."""
         order = list(range(n))
+        next_u64 = self.next_u64
         for i in range(n - 1, 0, -1):
-            j = self.next_index(i + 1)
+            # `next_index(i + 1)` inlined: the same redraws, the same words
+            limit = _index_limit(i + 1)
+            word = next_u64()
+            while word >= limit:
+                word = next_u64()
+            j = word % (i + 1)
             order[i], order[j] = order[j], order[i]
         return order
 

@@ -1,11 +1,13 @@
 """Command-line behavior: determinism, exit codes, flag plumbing."""
 
+import contextlib
 import errno
 import hashlib
 import io
 import json
 import os
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,8 @@ import yona.compositor as comp
 import yona.dataset as ds
 from yona.augment import default_spec, parse_policy
 from yona.cli import build_parser, main
-from yona.dataset import (CifarRecord, DatasetManifest, read_png,
-                          write_cifar, write_png)
+from yona.dataset import (CifarRecord, DatasetManifest, content_digest,
+                          read_png, write_cifar, write_png)
 from yona.errors import (CorruptRecordError, DivergenceError, FormatError,
                          GeometryError, ReplayMismatch,
                          UnsupportedAugmentationError)
@@ -125,7 +127,7 @@ def test_augment_helper_write_error_is_io_error(tmp_path, small_batch_file,
     assert len(writers) == 2 and threading.main_thread() not in writers
     assert code == 3 and out == ""
     assert err.startswith("i/o error: [Errno 28]") and err.count("\n") == 1
-    assert list(out_dir.iterdir()) == []  # no temp left
+    assert not out_dir.exists()  # no temp, and no directory, left
 
 
 def test_augment_unhostable_mask_fraction_creates_nothing(
@@ -141,6 +143,90 @@ def test_augment_unhostable_mask_fraction_creates_nothing(
     assert code == 1 and out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert not out_dir.exists()
+
+
+def _serve(path, blob, source) -> None:
+    """Put ``blob`` at ``path`` as a regular file, or behind a FIFO that a
+    thread feeds once (a reader that stops early breaks its pipe)."""
+    if source == "file":
+        path.write_bytes(blob)
+        return
+    os.mkfifo(path)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as fh:
+            fh.write(blob)
+
+    threading.Thread(target=feed, daemon=True).start()
+
+
+@pytest.mark.parametrize("source, fault", [
+    ("file", "label"), ("fifo", "label"), ("file", "cut"), ("fifo", "cut"),
+    ("file", "both")])
+def test_augment_fault_in_a_later_chunk_leaves_nothing(
+        tmp_path, small_batch_file, monkeypatch, capsys, source, fault):
+    # 16-record chunks: record 40 is in chunk 2, read after chunks 0 and 1
+    # were composed and handed to the writer, and the cut is in chunk 3
+    monkeypatch.setattr(comp, "_LANES", 16)
+    blob = bytearray(small_batch_file.read_bytes())
+    if fault in ("label", "both"):
+        blob[40 * 3073] = 10
+    if fault in ("cut", "both"):
+        blob = blob[:-10]
+    earlier = tmp_path / "earlier"
+    assert run(capsys, "augment", "--dataset", str(small_batch_file),
+               "--out", str(earlier))[0] == 0
+    before = {p.name: p.read_bytes() for p in earlier.iterdir()}
+    fresh = tmp_path / "new" / "out"  # both levels made by the run
+    for i, out_dir in enumerate((fresh, earlier)):
+        path = tmp_path / f"input{i}.bin"
+        _serve(path, bytes(blob), source)
+        code, out, err = run(capsys, "augment", "--dataset", str(path),
+                             "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        # a bad label is met before the end of the file, so it is reported
+        # first when the file has both faults
+        assert err == (f"format error: {path}: record 40 has fine label 10"
+                       f", valid range is [0, 9]\n" if fault != "cut" else
+                       f"format error: {path}: file length {60 * 3073 - 10}"
+                       f" is not a multiple of the 3073-byte record size\n")
+    assert not (tmp_path / "new").exists()
+    assert {p.name: p.read_bytes() for p in earlier.iterdir()} == before
+
+
+@pytest.mark.parametrize("source", ["file", "fifo"])
+def test_augment_of_no_records_emits_an_empty_pair(tmp_path, capsys, source):
+    # the reader yields no chunk; the pair is still written
+    path, out_dir = tmp_path / "empty.bin", tmp_path / "new" / "out"
+    _serve(path, b"", source)
+    code, out, err = run(capsys, "augment", "--dataset", str(path),
+                         "--out", str(out_dir))
+    assert (code, err) == (0, "")
+    assert (out_dir / "augmented.bin").read_bytes() == b""
+    assert manifest_of(out_dir).count == 0
+    assert manifest_of(out_dir).digest == content_digest(b"")
+
+
+def test_augment_peak_memory_is_flat_in_the_batch_size(tmp_path, capsys):
+    # the input streams through two reused chunk tables: 6,000 more records
+    # (18 MB) raise the traced peak by less than one chunk
+    rng = np.random.default_rng(21)
+    peaks = []
+    for count in (2000, 8000):
+        table = rng.integers(0, 256, (count, 3073), dtype=np.uint8)
+        table[:, 0] %= 10
+        path = tmp_path / f"batch{count}.bin"
+        path.write_bytes(table.tobytes())
+        del table
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "augment", "--dataset", str(path),
+                               "--out", str(tmp_path / f"out{count}"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+    assert abs(peaks[1] - peaks[0]) < comp._LANES * 3073, peaks
 
 
 @pytest.mark.parametrize("flags, code", [
@@ -806,7 +892,8 @@ def test_numeric_flags_are_checked_before_reading(tmp_path, small_batch_file,
             assert code == (3 if missing_dataset else 0), err  # it read
             continue
         with monkeypatch.context() as patch:
-            for name in ("read_cifar", "read_cifar_table"):
+            for name in ("read_cifar", "read_cifar_table",
+                         "read_cifar_chunks"):
                 patch.setattr(ds, name, refuse)
             patch.setattr(ev, "benchmark_throughput", refuse)
             code, out, err = run(capsys, *argv, *given)
@@ -853,7 +940,8 @@ def test_seed_outside_64_bits_is_usage_error(tmp_path, small_batch_file,
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the seed check")
 
-    for name in ("read_cifar", "read_cifar_table"):
+    for name in ("read_cifar", "read_cifar_table",
+                 "read_cifar_chunks"):
         monkeypatch.setattr(ds, name, refuse)
     monkeypatch.setattr(ev, "benchmark_throughput", refuse)
     code, stdout, err = run(capsys, *argv)
@@ -898,7 +986,8 @@ def test_config_file_gives_required_flags(tmp_path, small_batch_file,
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the required check")
 
-    for name in ("read_cifar", "read_cifar_table"):
+    for name in ("read_cifar", "read_cifar_table",
+                 "read_cifar_chunks"):
         monkeypatch.setattr(ds, name, refuse)
     config = tmp_path / "other.json"
     config.write_text(json.dumps({"seed": 1}))

@@ -371,8 +371,9 @@ def _failed_emissions_leave_no_partial_output(tmp_path, records,
             write_augmented_dataset(records, default_spec("vflip"),
                                     YonaConfig(), 2, out_dir)
         assert threading.active_count() == threads  # the helper was joined
-    # nothing is left behind, and an earlier pair stays whole
-    assert list(fresh.iterdir()) == []
+    # nothing is left behind, not even the directory the run created, and
+    # an earlier pair stays whole
+    assert not fresh.exists()
     assert {p.name: p.read_bytes() for p in rerun.iterdir()} == before
     assert DatasetManifest.from_text(before["manifest.txt"].decode()) == \
         earlier

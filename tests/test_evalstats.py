@@ -587,9 +587,9 @@ def test_identity_probe_allocates_no_composition_buffer(monkeypatch):
     assert live == [False, True]
 
 
-def test_identity_probe_holds_one_feature_array(monkeypatch):
-    # plain identity gathers its batches from the clean features; a probe
-    # that composes holds one more (n, dim) float array, in shuffle order
+def test_probe_holds_one_feature_array(monkeypatch):
+    # every probe scales each batch into one (batch_size, dim) buffer, so
+    # the clean features are its one (n, dim) float array, composing or not
     records = toy_records()
     features = len(records) * 3 * 32 * 32 * 8
     step = ev._probe_step
@@ -609,7 +609,7 @@ def test_identity_probe_holds_one_feature_array(monkeypatch):
                                momentum=0.9, batch_size=10, seed=0)
     finally:
         tracemalloc.stop()
-    assert counts == [1, 1, 2, 2]
+    assert counts == [1, 1, 1, 1]
 
 
 def test_composing_probe_steps_allocate_no_weight_sized_array(monkeypatch):

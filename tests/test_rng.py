@@ -134,6 +134,23 @@ def test_permutation_is_the_fisher_yates_loop(n, long_lived):
     assert stream.next_u64() == inline.next_u64()
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 100, 1000])
+def test_permutation_redraws_as_next_index(monkeypatch, n):
+    # a limit below 2**62 redraws about three words in four, so the loop
+    # must consume the redraws of `next_index` in its order
+    monkeypatch.setattr(rng, "_index_limit",
+                        lambda k: (1 << 62) - (1 << 62) % k)
+    stream = derive_stream(SeedSpec(13, n))
+    inline, once = stream.clone(), stream.clone()
+    order = stream.permutation(n)
+    assert order == _inline_permutation(inline, n)
+    assert sorted(order) == list(range(n))
+    assert stream.state == inline.state
+    assert stream.next_u64() == inline.next_u64()
+    once.next_words(n - 1)  # one word per index: no redraw
+    assert once.next_u64() != inline.next_u64()  # some redrew
+
+
 def test_fill_bytes_replay_and_chunking_independence():
     a = derive_stream(SeedSpec(5, 5))
     b = derive_stream(SeedSpec(5, 5))
