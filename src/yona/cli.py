@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import augment as aug_mod
@@ -311,8 +310,7 @@ def cmd_preview(args) -> None:
                 f"image {i} aug {kind} seed {args.seed}: " + " ".join(columns))
     files["index.txt"] = ("\n".join(index_lines) + "\n").encode()
     # every pair has composed: a failure above wrote nothing, and a failed
-    # write leaves no file (every temp is written before any rename)
-    os.makedirs(args.out, exist_ok=True)
+    # write leaves nothing it made (every temp is written before any rename)
     ds.write_files(args.out, files)
     print(f"wrote {len(images) * len(args.augs) * 3} PNG files to {args.out}")
 

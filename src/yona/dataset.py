@@ -31,12 +31,13 @@ Manifests (format 2) are flat ``key=value`` text, one line per
 `DatasetManifest.KEYS` entry in that order, with a SHA-256 content digest
 over all emitted record bytes, the value ``sha256sum`` prints for
 ``augmented.bin``.  Every output file is written under a temp name in its
-directory and renamed into place (`_staged`).  `write_files` renames a
-set of files only once every one of their temps is written, so a failed
-write leaves none; `write_atomic` is its one-file case, and only
-`write_augmented_table` stages on its own, since it streams
-``augmented.bin``.  `fnv1a_64` is a plain loop that no command runs, kept
-for perfbench and the golden pins of the tests.
+directory and renamed into place, and `_staged` alone decides what a
+failed write leaves: nothing it made, neither a temp nor a directory.
+`write_files` creates its directory and renames a set of files only once
+every one of their temps is written; `write_atomic` writes one file into
+a directory that must exist; `write_augmented_table` streams
+``augmented.bin`` into its temp.  `fnv1a_64` is a plain loop that no
+command runs, kept for perfbench and the golden pins of the tests.
 """
 
 from __future__ import annotations
@@ -252,6 +253,7 @@ def write_cifar(records, path, variant: str) -> None:
 # Manifests
 
 _DIGEST_RE = re.compile(r"sha256:[0-9a-f]{64}")
+_INT_RE = re.compile(r"0|-?[1-9][0-9]*")  # as str(int) writes it
 # the integer fields of a manifest, as (text, test) of what a run writes
 _MANIFEST_RULES = {"count": (">= 0", lambda v: v >= 0),
                    "seed": ("in [0, 2**64)", lambda v: 0 <= v < 2**64)}
@@ -291,14 +293,18 @@ class DatasetManifest:
     @classmethod
     def from_text(cls, text: str) -> "DatasetManifest":
         """Parse `to_text` output; raise FormatError on a format-1 manifest,
-        a Gaussian ``yona`` value without the sampler tag, a missing key, a
-        count, seed or digest that does not parse, or a value no run could
-        write: a dataset other than cifar10 or cifar100, a negative count or
-        a seed outside [0, 2**64)."""
-        values = {}
+        a Gaussian ``yona`` value without the sampler tag, a missing,
+        repeated or unknown key, a count, seed or digest that does not
+        parse, or a value no run could write: a count or seed not spelt as
+        `to_text` writes it (a sign, zero pad, underscore or non-ASCII
+        digit), a dataset other than cifar10 or cifar100, a negative count
+        or a seed outside [0, 2**64)."""
+        values, extra = {}, []
         for line in text.splitlines():
             key, _, value = line.strip().partition("=")
-            if key:
+            if key in values or (key and key not in cls.KEYS):
+                extra.append(key)
+            elif key:
                 values[key] = value
         version = values.get("format", "1")  # format 1 had no format line
         if version == "1":
@@ -309,6 +315,9 @@ class DatasetManifest:
         if version != str(cls.FORMAT):
             raise FormatError(f"manifest key 'format': unknown format "
                               f"{version!r}")
+        if extra:
+            raise FormatError(f"manifest key {extra[0]!r} " + (
+                "is repeated" if extra[0] in values else "is unknown"))
         parsed = {}
         for key in cls.KEYS[1:]:  # every field, in text order
             if key not in values:
@@ -328,12 +337,10 @@ class DatasetManifest:
                               f"{values['dataset']!r} is not "
                               f"{' or '.join(_RECORD_BYTES)}")
         for key, (rule, holds) in _MANIFEST_RULES.items():
-            try:
-                parsed[key] = int(values[key])
-            except ValueError:
-                raise FormatError(f"manifest key {key!r}: "
-                                  f"{values[key]!r} is not an integer"
-                                  ) from None
+            if not _INT_RE.fullmatch(values[key]):
+                raise FormatError(f"manifest key {key!r}: {values[key]!r} "
+                                  f"is not a canonical decimal integer")
+            parsed[key] = int(values[key])
             if not holds(parsed[key]):
                 raise FormatError(f"manifest key {key!r} must be {rule}, "
                                   f"got {parsed[key]}")
@@ -394,10 +401,26 @@ def _staged(out_dir):
     """Yield ``stage(name)``, which opens a fresh temp name in ``out_dir``
     for binary writing and returns the handle; the caller closes it and
     ``os.replace``s its ``name`` into place.  On exit every handle is
-    closed and then every temp not yet renamed is removed, so a failure
-    leaves none behind."""
+    closed and then every temp not yet renamed is removed; on an
+    exception, then also every directory of ``out_dir``'s path that was
+    missing on entry (the block may create them), deepest first and only
+    if empty.  So a failed write leaves nothing it made: this is the one
+    place that decides what a failure leaves."""
     token = f"{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    missing, path = [], os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+
+    def remove_missing(failed, *_):
+        if failed:
+            for path in missing:  # deepest first; a non-empty one stays
+                with contextlib.suppress(OSError):
+                    os.rmdir(path)
+
     with contextlib.ExitStack() as cleanup:
+        cleanup.push(remove_missing)  # runs last: once the temps are gone
+
         def stage(name):
             temp = os.path.join(out_dir, f".{name}.{token}")
             try:
@@ -439,17 +462,6 @@ def _append(data, digest, rows) -> None:
     data.write(rows)
 
 
-def _missing_dirs(path) -> list[str]:
-    """``path`` and those of its ancestors that do not exist, deepest
-    first."""
-    missing = []
-    path = os.path.abspath(path)
-    while not os.path.lexists(path):
-        missing.append(path)
-        path = os.path.dirname(path)
-    return missing
-
-
 def write_augmented_table(tables, variant: str, aug: AugmentationSpec,
                           yona_config: YonaConfig | None, seed: int,
                           out_dir) -> DatasetManifest:
@@ -469,18 +481,19 @@ def write_augmented_table(tables, variant: str, aug: AugmentationSpec,
     SHA-256 digest and appended it to the staged ``augmented.bin`` (both
     release the GIL on large buffers), and submits chunk k.  So the bytes
     reach the file and the digest in record order, and a source may refill
-    chunk k-1's rows once chunk k+1 is taken.  Nothing is created before
-    the first chunk has composed.
+    chunk k-1's rows once chunk k+1 is taken.
 
-    Returns the manifest.  Both files are written under temp names in
-    ``out_dir`` and renamed into place, ``augmented.bin`` first and
-    ``manifest.txt`` last, after any old manifest is removed.  An
-    exception in either thread (a GeometryError, or a bad label or short
-    record that a later chunk of the source raises) joins the worker,
-    removes the temps and any directory this run created, and is raised in
-    the caller's thread (the caller's own when both fail: an unread future
-    is dropped): a failed run leaves nothing behind, and a new
-    ``augmented.bin`` never sits next to an old manifest.
+    Returns the manifest.  ``out_dir`` is created if missing and the
+    staged ``augmented.bin`` opened before the first chunk is taken; both
+    files are written under temp names in it (`_staged`) and renamed into
+    place, ``augmented.bin`` first and ``manifest.txt`` last, after any
+    old manifest is removed.  An exception in either thread (a
+    GeometryError, or a bad label or short record that a chunk of the
+    source raises) joins the worker and is raised in the caller's thread
+    (the caller's own when both fail: an unread future is dropped), and
+    `_staged` removes the temps and any directory this run created: a
+    failed run leaves nothing it created, and a new ``augmented.bin``
+    never sits next to an old manifest.
     """
     lanes = compositor._LANES
     if isinstance(tables, np.ndarray):
@@ -489,45 +502,31 @@ def write_augmented_table(tables, variant: str, aug: AugmentationSpec,
                   for start in range(0, len(table), lanes))
     digest = hashlib.sha256()
     manifest_path = os.path.join(out_dir, "manifest.txt")
-    created = _missing_dirs(out_dir)
-    try:
-        # the helper is joined before `_staged` closes and removes the temps
-        with _staged(out_dir) as stage, ThreadPoolExecutor(1) as helper:
-            def staged_data():  # called once a chunk has composed, or none
-                os.makedirs(out_dir, exist_ok=True)
-                return stage("augmented.bin")
-
-            count, appended = 0, None
-            for chunk in tables:
-                compose_batch(table_pixels(chunk), count, aug, yona_config,
-                              seed)
-                if appended is None:
-                    data = staged_data()
-                else:
-                    appended.result()
-                appended = helper.submit(_append, data, digest, chunk)
-                count += len(chunk)
-            if appended is None:  # no records: an empty file
-                data = staged_data()
-            else:
+    # the helper is joined before `_staged` closes and removes the temps
+    with _staged(out_dir) as stage, ThreadPoolExecutor(1) as helper:
+        os.makedirs(out_dir, exist_ok=True)
+        data = stage("augmented.bin")
+        count, appended = 0, None
+        for chunk in tables:
+            compose_batch(table_pixels(chunk), count, aug, yona_config, seed)
+            if appended:
                 appended.result()
-            data.close()
-            manifest = DatasetManifest(
-                dataset=variant, count=count, seed=seed,
-                augmentation=describe_augmentation(aug),
-                yona=describe_yona(yona_config),
-                digest="sha256:" + digest.hexdigest())
-            with stage("manifest.txt") as fh:
-                fh.write(manifest.to_text().encode())
-            if os.path.lexists(manifest_path):
-                os.remove(manifest_path)
-            os.replace(data.name, os.path.join(out_dir, "augmented.bin"))
-            os.replace(fh.name, manifest_path)
-    except BaseException:
-        for path in created:  # empty once the temps are gone
-            with contextlib.suppress(OSError):
-                os.rmdir(path)
-        raise
+            appended = helper.submit(_append, data, digest, chunk)
+            count += len(chunk)
+        if appended:
+            appended.result()
+        data.close()
+        manifest = DatasetManifest(
+            dataset=variant, count=count, seed=seed,
+            augmentation=describe_augmentation(aug),
+            yona=describe_yona(yona_config),
+            digest="sha256:" + digest.hexdigest())
+        with stage("manifest.txt") as fh:
+            fh.write(manifest.to_text().encode())
+        if os.path.lexists(manifest_path):
+            os.remove(manifest_path)
+        os.replace(data.name, os.path.join(out_dir, "augmented.bin"))
+        os.replace(fh.name, manifest_path)
     return manifest
 
 
@@ -566,11 +565,13 @@ def write_png(image: ImageTensor, path) -> None:
 
 
 def write_files(out_dir, files: dict) -> None:
-    """Write each ``name: data`` of ``files`` into ``out_dir`` whole: every
-    file goes to a temp name first (`_staged`), and only once all are
-    written are they renamed into place, in order.  A failed write leaves
-    none of them and no temp; a failed rename leaves those before it."""
+    """Write each ``name: data`` of ``files`` into ``out_dir``, created if
+    missing, whole: every file goes to a temp name first (`_staged`), and
+    only once all are written are they renamed into place, in order.  A
+    failed write leaves none of them, no temp and no directory it created;
+    a failed rename leaves those before it."""
     with _staged(out_dir) as stage:
+        os.makedirs(out_dir, exist_ok=True)
         temps = []
         for name, data in files.items():
             with stage(name) as fh:
@@ -581,9 +582,15 @@ def write_files(out_dir, files: dict) -> None:
 
 
 def write_atomic(path, data) -> None:
-    """`write_files` of one file: ``path`` never holds a partial file."""
+    """Write ``data`` to ``path`` through a temp name in its directory
+    (`_staged`), so ``path`` never holds a partial file.  Unlike
+    `write_files`, it creates no directory: a missing one is an error
+    naming ``path``."""
     directory, name = os.path.split(os.fspath(path))
-    write_files(directory or ".", {name: data})
+    with _staged(directory or ".") as stage:
+        with stage(name) as fh:
+            fh.write(data)
+        os.replace(fh.name, path)
 
 
 def _paeth(a: int, b: int, c: int) -> int:

@@ -1,5 +1,6 @@
 """Command-line behavior: determinism, exit codes, flag plumbing."""
 
+import ast
 import contextlib
 import errno
 import hashlib
@@ -132,8 +133,8 @@ def test_augment_helper_write_error_is_io_error(tmp_path, small_batch_file,
 
 def test_augment_unhostable_mask_fraction_creates_nothing(
         tmp_path, small_batch_file, capsys):
-    # 0.01 of 32 rows rounds to none: the first chunk raises before the
-    # output directory or a temp exists
+    # 0.01 of 32 rows rounds to none: the first chunk raises once the
+    # output directory and its temp exist, and the failure removes both
     out_dir = tmp_path / "none"
     threads = threading.active_count()
     code, out, err = run(capsys, "augment", "--dataset",
@@ -1262,8 +1263,8 @@ def test_unmapped_exception_propagates(capsys, monkeypatch, error):
     assert capsys.readouterr().err == ""
 
 
-def test_failed_preview_write_leaves_no_file(tmp_path, capsys, monkeypatch):
-    # the third staged file hits a full disk: nothing was renamed yet
+def _failing_preview(tmp_path, capsys, monkeypatch, out_dir):
+    """Run a two-kind preview whose third staged file hits a full disk."""
     source = tmp_path / "sq.png"
     write_png(make_image(np.random.default_rng(2), height=8, width=8), source)
     opened = []
@@ -1276,13 +1277,90 @@ def test_failed_preview_write_leaves_no_file(tmp_path, capsys, monkeypatch):
         return open(path, mode, *args, **kwargs)
 
     monkeypatch.setattr(ds, "open", open_full, raising=False)
-    out_dir = tmp_path / "pv"
     code, out, err = run(capsys, "preview", "--image", str(source),
                          "--augs", "hflip", "cutout", "--out", str(out_dir))
     assert len(opened) == 3
     assert code == 3 and out == ""
     assert err.startswith("i/o error: [Errno 28]") and err.count("\n") == 1
-    assert list(out_dir.iterdir()) == []  # no PNG, temp or index.txt
+
+
+def test_failed_preview_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # the third staged file hits a full disk: nothing was renamed yet
+    out_dir = tmp_path / "pv"
+    _failing_preview(tmp_path, capsys, monkeypatch, out_dir)
+    assert not out_dir.exists()  # no PNG, temp, index.txt or directory
+
+
+def test_failed_preview_write_removes_the_parents_it_created(
+        tmp_path, capsys, monkeypatch):
+    _failing_preview(tmp_path, capsys, monkeypatch, tmp_path / "a/b/pv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sq.png"]
+
+
+@pytest.mark.parametrize("out", ["pv", "pv/new/deeper"])
+def test_failed_preview_write_keeps_an_existing_directory(
+        tmp_path, capsys, monkeypatch, out):
+    # only what the run created goes: the existing pv and its older files
+    # stay byte-identical, below it or as --out itself
+    existing = tmp_path / "pv"
+    existing.mkdir()
+    older = {"index.txt": b"an older index\n",
+             "img000_hflip_original.png": b"an older png",
+             "notes.txt": b"not a preview file"}
+    for name, data in older.items():
+        (existing / name).write_bytes(data)
+    _failing_preview(tmp_path, capsys, monkeypatch, tmp_path / out)
+    assert sorted(os.listdir(existing)) == sorted(older)
+    assert {name: (existing / name).read_bytes() for name in older} == older
+
+
+# the calls that make, rename or remove a file or directory
+_FS_CALLS = {"replace", "rename", "makedirs", "mkdir", "rmdir", "remove",
+             "unlink"}
+
+
+def _filesystem_writes(tree):
+    """The line and text of each call in ``tree`` that changes the file
+    system: an ``os`` call of `_FS_CALLS`, a name of them imported from
+    ``os``, or an ``open`` whose mode writes, appends or creates (or is not
+    a literal)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"from os import {alias.name}")
+                      for alias in node.names
+                      if alias.name in _FS_CALLS | {"*"}]
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in _FS_CALLS
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "os"):
+            found.append((node.lineno, ast.unparse(node)))
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = [kw.value for kw in node.keywords if kw.arg == "mode"] \
+                or node.args[1:2]
+            if mode and not (isinstance(mode[0], ast.Constant)
+                             and not set(str(mode[0].value)) & set("wax+")):
+                found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_only_dataset_touches_the_file_system():
+    # `dataset._staged` decides what a failed write leaves, so no other
+    # module may create, rename or remove a file or directory
+    package = Path(yona.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert {p.stem for p in modules} >= {"cli", "dataset", "evalstats"}
+    writes = {p.stem: _filesystem_writes(ast.parse(p.read_text()))
+              for p in modules}
+    assert writes.pop("dataset"), "the scan finds the writes dataset makes"
+    assert writes == {name: [] for name in writes}
+    imports = [alias.name for node in ast.walk(
+        ast.parse((package / "cli.py").read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names]
+    assert "os" not in imports
 
 
 def test_preview_of_a_one_pixel_wide_image(tmp_path, capsys):

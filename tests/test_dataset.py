@@ -535,8 +535,13 @@ def test_manifest_refuses_values_no_run_writes(tmp_path, small_records):
         return "".join(f"{key}={value}\n" if line.startswith(key + "=")
                        else line for line in text.splitlines(keepends=True))
 
+    # int() reads each spelling (U+0665 is an Arabic-Indic five), but
+    # to_text would give back other text
+    spellings = [(key, value) for key in ("count", "seed")
+                 for value in ("+5", "05", "1_0", "\u0665", "-0", " 5")]
     for key, value in (("count", "-3"), ("seed", "-1"),
-                       ("seed", str(2**64)), ("dataset", "imagenet")):
+                       ("seed", str(2**64)), ("dataset", "imagenet"),
+                       *spellings):
         with pytest.raises(FormatError, match=f"^manifest key '{key}'"):
             DatasetManifest.from_text(changed(key, value))
     # the bounds themselves parse
@@ -544,6 +549,20 @@ def test_manifest_refuses_values_no_run_writes(tmp_path, small_records):
                        ("dataset", "cifar100")):
         assert str(getattr(DatasetManifest.from_text(changed(key, value)),
                            key)) == value
+
+
+def test_manifest_refuses_a_repeated_or_unknown_key(tmp_path, small_records):
+    text = write_augmented_dataset(small_records, default_spec("hflip"),
+                                   None, 4, tmp_path / "m").to_text()
+    for extra, message in (("count=6\n", "'count' is repeated"),
+                           ("format=2\n", "'format' is repeated"),
+                           ("colour=red\n", "'colour' is unknown"),
+                           ("digest\n", "'digest' is repeated"),
+                           ("no equals sign\n", "'no equals sign' is "
+                                                "unknown")):
+        with pytest.raises(FormatError, match=f"^manifest key {message}$"):
+            DatasetManifest.from_text(text + extra)
+    assert DatasetManifest.from_text(text + "\n\n").to_text() == text
 
 
 def test_every_pinned_manifest_parses_and_round_trips():
