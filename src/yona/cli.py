@@ -286,7 +286,7 @@ def cmd_preview(args) -> None:
     yona_config = _build_yona(args)
     images = [ds.read_png(path) for path in args.image]
     if args.dataset:
-        table = ds.read_cifar_table(args.dataset, args.variant)
+        table = ds.read_cifar_table(args.dataset, args.variant, args.count)
         if len(table) < args.count:
             raise UsageError(
                 f"dataset holds {len(table)} records, need {args.count}")
@@ -317,11 +317,8 @@ def cmd_preview(args) -> None:
 
 def cmd_stats(args) -> None:
     spec, yona_config = _build_spec(args), _build_yona(args)
-    table = ds.read_cifar_table(args.dataset, args.variant)
-    if not len(table):
-        raise UsageError("dataset holds 0 records, need at least 1")
-    report = ev.collect_stats(ds.table_pixels(table), spec, yona_config,
-                              args.seed, args.n)
+    report = ev.collect_stats(ds.read_cifar_passes(args.dataset, args.variant),
+                              spec, yona_config, args.seed, args.n)
     sys.stdout.write(report.to_text())
     if args.report:
         ds.write_atomic(args.report, report.to_text().encode())
@@ -363,11 +360,10 @@ def cmd_bench(args) -> None:
 
 def cmd_probe(args) -> None:
     spec, yona_config = _build_spec(args), _build_yona(args)
-    records = ds.read_cifar(args.dataset, args.variant)
-    if len(records) < args.train_count + args.eval_count:
-        raise UsageError(
-            f"dataset holds {len(records)} records, need "
-            f"{args.train_count + args.eval_count}")
+    need = args.train_count + args.eval_count
+    records = ds.read_cifar(args.dataset, args.variant, need)
+    if len(records) < need:
+        raise UsageError(f"dataset holds {len(records)} records, need {need}")
     train = records[:args.train_count]
     model, losses = ev.train_linear_probe(
         train, spec, yona_config, args.epochs, args.lr, args.momentum,

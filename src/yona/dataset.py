@@ -9,10 +9,14 @@ augmented datasets feed any external trainer unchanged:
 A batch is one table: a uint8 array with one row per record.  One reader,
 `_read_chunks`, reads a batch file through `open` until it ends (so a
 pipe works) into tables it is given, checking each chunk's labels and, at
-the end, the length.  `read_cifar_chunks` reads it into two reused
-``compositor._LANES``-row tables, `read_cifar_table` into one table of
-the whole batch, and `read_cifar` splits that into records whose images
-are read-only views of it; both writers lay records out as one table with
+the end, the length.  Every reader reads to the end, so every label and
+the length are checked.  `read_cifar_chunks` reads a batch into two
+reused ``compositor._LANES``-row tables; `read_cifar_table` its first
+``count`` records (all by default) into one table, and the rest through
+one reused table; `read_cifar` splits that into records whose images are
+read-only views of it; and `read_cifar_passes` gives `yona stats` its
+pixels pass by pass, a regular file read again for each pass and a pipe
+held as one table.  Both writers lay records out as one table with
 `_cifar_table`.  `write_augmented_table` composes chunks of a table in
 place with `compositor.compose_batch`, knowing nothing of composition
 itself, while the one worker of a per-run ``ThreadPoolExecutor(1)``
@@ -49,6 +53,7 @@ import itertools
 import os
 import pathlib
 import re
+import stat
 import struct
 import sys
 import zlib
@@ -150,25 +155,54 @@ def read_cifar_chunks(path, variant: str):
     return _read_chunks(path, variant, tables)
 
 
-def read_cifar_table(path, variant: str) -> np.ndarray:
-    """The ``variant`` batch file at ``path`` as a writable ``(N, record
-    size)`` uint8 table, one row per record, read and checked as
-    `_read_chunks` does.
+def read_cifar_table(path, variant: str, count: int | None = None
+                     ) -> np.ndarray:
+    """The first ``count`` records (all by default, fewer if the file holds
+    fewer) of the ``variant`` batch file at ``path`` as a writable ``(N,
+    record size)`` uint8 table, one row per record, read and checked as
+    `_read_chunks` does: the records past them are read through one reused
+    ``_LANES``-row table, so every label and the length are checked.
 
-    A regular file is read into one table of the size ``fstat`` gives; a
-    pipe (its size reads 0), or what a file added since, ``_LANES``
-    records at a time, and the chunks are joined.
+    A regular file is read into one table of the size ``fstat`` gives, cut
+    to ``count`` rows; a pipe (its size reads 0), or what a file added
+    since, ``_LANES`` records at a time, and the chunks are joined.
     """
+    count = sys.maxsize if count is None else count
+
     def tables(fh):
         record_size = _RECORD_BYTES[variant]
-        yield np.empty((os.fstat(fh.fileno()).st_size // record_size,
-                        record_size), dtype=np.uint8)
-        while True:
-            yield np.empty((compositor._LANES, record_size), dtype=np.uint8)
+        held = min(count, os.fstat(fh.fileno()).st_size // record_size)
+        if held:
+            yield np.empty((held, record_size), dtype=np.uint8)
+        while held < count:  # each table is full when the next is taken
+            rows = min(compositor._LANES, count - held)
+            yield np.empty((rows, record_size), dtype=np.uint8)
+            held += rows
+        yield from itertools.repeat(np.empty(
+            (compositor._LANES, record_size), dtype=np.uint8))
 
-    chunks = list(_read_chunks(path, variant, tables)) or [
-        np.empty((0, _RECORD_BYTES[variant]), dtype=np.uint8)]
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    chunks, held = [], 0
+    for chunk in _read_chunks(path, variant, tables):
+        if held < count:
+            chunks.append(chunk)
+            held += len(chunk)
+    if len(chunks) == 1:
+        return chunks[0]
+    return np.concatenate(chunks) if chunks else np.empty(
+        (0, _RECORD_BYTES[variant]), dtype=np.uint8)
+
+
+def read_cifar_passes(path, variant: str):
+    """A function of no arguments that returns the pixels (`table_pixels`)
+    of the ``variant`` batch file at ``path`` as consecutive chunks, for
+    one pass over them, as `evalstats.collect_stats` takes.  A regular
+    file is read again on every call, through the two reused tables of
+    `read_cifar_chunks`; any other file (a pipe) cannot be, so it is read
+    here into one table (`read_cifar_table`) that every call returns."""
+    if stat.S_ISREG(os.stat(path).st_mode):
+        return lambda: map(table_pixels, read_cifar_chunks(path, variant))
+    pixels = [table_pixels(read_cifar_table(path, variant))]
+    return lambda: pixels
 
 
 def table_pixels(table: np.ndarray) -> np.ndarray:
@@ -176,14 +210,17 @@ def table_pixels(table: np.ndarray) -> np.ndarray:
     return table[:, -_PIXELS:].reshape(-1, *_SHAPE)
 
 
-def read_cifar(path, variant: str) -> list[CifarRecord]:
-    """Parse a CIFAR binary batch file into records, validating labels.
+def read_cifar(path, variant: str, count: int | None = None
+               ) -> list[CifarRecord]:
+    """Parse a CIFAR binary batch file into records, validating labels:
+    the first ``count`` of them (all by default), the rest read and
+    checked only (`read_cifar_table`).
 
     Raises FormatError (with the byte offset of the first incomplete record)
     on truncation and CorruptRecordError on out-of-range labels.  Each image
-    is a read-only view of the bytes read (`read_cifar_table`).
+    is a read-only view of the bytes read.
     """
-    table = read_cifar_table(path, variant)
+    table = read_cifar_table(path, variant, count)
     table.flags.writeable = False
     fine = table[:, -_PIXELS - 1].tolist()
     coarse = table[:, 0].tolist() if variant != CIFAR10 else [None] * len(fine)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .augment import AugmentationSpec, apply_augmentation
 from .compositor import YonaConfig, compose_batch, yona_apply
-from .errors import DivergenceError, ReplayMismatch
+from .errors import DivergenceError, FormatError, ReplayMismatch
 from .image import ImageTensor, check_pixels, noise_from_tape
 from .rng import NOISE_ROLE, SeedSpec, derive_stream, stream_tapes
 
@@ -26,9 +26,10 @@ from .rng import NOISE_ROLE, SeedSpec, derive_stream, stream_tapes
 # --------------------------------------------------------------------------
 # Pipeline statistics
 
-# samples composed per `compose_batch` call: at 1,024 rather than 256 the
-# stats-gauss benchmark workload's peak RSS read 96.6 MiB, not 76.1 (2 vCPU,
-# numpy 2.4), over its 10% bound
+# samples composed per `compose_batch` call: at 1,024 rather than 256,
+# `yona stats --n 10000 --aug cutout --noise gaussian:127.5,32` on a
+# 10,000-record file peaked at 54.1-54.9 MiB RSS, not 45.2-46.0, and ran no
+# faster (2 vCPU, numpy 2.4)
 _STATS_CHUNK = 256
 
 
@@ -69,44 +70,74 @@ def _mean_abs_deltas(out: np.ndarray, clean: np.ndarray) -> list[float]:
         axis=1, dtype=np.uint32 if size < 2**24 else np.int64) / size).tolist()
 
 
+def _sample_runs(read, n_samples: int):
+    """Yield ``(first sample, images)`` for each run of up to
+    ``_STATS_CHUNK`` samples within one chunk of the passes that ``read()``
+    makes over the images (see `collect_stats`), once more for each wrap.
+    Every pass is drained to its end; ValueError if the first holds no
+    image, FormatError if a later one holds another number."""
+    start, first_pass = 0, None
+    while start < n_samples:
+        count = 0
+        for chunk in read():
+            check_pixels(chunk, batch=True)
+            count += len(chunk)
+            for lo in range(0, len(chunk), _STATS_CHUNK):
+                if start == n_samples:  # read on: the rest is checked too
+                    break
+                run = chunk[lo:lo + min(_STATS_CHUNK, n_samples - start)]
+                yield start, run
+                start += len(run)
+        if first_pass not in (None, count):
+            raise FormatError(f"the batch held {first_pass} images on its "
+                              f"first pass and {count} on a later one")
+        if not count:
+            raise ValueError("dataset holds 0 records, need at least 1")
+        first_pass = count
+
+
 def collect_stats(images, aug: AugmentationSpec,
                   yona_config: YonaConfig | None, seed: int,
                   n_samples: int) -> StatsReport:
     """Compose samples ``0 .. n_samples - 1`` (sample ``i`` is image ``i mod
     N``) with `compose_batch` and tally the coin outcomes.  ``images`` is
     an (N, C, H, W) uint8 array (`check_pixels`), such as
-    `dataset.table_pixels` of a table, or a list of records of one image
-    shape, stacked once.  Each chunk of samples is one gather of its
-    images.  The masked fraction is verified independently of the lanes:
-    each geometry group of a chunk replays its masks with one
-    `noise_from_tape` call over `stream_tapes` of its samples' noise
-    streams, and a `ReplayMismatch` (an AssertionError) names the lowest
-    sample whose mask differs.  The replay shares the noise law
-    and the tape assembler (`rng._tapes`) with the composition; the one
-    difference is where the block seeds come from: scalar Python ints here
-    (a one-block tape is seeded from each sample's first noise word, with
-    no stream object, a longer one from its own `image_stream`),
-    `lane_states` and a `LaneStream` there.
+    `dataset.table_pixels` of a table; a list of records of one image
+    shape, stacked once; or a function of no arguments that returns an
+    iterable of such arrays, the consecutive chunks of the N images,
+    called for the first pass over them and again for each wrap (`yona
+    stats` reads a regular file so, chunk by chunk).  Every pass is read
+    to its end, so a reader that checks its input checks all of it.
+
+    Each run of up to ``_STATS_CHUNK`` samples within one chunk is composed
+    from a copy of its slice.  Every sample is composed from its own
+    streams and every sum runs per sample in sample order, so the report
+    does not depend on the chunking.  The masked fraction is verified
+    independently of the lanes: each geometry group of a run replays its
+    masks with one `noise_from_tape` call over `stream_tapes` of its
+    samples' noise streams, and a `ReplayMismatch` (an AssertionError)
+    names the lowest sample whose mask differs.  The replay shares the
+    noise law and the tape assembler (`rng._tapes`) with the composition;
+    the one difference is where the block seeds come from: scalar Python
+    ints here (a one-block tape is seeded from each sample's first noise
+    word, with no stream object, a longer one from its own
+    `image_stream`), `lane_states` and a `LaneStream` there.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if not isinstance(images, np.ndarray):  # records, stacked once
-        images = list(images)
-        if images:
-            images = _stack(images)
-    if not len(images):
-        raise ValueError("collect_stats needs at least one record")
-    check_pixels(images, batch=True)
-    if yona_config is not None:
-        entries, _ = yona_config._geometry(images.shape[1:])
+    if isinstance(images, np.ndarray):
+        chunks = [images]
+    elif not callable(images):  # records, stacked once
+        records = list(images)
+        chunks = [_stack(records)] if records else []
+    read = images if callable(images) else lambda: chunks
     height_hits = first_hits = 0
     masked_total = delta_total = 0.0
-    for start in range(0, n_samples, _STATS_CHUNK):
-        clean = images[np.arange(start, min(start + _STATS_CHUNK, n_samples))
-                       % len(images)]
+    for start, clean in _sample_runs(read, n_samples):
         out = clean.copy()
         groups = compose_batch(out, start, aug, yona_config, seed)
         if yona_config is not None:
+            entries, _ = yona_config._geometry(clean.shape[1:])
             height_hits += int(np.count_nonzero(groups >> 1))
             first_hits += int(np.count_nonzero(groups & 1))
             wrong = []

@@ -25,7 +25,7 @@ from yona.dataset import (CifarRecord, DatasetManifest, content_digest,
 from yona.errors import (CorruptRecordError, DivergenceError, FormatError,
                          GeometryError, ReplayMismatch,
                          UnsupportedAugmentationError)
-from yona.image import ImageTensor
+from yona.image import GaussianNoise, ImageTensor
 from yona.rng import NOISE_ROLE
 
 from conftest import make_image, make_records
@@ -208,9 +208,9 @@ def test_augment_of_no_records_emits_an_empty_pair(tmp_path, capsys, source):
     assert manifest_of(out_dir).digest == content_digest(b"")
 
 
-def test_augment_peak_memory_is_flat_in_the_batch_size(tmp_path, capsys):
-    # the input streams through two reused chunk tables: 6,000 more records
-    # (18 MB) raise the traced peak by less than one chunk
+def _peaks_over_2000_and_8000_records(tmp_path, capsys, argv):
+    """The tracemalloc peaks of the command ``argv(path, count)`` over a
+    random 2,000- and an 8,000-record CIFAR-10 batch file at ``path``."""
     rng = np.random.default_rng(21)
     peaks = []
     for count in (2000, 8000):
@@ -221,12 +221,44 @@ def test_augment_peak_memory_is_flat_in_the_batch_size(tmp_path, capsys):
         del table
         tracemalloc.start()
         try:
-            code, _, err = run(capsys, "augment", "--dataset", str(path),
-                               "--out", str(tmp_path / f"out{count}"))
+            code, _, err = run(capsys, *argv(path, count))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         assert code == 0, err
+    return peaks
+
+
+def test_augment_peak_memory_is_flat_in_the_batch_size(tmp_path, capsys):
+    # the input streams through two reused chunk tables: 6,000 more records
+    # (18 MB) raise the traced peak by less than one chunk
+    peaks = _peaks_over_2000_and_8000_records(
+        tmp_path, capsys, lambda path, count: [
+            "augment", "--dataset", str(path),
+            "--out", str(tmp_path / f"out{count}")])
+    assert abs(peaks[1] - peaks[0]) < comp._LANES * 3073, peaks
+
+
+@pytest.mark.parametrize("samples", ["1500", "N"])
+def test_stats_peak_memory_is_flat_in_the_batch_size(tmp_path, capsys,
+                                                     samples):
+    # a regular file streams through two reused chunk tables, whether the
+    # samples stop short of its end (the rest is still read and checked)
+    # or take every record
+    peaks = _peaks_over_2000_and_8000_records(
+        tmp_path, capsys, lambda path, count: [
+            "stats", "--dataset", str(path),
+            "--n", str(count) if samples == "N" else samples])
+    assert abs(peaks[1] - peaks[0]) < comp._LANES * 3073, peaks
+
+
+def test_probe_peak_memory_is_flat_in_the_batch_size(tmp_path, capsys):
+    # one table holds the 500 training records; the rest of the file is
+    # read and checked through one reused chunk table
+    peaks = _peaks_over_2000_and_8000_records(
+        tmp_path, capsys, lambda path, count: [
+            "probe", "--dataset", str(path), "--train-count", "500",
+            "--epochs", "1"])
     assert abs(peaks[1] - peaks[0]) < comp._LANES * 3073, peaks
 
 
@@ -468,6 +500,117 @@ def test_stats_builds_no_records(small_batch_file, monkeypatch, capsys):
 
     monkeypatch.setattr(ds, "read_cifar", refuse)
     assert run(capsys, *argv) == (0, report, "")
+
+
+@pytest.fixture(scope="module")
+def batches_2100(tmp_path_factory):
+    """A random 2,100-record CIFAR-10 and CIFAR-100 batch file, by variant:
+    past two 1,024-record chunk borders, in eight full 256-sample runs and
+    a short one."""
+    rng = np.random.default_rng(36)
+    paths = {}
+    for variant, limits in (("cifar10", (10,)), ("cifar100", (20, 100))):
+        table = rng.integers(0, 256, (2100, 3072 + len(limits)),
+                             dtype=np.uint8)
+        for column, limit in enumerate(limits):
+            table[:, column] %= limit
+        paths[variant] = tmp_path_factory.mktemp(variant) / "batch.bin"
+        paths[variant].write_bytes(table.tobytes())
+    return paths
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 1023, 1025, 2100, 2101, 6300])
+@pytest.mark.parametrize("variant", ["cifar10", "cifar100"])
+def test_stats_report_same_from_a_file_a_fifo_and_the_table(
+        tmp_path, batches_2100, monkeypatch, capsys, variant, n):
+    # a regular file is read chunk by chunk, once more for each wrap; a
+    # FIFO cannot be read again, so its table is held
+    import yona.evalstats as ev
+
+    path = batches_2100[variant]
+    config = comp.YonaConfig(noise=GaussianNoise(127.5, 32))
+    want = ev.collect_stats(
+        ds.table_pixels(ds.read_cifar_table(path, variant)),
+        default_spec("cutout"), config, 5, n).to_text()
+    fifo = tmp_path / "fifo.bin"
+    _serve(fifo, path.read_bytes(), "fifo")
+    passes = []
+    read = ds.read_cifar_chunks
+    monkeypatch.setattr(ds, "read_cifar_chunks",
+                        lambda *args: passes.append(args) or read(*args))
+    for dataset, reads in ((path, -(-n // 2100)), (fifo, 0)):
+        passes.clear()
+        assert run(capsys, "stats", "--dataset", str(dataset), "--variant",
+                   variant, "--n", str(n), "--aug", "cutout", "--noise",
+                   "gaussian:127.5,32", "--seed", "5") == (0, want, "")
+        assert len(passes) == reads
+
+
+# each uses fewer of the 2,100 records than the file holds, or wraps
+_FEW_RECORDS = {
+    "stats": ["--n", "5"],
+    "stats-wrap": ["--n", "5000"],
+    "probe": ["--train-count", "500", "--eval-count", "100", "--epochs", "1"],
+    "preview": ["--count", "2", "--augs", "hflip", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("source", ["file", "fifo"])
+@pytest.mark.parametrize("fault", ["label", "cut"])
+@pytest.mark.parametrize("command", sorted(_FEW_RECORDS))
+def test_a_fault_past_the_records_used_is_still_reported(
+        tmp_path, batches_2100, capsys, command, fault, source):
+    # the rest of the file is read and checked as a whole-file read would
+    blob = bytearray(batches_2100["cifar10"].read_bytes())
+    if fault == "label":
+        blob[2050 * 3073] = 10
+    else:
+        blob = blob[:-10]
+    path, out_dir = tmp_path / "input.bin", tmp_path / "out"
+    _serve(path, bytes(blob), source)
+    code, out, err = run(capsys, command.split("-")[0], "--dataset",
+                         str(path), *[flag.format(out=out_dir)
+                                      for flag in _FEW_RECORDS[command]])
+    assert (code, out) == (2, "")
+    assert err == f"format error: {path}: " + (
+        "record 2050 has fine label 10, valid range is [0, 9]\n"
+        if fault == "label" else f"file length {2100 * 3073 - 10} is not "
+        f"a multiple of the 3073-byte record size\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("source", ["file", "fifo"])
+@pytest.mark.parametrize("command, need", [("probe", 600), ("preview", 2)])
+def test_an_empty_batch_is_one_usage_line(tmp_path, capsys, command, need,
+                                          source):
+    path, out_dir = tmp_path / "empty.bin", tmp_path / "out"
+    _serve(path, b"", source)
+    flags = [flag.format(out=out_dir) for flag in _FEW_RECORDS[command]]
+    code, out, err = run(capsys, command, "--dataset", str(path), *flags)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: dataset holds 0 records, need {need}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("first, n", [(1024, 1100), (2100, 2200)])
+def test_stats_replay_mismatch_in_a_later_chunk_names_its_sample(
+        batches_2100, monkeypatch, capsys, first, n):
+    # noise lane 7 of every run from sample ``first`` on (the second table
+    # chunk, or the first run of the wrap) seeded with lane 8's state
+    law = comp.lane_states
+
+    def swapped(seed, start, lanes, role):
+        states = law(seed, start, lanes, role)
+        if role == NOISE_ROLE and start >= first:
+            states[:, 7] = states[:, 8]
+        return states
+
+    monkeypatch.setattr(comp, "lane_states", swapped)
+    code, out, err = run(capsys, "stats", "--dataset",
+                         str(batches_2100["cifar10"]), "--n", str(n))
+    assert (code, out) == (4, "")
+    assert err == (f"replay mismatch: sample {first + 7}: masked region "
+                   f"does not replay from the noise stream\n")
 
 
 def test_preview_builds_no_records(tmp_path, small_batch_file, monkeypatch,

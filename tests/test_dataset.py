@@ -101,10 +101,10 @@ def test_truncation_offset_mid_file(tmp_path):
     assert err.value.offset == 2 * 3073
 
 
-def _read_table_as(source, path, blob, monkeypatch):
-    """`read_cifar_table` of ``blob`` written to ``path`` as a regular file,
-    a FIFO, or a file that grew after its size was read (``fstat`` reads
-    1,000 bytes)."""
+def _read_table_as(source, path, blob, monkeypatch, count=None):
+    """`read_cifar_table` of the first ``count`` records of ``blob`` written
+    to ``path`` as a regular file, a FIFO, or a file that grew after its
+    size was read (``fstat`` reads 1,000 bytes)."""
     if source == "fifo":
         os.mkfifo(path)
 
@@ -119,7 +119,7 @@ def _read_table_as(source, path, blob, monkeypatch):
         if source == "grown":
             patch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
                 st_size=1000))
-        return ds.read_cifar_table(path, CIFAR10)
+        return ds.read_cifar_table(path, CIFAR10, count)
 
 
 @pytest.mark.parametrize("source", ["fifo", "grown"])
@@ -142,6 +142,32 @@ def test_read_cifar_table_same_from_a_file_and_a_stream(tmp_path, source,
         errors.append((err.value.offset, str(err.value).split(": ", 1)[1]))
     assert errors[0] == errors[1] == (99 * 3073, (
         "file length 307290 is not a multiple of the 3073-byte record size"))
+
+
+@pytest.mark.parametrize("source", ["file", "fifo", "grown"])
+@pytest.mark.parametrize("count", [0, 1, 20, 99, 100, 101])
+def test_read_cifar_table_holds_its_first_count_records(tmp_path, source,
+                                                        count, monkeypatch):
+    # 16-record chunks: the records past ``count`` are read through one
+    # reused table, and every label of them and the length still checked
+    monkeypatch.setattr(comp, "_LANES", 16)
+    path = tmp_path / "batch.bin"
+    write_cifar(make_records(100, seed=4), path, CIFAR10)
+    blob = path.read_bytes()
+    table = _read_table_as(source, tmp_path / "in.bin", blob, monkeypatch,
+                           count)
+    held = min(count, 100)
+    assert table.shape == (held, 3073) and table.flags.writeable
+    assert table.tobytes() == blob[:held * 3073]
+    if source == "file" and held:  # one table of the records it holds
+        assert table.base.shape == table.shape
+    bad = bytearray(blob)
+    bad[99 * 3073] = 10
+    for name, faulty in (("label", bad), ("cut", blob[:-10])):
+        with pytest.raises(FormatError) as err:
+            _read_table_as(source, tmp_path / f"{name}.bin", bytes(faulty),
+                           monkeypatch, count)
+        assert err.value.offset == 99 * 3073
 
 
 def test_bad_label_rejected(tmp_path):

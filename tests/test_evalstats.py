@@ -12,7 +12,7 @@ from yona.augment import apply_augmentation, default_spec
 from yona.compositor import YonaConfig, yona_apply_traced
 from yona.dataset import (CifarRecord, read_cifar, read_cifar_table,
                           table_pixels, write_cifar)
-from yona.errors import DivergenceError
+from yona.errors import DivergenceError, FormatError
 from yona.evalstats import (PredictionRecord, StatsReport,
                             benchmark_throughput, collect_stats,
                             evaluate_probe, probe_gradients, probe_loss,
@@ -295,6 +295,44 @@ def test_stats_of_a_table_equals_the_stats_of_its_records(
     from_table = collect_stats(table_pixels(read_cifar_table(path, variant)),
                                *args)
     assert from_table == collect_stats(read_cifar(path, variant), *args)
+
+
+@pytest.mark.parametrize("sizes", [(300,), (1, 7, 292), (256, 44),
+                                   (100, 100, 100)])
+@pytest.mark.parametrize("n_samples", [1, 299, 300, 301, 557, 900])
+def test_stats_of_chunks_equal_the_stats_of_the_whole_table(
+        batch_files_300, sizes, n_samples):
+    # every sample is composed from its own streams and every sum runs per
+    # sample in sample order, so the chunking cannot move the report; each
+    # pass (one per wrap) is read to its end
+    images = table_pixels(read_cifar_table(batch_files_300["cifar10"],
+                                           "cifar10"))
+    args = (default_spec("cutout"), YonaConfig(noise=GaussianNoise()), 5,
+            n_samples)
+    drained = []
+
+    def passes():
+        drained.append(False)
+        edges = np.cumsum((0,) + sizes)
+        for lo, hi in zip(edges, edges[1:]):
+            yield images[lo:hi]
+        drained[-1] = True
+
+    assert collect_stats(passes, *args) == collect_stats(images, *args)
+    assert drained == [True] * -(-n_samples // 300)
+
+
+def test_stats_refuses_a_pass_of_another_length(batch_files_300):
+    # a file read again for a wrap must hold the records it held before
+    images = table_pixels(read_cifar_table(batch_files_300["cifar10"],
+                                           "cifar10"))
+    lengths = iter([300, 299])
+    args = (default_spec("hflip"), YonaConfig(), 0, 301)
+    with pytest.raises(FormatError, match="held 300 images on its first "
+                                          "pass and 299 on a later one"):
+        collect_stats(lambda: [images[:next(lengths)]], *args)
+    with pytest.raises(ValueError, match="dataset holds 0 records"):
+        collect_stats(lambda: [images[:0]], *args)
 
 
 @pytest.mark.parametrize("noise", [UniformNoise(), GaussianNoise()])
