@@ -35,13 +35,17 @@ Manifests (format 2) are flat ``key=value`` text, one line per
 `DatasetManifest.KEYS` entry in that order, with a SHA-256 content digest
 over all emitted record bytes, the value ``sha256sum`` prints for
 ``augmented.bin``.  Every output file is written under a temp name in its
-directory and renamed into place, and `_staged` alone decides what a
-failed write leaves: nothing it made, neither a temp nor a directory.
-`write_files` creates its directory and renames a set of files only once
-every one of their temps is written; `write_atomic` writes one file into
-a directory that must exist; `write_augmented_table` streams
-``augmented.bin`` into its temp.  `fnv1a_64` is a plain loop that no
-command runs, kept for perfbench and the golden pins of the tests.
+directory, and `_staged` alone renames or removes one, with one rule for
+every writer.  Once every temp of a set is written, it removes the old
+copy of the set's last file (the marker that says the set is whole:
+``manifest.txt`` for `augment`, ``index.txt`` for `preview`) when the
+set holds more than one file, then renames the temps into place in the
+order they were staged; a failed write leaves nothing it made, neither a
+temp nor a directory.  The writers only stage and write: `write_files`
+creates its directory, `write_atomic` writes one file into a directory
+that must exist, and `write_augmented_table` streams ``augmented.bin``
+into its temp.  `fnv1a_64` is a plain loop that no command runs, kept
+for perfbench and the golden pins of the tests.
 """
 
 from __future__ import annotations
@@ -338,7 +342,7 @@ class DatasetManifest:
         or a seed outside [0, 2**64)."""
         values, extra = {}, []
         for line in text.splitlines():
-            key, _, value = line.strip().partition("=")
+            key, _, value = line.partition("=")
             if key in values or (key and key not in cls.KEYS):
                 extra.append(key)
             elif key:
@@ -436,13 +440,22 @@ def describe_yona(config: YonaConfig | None) -> str:
 @contextlib.contextmanager
 def _staged(out_dir):
     """Yield ``stage(name)``, which opens a fresh temp name in ``out_dir``
-    for binary writing and returns the handle; the caller closes it and
-    ``os.replace``s its ``name`` into place.  On exit every handle is
-    closed and then every temp not yet renamed is removed; on an
-    exception, then also every directory of ``out_dir``'s path that was
-    missing on entry (the block may create them), deepest first and only
-    if empty.  So a failed write leaves nothing it made: this is the one
-    place that decides what a failure leaves."""
+    for binary writing and returns the handle; the caller writes it, and
+    may close it once written.  This is the one place that renames or
+    removes an output file.
+
+    When the block ends without an exception, every handle still open is
+    closed; if more than one file was staged, the old copy of the last
+    staged name (the file that marks the set whole) is removed; then each
+    temp is ``os.replace``d into place in the order it was staged.  A
+    single file keeps ``os.replace``'s atomic swap.
+
+    On exit every handle is closed and then every temp not yet renamed is
+    removed; on an exception (in the block or in a rename), then also
+    every directory of ``out_dir``'s path that was missing on entry (the
+    block may create them), deepest first and only if empty.  So a failed
+    write leaves nothing it made, and a rename that fails part way keeps
+    the files renamed before it."""
     token = f"{os.getpid()}.{os.urandom(4).hex()}.tmp"
     missing, path = [], os.path.abspath(out_dir)
     while not os.path.lexists(path):
@@ -457,18 +470,28 @@ def _staged(out_dir):
 
     with contextlib.ExitStack() as cleanup:
         cleanup.push(remove_missing)  # runs last: once the temps are gone
+        staged = []  # (final path, handle) in stage order
 
         def stage(name):
+            final = os.path.join(out_dir, name)
             temp = os.path.join(out_dir, f".{name}.{token}")
             try:
                 handle = open(temp, "wb")
             except OSError as exc:  # name the file, not its random temp
-                exc.filename = os.path.join(out_dir, name)
+                exc.filename = final
                 raise
             cleanup.callback(pathlib.Path(temp).unlink, missing_ok=True)
-            return cleanup.enter_context(handle)  # closed before removed
+            # closed before removed
+            staged.append((final, cleanup.enter_context(handle)))
+            return handle
 
         yield stage
+        for _, handle in staged:
+            handle.close()
+        if len(staged) > 1 and os.path.lexists(staged[-1][0]):
+            os.remove(staged[-1][0])
+        for final, handle in staged:
+            os.replace(handle.name, final)
 
 
 def write_augmented_dataset(records, aug: AugmentationSpec,
@@ -522,11 +545,11 @@ def write_augmented_table(tables, variant: str, aug: AugmentationSpec,
 
     Returns the manifest.  ``out_dir`` is created if missing and the
     staged ``augmented.bin`` opened before the first chunk is taken; both
-    files are written under temp names in it (`_staged`) and renamed into
-    place, ``augmented.bin`` first and ``manifest.txt`` last, after any
-    old manifest is removed.  An exception in either thread (a
-    GeometryError, or a bad label or short record that a chunk of the
-    source raises) joins the worker and is raised in the caller's thread
+    files are staged in it, ``manifest.txt`` last, so `_staged` removes
+    any old manifest and then renames ``augmented.bin`` and
+    ``manifest.txt`` into place, in that order.  An exception in either
+    thread (a GeometryError, or a bad label or short record that a chunk
+    of the source raises) joins the worker and is raised in the caller's thread
     (the caller's own when both fail: an unread future is dropped), and
     `_staged` removes the temps and any directory this run created: a
     failed run leaves nothing it created, and a new ``augmented.bin``
@@ -538,8 +561,7 @@ def write_augmented_table(tables, variant: str, aug: AugmentationSpec,
         tables = (table[start:start + lanes]
                   for start in range(0, len(table), lanes))
     digest = hashlib.sha256()
-    manifest_path = os.path.join(out_dir, "manifest.txt")
-    # the helper is joined before `_staged` closes and removes the temps
+    # the helper is joined before `_staged` renames or removes the temps
     with _staged(out_dir) as stage, ThreadPoolExecutor(1) as helper:
         os.makedirs(out_dir, exist_ok=True)
         data = stage("augmented.bin")
@@ -552,7 +574,6 @@ def write_augmented_table(tables, variant: str, aug: AugmentationSpec,
             count += len(chunk)
         if appended:
             appended.result()
-        data.close()
         manifest = DatasetManifest(
             dataset=variant, count=count, seed=seed,
             augmentation=describe_augmentation(aug),
@@ -560,10 +581,6 @@ def write_augmented_table(tables, variant: str, aug: AugmentationSpec,
             digest="sha256:" + digest.hexdigest())
         with stage("manifest.txt") as fh:
             fh.write(manifest.to_text().encode())
-        if os.path.lexists(manifest_path):
-            os.remove(manifest_path)
-        os.replace(data.name, os.path.join(out_dir, "augmented.bin"))
-        os.replace(fh.name, manifest_path)
     return manifest
 
 
@@ -603,31 +620,27 @@ def write_png(image: ImageTensor, path) -> None:
 
 def write_files(out_dir, files: dict) -> None:
     """Write each ``name: data`` of ``files`` into ``out_dir``, created if
-    missing, whole: every file goes to a temp name first (`_staged`), and
-    only once all are written are they renamed into place, in order.  A
-    failed write leaves none of them, no temp and no directory it created;
-    a failed rename leaves those before it."""
+    missing, whole: every file is staged (`_staged`), and only once all
+    are written are they renamed into place, in order, after the old copy
+    of the last one (the set's marker, such as ``index.txt``) is removed
+    when there is more than one.  A failed write leaves none of them, no
+    temp and no directory it created; a failed rename leaves those before
+    it."""
     with _staged(out_dir) as stage:
         os.makedirs(out_dir, exist_ok=True)
-        temps = []
         for name, data in files.items():
             with stage(name) as fh:
                 fh.write(data)
-            temps.append(fh.name)
-        for temp, name in zip(temps, files):
-            os.replace(temp, os.path.join(out_dir, name))
 
 
 def write_atomic(path, data) -> None:
     """Write ``data`` to ``path`` through a temp name in its directory
-    (`_staged`), so ``path`` never holds a partial file.  Unlike
-    `write_files`, it creates no directory: a missing one is an error
-    naming ``path``."""
+    that `_staged` renames over it in one ``os.replace``, so ``path``
+    never holds a partial file.  Unlike `write_files`, it creates no
+    directory: a missing one is an error naming ``path``."""
     directory, name = os.path.split(os.fspath(path))
-    with _staged(directory or ".") as stage:
-        with stage(name) as fh:
-            fh.write(data)
-        os.replace(fh.name, path)
+    with _staged(directory or ".") as stage, stage(name) as fh:
+        fh.write(data)
 
 
 def _paeth(a: int, b: int, c: int) -> int:

@@ -346,6 +346,37 @@ def test_failed_preview_leaves_no_temp_file(tmp_path, small_batch_file,
         read_png(out_dir / name)
 
 
+@pytest.mark.parametrize("command, marker", [
+    (["augment", "--aug", "hflip"], "manifest.txt"),
+    (["preview", "--count", "1", "--augs", "hflip"], "index.txt")])
+def test_failed_rename_leaves_no_old_marker(tmp_path, small_batch_file,
+                                            capsys, monkeypatch, command,
+                                            marker):
+    # the first rename over an older set fails: the older marker (the
+    # set's last file) is already gone, so it cannot describe a set that
+    # is not there; every other older file stays byte-identical
+    out_dir = tmp_path / "out"
+    argv = [*command, "--dataset", str(small_batch_file),
+            "--out", str(out_dir)]
+    assert run(capsys, *argv, "--seed", "1")[0] == 0
+    older = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert marker in older and len(older) > 1
+    replace, calls = os.replace, []
+
+    def failing(src, dst):
+        calls.append(dst)
+        if len(calls) == 1:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    code, out, err = run(capsys, *argv, "--seed", "2")
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert "disk full" in err and len(calls) == 1
+    del older[marker]
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == older
+
+
 def test_preview_requires_input(tmp_path, capsys):
     code, _, err = run(capsys, "preview", "--out", str(tmp_path / "none"))
     assert code == 1
@@ -1490,15 +1521,31 @@ def _filesystem_writes(tree):
 
 
 def test_only_dataset_touches_the_file_system():
-    # `dataset._staged` decides what a failed write leaves, so no other
-    # module may create, rename or remove a file or directory
+    # `dataset._staged` decides what a write leaves, so no other module may
+    # create, rename or remove a file or directory, and no other function
+    # of dataset may rename or remove one
     package = Path(yona.__file__).parent
     modules = sorted(package.glob("*.py"))
     assert {p.stem for p in modules} >= {"cli", "dataset", "evalstats"}
     writes = {p.stem: _filesystem_writes(ast.parse(p.read_text()))
               for p in modules}
-    assert writes.pop("dataset"), "the scan finds the writes dataset makes"
+    dataset_writes = writes.pop("dataset")
     assert writes == {name: [] for name in writes}
+    # within dataset, `_staged` alone renames, removes or opens for writing,
+    # and two writers create their output directory
+    allowed = {"_staged": {"open", "os.replace", "os.remove", "os.rmdir"},
+               "write_augmented_table": {"os.makedirs"},
+               "write_files": {"os.makedirs"}}
+    by_function = {node.name: _filesystem_writes(node) for node in ast.parse(
+        (package / "dataset.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)}
+    assert sorted(sum(by_function.values(), [])) == sorted(dataset_writes)
+    kinds = {name: {text.split("(")[0] for _, text in found}
+             for name, found in by_function.items() if found}
+    assert kinds["_staged"] >= {"os.replace", "os.remove"}, \
+        "the scan finds the renames and removals `_staged` makes"
+    assert all(kinds[name] <= allowed.get(name, set()) for name in kinds), \
+        kinds
     imports = [alias.name for node in ast.walk(
         ast.parse((package / "cli.py").read_text()))
         if isinstance(node, (ast.Import, ast.ImportFrom))

@@ -524,6 +524,8 @@ def test_manifest_text_round_trip(tmp_path, small_records):
     parsed = DatasetManifest.from_text(text)
     assert parsed == manifest
     assert "fraction:0.25" in parsed.yona
+    # splitlines splits on "\r\n": a CRLF copy reads the same
+    assert DatasetManifest.from_text(text.replace("\n", "\r\n")) == manifest
 
 
 def test_manifest_rejects_old_incomplete_and_malformed_text(
@@ -564,7 +566,8 @@ def test_manifest_refuses_values_no_run_writes(tmp_path, small_records):
     # int() reads each spelling (U+0665 is an Arabic-Indic five), but
     # to_text would give back other text
     spellings = [(key, value) for key in ("count", "seed")
-                 for value in ("+5", "05", "1_0", "\u0665", "-0", " 5")]
+                 for value in ("+5", "05", "1_0", "\u0665", "-0", " 5",
+                               "5 \t")]
     for key, value in (("count", "-3"), ("seed", "-1"),
                        ("seed", str(2**64)), ("dataset", "imagenet"),
                        *spellings):
@@ -583,6 +586,7 @@ def test_manifest_refuses_a_repeated_or_unknown_key(tmp_path, small_records):
     for extra, message in (("count=6\n", "'count' is repeated"),
                            ("format=2\n", "'format' is repeated"),
                            ("colour=red\n", "'colour' is unknown"),
+                           ("  count=5 \t\n", "'  count' is unknown"),
                            ("digest\n", "'digest' is repeated"),
                            ("no equals sign\n", "'no equals sign' is "
                                                 "unknown")):
